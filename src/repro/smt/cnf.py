@@ -19,7 +19,13 @@ __all__ = ["GateBuilder"]
 
 
 class GateBuilder:
-    """Structural-hashing Tseitin encoder on top of a SAT solver."""
+    """Structural-hashing Tseitin encoder on top of a SAT solver.
+
+    Every gate output is fully defined by its clauses: unit propagation
+    assigns it as soon as its inputs are assigned.  Outputs are
+    therefore allocated with ``new_var(decision=False)`` and the CDCL
+    search only branches on the free variables underneath them.
+    """
 
     def __init__(self, sat: SatSolver) -> None:
         self.sat = sat
@@ -63,7 +69,7 @@ class GateBuilder:
         cached = self._and_cache.get(key)
         if cached is not None:
             return cached
-        g = self.sat.new_var()
+        g = self.sat.new_var(decision=False)
         self.sat.add_clause([-g, a])
         self.sat.add_clause([-g, b])
         self.sat.add_clause([g, -a, -b])
@@ -91,7 +97,7 @@ class GateBuilder:
         key = (a, b) if a < b else (b, a)
         cached = self._xor_cache.get(key)
         if cached is None:
-            g = self.sat.new_var()
+            g = self.sat.new_var(decision=False)
             self.sat.add_clause([-g, a, b])
             self.sat.add_clause([-g, -a, -b])
             self.sat.add_clause([g, -a, b])
@@ -125,7 +131,7 @@ class GateBuilder:
         cached = self._mux_cache.get(key)
         if cached is not None:
             return cached
-        g = self.sat.new_var()
+        g = self.sat.new_var(decision=False)
         self.sat.add_clause([-cond, -then_lit, g])
         self.sat.add_clause([-cond, then_lit, -g])
         self.sat.add_clause([cond, -else_lit, g])

@@ -22,6 +22,7 @@ appears as ``v`` (positive) or ``-v`` (negated).  The solver supports
   whose assumption lists share an ordered prefix keep the trail
   segment that prefix justifies instead of cancelling to level 0,
 * VSIDS variable activities with exponential decay and phase saving,
+  branching only on *decision* variables (see :meth:`SatSolver.new_var`),
 * per-call conflict/propagation/wall-clock *budgets*: ``solve`` returns
   :data:`UNKNOWN` instead of running forever on an adversarial query,
   leaving the solver consistent for the next call (sound degradation —
@@ -100,6 +101,10 @@ class SatSolver:
         self._reason: list[Optional[_Clause]] = [None]
         self._activity: list[float] = [0.0]
         self._phase: list[bool] = [False]
+        # Per variable: may the search branch on it?  Only those
+        # variables ever enter the order heap.
+        self._decision: list[bool] = [False]
+        self._decision_vars: list[int] = []
         # Watch lists keyed by literal index (2*v for v, 2*v+1 for -v).
         self._watches: list[list[_Clause]] = [[], []]
         self._clauses: list[_Clause] = []
@@ -170,14 +175,25 @@ class SatSolver:
     # Variable / clause management
     # ------------------------------------------------------------------
 
-    def new_var(self) -> int:
-        """Allocate a fresh variable and return its (positive) literal."""
+    def new_var(self, decision: bool = True) -> int:
+        """Allocate a fresh variable and return its (positive) literal.
+
+        ``decision=False`` excludes the variable from branching.  That
+        is only complete for a variable the clauses *define* from
+        earlier variables — a Tseitin gate output, which unit
+        propagation assigns as soon as its inputs are assigned — so a
+        conflict-free assignment of the decision variables still
+        assigns every variable.
+        """
         self._num_vars += 1
         self._assign.append(_UNASSIGNED)
         self._level.append(0)
         self._reason.append(None)
         self._activity.append(0.0)
         self._phase.append(False)
+        self._decision.append(decision)
+        if decision:
+            self._decision_vars.append(self._num_vars)
         self._watches.append([])
         self._watches.append([])
         return self._num_vars
@@ -197,13 +213,25 @@ class SatSolver:
         value = self._assign[abs(lit)]
         return value if lit > 0 else -value
 
+    def _check_literals(self, lits: Sequence[int]) -> None:
+        """Raise ValueError for literal 0 or a variable never allocated."""
+        num_vars = self._num_vars
+        for lit in lits:
+            if lit == 0 or not -num_vars <= lit <= num_vars:
+                raise ValueError(
+                    f"bad literal {lit!r}: variables are 1..{num_vars}"
+                )
+
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause; returns False if the instance became trivially UNSAT.
 
         May be called between ``solve`` calls even when a reused trail is
         still standing: the solver falls back to decision level 0 first
-        (new clauses invalidate the kept assumption prefix).
+        (new clauses invalidate the kept assumption prefix).  A zero or
+        out-of-range literal raises ValueError before anything changes.
         """
+        lits = list(lits)
+        self._check_literals(lits)
         if self._trail_lim:
             self._cancel_until(0)
         if not self._ok:
@@ -212,7 +240,6 @@ class SatSolver:
         kept: list[int] = []
         out: list[int] = []
         for lit in lits:
-            assert lit != 0 and abs(lit) <= self._num_vars, f"bad literal {lit}"
             if -lit in seen:
                 return True  # tautology
             if lit in seen:
@@ -270,11 +297,13 @@ class SatSolver:
         if self._decision_level() <= level:
             return
         bound = self._trail_lim[level]
+        decision = self._decision
         for lit in reversed(self._trail[bound:]):
             var = abs(lit)
             self._assign[var] = _UNASSIGNED
             self._reason[var] = None
-            _heappush(self._order_heap, (-self._activity[var], var))
+            if decision[var]:
+                _heappush(self._order_heap, (-self._activity[var], var))
         del self._trail[bound:]
         del self._trail_lim[level:]
         self._propagate_head = len(self._trail)
@@ -545,6 +574,12 @@ class SatSolver:
     # ------------------------------------------------------------------
 
     def _pick_branch_var(self) -> int:
+        """Most active unassigned decision variable, or 0 if none is left.
+
+        0 means SAT: the search never branches on a non-decision
+        variable, so a conflict-free trail assigning every decision
+        variable has assigned the gate outputs through propagation.
+        """
         heap = self._order_heap
         while heap:
             neg_act, var = _heappop(heap)
@@ -553,8 +588,8 @@ class SatSolver:
             if self._assign[var] == _UNASSIGNED:
                 # Stale activity entry: reinsert with the fresh score.
                 _heappush(heap, (-self._activity[var], var))
-        # Heap empty: linear scan fallback (also (re)fills the heap).
-        for var in range(1, self._num_vars + 1):
+        # Heap empty: linear scan fallback.
+        for var in self._decision_vars:
             if self._assign[var] == _UNASSIGNED:
                 return var
         return 0
@@ -562,7 +597,7 @@ class SatSolver:
     def _rebuild_heap(self) -> None:
         self._order_heap = [
             (-self._activity[v], v)
-            for v in range(1, self._num_vars + 1)
+            for v in self._decision_vars
             if self._assign[v] == _UNASSIGNED
         ]
         _heapify(self._order_heap)
@@ -656,8 +691,11 @@ class SatSolver:
         guilty subset.  With trail reuse enabled the trail is left
         standing between calls: the next ``solve`` keeps the segment
         justified by the shared ordered assumption prefix instead of
-        re-propagating it.
+        re-propagating it.  A zero or out-of-range assumption raises
+        ValueError before anything changes, the standing trail included.
         """
+        assumptions = list(assumptions)
+        self._check_literals(assumptions)
         self._conflict_core = []
         self.statistics["solve_calls"] += 1
         if not self._ok:
@@ -667,7 +705,6 @@ class SatSolver:
         ):
             self._give_up()
             return UNKNOWN
-        assumptions = list(assumptions)
         keep = 0
         if self._trail_reuse:
             previous = self._prev_assumptions

@@ -1,7 +1,10 @@
 """Unit and property tests for the CDCL SAT solver."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +123,73 @@ class TestAssumptions:
         assert solver.value(b) is True
         solver.add_clause([-b])
         assert solver.solve() is UNSAT
+
+
+class TestLiteralValidation:
+    """A zero or out-of-range literal is a ValueError raised before any
+    solver state changes — the standing trail of the last SAT answer
+    included."""
+
+    BAD = [[0], [1, 0], [4], [1, -4]]
+
+    def standing_solver(self):
+        solver, (a, b, c) = make_solver(3)
+        solver.add_clause([-a, b])
+        assert solver.solve([a, c]) is SAT
+        assert solver._trail_lim, "the SAT answer leaves its trail standing"
+        return solver
+
+    @staticmethod
+    def state(solver):
+        return (
+            list(solver._trail),
+            list(solver._trail_lim),
+            list(solver._assign),
+            list(solver._prev_assumptions),
+            [list(c.lits) for c in solver._clauses],
+            dict(solver.statistics),
+            solver._ok,
+        )
+
+    @pytest.mark.parametrize("assumptions", BAD)
+    def test_solve_rejects_bad_assumption(self, assumptions):
+        solver = self.standing_solver()
+        before = self.state(solver)
+        with pytest.raises(ValueError, match="bad literal"):
+            solver.solve(assumptions)
+        assert self.state(solver) == before
+        # The kept prefix [a] (variable 1) is still reused by the next query.
+        assert solver.solve([1, -3]) is SAT
+        assert solver.statistics["trail_reused_lits"] > 0
+
+    @pytest.mark.parametrize("lits", BAD)
+    def test_add_clause_rejects_bad_literal(self, lits):
+        solver = self.standing_solver()
+        before = self.state(solver)
+        with pytest.raises(ValueError, match="bad literal"):
+            solver.add_clause(lits)
+        assert self.state(solver) == before
+
+    def test_rejected_under_optimized_python(self):
+        """``python -O`` strips asserts; the checks must not be asserts."""
+        script = (
+            "import sys; sys.path.insert(0, {src!r})\n"
+            "from repro.smt.sat import SatSolver\n"
+            "solver = SatSolver(); solver.new_var()\n"
+            "for call, lits in ((solver.add_clause, [0]), (solver.solve, [2])):\n"
+            "    try:\n"
+            "        call(lits)\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    sys.exit('accepted %r' % (lits,))\n"
+        ).format(src=os.path.join(os.path.dirname(__file__), "..", "src"))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestPigeonhole:
