@@ -37,6 +37,17 @@ _ISA_FACTORIES = {
     "rv32im+zbb": rv32im_zbb,
 }
 
+#: (dest, flag) of the ``explore`` options that configure the query
+#: pipeline (``CachingSolver``).  Only ``--store`` runs build one; a
+#: plain run sends every flip query straight to the incremental solver.
+_STORE_PIPELINE_FLAGS = (
+    ("slicing", "--no-slicing"),
+    ("rewrite", "--no-rewrite"),
+    ("intervals", "--no-intervals"),
+    ("unsat_cores", "--no-unsat-cores"),
+    ("core_budget", "--core-budget"),
+)
+
 
 def _load_program(path: str, isa) -> Image:
     data = Path(path).read_bytes()
@@ -105,18 +116,19 @@ def _cmd_explore(args) -> int:
         # Configure harness-driven symbolic input on top of any
         # make_symbolic calls the program itself performs.
         engine.symbolic_memory = tuple(symbolic_memory)
+    pipeline = {
+        dest: getattr(args, dest)
+        for dest, _ in _STORE_PIPELINE_FLAGS
+        if getattr(args, dest) is not None
+    }
     preprocess = PreprocessConfig(
-        slicing=args.slicing,
-        rewrite=args.rewrite,
-        intervals=args.intervals,
-        unsat_cores=args.unsat_cores,
         trail_reuse=args.trail_reuse,
         conflict_budget=args.conflict_budget,
         propagation_budget=args.propagation_budget,
         wall_budget=args.wall_budget,
-        core_budget=args.core_budget,
         certify=args.certify,
         proof_log=args.proof_log,
+        **pipeline,
     )
     faults = None
     if args.inject_faults:
@@ -131,7 +143,6 @@ def _cmd_explore(args) -> int:
         max_paths=args.max_paths,
         seed=args.seed,
         jobs=args.jobs,
-        use_cache=args.query_cache,
         preprocess=preprocess,
         staging=args.staging,
         superblocks=args.superblocks,
@@ -253,25 +264,26 @@ def main(argv=None) -> int:
                            help="explore on N worker processes (default 1)")
     p_explore.add_argument("--seed", type=int, default=0,
                            help="seed for the random search strategy")
-    p_explore.add_argument("--no-query-cache", dest="query_cache",
-                           action="store_false", default=True,
-                           help="disable the whole query layer: cross-path "
-                                "cache AND preprocessing pipeline (plain "
-                                "solver; --no-* pipeline flags are moot)")
+    # The --store query pipeline flags default to None so that main()
+    # can tell whether one was given without --store.
     p_explore.add_argument("--no-slicing", dest="slicing",
-                           action="store_false", default=True,
-                           help="disable independence slicing of queries")
+                           action="store_false", default=None,
+                           help="--store query pipeline: disable "
+                                "independence slicing of queries")
     p_explore.add_argument("--no-rewrite", dest="rewrite",
-                           action="store_false", default=True,
-                           help="disable word-level query rewriting")
+                           action="store_false", default=None,
+                           help="--store query pipeline: disable "
+                                "word-level query rewriting")
     p_explore.add_argument("--no-intervals", dest="intervals",
-                           action="store_false", default=True,
-                           help="disable the interval fast path")
+                           action="store_false", default=None,
+                           help="--store query pipeline: disable the "
+                                "interval fast path")
     p_explore.add_argument("--no-unsat-cores", dest="unsat_cores",
-                           action="store_false", default=True,
-                           help="disable assumption-level UNSAT cores "
-                                "(the cache falls back to whole-query "
-                                "UNSAT sets for subsumption)")
+                           action="store_false", default=None,
+                           help="--store query pipeline: disable "
+                                "assumption-level UNSAT cores (the cache "
+                                "falls back to whole-query UNSAT sets for "
+                                "subsumption)")
     p_explore.add_argument("--no-trail-reuse", dest="trail_reuse",
                            action="store_false", default=True,
                            help="disable shared-assumption-prefix trail "
@@ -309,9 +321,11 @@ def main(argv=None) -> int:
                                 "seconds: a solve exceeding it answers "
                                 "UNKNOWN (sound degradation, like "
                                 "--conflict-budget)")
-    p_explore.add_argument("--core-budget", type=int, default=8, metavar="N",
-                           help="extra solves UNSAT-core minimization may "
-                                "spend shrinking a core (default 8)")
+    p_explore.add_argument("--core-budget", type=int, default=None,
+                           metavar="N",
+                           help="--store query pipeline: extra solves "
+                                "UNSAT-core minimization may spend "
+                                "shrinking a core (default 8)")
     p_explore.add_argument("--deadline", type=float, default=None,
                            metavar="SECS",
                            help="global exploration deadline in seconds: "
@@ -339,8 +353,10 @@ def main(argv=None) -> int:
                                 "journal (implies --checkpoint DIR); "
                                 "completed paths are not re-executed")
     p_explore.add_argument("--store", metavar="DIR", default=None,
-                           help="persistent cross-run artifact store: "
-                                "query verdicts (models, UNSAT cores) "
+                           help="persistent cross-run artifact store, "
+                                "behind the query pipeline (cache, "
+                                "slicing, rewrite, intervals) it turns "
+                                "on: query verdicts (models, UNSAT cores) "
                                 "and path certificates are written to "
                                 "DIR and verified warm hits served from "
                                 "it on later runs; any torn/corrupt/"
@@ -378,6 +394,16 @@ def main(argv=None) -> int:
     p_explore.set_defaults(func=_cmd_explore)
 
     args = parser.parse_args(argv)
+    if args.command == "explore" and args.store is None:
+        given = [
+            flag for dest, flag in _STORE_PIPELINE_FLAGS
+            if getattr(args, dest) is not None
+        ]
+        if given:
+            p_explore.error(
+                f"{', '.join(given)}: requires --store, the only "
+                f"configuration with a query pipeline"
+            )
     return args.func(args)
 
 

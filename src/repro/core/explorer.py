@@ -175,9 +175,10 @@ class ExplorationResult:
     per-slice CDCL invocations behind them, while ``cache_hits``,
     ``fast_path_answers`` and ``pruned_queries`` count work the query
     cache, the preprocessing pipeline and the explored-prefix trie
-    avoided.  ``solver_stats`` carries the flat cache/pipeline counter
-    dict (:attr:`repro.smt.solver.CachingSolver.pipeline_statistics`),
-    key-wise summed across workers.
+    avoided.  ``solver_stats`` carries the flat solver counter dict
+    (:attr:`repro.smt.solver.Solver.pipeline_statistics`, extended by
+    ``CachingSolver`` with cache and pipeline counters), key-wise summed
+    across workers.
     """
 
     paths: list[PathInfo] = field(default_factory=list)
@@ -528,12 +529,6 @@ class Explorer:
         state = manager.load() if self.resume else None
         return manager, state
 
-    def _live_solver_stats(self) -> dict:
-        stats = getattr(self.solver, "pipeline_statistics", None)
-        if stats is not None:
-            return dict(stats)
-        return {"sat_core_solves": self.solver.num_solves}
-
     @staticmethod
     def _summed(base: dict, live: dict) -> dict:
         total = dict(base)
@@ -655,7 +650,7 @@ class Explorer:
                         frontier.items(),
                         seen_digests,
                         solver_stats=self._summed(
-                            result.solver_stats, self._live_solver_stats()
+                            result.solver_stats, self.solver.pipeline_statistics
                         ),
                     )
                 if faults is not None and faults.interrupt_after is not None:
@@ -666,7 +661,7 @@ class Explorer:
         del memhog_leaks[:]
         result.truncated = bool(frontier)
         result.frontier_peak = max(frontier.peak, result.frontier_peak)
-        result.merge_solver_stats(self._live_solver_stats())
+        result.merge_solver_stats(self.solver.pipeline_statistics)
         if governor is not None:
             result.merge_governor_stats(governor.statistics)
         snapshot_stats = getattr(executor, "snapshot_statistics", None)

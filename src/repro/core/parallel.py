@@ -298,9 +298,6 @@ def _worker_main(
                 )
                 for child in children
             ]
-            solver_stats = getattr(solver, "pipeline_statistics", None)
-            if solver_stats is None:
-                solver_stats = {"sat_core_solves": solver.num_solves}
             snapshot_stats = getattr(executor, "snapshot_statistics", None)
             if snapshot_stats is not None and snapshots:
                 snapshot_stats = dict(snapshot_stats)
@@ -324,7 +321,7 @@ def _worker_main(
                 stats.solver_time,
                 tuple(stats.covered_pcs),
                 worker_uid,
-                dict(solver_stats),
+                solver.pipeline_statistics,
                 snapshot_stats,
                 tuple(stats.pc_hits.items()),
                 superblock_stats,

@@ -16,7 +16,7 @@ Encodings:
   width, with the SMT-LIB division-by-zero cases asserted explicitly,
 * sdiv/srem — sign-compensated wrappers around the unsigned encodings,
 * shifts by a non-constant amount — logarithmic barrel shifter,
-* comparisons — LSB-to-MSB carry chains (signed via MSB flip).
+* comparisons — LSB-to-MSB mux chains (signed via MSB flip).
 
 On top of the per-term cache, whole *networks* are structurally hashed
 at the literal-vector level: adder, comparator and multiplier requests
@@ -434,9 +434,12 @@ class BitBlaster:
     def _ult(self, a: list[int], b: list[int]) -> int:
         """Unsigned less-than over literal vectors (LSB first).
 
-        Constant comparisons fold; otherwise the carry chain is
-        hash-consed per (a, b) operand pair (ordered — ult is not
-        commutative).
+        A mux chain from the least significant bit up: where ``a_i`` and
+        ``b_i`` differ, ``b_i`` decides; where they agree, the lower bits
+        do.  Two gates per bit, and the xor gates are the ones
+        :meth:`_eq_vec` builds for the same operands.  Constant
+        comparisons fold; otherwise the chain is hash-consed per (a, b)
+        operand pair (ordered — ult is not commutative).
         """
         g = self.gates
         a_val = self._const_value(a)
@@ -451,8 +454,6 @@ class BitBlaster:
             return cached
         lt = g.false_lit
         for x, y in zip(a, b):
-            bit_lt = g.and2(-x, y)
-            bit_eq = g.iff(x, y)
-            lt = g.or2(bit_lt, g.and2(bit_eq, lt))
+            lt = g.mux(g.xor2(x, y), y, lt)
         self._ult_cache[key] = lt
         return lt

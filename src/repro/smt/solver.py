@@ -389,6 +389,24 @@ class Solver:
             stats[f"blaster_{kind}_reuse"] = hits
         return stats
 
+    @property
+    def pipeline_statistics(self) -> Mapping[str, int]:
+        """Flat counters the exploration drivers sum exactly across
+        workers: CDCL solves, trail reuse, cores, budgets, certification.
+        :class:`CachingSolver` extends the dict with its cache and
+        pipeline counters."""
+        sat_stats = self._sat.statistics
+        return {
+            "sat_core_solves": self.num_solves,
+            "sat_trail_reused_lits": sat_stats["trail_reused_lits"],
+            "sat_cores_extracted": sat_stats["cores_extracted"],
+            "sat_core_minimize_solves": sat_stats["core_minimize_solves"],
+            "sat_budget_exhausted": sat_stats["budget_exhausted"],
+            "certified_sat": self.certified_sat,
+            "certified_unsat": self.certified_unsat,
+            "certify_failures": self.certify_failures,
+        }
+
 
 class QueryCache:
     """Cross-path memo of satisfiability answers and models.
@@ -958,18 +976,10 @@ class CachingSolver(Solver):
 
     @property
     def pipeline_statistics(self) -> Mapping[str, int]:
-        """Flat cache + pipeline counters (exactly summable across workers)."""
+        """The solver counters plus cache and pipeline counters."""
         stats = {f"cache_{k}": v for k, v in self.cache.statistics.items()}
         stats.update(self.pipeline_stats)
-        stats["sat_core_solves"] = self.num_solves
-        sat_stats = self._sat.statistics
-        stats["sat_trail_reused_lits"] = sat_stats["trail_reused_lits"]
-        stats["sat_cores_extracted"] = sat_stats["cores_extracted"]
-        stats["sat_core_minimize_solves"] = sat_stats["core_minimize_solves"]
-        stats["sat_budget_exhausted"] = sat_stats["budget_exhausted"]
-        stats["certified_sat"] = self.certified_sat
-        stats["certified_unsat"] = self.certified_unsat
-        stats["certify_failures"] = self.certify_failures
+        stats.update(super().pipeline_statistics)
         if self.cache.store is not None:
             # Persistent-tier counters ride along unprefixed (they are
             # already namespaced ``store_*``) and sum across workers.

@@ -1,5 +1,7 @@
 """Tests for the `repro` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -14,6 +16,31 @@ _start:
     lbu t1, 0(t0)
     li t2, 7
     beq t1, t2, lucky
+    li a0, 0
+    li a7, 93
+    ecall
+lucky:
+    ebreak
+"""
+
+# Two paths and two solved flip queries: ``t1 >= 10`` is SAT, and
+# ``t1 == 20`` under ``t1 < 10`` is UNSAT.
+RANGES = """\
+_start:
+    li a0, 0x30000
+    li a1, 1
+    li a7, 1337
+    ecall
+    li t0, 0x30000
+    lbu t1, 0(t0)
+    li t2, 10
+    bgeu t1, t2, big
+    li t2, 20
+    beq t1, t2, lucky
+    li a0, 0
+    li a7, 93
+    ecall
+big:
     li a0, 0
     li a7, 93
     ecall
@@ -124,16 +151,22 @@ done:
         assert main(["explore", "--strategy", "coverage", str(program_file)]) == 1
         assert "2 paths" in capsys.readouterr().out
 
-    def test_query_cache_toggle(self, program_file, capsys):
-        assert main(["explore", "--no-query-cache", str(program_file)]) == 1
+    def test_query_cache_toggle(self, tmp_path, program_file, capsys):
+        assert main(
+            ["explore", "--store", str(tmp_path / "store"), "--no-slicing",
+             "--no-rewrite", "--no-intervals", str(program_file)]
+        ) == 1
         assert "2 paths" in capsys.readouterr().out
 
     def test_staging_toggle(self, program_file, capsys):
         assert main(["explore", "--no-staging", str(program_file)]) == 1
         assert "2 paths" in capsys.readouterr().out
 
-    def test_unsat_cores_toggle(self, program_file, capsys):
-        assert main(["explore", "--no-unsat-cores", str(program_file)]) == 1
+    def test_unsat_cores_toggle(self, tmp_path, program_file, capsys):
+        assert main(
+            ["explore", "--store", str(tmp_path / "store"),
+             "--no-unsat-cores", str(program_file)]
+        ) == 1
         assert "2 paths" in capsys.readouterr().out
 
     def test_trail_reuse_toggle(self, program_file, capsys):
@@ -165,11 +198,40 @@ done:
         assert "snap_resumed_runs" in out
 
     def test_solver_flags_without_query_cache(self, program_file, capsys):
+        # The solver-level flags apply to the plain incremental solver.
         assert main(
-            ["explore", "--no-query-cache", "--no-trail-reuse",
-             "--no-unsat-cores", str(program_file)]
+            ["explore", "--no-trail-reuse", "--conflict-budget", "10000",
+             str(program_file)]
         ) == 1
         assert "2 paths" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [
+        ["--no-slicing"], ["--no-rewrite"], ["--no-intervals"],
+        ["--no-unsat-cores"], ["--core-budget", "0"],
+    ])
+    def test_pipeline_flag_requires_store(self, program_file, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explore", *flag, str(program_file)])
+        assert exit_info.value.code == 2
+        assert f"{flag[0]}: requires --store" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_certify_without_store_counts_every_solved_query(
+        self, tmp_path, capsys, jobs
+    ):
+        path = tmp_path / "ranges.s"
+        path.write_text(RANGES)
+        assert main(["explore", "--certify", "--jobs", jobs, str(path)]) == 0
+        out = capsys.readouterr().out
+        solved = re.search(r"(\d+) solver queries \((\d+) sat / (\d+) unsat", out)
+        certified = re.search(
+            r"(\d+) SAT models evaluated, (\d+) UNSAT proofs checked, "
+            r"0 certification failures", out
+        )
+        assert solved and certified, out
+        num_solved, num_sat, num_unsat = map(int, solved.groups())
+        assert num_sat and num_unsat
+        assert sum(map(int, certified.groups())) == num_solved
 
     def test_staging_toggle_parallel(self, program_file, capsys):
         assert main(
@@ -186,9 +248,10 @@ done:
         assert "2 paths" in out
         assert "unknown" in out
 
-    def test_core_budget_flag(self, program_file, capsys):
+    def test_core_budget_flag(self, tmp_path, program_file, capsys):
         assert main(
-            ["explore", "--core-budget", "0", str(program_file)]
+            ["explore", "--store", str(tmp_path / "store"), "--core-budget",
+             "0", str(program_file)]
         ) == 1
         assert "2 paths" in capsys.readouterr().out
 

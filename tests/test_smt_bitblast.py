@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from repro.smt import terms as T
 from repro.smt import bvops
+from repro.smt.bitblast import BitBlaster
 from repro.smt.evalbv import evaluate
+from repro.smt.sat import SatSolver
 from repro.smt.solver import Result, Solver
 
 WIDTHS = [1, 3, 8, 16, 32]
@@ -147,6 +149,39 @@ def test_unary_and_width_ops(data):
     for name, (term, expected, result_width) in cases.items():
         out = T.bv_var(f"out_{name}", result_width)
         assert model[out] == expected, name
+
+
+class TestComparators:
+    """The unsigned/signed comparator circuits, exhaustively at 4 bits."""
+
+    def test_every_operand_pair_matches_bvops(self):
+        # Three operand shapes: both variable, one constant, and both
+        # zero-extended (constant upper bits, as in the sort workloads).
+        x, y = T.bv_var("cmpx", 4), T.bv_var("cmpy", 4)
+        shapes = {
+            "variables": (lambda a, b: (x, y), 4),
+            "constant": (lambda a, b: (x, T.bv(b, 4)), 4),
+            "zext": (lambda a, b: (T.zext(x, 4), T.zext(y, 4)), 8),
+        }
+        solver = Solver()
+        for shape, (operands, width) in shapes.items():
+            for name, (mk, ref) in sorted(CMPOPS.items()):
+                for a in range(16):
+                    for b in range(16):
+                        pins = [T.eq(x, T.bv(a, 4)), T.eq(y, T.bv(b, 4))]
+                        result = solver.check(pins + [mk(*operands(a, b))])
+                        expected = bool(ref(a, b, width))
+                        assert (result is Result.SAT) == expected, (shape, name, a, b)
+
+    def test_ult_allocates_two_gates_per_bit(self):
+        sat = SatSolver()
+        blaster = BitBlaster(sat)
+        a, b = T.bv_var("ultpin_a", 8), T.bv_var("ultpin_b", 8)
+        blaster.bits(a)
+        blaster.bits(b)
+        before = sat.num_vars
+        blaster.lit(T.ult(a, b))
+        assert sat.num_vars - before <= 2 * 8
 
 
 class TestSymbolicShifts:
