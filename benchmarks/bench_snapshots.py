@@ -12,6 +12,9 @@ set:
   the contract pins the >= 2x reduction the PR promises,
 * **snapshot-pool behaviour** — resume rate (every non-root run on a
   DFS schedule), capture counts and eviction-driven fallbacks,
+* **the pooled replay contract** — with ``--jobs 2`` flip children stay
+  on the worker that captured their snapshot, so steals are rare and
+  the pool replays about what a serial run does,
 * **exploration wall time** on vs off, timed.
 
 Identity contracts are asserted on every comparison: both builds must
@@ -115,6 +118,37 @@ def test_replayed_instructions_contract(benchmark, name):
         ),
         3,
     )
+
+
+@pytest.mark.parametrize("name", ("bubble-sort", "insertion-sort"))
+def test_pooled_replay_contract(benchmark, name):
+    """``--jobs 2`` keeps flip children on the worker holding their
+    snapshot: at most 10% of items are steals re-executed from the
+    entry point, and the pool executes at most 1.25x the serial run's
+    instructions.  Steals depend on reply timing, so the pooled counters
+    vary between runs and stay out of the deterministic gate's keys."""
+    benchmark.group = f"snapshots:pooled:{name}"
+    spec = WORKLOADS[name]
+    image = spec.image(spec.fig6_scale)
+
+    def run():
+        return _explore(image, snapshots=True, jobs=2)
+
+    pooled = benchmark.pedantic(run, rounds=3, iterations=1)
+    serial = _explore(image, snapshots=True)
+    assert pooled.path_set() == serial.path_set(), name
+    cross = pooled.snapshot_stats["snap_cross_worker_items"]
+    assert cross * 10 <= pooled.num_paths, (name, cross)
+    assert (
+        pooled.executed_instructions * 100
+        <= serial.executed_instructions * 125
+    ), (name, pooled.executed_instructions, serial.executed_instructions)
+
+    benchmark.extra_info["paths"] = pooled.num_paths
+    benchmark.extra_info["pooled_executed_instructions"] = (
+        pooled.executed_instructions
+    )
+    benchmark.extra_info["cross_worker_items"] = cross
 
 
 # ---------------------------------------------------------------------------

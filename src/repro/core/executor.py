@@ -109,6 +109,12 @@ class BinSymExecutor:
         crossed the superblock hotness threshold."""
         self.interpreter.note_hot_branches(pcs)
 
+    def note_entry_run(self) -> None:
+        """Count one run from the image entry toward superblock entry
+        hotness without executing it (see ``ENTRY_HOT_RUNS``)."""
+        interp = self.interpreter
+        interp.isa.superblocks.note_run_entry(interp.image.entry)
+
     @property
     def superblocks_enabled(self) -> bool:
         return self.interpreter._sb_enabled

@@ -7,7 +7,11 @@ keeps the frontier (and the chosen search strategy) in the parent and
 fans the concolic runs out over a pool of forked workers:
 
 * the parent pops :class:`~repro.core.scheduler.WorkItem`s and sends
-  ``(task_id, assignment, bound)`` over a per-worker task queue,
+  ``(task_id, assignment, bound)`` over a per-worker task queue; under
+  DFS a free seat takes the newest item whose snapshot it captured (or
+  that has none) and steals the oldest item only when it holds none
+  (work stealing), so flip children resume on the worker that owns
+  their snapshot,
 * each worker owns its *own* :class:`~repro.smt.solver.Solver` (plus
   query cache and explored-prefix trie), executes the run, performs the
   branch-flip expansion locally, and streams back the path summary, the
@@ -164,8 +168,8 @@ def _worker_main(
 
     Snapshot handles are process-local, so a task's snapshot reference
     ``(origin_uid, handle)`` is only honoured when this incarnation
-    captured it; cross-worker items re-execute from the entry point,
-    which discovers the identical path (counted separately so the
+    captured it; cross-worker items (steals) re-execute from the entry
+    point, which discovers the identical path (counted separately so the
     benchmark can report the cross-worker re-execution share).
 
     ``faults`` (a :class:`repro.core.faults.FaultPlan` or None) drives
@@ -219,6 +223,15 @@ def _worker_main(
     tasks_done = 0
     note_hot = getattr(executor, "note_hot_pcs", None)
     hot_applied: set = set()
+    # Under snapshot-affine dispatch a worker runs from the entry point
+    # for its first task and afterwards only for its few steals, so
+    # whether it reached ENTRY_HOT_RUNS (and compiled the entry block)
+    # would depend on steal timing.  Counting the fork as one entry run
+    # compiles that block on every worker's first task, keeping the
+    # pool's superblock counters a function of the paths it runs.
+    note_entry = getattr(executor, "note_entry_run", None)
+    if note_entry is not None:
+        note_entry()
     while True:
         task = task_queue.get()
         if task is None:
@@ -423,8 +436,8 @@ class ProcessPoolExplorer:
         self.dedup_flips = dedup_flips
         self.preprocess = preprocess
         # Snapshots are worker-local (pools are fork-inherited but grow
-        # independently): items that land on the capturing worker
-        # resume; everything else re-executes, keeping the discovered
+        # independently): dispatch prefers the capturing seat, items that
+        # land there resume, and steals re-execute, keeping the discovered
         # path set and query attribution byte-identical to serial mode.
         self.snapshots = snapshots and getattr(
             executor, "supports_snapshots", False
@@ -535,12 +548,14 @@ class ProcessPoolExplorer:
             )
             now = time.monotonic()
             replies = []
+            delivered = False
             for slot in slots:
                 if slot.reply not in ready:
                     continue
                 try:
                     while slot.reply.poll():
                         message = slot.reply.recv()
+                        delivered = True
                         slot.last_beat = now
                         if message[0] != _HEARTBEAT:
                             replies.append(message)
@@ -558,9 +573,11 @@ class ProcessPoolExplorer:
             ]
             if replies or dead:
                 return replies, dead
-            if ready:
+            if ready and not delivered:
                 # A pipe signalled EOF but the exit code is not posted
-                # yet: yield briefly instead of spinning on wait().
+                # yet: yield briefly instead of spinning on wait().  A
+                # round that drained only heartbeats goes straight back
+                # to wait(), so the other seats' replies are not delayed.
                 time.sleep(0.005)
 
     def _revive(
@@ -575,8 +592,9 @@ class ProcessPoolExplorer:
         :data:`MAX_ITEM_FAILURES` deaths while holding it — is recorded
         as an ``incomplete`` path.  The requeued item keeps its snapshot
         reference: it names the *capturing* worker's uid, which either
-        still lives (resume works) or never matches again (full
-        re-execution — the same sound fallback as a pool eviction).
+        still lives (that seat prefers it and resumes) or never matches
+        again (the item is only stolen and fully re-executed — the same
+        sound fallback as a pool eviction).
         """
         slot.process.join()
         slot.reply.close()
@@ -684,7 +702,7 @@ class ProcessPoolExplorer:
                         break
                     if result.num_paths + len(in_flight) >= self.max_paths:
                         break
-                    item = frontier.pop()
+                    item = frontier.pop(_owned_by(slot.uid))
                     slot.task_id = next_task
                     in_flight[next_task] = item
                     slot.queue.put(
@@ -893,6 +911,21 @@ class ProcessPoolExplorer:
                 condition_digest=condition_digest,
             )
         )
+
+
+def _owned_by(uid: int):
+    """Pop preference of a free seat: the items it owns.
+
+    A seat owns the items whose snapshot it captured.  An item without a
+    snapshot — the root, checkpoint-restored items (handles dropped),
+    every item of a pool that captures none or stopped capturing under
+    memory pressure — re-executes from the entry point on any seat, so
+    it counts as every seat's own: with no snapshots at all, DFS
+    dispatch stays plain LIFO instead of stealing-oldest into BFS order.
+    Items whose capturing incarnation died match no live seat; they are
+    only ever stolen and re-executed, like an evicted handle.
+    """
+    return lambda item: item.snapshot is None or item.snapshot[0] == uid
 
 
 def _summed(base: dict, live_dicts) -> dict:

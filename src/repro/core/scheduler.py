@@ -114,9 +114,17 @@ class Frontier:
         self.pushed += 1
         self.peak = max(self.peak, len(self._strategy))
 
-    def pop(self) -> WorkItem:
+    def pop(self, prefer=None) -> WorkItem:
+        """Next item per the strategy.
+
+        ``prefer`` (item -> bool) lets the worker pool favour items
+        the free seat owns; see
+        :meth:`repro.core.strategy.Strategy.pop_preferring`.
+        """
         self.popped += 1
-        return self._strategy.pop()
+        if prefer is None:
+            return self._strategy.pop()
+        return self._strategy.pop_preferring(prefer)
 
     def items(self) -> list:
         """Non-destructive snapshot of the queued items (checkpointing)."""

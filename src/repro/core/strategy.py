@@ -33,6 +33,16 @@ class Strategy:
     def pop(self) -> Any:
         raise NotImplementedError
 
+    def pop_preferring(self, prefer) -> Any:
+        """Pop, favouring items for which ``prefer(item)`` is true.
+
+        The worker pool passes "this seat owns the item" (it captured
+        the item's snapshot, or the item has none).
+        Policies whose order is the point of the strategy (BFS, random,
+        coverage) ignore the hint and pop exactly what :meth:`pop` would.
+        """
+        return self.pop()
+
     def items(self) -> list:
         """Non-destructive snapshot of the pending items.
 
@@ -59,6 +69,19 @@ class DepthFirst(Strategy):
 
     def pop(self):
         return self._items.pop()
+
+    def pop_preferring(self, prefer):
+        """Work stealing: the newest preferred item, else the oldest.
+
+        A seat's own items are taken LIFO like :meth:`pop`; with none
+        pending it steals from the bottom of the stack — the shallowest
+        item, and so the largest subtree to keep it busy.
+        """
+        items = self._items
+        for index in range(len(items) - 1, -1, -1):
+            if prefer(items[index]):
+                return items.pop(index)
+        return items.pop(0)
 
     def items(self) -> list:
         return list(self._items)

@@ -139,6 +139,82 @@ class TestParallelStats:
         assert "[2 workers]" in result.summary()
 
 
+@needs_fork
+class TestSnapshotAffinity:
+    """Flip children resume on the worker that captured their snapshot:
+    a free seat takes its own newest item (or the newest one without a
+    snapshot) and steals the oldest only when it owns none, so steals
+    (cross-worker re-executions) stay rare."""
+
+    @pytest.mark.parametrize("name", ["bubble-sort", "insertion-sort"])
+    def test_pool_keeps_children_on_their_owner(self, name):
+        spec = WORKLOADS[name]
+        image = spec.image(spec.fig6_scale)
+        serial = Explorer(BinSymExecutor(rv32im(), image)).explore()
+        pooled = Explorer(BinSymExecutor(rv32im(), image), jobs=2).explore()
+        assert pooled.path_set() == serial.path_set()
+        cross = pooled.snapshot_stats["snap_cross_worker_items"]
+        assert cross * 10 <= pooled.num_paths, (name, cross)
+        assert (
+            pooled.executed_instructions * 100
+            <= serial.executed_instructions * 125
+        ), (name, pooled.executed_instructions, serial.executed_instructions)
+
+    @pytest.mark.parametrize("engine", ["binsym-no-snapshots", "binsec"])
+    def test_pool_without_snapshots_stays_depth_first(self, engine):
+        """Without snapshots every item is every seat's own, so the
+        pool pops plain LIFO, not steal-oldest (BFS order, a frontier
+        several times larger)."""
+        spec = WORKLOADS["bubble-sort"]
+        image = spec.image(spec.fig6_scale)
+
+        def explore(jobs):
+            if engine == "binsec":
+                executor = make_engine("binsec", rv32im(), image)
+                return Explorer(executor, jobs=jobs).explore()
+            executor = BinSymExecutor(rv32im(), image)
+            return Explorer(executor, jobs=jobs, snapshots=False).explore()
+
+        serial, pooled = explore(1), explore(2)
+        assert pooled.path_set() == serial.path_set()
+        assert pooled.frontier_peak <= 3 * serial.frontier_peak, (
+            pooled.frontier_peak,
+            serial.frontier_peak,
+        )
+
+    def test_superblock_counters_do_not_depend_on_steal_timing(self):
+        """Every worker compiles the entry block on its first task, so
+        the blocks a pool builds follow from the paths each worker runs,
+        not from how many steals it happened to get."""
+        spec = WORKLOADS["insertion-sort"]
+        image = spec.image(spec.fig6_scale)
+        built = {
+            Explorer(BinSymExecutor(rv32im(), image), jobs=2)
+            .explore()
+            .superblock_stats["sb_blocks_built"]
+            for _ in range(4)
+        }
+        assert len(built) == 1, built
+
+    def test_pool_that_stops_capturing_stays_depth_first(self):
+        """A zero memory budget walks each worker's governor to its last
+        rung after a dozen runs, which turns snapshot capture off
+        mid-exploration.  The children that follow carry no snapshot and
+        must still be taken LIFO, not stolen oldest-first."""
+        spec = WORKLOADS["bubble-sort"]
+        image = spec.image(spec.fig6_scale)
+        serial = Explorer(BinSymExecutor(rv32im(), image)).explore()
+        pooled = Explorer(
+            BinSymExecutor(rv32im(), image), jobs=2, memory_budget_mb=0
+        ).explore()
+        assert pooled.path_set() == serial.path_set()
+        assert pooled.governor_stats["gov_rung_snapshots_off"] >= 1
+        assert pooled.frontier_peak <= 3 * serial.frontier_peak, (
+            pooled.frontier_peak,
+            serial.frontier_peak,
+        )
+
+
 class TestFallbacks:
     def test_jobs_one_stays_in_process(self):
         result = Explorer(build_executor(FAILING), jobs=1).explore()
@@ -228,6 +304,34 @@ class TestWorkerFailure:
         assert result.path_set() == baseline.path_set()
         assert result.worker_deaths == 1
         assert result.incomplete_paths == 0
+
+    def test_heartbeats_never_put_the_parent_to_sleep(self, monkeypatch):
+        """A ready pipe that delivered only heartbeats must not make the
+        parent sleep: the other seat's reply (and its next task) would
+        wait behind it.  Sleeping is for a pipe at EOF with no exit code
+        posted yet, which a healthy run never sees."""
+        import os
+        import time
+
+        from repro.core import parallel
+
+        monkeypatch.setattr(parallel, "HEARTBEAT_INTERVAL", 0.01)
+        parent = os.getpid()
+        real_sleep = time.sleep
+        parent_sleeps = []
+
+        def counting_sleep(seconds):
+            if os.getpid() == parent:
+                parent_sleeps.append(seconds)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(parallel.time, "sleep", counting_sleep)
+        spec = WORKLOADS["insertion-sort"]
+        image = spec.image(spec.fig6_scale)
+        result = Explorer(BinSymExecutor(rv32im(), image), jobs=2).explore()
+        assert result.num_paths == spec.expected_paths(spec.fig6_scale)
+        assert result.worker_deaths == 0
+        assert parent_sleeps == []
 
 
 @needs_fork

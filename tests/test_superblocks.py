@@ -22,6 +22,7 @@ from repro.asm import assemble
 from repro.baselines.vp import VpExecutor
 from repro.concrete import ConcreteInterpreter
 from repro.core import BinSymExecutor, Explorer
+from repro.core.state import InputAssignment
 from repro.eval.workloads import WORKLOADS
 from repro.spec import rv32im
 from repro.spec import superblock as sb
@@ -256,6 +257,21 @@ class TestBlockCache:
         first.load_image(image)
         second.load_image(image)
         assert first._sb_engine is second._sb_engine is isa.superblocks
+
+    def test_noted_entry_run_compiles_the_entry_on_the_first_run(self):
+        """Pool workers count their fork as one entry run
+        (``note_entry_run``), so a worker's first task from the entry
+        point already dispatches the entry block instead of waiting for
+        a second full run that affine dispatch may never give it."""
+        image = assemble("_start:\n    li a0, 0\n    li a7, 93\n    ecall\n")
+        cold = BinSymExecutor(rv32im(), image)
+        cold.execute(InputAssignment())
+        assert cold.superblock_statistics["sb_blocks_built"] == 0
+        warm = BinSymExecutor(rv32im(), image)
+        warm.note_entry_run()
+        warm.execute(InputAssignment())
+        assert warm.superblock_statistics["sb_blocks_built"] == 1
+        assert warm.superblock_statistics["sb_hits"] == 1
 
 
 # ---------------------------------------------------------------------------
