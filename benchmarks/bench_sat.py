@@ -11,7 +11,11 @@ and pin the behavioural contracts on the Fig. 6 workload set:
 * the **cores-enabled vs disabled subsumption contract** — with cores
   on, the cache's UNSAT-subsumption tier must answer at least as many
   queries per workload (strictly more in aggregate) and the CDCL core
-  must run strictly fewer solves than the no-cores baseline solved.
+  must run strictly fewer solves than the no-cores baseline solved,
+* the **two-flip neighbourhood contract** — on the default plain
+  solver, path counts and SAT/UNSAT attribution equal the values the
+  CDCL search alone gave, and the neighbourhood check answers at least
+  half of the SAT flips on both sorts without branching.
 """
 
 import pytest
@@ -202,3 +206,42 @@ def test_cores_aggregate_contract(benchmark):
     assert totals["trail_lits"] > 0, totals
     for key, value in totals.items():
         benchmark.extra_info[key] = value
+
+
+#: (paths, SAT answers, UNSAT answers) of the default exploration at
+#: Fig. 6 scale, as the CDCL search gave them before the neighbourhood
+#: check existed.  A check that answers with a different model may send
+#: a child down a different suffix, but never changes these.
+_SEARCH_ATTRIBUTION = {
+    "bubble-sort": (120, 119, 194),
+    "insertion-sort": (120, 119, 0),
+    "base64-encode": (75, 74, 25),
+    "uri-parser": (16, 15, 0),
+    "clif-parser": (33, 32, 0),
+}
+
+
+@pytest.mark.parametrize("workload", _FIG6_WORKLOADS)
+def test_neighbourhood_contract(benchmark, workload):
+    """Default exploration: search-only attribution, and at least half of
+    the SAT flips answered by the neighbourhood check on both sorts."""
+    benchmark.group = "sat-neighbourhood"
+    image = _workload_image(workload)
+
+    def run():
+        return Explorer(BinSymExecutor(rv32im(), image)).explore()
+
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    attribution = (result.num_paths, result.sat_checks, result.unsat_checks)
+    assert attribution == _SEARCH_ATTRIBUTION[workload]
+    stats = result.solver_stats
+    hits = stats["sat_neighbourhood_hits"]
+    misses = stats["sat_neighbourhood_misses"]
+    assert hits + misses <= stats["sat_core_solves"]
+    if workload.endswith("-sort"):
+        assert 2 * hits >= result.sat_checks, (hits, result.sat_checks)
+    benchmark.extra_info["paths"] = result.num_paths
+    benchmark.extra_info["sat_checks"] = result.sat_checks
+    benchmark.extra_info["unsat_checks"] = result.unsat_checks
+    benchmark.extra_info["neighbourhood_hits"] = hits
+    benchmark.extra_info["neighbourhood_misses"] = misses

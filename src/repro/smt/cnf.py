@@ -13,7 +13,7 @@ always-true variable so the gate code never needs special clause shapes.
 
 from __future__ import annotations
 
-from .sat import SatSolver
+from .sat import GATE_AND, GATE_MUX, GATE_XOR, SatSolver
 
 __all__ = ["GateBuilder"]
 
@@ -21,10 +21,11 @@ __all__ = ["GateBuilder"]
 class GateBuilder:
     """Structural-hashing Tseitin encoder on top of a SAT solver.
 
-    Every gate output is fully defined by its clauses: unit propagation
-    assigns it as soon as its inputs are assigned.  Outputs are
-    therefore allocated with ``new_var(decision=False)`` and the CDCL
-    search only branches on the free variables underneath them.
+    Every gate is registered with the SAT core through
+    :meth:`SatSolver.add_gate`, which adds its clauses and keeps its
+    definition: the output is fully defined by its inputs, so the CDCL
+    search only branches on the free variables underneath it, and the
+    core can evaluate candidate models gate by gate.
     """
 
     def __init__(self, sat: SatSolver) -> None:
@@ -69,10 +70,7 @@ class GateBuilder:
         cached = self._and_cache.get(key)
         if cached is not None:
             return cached
-        g = self.sat.new_var(decision=False)
-        self.sat.add_clause([-g, a])
-        self.sat.add_clause([-g, b])
-        self.sat.add_clause([g, -a, -b])
+        g = self.sat.add_gate(GATE_AND, a, b)
         self._and_cache[key] = g
         return g
 
@@ -97,11 +95,7 @@ class GateBuilder:
         key = (a, b) if a < b else (b, a)
         cached = self._xor_cache.get(key)
         if cached is None:
-            g = self.sat.new_var(decision=False)
-            self.sat.add_clause([-g, a, b])
-            self.sat.add_clause([-g, -a, -b])
-            self.sat.add_clause([g, -a, b])
-            self.sat.add_clause([g, a, -b])
+            g = self.sat.add_gate(GATE_XOR, a, b)
             self._xor_cache[key] = g
             cached = g
         return -cached if flip else cached
@@ -131,14 +125,7 @@ class GateBuilder:
         cached = self._mux_cache.get(key)
         if cached is not None:
             return cached
-        g = self.sat.new_var(decision=False)
-        self.sat.add_clause([-cond, -then_lit, g])
-        self.sat.add_clause([-cond, then_lit, -g])
-        self.sat.add_clause([cond, -else_lit, g])
-        self.sat.add_clause([cond, else_lit, -g])
-        # Redundant clauses improving unit propagation strength.
-        self.sat.add_clause([-then_lit, -else_lit, g])
-        self.sat.add_clause([then_lit, else_lit, -g])
+        g = self.sat.add_gate(GATE_MUX, cond, then_lit, else_lit)
         self._mux_cache[key] = g
         return g
 

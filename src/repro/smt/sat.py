@@ -22,7 +22,13 @@ appears as ``v`` (positive) or ``-v`` (negated).  The solver supports
   whose assumption lists share an ordered prefix keep the trail
   segment that prefix justifies instead of cancelling to level 0,
 * VSIDS variable activities with exponential decay and phase saving,
-  branching only on *decision* variables (see :meth:`SatSolver.new_var`),
+  branching only on *decision* variables: every other variable is a
+  gate output defined by :meth:`SatSolver.add_gate`,
+* a bit-parallel *two-flip neighbourhood* check before the first
+  branching decision of a call: the saved phases with zero, one or two
+  free variables flipped, evaluated through the registered gates at
+  once, often already satisfy the query (see
+  :meth:`SatSolver._neighbourhood_model`),
 * per-call conflict/propagation/wall-clock *budgets*: ``solve`` returns
   :data:`UNKNOWN` instead of running forever on an adversarial query,
   leaving the solver consistent for the next call (sound degradation —
@@ -36,7 +42,9 @@ from collections import deque
 from heapq import heapify as _heapify, heappop as _heappop, heappush as _heappush
 from typing import Callable, Iterable, Optional, Sequence
 
-__all__ = ["SatSolver", "SAT", "UNSAT", "UNKNOWN"]
+__all__ = [
+    "SatSolver", "SAT", "UNSAT", "UNKNOWN", "GATE_AND", "GATE_XOR", "GATE_MUX",
+]
 
 SAT = True
 UNSAT = False
@@ -56,6 +64,17 @@ _MID_LBD = 6
 _LBD_WINDOW = 50
 #: Glucose's K: restart when 0.8 * recent-avg-LBD > global-avg-LBD.
 _GLUE_K = 0.8
+
+#: Gate kinds of :meth:`SatSolver.add_gate`: ``a and b``, ``a xor b``
+#: and ``a ? b : c``.
+GATE_AND = 0
+GATE_XOR = 1
+GATE_MUX = 2
+
+#: Most candidate assignments one neighbourhood check evaluates: the
+#: unflipped one, every single flip and, while they fit, every pair of
+#: flips (1 + n + n(n-1)/2 <= 4096 holds up to n = 90 free variables).
+_NEIGHBOURHOOD_CANDIDATES = 4096
 
 
 class _Clause:
@@ -101,10 +120,18 @@ class SatSolver:
         self._reason: list[Optional[_Clause]] = [None]
         self._activity: list[float] = [0.0]
         self._phase: list[bool] = [False]
-        # Per variable: may the search branch on it?  Only those
-        # variables ever enter the order heap.
-        self._decision: list[bool] = [False]
+        # Per variable: None for a decision variable (only those ever
+        # enter the order heap), else the (kind, a, b, c) definition of
+        # the gate it is the output of, c = 0 unless kind is GATE_MUX.
+        self._gates: list[Optional[tuple[int, int, int, int]]] = [None]
         self._decision_vars: list[int] = []
+        # Input clauses that are not gate definitions, as given to
+        # add_clause; a candidate model must satisfy each of them.
+        self._input_clauses: list[tuple[int, ...]] = []
+        # (count, masks, full) of the last neighbourhood check.  The masks
+        # depend only on the count, which rarely changes between checks,
+        # and building them took 3-5 % of an exploration's time.
+        self._flips: tuple[int, list[int], int] = (0, *_flip_masks(0))
         # Watch lists keyed by literal index (2*v for v, 2*v+1 for -v).
         self._watches: list[list[_Clause]] = [[], []]
         self._clauses: list[_Clause] = []
@@ -169,34 +196,66 @@ class SatSolver:
             "core_minimize_solves": 0,
             "solve_calls": 0,
             "budget_exhausted": 0,
+            # Neighbourhood checks that answered SAT / fell through to
+            # the search, and the gate evaluations they cost.
+            "neighbourhood_hits": 0,
+            "neighbourhood_misses": 0,
+            "neighbourhood_gates": 0,
         }
 
     # ------------------------------------------------------------------
     # Variable / clause management
     # ------------------------------------------------------------------
 
-    def new_var(self, decision: bool = True) -> int:
-        """Allocate a fresh variable and return its (positive) literal.
+    def new_var(self) -> int:
+        """Allocate a fresh decision variable and return its (positive) literal."""
+        return self._allocate(None)
 
-        ``decision=False`` excludes the variable from branching.  That
-        is only complete for a variable the clauses *define* from
-        earlier variables — a Tseitin gate output, which unit
-        propagation assigns as soon as its inputs are assigned — so a
-        conflict-free assignment of the decision variables still
-        assigns every variable.
-        """
+    def _allocate(self, gate: Optional[tuple[int, int, int, int]]) -> int:
         self._num_vars += 1
         self._assign.append(_UNASSIGNED)
         self._level.append(0)
         self._reason.append(None)
         self._activity.append(0.0)
         self._phase.append(False)
-        self._decision.append(decision)
-        if decision:
+        self._gates.append(gate)
+        if gate is None:
             self._decision_vars.append(self._num_vars)
         self._watches.append([])
         self._watches.append([])
         return self._num_vars
+
+    def add_gate(self, kind: int, a: int, b: int, c: int = 0) -> int:
+        """Allocate a Tseitin gate output, add its clauses, return its literal.
+
+        ``kind`` is :data:`GATE_AND` (``a and b``), :data:`GATE_XOR`
+        (``a xor b``) or :data:`GATE_MUX` (``a ? b : c``).  The output
+        is not a decision variable: the search never branches on it.
+        That is complete because its clauses define it from earlier
+        variables, so unit propagation assigns it as soon as its inputs
+        are assigned, and a conflict-free assignment of the decision
+        variables assigns every variable.  The solver also keeps the
+        definition, to evaluate candidate models gate by gate.
+        """
+        if kind not in (GATE_AND, GATE_XOR, GATE_MUX):
+            raise ValueError(f"bad gate kind {kind!r}")
+        if kind != GATE_MUX:
+            c = 0
+        self._check_literals((a, b, c) if c else (a, b))
+        g = self._allocate((kind, a, b, c))
+        if kind == GATE_AND:
+            clauses = ([-g, a], [-g, b], [g, -a, -b])
+        elif kind == GATE_XOR:
+            clauses = ([-g, a, b], [-g, -a, -b], [g, -a, b], [g, a, -b])
+        else:
+            clauses = (
+                [-a, -b, g], [-a, b, -g], [a, -c, g], [a, c, -g],
+                # Redundant clauses improving unit propagation strength.
+                [-b, -c, g], [b, c, -g],
+            )
+        for clause in clauses:
+            self._add_clause(clause)
+        return g
 
     @property
     def num_vars(self) -> int:
@@ -232,6 +291,10 @@ class SatSolver:
         """
         lits = list(lits)
         self._check_literals(lits)
+        self._input_clauses.append(tuple(lits))
+        return self._add_clause(lits)
+
+    def _add_clause(self, lits: list[int]) -> bool:
         if self._trail_lim:
             self._cancel_until(0)
         if not self._ok:
@@ -297,12 +360,12 @@ class SatSolver:
         if self._decision_level() <= level:
             return
         bound = self._trail_lim[level]
-        decision = self._decision
+        gates = self._gates
         for lit in reversed(self._trail[bound:]):
             var = abs(lit)
             self._assign[var] = _UNASSIGNED
             self._reason[var] = None
-            if decision[var]:
+            if gates[var] is None:
                 _heappush(self._order_heap, (-self._activity[var], var))
         del self._trail[bound:]
         del self._trail_lim[level:]
@@ -648,6 +711,177 @@ class SatSolver:
         self._max_learned = int(self._max_learned * 1.5)
 
     # ------------------------------------------------------------------
+    # Two-flip neighbourhood of the saved phases
+    # ------------------------------------------------------------------
+
+    def _neighbourhood_model(self, assumptions: list[int]) -> bool:
+        """Answer SAT from a candidate next to the saved phases, or False.
+
+        Runs once the assumptions are established and propagated without
+        conflict, before the first decision.  A candidate takes the trail
+        value of every assigned decision variable and the saved phase of
+        every free one, with zero, one or two free variables of the
+        query's cone flipped.  The cone is the fan-in, through the gates,
+        of the assumptions and of the input clauses that are not gate
+        definitions.  Each cone variable becomes an int with one bit per
+        candidate (see :func:`_flip_masks`), and the cone's gates are
+        evaluated in creation order, so all candidates go through one
+        pass.
+
+        A candidate is a model exactly when it satisfies every input
+        clause and every assumption.  Gate clauses hold by construction,
+        as gate outputs are evaluated, not guessed.  Non-gate input
+        clauses are checked one by one.  An assigned gate output with an
+        unassigned input is checked against its trail value, which covers
+        the assumptions and prunes candidates no model can match, since
+        every model satisfies the trail; one whose inputs are all
+        assigned already agrees with them, as propagation reached a
+        fixpoint without conflict.  Learned clauses follow from the input
+        clauses.  Variables outside the cone cannot falsify any of this.
+
+        The lowest satisfying candidate (fewest flips, then variable
+        order) becomes the model: cone values, saved phases outside the
+        cone, then one scalar pass over the gates outside it.  Its flips
+        become the saved phases.  The trail is left standing at the
+        assumption levels.
+        """
+        assign = self._assign
+        level = self._level
+        gates = self._gates
+        # A clause that a decision variable's level-0 value satisfies
+        # holds on every candidate, for good: drop it.  (A gate output
+        # is evaluated on a candidate, so its trail value proves nothing.)
+        clauses = [
+            clause
+            for clause in self._input_clauses
+            if not any(
+                level[abs(lit)] == 0
+                and self._lit_value(lit) == 1
+                and gates[abs(lit)] is None
+                for lit in clause
+            )
+        ]
+        self._input_clauses = clauses
+        # The cone, swept from the highest variable down: a gate's
+        # inputs are older variables than its output.
+        num_vars = self._num_vars
+        needed = bytearray(num_vars + 1)
+        for lit in assumptions:
+            needed[lit if lit > 0 else -lit] = 1
+        for clause in clauses:
+            for lit in clause:
+                needed[lit if lit > 0 else -lit] = 1
+        cone: list[int] = []
+        free: list[int] = []
+        fixed: list[int] = []
+        find = needed.rfind
+        var = find(1)
+        while var > 0:
+            gate = gates[var]
+            if gate is None:
+                (fixed if assign[var] else free).append(var)
+            else:
+                cone.append(var)
+                _, a, b, c = gate
+                needed[a if a > 0 else -a] = 1
+                needed[b if b > 0 else -b] = 1
+                if c:
+                    needed[c if c > 0 else -c] = 1
+            var = find(1, 0, var)
+        cone.reverse()
+        free.reverse()
+        count = min(len(free), _NEIGHBOURHOOD_CANDIDATES - 1)
+        if self._flips[0] != count:
+            self._flips = (count, *_flip_masks(count))
+        _, masks, full = self._flips
+        # Candidate bits by signed literal: value[-v] is the complement
+        # of value[v], stored at the far end of the list.
+        value = [0] * (2 * num_vars + 1)
+        for var in fixed:
+            value[var if assign[var] > 0 else -var] = full
+        phase = self._phase
+        for var, bits in zip(free, masks):
+            if phase[var]:
+                bits ^= full
+            value[var] = bits
+            value[-var] = bits ^ full
+        # Free variables past the candidate bound keep their saved phase.
+        for var in free[count:]:
+            value[var if phase[var] else -var] = full
+        ok = full
+        evaluated = 0
+        for var in cone:
+            kind, a, b, c = gates[var]
+            truth = assign[var]
+            if (
+                truth
+                and assign[a if a > 0 else -a]
+                and assign[b if b > 0 else -b]
+                and (not c or assign[c if c > 0 else -c])
+            ):
+                # All inputs on the trail: propagation already agreed.
+                bits = full if truth > 0 else 0
+            else:
+                evaluated += 1
+                if kind == GATE_AND:
+                    bits = value[a] & value[b]
+                elif kind == GATE_XOR:
+                    bits = value[a] ^ value[b]
+                else:
+                    other = value[c]
+                    bits = other ^ (value[a] & (value[b] ^ other))
+                if truth:
+                    ok &= bits if truth > 0 else bits ^ full
+                    if not ok:
+                        break
+                    bits = full if truth > 0 else 0
+            value[var] = bits
+            value[-var] = bits ^ full
+        if ok:
+            for clause in clauses:
+                bits = 0
+                for lit in clause:
+                    bits |= value[lit]
+                ok &= bits
+                if not ok:
+                    break
+        self.statistics["neighbourhood_gates"] += evaluated
+        if not ok:
+            self.statistics["neighbourhood_misses"] += 1
+            return False
+        self.statistics["neighbourhood_hits"] += 1
+        chosen = ok & -ok
+        model = list(assign)
+        for var in free:
+            truth = value[var] & chosen != 0
+            model[var] = 1 if truth else -1
+            phase[var] = truth
+        for var in cone:
+            model[var] = 1 if value[var] & chosen else -1
+        # Outside the cone: saved phases, then the gates in creation
+        # order, with +1/-1 arithmetic (and = min, xor = -x*y).
+        for var in range(1, num_vars + 1):
+            if model[var]:
+                continue
+            gate = gates[var]
+            if gate is None:
+                model[var] = 1 if phase[var] else -1
+                continue
+            kind, a, b, c = gate
+            x = model[a] if a > 0 else -model[-a]
+            y = model[b] if b > 0 else -model[-b]
+            if kind == GATE_AND:
+                model[var] = x if x < y else y
+            elif kind == GATE_XOR:
+                model[var] = -x * y
+            elif x > 0:
+                model[var] = y
+            else:
+                model[var] = model[c] if c > 0 else -model[-c]
+        self._model = model
+        return True
+
+    # ------------------------------------------------------------------
     # Main search loop
     # ------------------------------------------------------------------
 
@@ -735,6 +969,7 @@ class SatSolver:
         wall_limit = None
         if self.wall_budget is not None:
             wall_limit = time.monotonic() + self.wall_budget
+        neighbourhood_tried = False
         while True:
             conflict = self._propagate()
             if (
@@ -832,6 +1067,14 @@ class SatSolver:
                 if not self._trail_reuse:
                     self._cancel_until(0)
                 return SAT
+            if not neighbourhood_tried:
+                # Every assumption level stands and no decision has been
+                # made yet: try the neighbourhood of the saved phases.
+                neighbourhood_tried = True
+                if self._neighbourhood_model(assumptions):
+                    if not self._trail_reuse:
+                        self._cancel_until(0)
+                    return SAT
             self.statistics["decisions"] += 1
             self._trail_lim.append(len(self._trail))
             lit = var if self._phase[var] else -var
@@ -846,6 +1089,32 @@ class SatSolver:
         if var < len(self._model):
             return self._model[var] == 1
         return False
+
+
+def _flip_masks(count: int) -> tuple[list[int], int]:
+    """Which candidates flip each of ``count`` variables, and all candidates.
+
+    Bit 0 is the candidate that flips nothing and bit ``1 + i`` flips
+    variable ``i`` alone.  While ``1 + count + count*(count-1)/2`` stays
+    within :data:`_NEIGHBOURHOOD_CANDIDATES`, the pairs ``(i, j)``,
+    ``i < j``, follow in lexicographic order.  The lowest set bit of a
+    result is therefore the candidate with the fewest flips, then the
+    lowest variables.
+    """
+    total = 1 + count + count * (count - 1) // 2
+    if total > _NEIGHBOURHOOD_CANDIDATES:
+        return [2 << i for i in range(count)], (2 << count) - 1
+    masks = []
+    # Pair row i holds (i, i+1) .. (i, count-1) from bit ``start`` on;
+    # ``column`` collects the pairs (k, i), k < i, one bit per row.
+    column = 0
+    start = 1 + count
+    for i in range(count):
+        row = count - 1 - i
+        masks.append((2 << i) | column | (((1 << row) - 1) << start))
+        column = (column << 1) | (1 << start)
+        start += row
+    return masks, (1 << total) - 1
 
 
 def _luby(i: int) -> int:

@@ -392,13 +392,16 @@ class Solver:
     @property
     def pipeline_statistics(self) -> Mapping[str, int]:
         """Flat counters the exploration drivers sum exactly across
-        workers: CDCL solves, trail reuse, cores, budgets, certification.
-        :class:`CachingSolver` extends the dict with its cache and
-        pipeline counters."""
+        workers: CDCL solves, trail reuse, neighbourhood checks, cores,
+        budgets, certification.  :class:`CachingSolver` extends the dict
+        with its cache and pipeline counters."""
         sat_stats = self._sat.statistics
         return {
             "sat_core_solves": self.num_solves,
             "sat_trail_reused_lits": sat_stats["trail_reused_lits"],
+            "sat_neighbourhood_hits": sat_stats["neighbourhood_hits"],
+            "sat_neighbourhood_misses": sat_stats["neighbourhood_misses"],
+            "sat_neighbourhood_gates": sat_stats["neighbourhood_gates"],
             "sat_cores_extracted": sat_stats["cores_extracted"],
             "sat_core_minimize_solves": sat_stats["core_minimize_solves"],
             "sat_budget_exhausted": sat_stats["budget_exhausted"],

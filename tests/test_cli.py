@@ -197,6 +197,22 @@ done:
         assert "snapshot statistics:" in out
         assert "snap_resumed_runs" in out
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_neighbourhood_stats_output(self, tmp_path, capsys, jobs):
+        path = tmp_path / "ranges.s"
+        path.write_text(RANGES)
+        assert main(["explore", "--stats", "--jobs", jobs, str(path)]) == 0
+        stats = {
+            key: int(value)
+            for key, value in re.findall(
+                r"^\s+(sat_\w+)\s*: (\d+)$", capsys.readouterr().out, re.MULTILINE
+            )
+        }
+        hits = stats["sat_neighbourhood_hits"]
+        misses = stats["sat_neighbourhood_misses"]
+        assert hits >= 1 and stats["sat_neighbourhood_gates"] >= 1
+        assert hits + misses <= stats["sat_core_solves"]
+
     def test_solver_flags_without_query_cache(self, program_file, capsys):
         # The solver-level flags apply to the plain incremental solver.
         assert main(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.smt.sat import SAT, UNSAT, SatSolver
+from repro.smt.sat import GATE_AND, GATE_MUX, GATE_XOR, SAT, UNSAT, SatSolver
 from repro.smt.sat import _Clause, _GLUE_LBD
 
 
@@ -169,6 +169,19 @@ class TestLiteralValidation:
         with pytest.raises(ValueError, match="bad literal"):
             solver.add_clause(lits)
         assert self.state(solver) == before
+
+    @pytest.mark.parametrize("kind,inputs,message", [
+        (GATE_AND, (1, 0), "bad literal"),
+        (GATE_XOR, (4, 1), "bad literal"),
+        (GATE_MUX, (1, 2, -4), "bad literal"),
+        (7, (1, 2), "bad gate kind"),
+    ])
+    def test_add_gate_rejects_bad_input(self, kind, inputs, message):
+        solver = self.standing_solver()
+        before = self.state(solver), solver.num_vars
+        with pytest.raises(ValueError, match=message):
+            solver.add_gate(kind, *inputs)
+        assert (self.state(solver), solver.num_vars) == before
 
     def test_rejected_under_optimized_python(self):
         """``python -O`` strips asserts; the checks must not be asserts."""
@@ -574,16 +587,25 @@ class TestAnalyzeDifferential:
         assert new == legacy
 
     def test_random_instances_identical_trajectory(self):
+        # Random 3-SAT near the satisfiability threshold: most instances
+        # are out of reach of the two-flip neighbourhood check, so the
+        # search, and with it ``_analyze``, runs.
         rng = random.Random(42)
+        conflicts = 0
         for _ in range(40):
-            num_vars = rng.randint(4, 10)
-            clauses = random_instance(rng, num_vars, rng.randint(5, 40))
+            num_vars = rng.randint(8, 16)
+            clauses = [
+                [v * rng.choice((1, -1)) for v in rng.sample(range(1, num_vars + 1), 3)]
+                for _ in range(round(4.3 * num_vars))
+            ]
             assumptions = [
                 rng.randint(1, num_vars) * rng.choice((1, -1))
                 for _ in range(rng.randint(0, 3))
             ]
             new, legacy = self.run_both(clauses, num_vars, assumptions)
             assert new == legacy
+            conflicts += new[2]
+        assert conflicts > 0
 
 
 class TestLbdManagement:
