@@ -88,7 +88,7 @@ def test_single_exploration_query_counts(benchmark, isa, image, cache):
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.path_set() == reference.path_set()
     if cache:
-        # UNSAT subsumption and model reuse fire even within one
+        # Exact hits and UNSAT subsumption fire even within one
         # exploration: strictly fewer queries reach the SAT core.
         assert result.num_queries < reference.num_queries
         assert result.cache_hits > 0

@@ -23,9 +23,8 @@ import pytest
 from repro.core import BinSymExecutor, Explorer
 from repro.eval.workloads import WORKLOADS
 from repro.smt import terms as T
-from repro.smt.preprocess import PreprocessConfig
 from repro.smt.sat import SAT, UNSAT, SatSolver
-from repro.smt.solver import CachingSolver, Result, Solver
+from repro.smt.solver import CachingSolver, Result, Solver, SolverConfig
 from repro.spec import rv32im
 
 _FIG6_WORKLOADS = (
@@ -136,7 +135,7 @@ def test_glue_clause_learning(benchmark):
 
 
 def _explore(image, config):
-    solver = CachingSolver(preprocess=config)
+    solver = CachingSolver(solver_config=config)
     result = Explorer(BinSymExecutor(rv32im(), image), solver=solver).explore()
     return result, solver
 
@@ -153,11 +152,11 @@ def test_cores_subsumption_contract(benchmark, workload):
     benchmark.group = "sat-cores"
     image = _workload_image(workload)
     off_result, off_solver = _explore(
-        image, PreprocessConfig(unsat_cores=False)
+        image, SolverConfig(unsat_cores=False)
     )
 
     def run():
-        return _explore(image, PreprocessConfig())
+        return _explore(image, SolverConfig())
 
     on_result, on_solver = benchmark.pedantic(run, rounds=1, iterations=1)
     assert on_result.path_set() == off_result.path_set()
@@ -185,9 +184,9 @@ def test_cores_aggregate_contract(benchmark):
         }
         for workload in _FIG6_WORKLOADS:
             image = _workload_image(workload)
-            on_result, on_solver = _explore(image, PreprocessConfig())
+            on_result, on_solver = _explore(image, SolverConfig())
             off_result, off_solver = _explore(
-                image, PreprocessConfig(unsat_cores=False)
+                image, SolverConfig(unsat_cores=False)
             )
             assert on_result.path_set() == off_result.path_set(), workload
             totals["subsumed_on"] += on_solver.cache.subsumption_hits

@@ -24,7 +24,7 @@ from .asm.disasm import disassemble_image
 from .concrete import ConcreteInterpreter, HostPlatform, TracingInterpreter
 from .core import Explorer, FaultPlan
 from .eval.engines import make_engine
-from .smt.preprocess import PreprocessConfig
+from .smt.solver import SolverConfig
 from .loader import read_elf, write_elf
 from .loader.image import Image
 from .spec import rv32im, rv32im_zbb, rv32im_zimadd
@@ -38,12 +38,9 @@ _ISA_FACTORIES = {
 }
 
 #: (dest, flag) of the ``explore`` options that configure the query
-#: pipeline (``CachingSolver``).  Only ``--store`` runs build one; a
-#: plain run sends every flip query straight to the incremental solver.
-_STORE_PIPELINE_FLAGS = (
-    ("slicing", "--no-slicing"),
-    ("rewrite", "--no-rewrite"),
-    ("intervals", "--no-intervals"),
+#: cache (``CachingSolver``).  Only ``--store`` runs build one; a plain
+#: run sends every flip query straight to the incremental solver.
+_STORE_CACHE_FLAGS = (
     ("unsat_cores", "--no-unsat-cores"),
     ("core_budget", "--core-budget"),
 )
@@ -116,19 +113,19 @@ def _cmd_explore(args) -> int:
         # Configure harness-driven symbolic input on top of any
         # make_symbolic calls the program itself performs.
         engine.symbolic_memory = tuple(symbolic_memory)
-    pipeline = {
+    cache_knobs = {
         dest: getattr(args, dest)
-        for dest, _ in _STORE_PIPELINE_FLAGS
+        for dest, _ in _STORE_CACHE_FLAGS
         if getattr(args, dest) is not None
     }
-    preprocess = PreprocessConfig(
+    solver_config = SolverConfig(
         trail_reuse=args.trail_reuse,
         conflict_budget=args.conflict_budget,
         propagation_budget=args.propagation_budget,
         wall_budget=args.wall_budget,
         certify=args.certify,
         proof_log=args.proof_log,
-        **pipeline,
+        **cache_knobs,
     )
     faults = None
     if args.inject_faults:
@@ -143,7 +140,7 @@ def _cmd_explore(args) -> int:
         max_paths=args.max_paths,
         seed=args.seed,
         jobs=args.jobs,
-        preprocess=preprocess,
+        solver_config=solver_config,
         staging=args.staging,
         superblocks=args.superblocks,
         snapshots=args.snapshots,
@@ -178,7 +175,7 @@ def _cmd_explore(args) -> int:
         for message in result.certificate_errors:
             print(f"  CERTIFICATE FAILURE: {message}")
     if args.stats:
-        print("query pipeline statistics:")
+        print("query statistics:")
         print(f"  queries answered     : {result.num_queries} solved, "
               f"{result.cache_hits} from cache, "
               f"{result.fast_path_answers} fast-path, "
@@ -264,23 +261,11 @@ def main(argv=None) -> int:
                            help="explore on N worker processes (default 1)")
     p_explore.add_argument("--seed", type=int, default=0,
                            help="seed for the random search strategy")
-    # The --store query pipeline flags default to None so that main()
-    # can tell whether one was given without --store.
-    p_explore.add_argument("--no-slicing", dest="slicing",
-                           action="store_false", default=None,
-                           help="--store query pipeline: disable "
-                                "independence slicing of queries")
-    p_explore.add_argument("--no-rewrite", dest="rewrite",
-                           action="store_false", default=None,
-                           help="--store query pipeline: disable "
-                                "word-level query rewriting")
-    p_explore.add_argument("--no-intervals", dest="intervals",
-                           action="store_false", default=None,
-                           help="--store query pipeline: disable the "
-                                "interval fast path")
+    # The --store query cache flags default to None so that main() can
+    # tell whether one was given without --store.
     p_explore.add_argument("--no-unsat-cores", dest="unsat_cores",
                            action="store_false", default=None,
-                           help="--store query pipeline: disable "
+                           help="--store query cache: disable "
                                 "assumption-level UNSAT cores (the cache "
                                 "falls back to whole-query UNSAT sets for "
                                 "subsumption)")
@@ -323,7 +308,7 @@ def main(argv=None) -> int:
                                 "--conflict-budget)")
     p_explore.add_argument("--core-budget", type=int, default=None,
                            metavar="N",
-                           help="--store query pipeline: extra solves "
+                           help="--store query cache: extra solves "
                                 "UNSAT-core minimization may spend "
                                 "shrinking a core (default 8)")
     p_explore.add_argument("--deadline", type=float, default=None,
@@ -354,9 +339,8 @@ def main(argv=None) -> int:
                                 "completed paths are not re-executed")
     p_explore.add_argument("--store", metavar="DIR", default=None,
                            help="persistent cross-run artifact store, "
-                                "behind the query pipeline (cache, "
-                                "slicing, rewrite, intervals) it turns "
-                                "on: query verdicts (models, UNSAT cores) "
+                                "behind the query cache it turns on: "
+                                "query verdicts (models, UNSAT cores) "
                                 "and path certificates are written to "
                                 "DIR and verified warm hits served from "
                                 "it on later runs; any torn/corrupt/"
@@ -387,7 +371,7 @@ def main(argv=None) -> int:
                                 "memory to drive the governor, torn/"
                                 "iofail tear and fail --store I/O)")
     p_explore.add_argument("--stats", action="store_true",
-                           help="print detailed solver/pipeline statistics")
+                           help="print detailed solver/cache statistics")
     p_explore.add_argument("--max-paths", type=int, default=100_000)
     p_explore.add_argument("--max-steps", type=int, default=1_000_000)
     p_explore.add_argument("--show-paths", type=int, default=20)
@@ -396,13 +380,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "explore" and args.store is None:
         given = [
-            flag for dest, flag in _STORE_PIPELINE_FLAGS
+            flag for dest, flag in _STORE_CACHE_FLAGS
             if getattr(args, dest) is not None
         ]
         if given:
             p_explore.error(
                 f"{', '.join(given)}: requires --store, the only "
-                f"configuration with a query pipeline"
+                f"configuration with a query cache"
             )
     return args.func(args)
 

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..arch.hart import HaltReason
-from ..smt.preprocess import PreprocessConfig
-from ..smt.solver import CachingSolver, Solver
+from ..smt.solver import CachingSolver, Solver, SolverConfig
 from ..spec.superblock import BRANCH_HOT_HITS
 from .executor import RunResult
 from .scheduler import Frontier, RunStats, WorkItem, expand_run, query_digest
@@ -47,14 +46,14 @@ __all__ = [
 
 def make_solver(
     use_cache: bool,
-    preprocess: Optional[PreprocessConfig],
+    solver_config: Optional[SolverConfig],
     store_dir: Optional[str] = None,
 ):
     """Build the exploration solver for one driver (or one worker).
 
-    ``use_cache`` selects the pipelined :class:`CachingSolver`; without
-    it the plain :class:`Solver` still honours the solver-layer knobs
-    (trail reuse) carried by the preprocess config, so the ablation
+    ``use_cache`` selects the :class:`CachingSolver`; without it the
+    plain :class:`Solver` still honours the solver-layer knobs (trail
+    reuse, budgets, certification) of the solver config, so those
     flags behave identically in cached and uncached runs.
 
     ``store_dir`` (``--store DIR``) attaches the persistent artifact
@@ -62,29 +61,29 @@ def make_solver(
     :class:`repro.core.store.ArtifactStore` handle on the shared
     directory (reads are per-call, writes single-writer-per-process),
     so the handle is safe to construct before a fork.  A store implies
-    the query layer: persisting answers requires the cache pipeline, so
+    the query layer: persisting answers requires the query cache, so
     ``store_dir`` selects :class:`CachingSolver` even when ``use_cache``
     is off (asking to persist answers that are never collected would be
     a silent no-op).
     """
     if use_cache or store_dir is not None:
-        solver = CachingSolver(preprocess=preprocess)
+        solver = CachingSolver(solver_config=solver_config)
         if store_dir is not None:
             from .store import ArtifactStore
 
-            certify = bool(preprocess is not None and preprocess.certify)
+            certify = bool(solver_config is not None and solver_config.certify)
             solver.cache.attach_store(ArtifactStore(store_dir, certify=certify))
         return solver
-    if preprocess is None:
+    if solver_config is None:
         return Solver()
     return Solver(
-        trail_reuse=preprocess.trail_reuse,
-        conflict_budget=preprocess.conflict_budget,
-        propagation_budget=preprocess.propagation_budget,
-        wall_budget=preprocess.wall_budget,
-        core_budget=preprocess.core_budget,
-        certify=preprocess.certify,
-        proof_log=preprocess.proof_log,
+        trail_reuse=solver_config.trail_reuse,
+        conflict_budget=solver_config.conflict_budget,
+        propagation_budget=solver_config.propagation_budget,
+        wall_budget=solver_config.wall_budget,
+        core_budget=solver_config.core_budget,
+        certify=solver_config.certify,
+        proof_log=solver_config.proof_log,
     )
 
 
@@ -172,12 +171,12 @@ class ExplorationResult:
     Query accounting is exact in both execution modes: ``sat_checks``
     and ``unsat_checks`` count queries the SAT core actually solved
     (summed over all workers in parallel mode), ``sat_solves`` the raw
-    per-slice CDCL invocations behind them, while ``cache_hits``,
-    ``fast_path_answers`` and ``pruned_queries`` count work the query
-    cache, the preprocessing pipeline and the explored-prefix trie
-    avoided.  ``solver_stats`` carries the flat solver counter dict
+    CDCL invocations behind them, while ``cache_hits``,
+    ``fast_path_answers`` and ``pruned_queries`` count queries the query
+    cache, the solver's no-search answers and the explored-prefix trie
+    settled.  ``solver_stats`` carries the flat solver counter dict
     (:attr:`repro.smt.solver.Solver.pipeline_statistics`, extended by
-    ``CachingSolver`` with cache and pipeline counters), key-wise summed
+    ``CachingSolver`` with cache and query counters), key-wise summed
     across workers.
     """
 
@@ -228,7 +227,7 @@ class ExplorationResult:
     frontier_peak: int = 0
     #: PCs of symbolic branches seen during exploration (branch coverage).
     covered_branches: set = field(default_factory=set)
-    #: Flat solver-side counters (cache tiers, pipeline stages, core
+    #: Flat solver-side counters (cache tiers, query counters, core
     #: solves), exactly summed over every worker's solver.
     solver_stats: dict = field(default_factory=dict)
     #: Flat snapshot-layer counters (captures, resumed runs, saved
@@ -408,9 +407,8 @@ class Explorer:
 
     ``jobs > 1`` delegates to the multi-process driver (each worker owns
     its own solver and query cache); ``use_cache`` enables the
-    cross-path query cache in the single-process driver, and
-    ``preprocess`` configures the word-level query pipeline in front of
-    it (slicing / rewriting / intervals — all on by default).  An
+    cross-path query cache, and ``solver_config`` carries the
+    solver-layer knobs (cores, trail reuse, budgets, certification).  An
     explicitly supplied ``solver`` pins the exploration to a single
     process, since a user-provided facade (e.g. the query-complexity
     recorder) cannot be replicated onto workers.
@@ -433,7 +431,7 @@ class Explorer:
         jobs: int = 1,
         use_cache: bool = False,
         dedup_flips: bool = True,
-        preprocess: Optional[PreprocessConfig] = None,
+        solver_config: Optional[SolverConfig] = None,
         staging: Optional[bool] = None,
         superblocks: Optional[bool] = None,
         snapshots: bool = True,
@@ -451,7 +449,7 @@ class Explorer:
         #: driver/worker attaches its own handle on the shared tree.
         self.store_dir = store_dir
         if solver is None:
-            solver = make_solver(use_cache, preprocess, store_dir)
+            solver = make_solver(use_cache, solver_config, store_dir)
         self.executor = executor
         self.solver = solver
         self.strategy_name = strategy
@@ -460,7 +458,7 @@ class Explorer:
         self.jobs = jobs
         self.use_cache = use_cache
         self.dedup_flips = dedup_flips
-        self.preprocess = preprocess
+        self.solver_config = solver_config
         self.staging = apply_staging(executor, staging)
         self.superblocks = apply_superblocks(executor, superblocks)
         # Snapshot-resumed runs (--no-snapshots ablation): only engines
@@ -484,7 +482,7 @@ class Explorer:
         #: Certify mode (``--certify``): record per-path condition
         #: digests during exploration and replay-verify every path
         #: under the reference evaluator once exploration finishes.
-        self.certify = preprocess is not None and preprocess.certify
+        self.certify = solver_config is not None and solver_config.certify
 
     def explore(self) -> ExplorationResult:
         """Run the full exploration; returns all discovered paths."""
@@ -499,7 +497,7 @@ class Explorer:
                 seed=self.seed,
                 use_cache=self.use_cache,
                 dedup_flips=self.dedup_flips,
-                preprocess=self.preprocess,
+                solver_config=self.solver_config,
                 staging=self.staging,
                 superblocks=self.superblocks,
                 snapshots=self.snapshots,

@@ -218,9 +218,9 @@ class FaultPlan:
         :meth:`repro.smt.solver.QueryCache.set_corruptor`.
 
         Returns ``None`` when corruption is disabled, else a callable
-        taking the entry kind (``"model"``, ``"core"``, ``"pool"``) and
-        the cache's store ordinal, answering whether that freshly
-        stored entry should be poisoned after its digest is taken.
+        taking the entry kind (``"model"`` or ``"core"``) and the
+        cache's store ordinal, answering whether that freshly stored
+        entry should be poisoned after its digest is taken.
         """
         if self.corrupt_rate <= 0:
             return None

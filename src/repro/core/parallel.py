@@ -54,7 +54,7 @@ from collections import deque
 from multiprocessing import connection as mp_connection
 from typing import Optional
 
-from ..smt.preprocess import PreprocessConfig
+from ..smt.solver import SolverConfig
 from ..spec.superblock import BRANCH_HOT_HITS
 from .explorer import (
     ExplorationResult,
@@ -138,7 +138,7 @@ def _worker_main(
     worker_uid,
     use_cache,
     dedup_flips,
-    preprocess,
+    solver_config,
     snapshots,
     task_queue,
     reply_conn,
@@ -191,9 +191,9 @@ def _worker_main(
     silent.  Both threads send under one lock so messages never
     interleave on the pipe.
     """
-    solver = make_solver(use_cache, preprocess, store_dir)
+    solver = make_solver(use_cache, solver_config, store_dir)
     install_fault_hooks(solver, faults, worker_uid)
-    certify = preprocess is not None and preprocess.certify
+    certify = solver_config is not None and solver_config.certify
     purge = getattr(executor, "purge_snapshots", None)
     trie = ExploredPrefixTrie() if dedup_flips else None
     send_lock = threading.Lock()
@@ -414,7 +414,7 @@ class ProcessPoolExplorer:
         seed: int = 0,
         use_cache: bool = False,
         dedup_flips: bool = True,
-        preprocess: Optional[PreprocessConfig] = None,
+        solver_config: Optional[SolverConfig] = None,
         staging: Optional[bool] = None,
         superblocks: Optional[bool] = None,
         snapshots: bool = True,
@@ -434,7 +434,7 @@ class ProcessPoolExplorer:
         self.seed = seed
         self.use_cache = use_cache
         self.dedup_flips = dedup_flips
-        self.preprocess = preprocess
+        self.solver_config = solver_config
         # Snapshots are worker-local (pools are fork-inherited but grow
         # independently): dispatch prefers the capturing seat, items that
         # land there resume, and steals re-execute, keeping the discovered
@@ -473,7 +473,7 @@ class ProcessPoolExplorer:
             jobs=1,
             use_cache=self.use_cache,
             dedup_flips=self.dedup_flips,
-            preprocess=self.preprocess,
+            solver_config=self.solver_config,
             staging=self.staging,
             superblocks=self.superblocks,
             snapshots=self.snapshots,
@@ -502,7 +502,7 @@ class ProcessPoolExplorer:
                 uid,
                 self.use_cache,
                 self.dedup_flips,
-                self.preprocess,
+                self.solver_config,
                 self.snapshots,
                 task_queue,
                 send_conn,
@@ -864,7 +864,7 @@ class ProcessPoolExplorer:
             # restores those items and re-explores them, so persisting
             # the count too would double-book them.
             result.incomplete_paths += len(frontier.drain()) + len(in_flight)
-        if self.preprocess is not None and self.preprocess.certify:
+        if self.solver_config is not None and self.solver_config.certify:
             # The parent never executed the SUT, so its executor is a
             # pristine replay vehicle for the certificates the workers'
             # runs produced.

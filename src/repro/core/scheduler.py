@@ -154,9 +154,9 @@ class RunStats:
     towards ``sat_checks``/``unsat_checks`` only when the CDCL core
     actually ran for it, towards ``cache_hits`` when the query cache
     answered without a solve, and towards ``fast_path_answers`` when
-    the preprocessing pipeline (rewriting / intervals) decided it with
-    neither.  ``sat_solves`` additionally counts the raw per-slice CDCL
-    invocations those solved queries needed.
+    the solver decided it with neither (e.g. only constant conjuncts).
+    ``sat_solves`` additionally counts the raw CDCL invocations those
+    solved queries needed.
     """
 
     sat_checks: int = 0
@@ -166,7 +166,7 @@ class RunStats:
     sat_solves: int = 0
     pruned_queries: int = 0
     #: Flip queries the solver gave up on (work budget exhausted; see
-    #: ``PreprocessConfig.conflict_budget``).  The branch is *not*
+    #: ``SolverConfig.conflict_budget``).  The branch is *not*
     #: flipped, so every path missing from a budgeted run is accounted
     #: for by this counter — the sound-degradation contract.
     unknown_queries: int = 0
@@ -212,9 +212,9 @@ def expand_run(
 
     ``stats`` receives exact accounting: every answered query counts as
     sat/unsat only when the CDCL core actually ran — cache hits,
-    preprocessing fast-path answers and trie prunes are tracked
-    separately — and ``solver_time`` covers model extraction, not just
-    the satisfiability check.
+    fast-path answers and trie prunes are tracked separately — and
+    ``solver_time`` covers model extraction, not just the
+    satisfiability check.
 
     With ``compute_digests`` each child carries the structural digest
     of the query that produced it, so a parent process coordinating

@@ -422,8 +422,8 @@ class ArtifactStore:
         """Semantic check: the stored model must satisfy the query.
 
         The witness is completed with zeros and restricted to the
-        query's own variables (exactly like in-memory model reuse), so
-        stale foreign bindings can never leak into model stitching.
+        query's own variables (exactly the model a fresh solve caches),
+        so stale foreign bindings can never leak into a derived input.
         """
         values = {}
         for name, width, value in bindings:

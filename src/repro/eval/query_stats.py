@@ -9,8 +9,6 @@ an exploration issues and records structural metrics —
 * number of conditions per query,
 * total/distinct term-DAG nodes (after hash-consing),
 * number of distinct input variables involved,
-* number of variable-independent *slices* per query (the structure the
-  preprocessing pipeline exploits),
 
 then compares engines on the same workload.  Because all engines share
 the term language and solver, differences are attributable to the
@@ -19,10 +17,11 @@ angr-like engine's claripy-style always-build-terms shows up directly
 in node counts.
 
 ``--pipeline`` reports the query *answer* breakdown instead: per
-engine, how many queries the SAT core solved vs how many the cache and
-the word-level pipeline (slicing / rewriting / intervals) answered, and
-how many raw CDCL solves that took.  With ``--jobs N`` the counters are
-summed exactly across the worker processes.
+engine, how many queries the SAT core solved vs how many the query
+cache (exact hits, UNSAT-core subsumption, the ``--store`` tier) and
+the solver's no-search fast path answered, and how many raw CDCL
+solves that took.  With ``--jobs N`` the counters are summed exactly
+across the worker processes.
 
 Run as a module::
 
@@ -37,8 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..core.explorer import Explorer
-from ..smt.preprocess import PreprocessConfig, slice_conditions
-from ..smt.solver import Solver
+from ..smt.solver import Solver, SolverConfig
 from ..spec.isa import rv32im
 from .engines import make_engine
 from .report import format_table
@@ -65,8 +63,6 @@ class QueryStats:
     max_nodes: int = 0
     total_variables: int = 0
     max_variables: int = 0
-    total_slices: int = 0
-    max_slices: int = 0
 
     def record(self, assumptions) -> None:
         nodes = 0
@@ -76,15 +72,12 @@ class QueryStats:
             count += 1
             nodes += term.size()
             variables.update(term.variables())
-        slices = len(slice_conditions([t for t in assumptions if not t.is_const]))
         self.queries += 1
         self.total_conditions += count
         self.total_nodes += nodes
         self.max_nodes = max(self.max_nodes, nodes)
         self.total_variables += len(variables)
         self.max_variables = max(self.max_variables, len(variables))
-        self.total_slices += slices
-        self.max_slices = max(self.max_slices, slices)
 
     @property
     def mean_conditions(self) -> float:
@@ -97,10 +90,6 @@ class QueryStats:
     @property
     def mean_variables(self) -> float:
         return self.total_variables / self.queries if self.queries else 0.0
-
-    @property
-    def mean_slices(self) -> float:
-        return self.total_slices / self.queries if self.queries else 0.0
 
 
 class RecordingSolver(Solver):
@@ -152,12 +141,11 @@ def render(comparison: dict[str, QueryStats], workload: str) -> str:
                 f"{stats.mean_nodes:.1f}",
                 stats.max_nodes,
                 f"{stats.mean_variables:.1f}",
-                f"{stats.mean_slices:.1f}",
             ]
         )
     return format_table(
         ["engine", "queries", "mean conds", "mean DAG nodes", "max nodes",
-         "mean vars", "mean slices"],
+         "mean vars"],
         rows,
         title=f"SMT query complexity on {workload} "
               "(paper Sect. V-B future work)",
@@ -176,7 +164,7 @@ def measure_pipeline(
 
     The returned dict separates, exactly (summed across workers when
     ``jobs > 1``): queries the SAT core solved, queries the cross-path
-    cache answered, queries the preprocessing fast path answered, and
+    cache answered, queries the solver answered without a search, and
     the raw CDCL ``solve()`` calls behind the solved ones.  With
     ``certify`` the exploration runs in certify mode and the breakdown
     additionally reports the evidence-layer counters.  ``store_dir``
@@ -186,12 +174,12 @@ def measure_pipeline(
     spec = WORKLOADS[workload]
     image = spec.image(scale or spec.default_scale)
     engine = make_engine(key, rv32im(), image)
-    preprocess = PreprocessConfig(certify=True) if certify else None
+    solver_config = SolverConfig(certify=True) if certify else None
     result = Explorer(
         engine,
         jobs=jobs,
         use_cache=True,
-        preprocess=preprocess,
+        solver_config=solver_config,
         store_dir=store_dir,
     ).explore()
     return {
@@ -200,7 +188,6 @@ def measure_pipeline(
         "cache_hits": result.cache_hits,
         "fast_path": result.fast_path_answers,
         "sat_core_solves": result.sat_solves,
-        "slices": result.solver_stats.get("slices", 0),
         "subsumption_hits": result.solver_stats.get("cache_subsumption_hits", 0),
         "unsat_cores": result.solver_stats.get("unsat_cores", 0),
         # Degradation accounting (the fault-tolerance contract): queries
@@ -284,7 +271,6 @@ def render_pipeline(
             stats["sat_core_solves"],
             stats["unsat_cores"],
             stats["unknown_queries"],
-            stats["slices"],
             stats["resumed_runs"],
             stats["saved_instructions"],
             stats["pool_evictions"],
@@ -308,7 +294,7 @@ def render_pipeline(
         rows.append(row)
     headers = [
         "engine", "paths", "solved", "cache hits", "subsumed", "fast path",
-        "core solves", "min cores", "unknown", "slices", "resumed",
+        "core solves", "min cores", "unknown", "resumed",
         "instr saved", "evictions", "sb hits", "sb deopts", "hung",
         "degraded", "deadline", "warm hits", "store quar", "store off",
     ]
@@ -317,7 +303,7 @@ def render_pipeline(
     return format_table(
         headers,
         rows,
-        title=f"query pipeline breakdown on {workload}",
+        title=f"query answer breakdown on {workload}",
     )
 
 

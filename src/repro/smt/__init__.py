@@ -8,12 +8,11 @@ bitvector theory:
   constructors,
 * :mod:`repro.smt.sat` — CDCL SAT solver,
 * :mod:`repro.smt.bitblast` — Tseitin bit-blasting of terms to CNF,
-* :mod:`repro.smt.preprocess` — word-level query pipeline: independence
-  slicing and equality-substitution rewriting,
-* :mod:`repro.smt.intervals` — interval abstract domain (the pipeline's
-  zero-SAT-call fast path),
+* :mod:`repro.smt.drat` — independent RUP checker for the CDCL core's
+  clause log (``--certify``),
 * :mod:`repro.smt.solver` — incremental ``add``/``push``/``pop``/
-  ``check``/``model`` facade used by every SE engine in the repo,
+  ``check``/``model`` facade used by every SE engine in the repo, plus
+  the cross-path query cache that ``--store`` runs put in front of it,
 * :mod:`repro.smt.smtlib` — SMT-LIB v2 printing (Fig. 2 reproduction),
 * :mod:`repro.smt.evalbv` — reference evaluator used for model checking
   and property-based testing.
@@ -21,13 +20,13 @@ bitvector theory:
 
 from . import bvops, terms
 from .evalbv import evaluate
-from .preprocess import PreprocessConfig
 from .solver import (
     CachingSolver,
     Model,
     QueryCache,
     Result,
     Solver,
+    SolverConfig,
     is_satisfiable,
     solve_for_model,
 )
@@ -41,7 +40,7 @@ __all__ = [
     "Solver",
     "CachingSolver",
     "QueryCache",
-    "PreprocessConfig",
+    "SolverConfig",
     "Result",
     "Model",
     "evaluate",

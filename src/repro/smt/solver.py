@@ -10,54 +10,90 @@ of the CDCL core, so nothing is ever re-encoded: the bit-blaster's term
 cache persists for the lifetime of the solver, which is what makes the
 offline executor's thousands of small branch queries affordable.
 
-The cross-path query layer lives here too: :class:`QueryCache` memoizes
-branch-flip answers keyed by the *canonicalized* path condition (a
-frozenset of interned condition terms, so permuted and duplicated
-prefixes collapse onto one entry), and :class:`CachingSolver` consults
-it before touching the CDCL core — exact hits, UNSAT-superset
-subsumption, and satisfying-model reuse all answer without a solve.
-
-On top of the cache, :class:`CachingSolver` runs the word-level
-preprocessing pipeline (PR 2): each query is partitioned into
-variable-independent *slices* (:mod:`repro.smt.preprocess`), every
-slice goes through cache lookup, equality-substitution rewriting and
-the interval fast path (:mod:`repro.smt.intervals`), and only the
-undecided residue reaches the bit-blaster — in a single joint SAT call
-whose model is then split back into per-slice cache entries.  Models
-are stitched across slices (plus rewrite bindings) into one witness.
+The cross-path query layer of ``--store`` runs lives here too:
+:class:`QueryCache` memoizes branch-flip answers keyed by the
+*canonicalized* path condition (a frozenset of interned condition
+terms, so permuted and duplicated prefixes collapse onto one entry),
+and :class:`CachingSolver` consults it before touching the CDCL core.
+Exact hits, subsumption by a cached minimal UNSAT core and the
+persistent store tier answer without a solve; a miss is one plain
+:meth:`Solver.check` of the whole query.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-from collections import deque
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Optional
 
-from . import drat, terms
+from . import drat
 from .bitblast import BitBlaster
 from .digest import term_digest
 from .evalbv import EvalError, evaluate
-from .intervals import analyze_slice
-from .preprocess import PreprocessConfig, rewrite_slice, slice_conditions
 from .sat import SAT, UNKNOWN, SatSolver
 from .terms import Term
 
 __all__ = [
     "Solver",
+    "SolverConfig",
     "Result",
     "Model",
     "QueryCache",
     "CachingSolver",
-    "PreprocessConfig",
 ]
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Solver-layer knobs of one exploration.
+
+    The config object crosses the process boundary to every exploration
+    worker, so serial and pooled runs solve alike.  ``unsat_cores``
+    (``--no-unsat-cores``) controls assumption-level UNSAT core
+    extraction and minimal-core caching in :class:`CachingSolver`, and
+    ``trail_reuse`` (``--no-trail-reuse``) the CDCL core's
+    shared-assumption-prefix trail retention between queries.
+
+    The *budget* knobs bound worst-case solver work per query, for
+    sound degradation under adversarial branch-flip queries
+    (``--conflict-budget`` / ``--propagation-budget``, None =
+    unlimited): an exhausted budget makes ``check`` answer UNKNOWN,
+    which the exploration layer counts explicitly instead of flipping
+    the branch.  ``wall_budget`` (``--solver-wall-budget``, seconds)
+    bounds *wall time* per CDCL ``solve`` the same way — the anytime
+    guarantee for queries whose conflict count stays low while each
+    propagation round is expensive.  ``core_budget`` (``--core-budget``)
+    caps the extra solves :meth:`repro.smt.sat.SatSolver.minimize_core`
+    may spend shrinking an UNSAT core.  Fork inheritance keeps serial
+    and parallel budget behaviour identical.
+
+    The *evidence* knobs control the certification layer:
+    ``proof_log`` (``--no-proof-log``) keeps the CDCL core's DRAT-style
+    clause log (learned additions + deletions) so UNSAT answers carry a
+    checkable derivation, and ``certify`` (``--certify``) turns on the
+    checks themselves — every UNSAT core is validated by the
+    independent RUP checker in :mod:`repro.smt.drat` and every SAT
+    model is evaluated against the original conjuncts before anything
+    is cached or reported.  A failed check is never trusted: the answer
+    is downgraded to UNKNOWN and the failure counted.
+    """
+
+    unsat_cores: bool = True
+    trail_reuse: bool = True
+    conflict_budget: "int | None" = None
+    propagation_budget: "int | None" = None
+    wall_budget: "float | None" = None
+    core_budget: int = 8
+    certify: bool = False
+    proof_log: bool = True
 
 
 class Result(enum.Enum):
     """Outcome of a satisfiability check.
 
     ``UNKNOWN`` means a configured work budget ran out before the CDCL
-    core decided the query (see ``PreprocessConfig.conflict_budget``).
+    core decided the query (see ``SolverConfig.conflict_budget``).
     It is never cached and callers must treat it as "no answer" — for
     branch flipping that means: do not flip, count the query.
     """
@@ -152,10 +188,9 @@ class Solver:
         #: the clause database itself is inconsistent).
         self.last_core: Optional[frozenset] = None
         self.num_checks = 0
-        #: CDCL ``solve()`` invocations — the cost the preprocessing
-        #: pipeline exists to avoid.  ``num_checks`` counts ``check``
-        #: calls that reached the core; a single pipelined check may
-        #: issue zero or several core solves.
+        #: CDCL ``solve()`` invocations — the cost the query cache
+        #: exists to avoid.  ``num_checks`` counts ``check`` calls that
+        #: reached the core, including those answered without a solve.
         self.num_solves = 0
         #: ``check`` calls answered UNKNOWN (work budget exhausted).
         self.num_unknowns = 0
@@ -351,9 +386,9 @@ class Solver:
         """Value of one variable after a sat check (None if never blasted).
 
         Cheaper than :meth:`model` when only a known subset of the
-        variables matters — the pipeline's per-slice model extraction
-        uses this to avoid walking every variable the blaster has ever
-        seen once per slice.
+        variables matters — :class:`CachingSolver` uses this to restrict
+        a fresh model to the query's own variables without walking every
+        variable the blaster has ever seen.
         """
         if self._last_result is not Result.SAT:
             raise RuntimeError("value_of() requires a preceding sat check")
@@ -394,7 +429,7 @@ class Solver:
         """Flat counters the exploration drivers sum exactly across
         workers: CDCL solves, trail reuse, neighbourhood checks, cores,
         budgets, certification.  :class:`CachingSolver` extends the dict
-        with its cache and pipeline counters."""
+        with its cache and query counters."""
         sat_stats = self._sat.statistics
         return {
             "sat_core_solves": self.num_solves,
@@ -420,17 +455,11 @@ class QueryCache:
     sound on its own:
 
     1. **exact** — the same condition set was answered before;
-    2. **UNSAT subsumption** — some cached UNSAT set is a subset of the
-       query (a conjunction stays UNSAT under extra conjuncts);
-    3. **model reuse** — a recently produced satisfying model, completed
-       with zeros for fresh variables, already satisfies every conjunct
-       (evaluated with the reference evaluator), so the query is SAT and
-       that completed model is a witness.
-
-    With the preprocessing pipeline active, keys are *slices* —
-    variable-connected components of a query — rather than whole path
-    conditions, so one entry answers every later query that contains
-    the same independent fragment, across paths and branch flips.
+    2. **UNSAT subsumption** — some cached UNSAT set (ideally a minimal
+       core) is a subset of the query (a conjunction stays UNSAT under
+       extra conjuncts);
+    3. **store** — the persistent artifact tier, when one is attached
+       (see :meth:`attach_store`).
 
     The cache is process-local: interned terms hash by identity, which
     makes the keys O(1) but meaningless across processes.  Each parallel
@@ -451,7 +480,6 @@ class QueryCache:
 
     def __init__(
         self,
-        max_models: int = 8,
         max_unsat_sets: int = 512,
         max_entries: int = 100_000,
         verify_period: int = 1,
@@ -468,8 +496,6 @@ class QueryCache:
         self._unsat_index: dict[Term, set[int]] = {}
         self._unsat_seq = 0
         self._max_unsat_sets = max_unsat_sets
-        #: Pool of ``(values, digest)`` pairs (digest taken at store).
-        self._model_pool: deque = deque(maxlen=max_models)
         self._max_entries = max_entries
         #: Integrity digests: per memo key and per UNSAT-set id.
         self._digests: dict[frozenset, bytes] = {}
@@ -484,7 +510,6 @@ class QueryCache:
         self.hits = 0
         self.exact_hits = 0
         self.subsumption_hits = 0
-        self.model_reuse_hits = 0
         self.misses = 0
         self.evictions = 0
         self.integrity_checks = 0
@@ -512,21 +537,18 @@ class QueryCache:
             self.evictions += 1
         while len(self._unsat_sets) > self._max_unsat_sets:
             self._drop_unsat_set(next(iter(self._unsat_sets)))
-        pool_cap = max(2, (self._model_pool.maxlen or 2) // factor)
-        # deque(iterable, maxlen) keeps the *newest* maxlen entries.
-        self._model_pool = deque(self._model_pool, maxlen=pool_cap)
 
     # -- integrity ------------------------------------------------------
 
     def set_corruptor(self, hook) -> None:
         """Install a deterministic poisoning predicate (fault injection).
 
-        ``hook(kind, ordinal) -> bool`` with ``kind`` one of ``"model"``
-        (a stored SAT witness), ``"pool"`` (a reuse-pool assignment) or
-        ``"core"`` (an UNSAT conjunct set); a True answer mutates the
-        freshly stored entry *after* its digest was taken, so the
-        poison is detectable on the next verified hit.  ``None``
-        uninstalls.  See :meth:`repro.core.faults.FaultPlan.corruptor`.
+        ``hook(kind, ordinal) -> bool`` with ``kind`` either ``"model"``
+        (a stored SAT witness) or ``"core"`` (an UNSAT conjunct set); a
+        True answer mutates the freshly stored entry *after* its digest
+        was taken, so the poison is detectable on the next verified hit.
+        ``None`` uninstalls.  See
+        :meth:`repro.core.faults.FaultPlan.corruptor`.
         """
         self._corruptor = hook
 
@@ -712,24 +734,14 @@ class QueryCache:
     ) -> tuple[Optional[Result], Optional["Model"]]:
         """Try to answer ``conditions`` (canonicalized as ``key``)."""
         cached = self._results.get(key)
-        if cached is not None and not self._verify_entry(key, cached):
-            # Quarantined: pretend the entry never existed; the
-            # remaining tiers (or a fresh solve) re-derive the answer.
-            cached = None
-        if cached is Result.UNSAT:
+        if cached is not None and self._verify_entry(key, cached):
+            # Every SAT entry carries its witness (see store_sat).
             self.hits += 1
             self.exact_hits += 1
             self._touch(key)
-            return cached, None
-        if cached is Result.SAT:
-            model = self._models.get(key)
-            if model is not None:
-                self.hits += 1
-                self.exact_hits += 1
-                self._touch(key)
-                return cached, model
-            # SAT is known but no witness was ever extracted; a fresh
-            # solve (or model-reuse below) must produce one.
+            return cached, self._models.get(key)
+        # A quarantined entry reads as absent: the remaining tiers (or
+        # a fresh solve) re-derive the answer.
         while True:
             set_id = self._find_subsuming_unsat(key)
             if set_id is None:
@@ -742,15 +754,6 @@ class QueryCache:
             self._results[key] = Result.UNSAT
             self._digests[key] = self._values_digest("unsat", ())
             return Result.UNSAT, None
-        witness = self._reusable_model(key, conditions)
-        if witness is not None:
-            self.hits += 1
-            self.model_reuse_hits += 1
-            self._evict_if_full()
-            self._results[key] = Result.SAT
-            self._models[key] = witness
-            self._digests[key] = self._values_digest("sat", witness.items())
-            return Result.SAT, witness
         if self.store is not None:
             warm = self.store.load_query(key, conditions)
             if warm is not None:
@@ -776,48 +779,6 @@ class QueryCache:
         """Move ``key`` to the recently-used end of the memo (LRU)."""
         self._results[key] = self._results.pop(key)
 
-    def _reusable_model(
-        self, key: frozenset, conditions: list[Term]
-    ) -> Optional["Model"]:
-        """A cached model that satisfies every conjunct, or None.
-
-        The candidate assignment is completed with zeros for variables
-        the original model never saw and *restricted* to the query's
-        own variables: the pool holds models of unrelated past slices,
-        and leaking their stale assignments into the returned witness
-        would corrupt cross-slice model stitching.  The returned
-        :class:`Model` binds exactly the assignment validated here.
-        """
-        if not self._model_pool:
-            return None
-        variables: set[Term] = set()
-        for term in key:
-            variables |= term.free_vars()
-        for entry in list(self._model_pool):
-            values, digest = entry
-            if self._should_verify():
-                self.integrity_checks += 1
-                if self._values_digest("pool", values.items()) != digest:
-                    self.quarantines += 1
-                    try:
-                        self._model_pool.remove(entry)
-                    except ValueError:  # pragma: no cover - defensive
-                        pass
-                    continue
-            completed = {var: values.get(var, 0) for var in variables}
-            try:
-                # Evaluate back-to-front: branch-flip queries put the
-                # negated flip condition last, and a stale model (which
-                # satisfied some sibling prefix) almost always fails
-                # exactly there — same verdict, but the reject path
-                # short-circuits on the first condition instead of
-                # re-validating the whole shared prefix.
-                if all(evaluate(term, completed) for term in reversed(conditions)):
-                    return Model(completed)
-            except EvalError:  # pragma: no cover - defensive
-                continue
-        return None
-
     # -- store ---------------------------------------------------------
 
     def _evict_if_full(self) -> None:
@@ -825,9 +786,8 @@ class QueryCache:
 
         ``lookup`` hits re-insert their key at the dict's tail (dicts
         iterate in insertion order), so the head is always the least
-        *recently used* entry, not merely the oldest insertion — with
-        per-slice keys the hot shared-prefix slices are re-touched by
-        nearly every query and must outlive one-off deep-path entries.
+        *recently used* entry, not merely the oldest insertion, so
+        entries that keep answering outlive one-off deep-path entries.
         """
         if len(self._results) < self._max_entries:
             return
@@ -858,16 +818,11 @@ class QueryCache:
         self._models[key] = model
         self._digests[key] = self._values_digest("sat", model.items())
         if self.store is not None:
-            # Write-through before the fault seams below: the disk copy
+            # Write-through before the fault seam below: the disk copy
             # always holds the honest, freshly solved content.
             self.store.save_query(key, Result.SAT, model=model)
         if self._corrupt("model"):
             self._poison_values(model._values)
-        pool_values = dict(model.items())
-        pool_digest = self._values_digest("pool", pool_values.items())
-        if self._corrupt("pool"):
-            self._poison_values(pool_values)
-        self._model_pool.append((pool_values, pool_digest))
 
     @property
     def statistics(self) -> Mapping[str, int]:
@@ -877,7 +832,6 @@ class QueryCache:
             "hits": self.hits,
             "exact_hits": self.exact_hits,
             "subsumption_hits": self.subsumption_hits,
-            "model_reuse_hits": self.model_reuse_hits,
             "misses": self.misses,
             "evictions": self.evictions,
             "integrity_checks": self.integrity_checks,
@@ -889,14 +843,6 @@ class QueryCache:
 #: Counter keys of :attr:`CachingSolver.pipeline_stats`, in report order.
 PIPELINE_COUNTERS = (
     "queries",
-    "slices",
-    "rewrite_unsat",
-    "rewrite_sat",
-    "interval_unsat",
-    "interval_sat",
-    "dropped_conjuncts",
-    "joint_solves",
-    "verify_fallbacks",
     "fast_path_queries",
     "unsat_cores",
     "core_conjuncts_dropped",
@@ -904,69 +850,39 @@ PIPELINE_COUNTERS = (
 )
 
 
-class _PendingSlice:
-    """One slice the preprocessing stages could not decide.
-
-    ``origin_map`` maps each residual (and interval-dropped) condition
-    back to the frozenset of *original* slice conjuncts entailing it,
-    so a SAT-core over the residue translates into an UNSAT core over
-    the query the cache is keyed on.
-    """
-
-    __slots__ = ("key", "original", "residual", "bindings", "dropped", "origin_map")
-
-    def __init__(self, key, original, residual, bindings, dropped, origin_map):
-        self.key = key
-        self.original = original
-        self.residual = residual
-        self.bindings = bindings
-        self.dropped = dropped
-        self.origin_map = origin_map
-
-
 class CachingSolver(Solver):
-    """:class:`Solver` with the query pipeline and cache in front.
+    """:class:`Solver` with the cross-path :class:`QueryCache` in front.
 
-    ``check`` runs slice → rewrite → intervals → SAT: the query is
-    partitioned into variable-independent slices, each slice is looked
-    up in the cross-path :class:`QueryCache` (exact / UNSAT-subsumption
-    / model-reuse), then rewritten word-level and attacked with the
-    interval fast path; only still-undecided slices reach the CDCL
-    core — together, in one joint solve, whose model is split back into
-    per-slice cache entries.  SAT answers stitch the per-slice models
-    (plus rewrite bindings) into a single witness.
+    ``check`` deduplicates the query's conjuncts, asks the cache (exact
+    key, UNSAT-core subsumption, then the persistent store tier) and on
+    a miss runs one plain :meth:`Solver.check` of the whole query.  A
+    SAT answer is cached as the model restricted to the query's free
+    variables, and :meth:`model` returns exactly that restriction, so a
+    cold run and a warm run served from the store derive identical
+    inputs.  An UNSAT answer enters the cache with the solver's minimal
+    UNSAT core (DRAT-checked under ``--certify``), which is what lets
+    it answer later supersets.
 
     Only assumption-style queries against an otherwise empty solver are
-    preprocessed and cached — the explorer's exact usage pattern.  As
-    soon as ``add`` or ``push`` introduces persistent state the whole
-    pipeline is bypassed, because slice keys would no longer capture
-    the full formula.  Pipeline answers do not bump ``num_checks`` /
-    ``num_solves`` (no CDCL search ran): exploration statistics key off
-    those counters to keep "real", "cached" and "fast-path" query
-    counts separate.
+    cached — the explorer's exact usage pattern.  As soon as ``add`` or
+    ``push`` introduces persistent state the cache is bypassed, because
+    the key would no longer capture the full formula.  Cache answers do
+    not bump ``num_checks`` / ``num_solves`` (no CDCL search ran):
+    exploration statistics key off those counters to keep "solved",
+    "cached" and "fast-path" query counts separate.
     """
 
     def __init__(
         self,
         cache: Optional[QueryCache] = None,
-        preprocess: Optional[PreprocessConfig] = None,
+        solver_config: Optional[SolverConfig] = None,
     ):
-        config = preprocess if preprocess is not None else PreprocessConfig()
-        super().__init__(
-            trail_reuse=config.trail_reuse,
-            unsat_cores=config.unsat_cores,
-            conflict_budget=config.conflict_budget,
-            propagation_budget=config.propagation_budget,
-            wall_budget=config.wall_budget,
-            core_budget=config.core_budget,
-            certify=config.certify,
-            proof_log=config.proof_log,
-        )
+        super().__init__(**asdict(solver_config or SolverConfig()))
         self.cache = cache if cache is not None else QueryCache()
-        self.preprocess = config
         self._tainted = False
-        self._reused_model: Optional[Model] = None
-        self.fast_path_answers = 0
+        #: The restricted model of the last cached or freshly cached
+        #: SAT answer; None when ``model()`` must ask the SAT core.
+        self._answer: Optional[Model] = None
         self.pipeline_stats: dict[str, int] = dict.fromkeys(PIPELINE_COUNTERS, 0)
 
     @property
@@ -979,7 +895,7 @@ class CachingSolver(Solver):
 
     @property
     def pipeline_statistics(self) -> Mapping[str, int]:
-        """The solver counters plus cache and pipeline counters."""
+        """The solver counters plus the cache and query counters."""
         stats = {f"cache_{k}": v for k, v in self.cache.statistics.items()}
         stats.update(self.pipeline_stats)
         stats.update(super().pipeline_statistics)
@@ -993,13 +909,9 @@ class CachingSolver(Solver):
         self._tainted = True
         super().add(term)
 
-    # ------------------------------------------------------------------
-    # The pipelined check
-    # ------------------------------------------------------------------
-
     def check(self, assumptions: Iterable[Term] = ()) -> Result:
         conditions = list(assumptions)
-        self._reused_model = None
+        self._answer = None
         if self._tainted or self._scopes:
             return super().check(conditions)
         key_terms = []
@@ -1014,337 +926,44 @@ class CachingSolver(Solver):
                 seen.add(term)
                 key_terms.append(term)
 
-        config = self.preprocess
         stats = self.pipeline_stats
         stats["queries"] += 1
-        hits_before = self.cache.hits
+        key = frozenset(key_terms)
+        verdict, model = self.cache.lookup(key, key_terms)
+        if verdict is not None:
+            self._last_result = verdict
+            self._answer = model
+            return verdict
+
         solves_before = self.num_solves
-
-        if config.slicing:
-            slices = slice_conditions(key_terms)
-        else:
-            slices = [key_terms] if key_terms else []
-        stats["slices"] += len(slices)
-
-        stitched: dict[Term, int] = {}
-        pending: list[_PendingSlice] = []
-        verdict = Result.SAT
-        for slice_conds in slices:
-            outcome = self._preprocess_slice(slice_conds, config)
-            if outcome is None:
-                verdict = Result.UNSAT
-                break
-            resolved, payload = outcome
-            if resolved:
-                stitched.update(payload)
-            else:
-                pending.append(payload)
-        if verdict is Result.SAT and pending:
-            verdict = self._solve_pending(pending, stitched)
-        if verdict is Result.SAT:
-            # Slices partition key_terms and every SAT path binds all
-            # of its slice's variables, so stitched covers the query.
-            self._reused_model = Model(stitched)
-        self._last_result = verdict
-        if self.num_solves == solves_before and self.cache.hits == hits_before:
-            self.fast_path_answers += 1
-            stats["fast_path_queries"] += 1
-        return verdict
-
-    def _preprocess_slice(self, slice_conds: list, config: PreprocessConfig):
-        """Answer one slice without the SAT core, or queue it.
-
-        Returns ``None`` for UNSAT, ``(True, values)`` for SAT, or
-        ``(False, _PendingSlice)`` when the core must decide.
-        """
-        stats = self.pipeline_stats
-        key = frozenset(slice_conds)
-        result, model = self.cache.lookup(key, slice_conds)
-        if result is Result.UNSAT:
-            return None
-        if result is Result.SAT and model is not None:
-            # A SAT hit is only usable when a witness was cached: the
-            # CDCL core did not run for this slice, so stitching must
-            # take the assignment from the cache entry — restricted to
-            # this slice's variables, in case the entry predates slicing
-            # (e.g. a cache shared with a pipeline-off solver).
-            values: dict[Term, int] = {}
-            for cond in slice_conds:
-                for var in cond.free_vars():
-                    if var not in values:
-                        values[var] = model.get(var, 0)
-            return True, values
-
-        conds = list(slice_conds)
-        bindings: dict = {}
-        origin_map: dict = {cond: frozenset((cond,)) for cond in conds}
-        use_cores = self.preprocess.unsat_cores
-        if config.rewrite:
-            rewritten = rewrite_slice(conds)
-            if rewritten.unsat:
-                core = rewritten.conflict_origin if use_cores else None
-                if self._certified_unsat_store(key, core, stats, "rewrite_unsat"):
-                    return None
-                # Unconfirmed word-level verdict: hand the untouched
-                # slice to the fresh-solve path instead of trusting it.
-                return False, self._uncertified_pending(key, slice_conds)
-            conds, bindings = rewritten.conditions, rewritten.bindings
-            origin_map = dict(zip(conds, rewritten.origins))
-            if not conds:
-                values = self._slice_values(slice_conds, bindings, None)
-                if self._certified_sat_values(values, slice_conds):
-                    stats["rewrite_sat"] += 1
-                    self.cache.store_sat(key, Model(values))
-                    return True, values
-                return False, self._uncertified_pending(key, slice_conds)
-
-        dropped: list = []
-        if config.intervals:
-            outcome = analyze_slice(conds)
-            if outcome.verdict is False:
-                # The interval pass names the conjunct subset that
-                # pinched the refuting box; mapped through the rewrite
-                # provenance it feeds the same minimal-UNSAT-set slot
-                # the SAT-core path uses (see QueryCache.store_unsat).
-                core = None
-                if use_cores and outcome.core is not None:
-                    mapped: set = set()
-                    for cond in outcome.core:
-                        origin = origin_map.get(cond)
-                        if origin is None:
-                            mapped = None
-                            break
-                        mapped |= origin
-                    if mapped is not None:
-                        core = frozenset(mapped)
-                if self._certified_unsat_store(key, core, stats, "interval_unsat"):
-                    return None
-                return False, self._uncertified_pending(key, slice_conds)
-            if outcome.verdict is True:
-                values = self._slice_values(slice_conds, bindings, outcome.witness)
-                if self._certified_sat_values(values, slice_conds):
-                    stats["interval_sat"] += 1
-                    self.cache.store_sat(key, Model(values))
-                    return True, values
-                return False, self._uncertified_pending(key, slice_conds)
-            dropped = outcome.dropped
-            stats["dropped_conjuncts"] += len(dropped)
-            conds = outcome.residual
-
-        return False, _PendingSlice(
-            key, slice_conds, conds, bindings, dropped, origin_map
-        )
-
-    def _map_core(self, pending: list) -> Optional[frozenset]:
-        """Translate :attr:`last_core` into original query conjuncts.
-
-        The SAT layer's core names *residual* (rewritten) conditions;
-        each maps back — through the rewriter's provenance — to the
-        original conjuncts entailing it.  Returns None when cores are
-        unavailable or a residual condition cannot be attributed.
-        """
-        core_terms = self.last_core
-        if core_terms is None:
-            return None
-        mapped: set = set()
-        for term in core_terms:
-            origin = None
-            for entry in pending:
-                origin = entry.origin_map.get(term)
-                if origin is not None:
-                    break
-            if origin is None:
-                return None
-            mapped |= origin
-        return frozenset(mapped)
-
-    def _note_core(self, key: frozenset, core: Optional[frozenset], stats) -> None:
-        """Account for a minimal core strictly smaller than its key."""
-        if core is not None and len(core) < len(key):
-            stats["unsat_cores"] += 1
-            stats["core_conjuncts_dropped"] += len(key) - len(core)
-
-    @staticmethod
-    def _uncertified_pending(key: frozenset, slice_conds: list) -> "_PendingSlice":
-        """The fresh-solve fallback for an answer that failed to certify:
-        the untouched slice, with identity provenance."""
-        return _PendingSlice(
-            key,
-            slice_conds,
-            list(slice_conds),
-            {},
-            [],
-            {cond: frozenset((cond,)) for cond in slice_conds},
-        )
-
-    def _certified_unsat_store(
-        self, key: frozenset, core: Optional[frozenset], stats, counter: str
-    ) -> bool:
-        """Store an UNSAT verdict produced by a word-level stage.
-
-        Rewriting and interval analysis emit no checkable evidence, so
-        in certify mode the verdict is *re-derived* through the
-        proof-logging CDCL core first (solving just the claimed core
-        when one exists): the re-derivation is certified by the base
-        :meth:`Solver.check` and usually yields an even smaller,
-        certified core.  A verdict that fails to re-derive is never
-        cached — the caller falls back to a fresh solve of the whole
-        slice.  Returns True when the UNSAT answer stands.
-        """
-        if self.preprocess.certify:
-            conds = list(core) if core is not None else list(key)
-            confirm = super().check(conds)
-            if confirm is Result.SAT:
-                # The word-level pass contradicted the certified solver:
-                # a real certification failure, never trusted.
-                self.certify_failures += 1
-                return False
-            if confirm is not Result.UNSAT:
-                return False  # budget/certify UNKNOWN: let the caller decide
-            if self.last_core is not None:
-                core = self.last_core
-        stats[counter] += 1
-        self._note_core(key, core, stats)
-        self.cache.store_unsat(key, core)
-        return True
-
-    def _certified_sat_values(self, values: dict, slice_conds: list) -> bool:
-        """Certify a word-level SAT witness against its own conjuncts."""
-        if not self.preprocess.certify:
-            return True
-        if self._satisfied(values, slice_conds):
-            self.certified_sat += 1
-            return True
-        self.certify_failures += 1
-        return False
-
-    def _solve_pending(
-        self, pending: list, stitched: dict[Term, int]
-    ) -> Result:
-        """Joint SAT solve of all undecided slices, split back per slice.
-
-        One CDCL call decides the conjunction of every pending residue —
-        never more core work than the unpreprocessed query — and on SAT
-        the assignment is carved into per-slice models and cache
-        entries.  A joint UNSAT cannot name the guilty slice, so the
-        *union* of the pending originals is stored as the UNSAT set
-        (sound: the union is a subset of the full query that is itself
-        UNSAT, and subsumption handles supersets).
-        """
-        stats = self.pipeline_stats
-        if len(pending) == 1:
-            joint = pending[0].residual
-        else:
-            joint = [cond for entry in pending for cond in entry.residual]
-            stats["joint_solves"] += 1
-        verdict = super().check(joint)
+        verdict = super().check(key_terms)
         if verdict is Result.UNKNOWN:
             # Budget exhausted: no model, no core — nothing is sound to
             # cache, and the caller must not flip on this answer.
             stats["unknown_queries"] += 1
-            return Result.UNKNOWN
-        if verdict is Result.UNSAT:
-            core = self._map_core(pending)
-            if len(pending) == 1:
-                key = pending[0].key
-            else:
-                key = frozenset(
-                    cond for entry in pending for cond in entry.original
-                )
-            self._note_core(key, core, stats)
+        elif verdict is Result.UNSAT:
+            core = self.last_core
+            if core is not None and len(core) < len(key):
+                stats["unsat_cores"] += 1
+                stats["core_conjuncts_dropped"] += len(key) - len(core)
             self.cache.store_unsat(key, core)
-            return Result.UNSAT
-
-        # Extract every slice from the joint assignment *before* any
-        # verification fallback: a fallback re-solve replaces the SAT
-        # core's assignment, which must not leak into other slices.
-        certify = self.preprocess.certify
-        extracted = [(entry, self._extract_slice(entry)) for entry in pending]
-        for entry, values in extracted:
-            fallback = entry.dropped and not self._satisfied(values, entry.dropped)
-            if certify and not fallback and not self._satisfied(
-                values, entry.original
-            ):
-                # The stitched slice model fails its own conjuncts under
-                # the reference evaluator: never trusted — re-solve.
-                self.certify_failures += 1
-                fallback = True
-            if fallback:
-                # The joint model ignored a conjunct the interval pass
-                # dropped from *this* slice (its justification involved
-                # other dropped conjuncts), or failed certification.
-                # Re-solve the slice exactly.
-                stats["verify_fallbacks"] += 1
-                verdict = super().check(entry.residual + entry.dropped)
-                if verdict is Result.UNKNOWN:
-                    stats["unknown_queries"] += 1
-                    return Result.UNKNOWN
-                if verdict is Result.UNSAT:
-                    core = self._map_core([entry])
-                    self._note_core(entry.key, core, stats)
-                    self.cache.store_unsat(entry.key, core)
-                    return Result.UNSAT
-                values = self._extract_slice(entry)
-                if certify and not self._satisfied(values, entry.original):
-                    # Even the dedicated re-solve fails the reference
-                    # evaluator: give the query up, explicitly counted.
-                    self.certify_failures += 1
-                    stats["unknown_queries"] += 1
-                    return Result.UNKNOWN
-            if certify:
-                self.certified_sat += 1
-            self.cache.store_sat(entry.key, Model(values))
-            stitched.update(values)
-        self._last_result = Result.SAT
-        return Result.SAT
-
-    def _extract_slice(self, entry: "_PendingSlice") -> dict[Term, int]:
-        """Slice-restricted model values from the current SAT assignment."""
-        values: dict[Term, int] = {}
-        for cond in entry.original:
-            for var in cond.free_vars():
-                if var in values:
-                    continue
-                binding = entry.bindings.get(var)
-                if binding is not None:
-                    values[var] = binding.payload
-                    continue
-                extracted = self.value_of(var)
-                values[var] = extracted if extracted is not None else 0
-        return values
-
-    def _slice_values(
-        self, slice_conds: list, bindings: dict, witness: Optional[dict]
-    ) -> dict[Term, int]:
-        """Complete a preprocessing-produced witness over the slice vars."""
-        values: dict[Term, int] = {}
-        for cond in slice_conds:
-            for var in cond.free_vars():
-                if var in values:
-                    continue
-                binding = bindings.get(var)
-                if binding is not None:
-                    values[var] = binding.payload
-                elif witness is not None and var in witness:
-                    values[var] = witness[var]
-                else:
-                    values[var] = 0
-        return values
-
-    @staticmethod
-    def _satisfied(values: dict[Term, int], conds: list) -> bool:
-        assignment = dict(values)
-        for cond in conds:
-            for var in cond.free_vars():
-                assignment.setdefault(var, 0)
-        try:
-            return all(evaluate(cond, assignment) for cond in conds)
-        except EvalError:  # pragma: no cover - defensive
-            return False
+        else:
+            values: dict[Term, int] = {}
+            for term in key_terms:
+                for var in term.free_vars():
+                    if var not in values:
+                        value = self.value_of(var)
+                        values[var] = value if value is not None else 0
+            # Two Model objects: the fault seam may poison the cached one.
+            self.cache.store_sat(key, Model(values))
+            self._answer = Model(values)
+        if self.num_solves == solves_before:
+            stats["fast_path_queries"] += 1
+        return verdict
 
     def model(self) -> Model:
-        if self._reused_model is not None:
-            return self._reused_model
+        if self._answer is not None:
+            return self._answer
         return super().model()
 
 

@@ -142,11 +142,10 @@ class Term:
     def free_vars(self) -> "frozenset[Term]":
         """Free variables of this DAG, computed once and cached per node.
 
-        The query-preprocessing layer (independence slicing, interval
-        refinement) calls this on every path-condition conjunct of every
-        query, so the result is memoized on the interned term itself and
-        shared through the DAG: each node's set is the union of its
-        children's cached sets.
+        The query cache calls this on every conjunct of every SAT answer
+        it restricts to the query's variables, so the result is memoized
+        on the interned term itself and shared through the DAG: each
+        node's set is the union of its children's cached sets.
         """
         cached = self._free_vars
         if cached is not None:

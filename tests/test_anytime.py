@@ -23,7 +23,7 @@ from repro.core.parallel import (
     HEARTBEAT_INTERVAL,
     _backoff_delay,
 )
-from repro.smt.preprocess import PreprocessConfig
+from repro.smt.solver import SolverConfig
 from repro.smt.sat import SatSolver
 from repro.smt.solver import CachingSolver, Result, Solver
 from tests.test_faults import (
@@ -61,8 +61,8 @@ class TestWallClockBudget:
         assert Solver().check(_hard_query()) is Result.SAT
 
     def test_wall_budget_threads_through_config(self):
-        config = PreprocessConfig(wall_budget=0.0)
-        solver = CachingSolver(preprocess=config)
+        config = SolverConfig(wall_budget=0.0)
+        solver = CachingSolver(solver_config=config)
         assert solver.check(_hard_query()) is Result.UNKNOWN
         assert solver.pipeline_statistics["unknown_queries"] == 1
 
@@ -85,7 +85,7 @@ class TestWallClockBudget:
         degraded = Explorer(
             build_executor(),
             use_cache=True,
-            preprocess=PreprocessConfig(wall_budget=0.0),
+            solver_config=SolverConfig(wall_budget=0.0),
         ).explore()
         assert_subset_or_accounted(degraded, baseline)
 
@@ -251,7 +251,7 @@ class TestMemoryGovernor:
         """The builder's three rungs: snapshot budget halves, caches
         tighten, capture flips off — in that order."""
         executor = build_executor()
-        solver = CachingSolver(preprocess=PreprocessConfig())
+        solver = CachingSolver(solver_config=SolverConfig())
         capture = {"snapshots": True}
         governor = build_exploration_governor(
             1, executor, solver, capture, sampler=lambda: 2**40

@@ -22,7 +22,7 @@ from repro.core.certificates import (
 from repro.core.checkpoint import CheckpointManager
 from repro.eval.engines import make_engine
 from repro.eval.workloads import WORKLOADS
-from repro.smt.preprocess import PreprocessConfig
+from repro.smt.solver import SolverConfig
 from repro.spec import rv32im
 
 SOURCE = """\
@@ -51,14 +51,20 @@ def make_executor():
     return BinSymExecutor(rv32im(), assemble(SOURCE))
 
 
-def explore(certify=False, proof_log=True, jobs=1, faults=None, workload=None):
+def explore(
+    certify=False, proof_log=True, jobs=1, faults=None, workload=None, scale=3
+):
     if workload is not None:
-        executor = make_engine("binsym", rv32im(), WORKLOADS[workload].image(3))
+        executor = make_engine("binsym", rv32im(), WORKLOADS[workload].image(scale))
     else:
         executor = make_executor()
-    preprocess = PreprocessConfig(certify=certify, proof_log=proof_log)
+    solver_config = SolverConfig(certify=certify, proof_log=proof_log)
     return Explorer(
-        executor, jobs=jobs, use_cache=True, preprocess=preprocess, faults=faults
+        executor,
+        jobs=jobs,
+        use_cache=True,
+        solver_config=solver_config,
+        faults=faults,
     ).explore()
 
 
@@ -117,9 +123,9 @@ class TestCertificateTampering:
     @pytest.fixture()
     def certified(self):
         executor = make_executor()
-        preprocess = PreprocessConfig(certify=True)
+        solver_config = SolverConfig(certify=True)
         result = Explorer(
-            executor, use_cache=True, preprocess=preprocess
+            executor, use_cache=True, solver_config=solver_config
         ).explore()
         return executor, result
 
@@ -205,14 +211,19 @@ class TestCorruptionChaos:
         )
 
     def test_corruption_preserves_paths_and_attribution(self):
-        clean = explore(workload="uri-parser")
+        # A poisoned entry is only detectable when a cache hit reads it
+        # back.  uri-parser at scale 3 gets no hit, so it pins path set
+        # and attribution only; bubble-sort at scale 4 re-reads entries
+        # through exact and subsumption hits.
         quarantines = 0
-        for seed in range(3):
-            plan = FaultPlan(seed=seed, corrupt_rate=40)
-            faulted = explore(workload="uri-parser", faults=plan)
-            assert faulted.path_set() == clean.path_set()
-            assert self.attribution(faulted) == self.attribution(clean)
-            quarantines += faulted.solver_stats.get("cache_quarantines", 0)
+        for workload, scale in (("uri-parser", 3), ("bubble-sort", 4)):
+            clean = explore(workload=workload, scale=scale)
+            for seed in range(3):
+                plan = FaultPlan(seed=seed, corrupt_rate=40)
+                faulted = explore(workload=workload, scale=scale, faults=plan)
+                assert faulted.path_set() == clean.path_set()
+                assert self.attribution(faulted) == self.attribution(clean)
+                quarantines += faulted.solver_stats.get("cache_quarantines", 0)
         assert quarantines > 0
 
     def test_corruption_parallel(self):
@@ -242,7 +253,7 @@ class TestCorruptionChaos:
         plan = FaultPlan(seed=7, corrupt_rate=50)
         first = plan.corruptor("w1")
         second = plan.corruptor("w1")
-        draws = [(kind, n) for kind in ("model", "core", "pool") for n in range(20)]
+        draws = [(kind, n) for kind in ("model", "core") for n in range(20)]
         assert [first(k, n) for k, n in draws] == [second(k, n) for k, n in draws]
         assert any(first(k, n) for k, n in draws)
 
@@ -303,11 +314,11 @@ class TestCheckpointIntegrity:
 
     def test_certify_digests_survive_checkpoint(self, tmp_path):
         executor = make_executor()
-        preprocess = PreprocessConfig(certify=True)
+        solver_config = SolverConfig(certify=True)
         Explorer(
             executor,
             use_cache=True,
-            preprocess=preprocess,
+            solver_config=solver_config,
             checkpoint_dir=str(tmp_path),
         ).explore()
         manager = CheckpointManager(str(tmp_path), strategy="dfs", seed=0)

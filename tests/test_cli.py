@@ -153,8 +153,7 @@ done:
 
     def test_query_cache_toggle(self, tmp_path, program_file, capsys):
         assert main(
-            ["explore", "--store", str(tmp_path / "store"), "--no-slicing",
-             "--no-rewrite", "--no-intervals", str(program_file)]
+            ["explore", "--store", str(tmp_path / "store"), str(program_file)]
         ) == 1
         assert "2 paths" in capsys.readouterr().out
 
@@ -222,7 +221,6 @@ done:
         assert "2 paths" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", [
-        ["--no-slicing"], ["--no-rewrite"], ["--no-intervals"],
         ["--no-unsat-cores"], ["--core-budget", "0"],
     ])
     def test_pipeline_flag_requires_store(self, program_file, capsys, flag):
@@ -231,13 +229,23 @@ done:
         assert exit_info.value.code == 2
         assert f"{flag[0]}: requires --store" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--no-slicing", "--no-rewrite", "--no-intervals"])
+    def test_removed_pipeline_flags_are_unknown(self, tmp_path, program_file, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explore", "--store", str(tmp_path / "store"), flag,
+                  str(program_file)])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("store", [False, True], ids=["plain", "store"])
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_certify_without_store_counts_every_solved_query(
-        self, tmp_path, capsys, jobs
-    ):
+    def test_certify_counts_every_solved_query(self, tmp_path, capsys, jobs, store):
         path = tmp_path / "ranges.s"
         path.write_text(RANGES)
-        assert main(["explore", "--certify", "--jobs", jobs, str(path)]) == 0
+        store_args = ["--store", str(tmp_path / "store")] if store else []
+        assert main(
+            ["explore", "--certify", "--jobs", jobs, *store_args, str(path)]
+        ) == 0
         out = capsys.readouterr().out
         solved = re.search(r"(\d+) solver queries \((\d+) sat / (\d+) unsat", out)
         certified = re.search(

@@ -19,7 +19,7 @@ from repro.asm import assemble
 from repro.core import BinSymExecutor, Explorer, FaultPlan
 from repro.core.checkpoint import CHECKPOINT_FILENAME, CheckpointManager
 from repro.smt import terms as T
-from repro.smt.preprocess import PreprocessConfig
+from repro.smt.solver import SolverConfig
 from repro.smt.solver import CachingSolver, Result, Solver
 from repro.spec import rv32im
 
@@ -138,9 +138,8 @@ class TestFaultPlanParse:
 
 
 def _hard_query():
-    """A query the interval/rewrite fast paths cannot answer and the
-    CDCL core cannot decide by propagation alone (>100 conflicts), so
-    a conflict budget reliably runs out."""
+    """A query the CDCL core cannot decide by propagation alone (>100
+    conflicts), so a conflict budget reliably runs out."""
     x = T.bv_var("budget_x", 8)
     y = T.bv_var("budget_y", 8)
     z = T.bv_var("budget_z", 8)
@@ -172,7 +171,7 @@ class TestSolverDegradation:
         assert solver.check(_hard_query()) is Result.SAT
 
     def test_unknown_is_never_cached(self):
-        solver = CachingSolver(preprocess=PreprocessConfig())
+        solver = CachingSolver(solver_config=SolverConfig())
         # Give up on the first CDCL solve only: if the UNKNOWN verdict
         # leaked into the cache, the retry would wrongly hit it.
         solver.set_fault_hook(lambda ordinal: ordinal == 1)
@@ -183,8 +182,8 @@ class TestSolverDegradation:
         assert stats["cache_hits"] == 0
 
     def test_budget_threads_through_config(self):
-        config = PreprocessConfig(conflict_budget=0)
-        solver = CachingSolver(preprocess=config)
+        config = SolverConfig(conflict_budget=0)
+        solver = CachingSolver(solver_config=config)
         assert solver.check(_hard_query()) is Result.UNKNOWN
         assert solver.pipeline_statistics["unknown_queries"] == 1
 

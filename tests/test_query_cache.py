@@ -1,4 +1,13 @@
-"""Tests for the cross-path query cache and the explored-prefix trie."""
+"""Tests for the cross-path query cache and the explored-prefix trie.
+
+Covers :class:`CachingSolver` answers against a plain :class:`Solver`,
+the cache's exact / UNSAT-subsumption tiers and their bookkeeping, and
+the end-to-end property that caching never changes what exploration
+discovers and attributes every flip query exactly once, serial and on
+a worker pool.
+"""
+
+import multiprocessing
 
 import pytest
 
@@ -9,6 +18,9 @@ from repro.eval.workloads import WORKLOADS
 from repro.smt import terms as T
 from repro.smt.evalbv import evaluate
 from repro.smt.solver import CachingSolver, QueryCache, Result, Solver
+from repro.spec import rv32im
+
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def bvv(name, width=8):
@@ -64,13 +76,7 @@ class TestCachingSolverCorrectness:
         assert solver.cache.exact_hits == 2
 
     def test_unsat_subsumption(self):
-        # Intervals would answer this contradiction themselves, so turn
-        # them off to exercise the cache tier in isolation.  The
-        # superset shares the variable: slicing keeps it in one slice,
-        # whose key strictly contains the cached UNSAT core.
-        from repro.smt.preprocess import PreprocessConfig
-
-        solver = CachingSolver(preprocess=PreprocessConfig(intervals=False))
+        solver = CachingSolver()
         x = bvv("x")
         core = [T.ult(x, T.bv(4, 8)), T.ugt(x, T.bv(9, 8))]
         assert solver.check(core) is Result.UNSAT
@@ -80,39 +86,42 @@ class TestCachingSolverCorrectness:
         assert solver.num_checks == checks_before
         assert solver.cache.subsumption_hits == 1
 
-    def test_unsat_slice_answers_cross_variable_superset(self):
-        """With slicing, an unrelated-variable superset of a known-UNSAT
-        core is answered by an *exact* hit on the core's slice."""
+    def test_matches_plain_solver_with_valid_models(self):
         solver = CachingSolver()
-        x, y = bvv("x"), bvv("y")
-        core = [T.ult(x, T.bv(4, 8)), T.ugt(x, T.bv(9, 8))]
-        assert solver.check(core) is Result.UNSAT
-        checks_before = solver.num_checks
-        superset = core + [T.eq(y, T.bv(1, 8)), T.ult(y, T.bv(2, 8))]
-        assert solver.check(superset) is Result.UNSAT
-        assert solver.num_checks == checks_before
-        assert solver.cache.exact_hits >= 1
+        x, y, z = bvv("mx"), bvv("my"), bvv("mz")
+        queries = [
+            [T.ult(x, T.bv(10, 8))],
+            [T.ult(x, T.bv(10, 8)), T.ugt(x, T.bv(20, 8))],
+            [T.eq(T.add(x, y), T.bv(5, 8))],
+            [T.eq(x, T.bv(3, 8)), T.eq(y, T.bv(4, 8)), T.ult(z, T.bv(9, 8))],
+            [T.ult(x, y), T.ult(y, z), T.ult(z, x)],          # cyclic UNSAT
+            [T.ult(x, y), T.ult(y, z)],                        # chain SAT
+            [T.eq(T.mul(x, x), T.bv(4, 8)), T.ult(y, T.bv(3, 8))],
+            [T.slt(x, T.bv(0, 8)), T.eq(y, T.bv(1, 8))],
+            [T.ne(x, T.bv(0, 8)), T.eq(T.urem(y, T.bv(3, 8)), T.bv(1, 8))],
+        ]
+        for query in queries:
+            expected = Solver().check(query)
+            assert solver.check(query) is expected, query
+            if expected is Result.SAT:
+                model = solver.model()
+                # The witness binds exactly the query's own variables.
+                assert {var for var, _ in model.items()} == {
+                    var for term in query for var in term.free_vars()
+                }
+                assignment = dict(model.items())
+                assert all(evaluate(term, assignment) for term in query), query
 
-    def test_model_reuse_produces_valid_witness(self):
+    def test_division_by_zero_query(self):
+        """SMT-LIB division semantics survive the cache (Fig. 2)."""
+        x, y = bvv("dvx"), bvv("dvy")
+        # x < x/y is only satisfiable because y == 0 makes x/y all-ones.
+        query = [T.ult(x, T.udiv(x, y))]
         solver = CachingSolver()
-        x, y = bvv("x"), bvv("y")
-        assert solver.check([T.eq(x, T.bv(9, 8))]) is Result.SAT
-        first = solver.model()
-        assert first[x] == 9
-        checks_before = solver.num_checks
-        # The cached model {x: 9} satisfies this weaker query outright;
-        # y is completed with 0 and bound in the returned witness.  With
-        # slicing the two conjuncts are separate slices, so model reuse
-        # can fire once per slice.
-        query = [T.ult(x, T.bv(20, 8)), T.ult(y, T.bv(5, 8))]
         assert solver.check(query) is Result.SAT
-        assert solver.num_checks == checks_before
-        assert solver.cache.model_reuse_hits >= 1
-        witness = solver.model()
-        assert witness[x] == 9
-        assert y in witness
-        assignment = dict(witness.items())
-        assert all(evaluate(t, assignment) for t in query)
+        model = solver.model()
+        assignment = {x: model[x], y: model[y]}
+        assert evaluate(query[0], assignment)
 
     def test_const_false_bypasses_cache(self):
         solver = CachingSolver()
@@ -128,15 +137,24 @@ class TestCachingSolverCorrectness:
         # UNSAT even on a fresh solver where it is satisfiable.
         assert len(solver.cache) == 0
         assert solver.cache.hits == 0
+        assert solver.pipeline_stats["queries"] == 0
 
     def test_statistics_shape(self):
         cache = QueryCache()
         stats = cache.statistics
         assert set(stats) == {
             "entries", "unsat_sets", "hits", "exact_hits", "subsumption_hits",
-            "model_reuse_hits", "misses", "evictions",
-            "integrity_checks", "quarantines", "corruptions",
+            "misses", "evictions", "integrity_checks", "quarantines",
+            "corruptions",
         }
+
+    def test_pipeline_statistics_shape(self):
+        stats = CachingSolver().pipeline_statistics
+        assert "sat_core_solves" in stats
+        assert "cache_hits" in stats and "cache_misses" in stats
+        for key in ("queries", "fast_path_queries", "unsat_cores",
+                    "core_conjuncts_dropped", "unknown_queries"):
+            assert stats[key] == 0, key
 
     def test_entry_cap_bounds_memo(self):
         solver = CachingSolver(QueryCache(max_entries=4))
@@ -224,8 +242,6 @@ done:
 
 class TestCachedExploration:
     def explore(self, **kwargs):
-        from repro.spec import rv32im
-
         executor = BinSymExecutor(rv32im(), assemble(SOURCE))
         return Explorer(executor, **kwargs).explore()
 
@@ -238,8 +254,6 @@ class TestCachedExploration:
     def test_cross_engine_cache_reuse(self):
         """Exploring the same image with a second engine through a shared
         caching solver answers (nearly) every query from cache."""
-        from repro.spec import rv32im
-
         image = WORKLOADS["bubble-sort"].image(3)
         isa = rv32im()
         shared = CachingSolver()
@@ -264,6 +278,64 @@ class TestCachedExploration:
         assert with_trie.num_queries == without.num_queries
         assert with_trie.pruned_queries == 0
 
+    def test_bubble_sort_path_set_invariant(self):
+        image = WORKLOADS["bubble-sort"].image(3)
+        plain = Explorer(BinSymExecutor(rv32im(), image)).explore()
+        cached = Explorer(
+            BinSymExecutor(rv32im(), image), use_cache=True
+        ).explore()
+        assert cached.path_set() == plain.path_set()
+        assert cached.num_paths == 6  # 3!
+
+    def test_uri_parser_signed_comparisons(self):
+        """Signed-comparison-heavy workload: cache on == cache off."""
+        image = WORKLOADS["uri-parser"].image(2)
+        plain = Explorer(BinSymExecutor(rv32im(), image)).explore()
+        cached = Explorer(
+            BinSymExecutor(rv32im(), image), use_cache=True
+        ).explore()
+        assert cached.path_set() == plain.path_set()
+
+    def test_stats_attribution_is_exhaustive(self):
+        """solved + cached + fast-path covers every flip query."""
+        # Scale 4: at scale 3 the cache gets no hit, so saves no solve.
+        image = WORKLOADS["bubble-sort"].image(4)
+        result = Explorer(
+            BinSymExecutor(rv32im(), image), use_cache=True
+        ).explore()
+        answered = (
+            result.num_queries + result.cache_hits + result.fast_path_answers
+        )
+        assert answered > 0
+        assert result.solver_stats["queries"] == answered
+        # Fewer core solves than answered queries: the cache earns rent.
+        assert result.solver_stats["sat_core_solves"] == result.sat_solves
+        assert result.sat_solves < answered
+
+    @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+    def test_parallel_cached_matches_serial(self):
+        image = WORKLOADS["bubble-sort"].image(3)
+        serial = Explorer(
+            BinSymExecutor(rv32im(), image), use_cache=True
+        ).explore()
+        parallel = Explorer(
+            BinSymExecutor(rv32im(), image), jobs=2, use_cache=True
+        ).explore()
+        assert parallel.path_set() == serial.path_set()
+        assert parallel.workers == 2
+
+    @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
+    def test_parallel_solver_stats_sum_exactly(self):
+        image = WORKLOADS["bubble-sort"].image(3)
+        result = Explorer(
+            BinSymExecutor(rv32im(), image), jobs=2, use_cache=True
+        ).explore()
+        answered = (
+            result.num_queries + result.cache_hits + result.fast_path_answers
+        )
+        assert result.solver_stats["queries"] == answered
+        assert result.solver_stats["sat_core_solves"] == result.sat_solves
+
 
 class TestCacheConsistencyFuzz:
     """Structural-consistency fuzz over random cache interleavings.
@@ -273,7 +345,7 @@ class TestCacheConsistencyFuzz:
     leave the side tables exactly consistent with the primary maps:
 
     - ``_digests`` covers exactly the memoized keys;
-    - ``_models`` binds witnesses only to keys memoized SAT;
+    - ``_models`` binds a witness to exactly the keys memoized SAT;
     - ``_unsat_digests`` covers exactly the live UNSAT-set window;
     - ``_unsat_ids`` is the exact inverse of ``_unsat_sets``;
     - ``_unsat_index`` postings are exactly the live sets containing
@@ -289,9 +361,10 @@ class TestCacheConsistencyFuzz:
     @staticmethod
     def check_invariants(cache: QueryCache) -> None:
         assert set(cache._digests) == set(cache._results)
-        assert set(cache._models) <= set(cache._results)
-        for key in cache._models:
-            assert cache._results[key] is Result.SAT
+        assert set(cache._models) == {
+            key for key, verdict in cache._results.items()
+            if verdict is Result.SAT
+        }
         assert set(cache._unsat_digests) == set(cache._unsat_sets)
         assert cache._unsat_ids == {
             conds: set_id for set_id, conds in cache._unsat_sets.items()
@@ -334,7 +407,7 @@ class TestCacheConsistencyFuzz:
             return answer
 
         # Tiny caps so every operation class triggers eviction paths.
-        cache = QueryCache(max_models=2, max_unsat_sets=4, max_entries=8)
+        cache = QueryCache(max_unsat_sets=4, max_entries=8)
         self.check_invariants(cache)
         for _ in range(400):
             conditions = rng.sample(pool, rng.randint(1, 4))

@@ -7,11 +7,9 @@ off must discover identical path sets with identical query attribution
 tests pin that equivalence over the Fig. 6 workloads (randomized over
 strategies and seeds, serial and ``jobs=4``), exercise the eviction →
 re-execution fallback and the capture-safety guards, and unit-test the
-copy-on-write memory, the snapshot pool, the bounded digest memo and
-the interval-domain UNSAT cores that ride along in this PR.
+copy-on-write memory, the snapshot pool and the bounded digest memo.
 """
 
-import itertools
 import random
 
 import pytest
@@ -26,8 +24,6 @@ from repro.core import scheduler
 from repro.baselines.vp import VpExecutor
 from repro.eval.workloads import WORKLOADS
 from repro.smt import terms as T
-from repro.smt.evalbv import evaluate
-from repro.smt.intervals import analyze_slice
 from repro.spec import rv32im
 
 _ATTRIBUTION_KEYS = (
@@ -255,107 +251,6 @@ def test_digest_memo_lru_keeps_hot_entries(monkeypatch):
         scheduler.term_digest(T.bv_var(f"digest_cold_{i}", 8))
         scheduler.term_digest(hot)  # touch: must survive the churn
     assert hot in digest._DIGEST_MEMO
-
-
-# ---------------------------------------------------------------------------
-# Interval-domain UNSAT cores (satellite)
-# ---------------------------------------------------------------------------
-
-
-class TestIntervalCores:
-    def test_single_infeasible_conjunct(self):
-        x = T.bv_var("ivc_x", 8)
-        filler = T.ult(T.bv_var("ivc_y", 8), T.bv(5, 8))
-        infeasible = T.ult(x, T.bv(0, 8))  # var < 0 is empty
-        outcome = analyze_slice([filler, infeasible])
-        assert outcome.verdict is False
-        assert outcome.core == [infeasible]
-
-    def test_empty_meet_core_excludes_unrelated(self):
-        x, y = T.bv_var("ivc_mx", 8), T.bv_var("ivc_my", 8)
-        lo = T.ult(T.bv(10, 8), x)  # x > 10
-        hi = T.ult(x, T.bv(5, 8))  # x < 5
-        unrelated = T.ule(y, T.bv(100, 8))
-        outcome = analyze_slice([unrelated, lo, hi])
-        assert outcome.verdict is False
-        assert set(outcome.core) == {lo, hi}
-
-    def test_disequality_trim_core(self):
-        x = T.bv_var("ivc_tx", 8)
-        conds = [T.ule(x, T.bv(0, 8)), T.bnot(T.eq(x, T.bv(0, 8)))]
-        outcome = analyze_slice(conds)
-        assert outcome.verdict is False
-        assert set(outcome.core) == set(conds)
-
-    def test_box_refutation_core_excludes_unrelated(self):
-        x, y = T.bv_var("ivc_bx", 8), T.bv_var("ivc_by", 8)
-        bound = T.ule(x, T.bv(3, 8))
-        # x + 1 < 1 is false whenever x <= 3 (no wraparound in range).
-        refuted = T.ult(T.add(x, T.bv(1, 8)), T.bv(1, 8))
-        unrelated = T.ule(y, T.bv(9, 8))
-        outcome = analyze_slice([unrelated, bound, refuted])
-        assert outcome.verdict is False
-        assert refuted in outcome.core
-        assert unrelated not in outcome.core
-
-    def test_cores_sound_fuzz(self):
-        """Every reported core must itself be UNSAT (brute force)."""
-        rng = random.Random(20260730)
-        variables = [T.bv_var(f"ivc_f{i}", 8) for i in range(3)]
-        comparisons = {
-            "eq": T.eq, "ult": T.ult, "ule": T.ule, "slt": T.slt, "sle": T.sle
-        }
-
-        def rand_cond():
-            var = rng.choice(variables)
-            const = T.bv(rng.randrange(0, 16), 8)
-            op = rng.choice(sorted(comparisons) + ["neq"])
-            if op == "neq":
-                return T.bnot(T.eq(var, const))
-            build = comparisons[op]
-            return build(var, const) if rng.random() < 0.5 else build(const, var)
-
-        refuted = 0
-        for _ in range(600):
-            conds = [rand_cond() for _ in range(rng.randrange(1, 6))]
-            outcome = analyze_slice(conds)
-            if outcome.verdict is not False:
-                continue
-            refuted += 1
-            core = outcome.core
-            assert core and set(core) <= set(conds)
-            core_vars = sorted(
-                {v for cond in core for v in cond.free_vars()},
-                key=lambda v: str(v.payload),
-            )
-            satisfiable = any(
-                all(evaluate(cond, dict(zip(core_vars, point))) for cond in core)
-                for point in itertools.product(range(256), repeat=len(core_vars))
-            )
-            assert not satisfiable, (conds, core)
-        assert refuted > 50  # the fuzz actually exercised the UNSAT paths
-
-    def test_interval_core_reaches_query_cache(self):
-        """An interval refutation's core feeds UNSAT subsumption."""
-        from repro.smt.solver import CachingSolver, Result
-
-        solver = CachingSolver()
-        x = T.bv_var("ivc_cache_x", 8)
-        contradiction = [T.ult(T.bv(10, 8), x), T.ult(x, T.bv(5, 8))]
-        # Same slice (same variable), but irrelevant to the conflict:
-        # the reported core must exclude it, making the minimal set
-        # strictly smaller than the cache key.
-        padding = T.bnot(T.eq(x, T.bv(7, 8)))
-        assert solver.check(contradiction + [padding]) is Result.UNSAT
-        assert solver.pipeline_stats["interval_unsat"] >= 1
-        assert solver.pipeline_stats["unsat_cores"] >= 1
-        # A *different* superset of the two-conjunct core is subsumed
-        # without any new solve or interval pass.
-        other = T.ule(T.bv_var("ivc_cache_z", 8), T.bv(3, 8))
-        solves_before = solver.num_solves
-        assert solver.check(contradiction + [other]) is Result.UNSAT
-        assert solver.num_solves == solves_before
-        assert solver.cache.subsumption_hits >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -348,13 +348,13 @@ class TestCheckpointTimesStore:
 
 class TestCertificatePersistence:
     def test_certify_run_persists_and_reloads_certificates(self):
-        from repro.smt.preprocess import PreprocessConfig
+        from repro.smt.solver import SolverConfig
 
         with tempfile.TemporaryDirectory() as tmp:
             result = Explorer(
                 build_executor(),
                 store_dir=tmp,
-                preprocess=PreprocessConfig(certify=True),
+                solver_config=SolverConfig(certify=True),
             ).explore()
             assert result.certificates and not result.certificate_failures
             store = ArtifactStore(tmp, certify=True)
@@ -366,10 +366,10 @@ class TestCertificatePersistence:
             certificate_from_state,
             certificate_to_state,
         )
-        from repro.smt.preprocess import PreprocessConfig
+        from repro.smt.solver import SolverConfig
 
         result = Explorer(
-            build_executor(), preprocess=PreprocessConfig(certify=True)
+            build_executor(), solver_config=SolverConfig(certify=True)
         ).explore()
         for cert in result.certificates:
             state = certificate_to_state(cert)

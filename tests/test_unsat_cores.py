@@ -2,9 +2,8 @@
 
 Covers the PR 4 seam end to end: ``Solver.last_core`` (term-level
 cores from the CDCL layer's ``analyzeFinal`` + greedy minimization),
-the rewriter's conjunct provenance, minimal-core storage in
-:class:`QueryCache`, and the ablation flags' behavioural invariants on
-a real exploration workload.
+minimal-core storage in :class:`QueryCache`, and the ablation flags'
+behavioural invariants on a real exploration workload.
 """
 
 import multiprocessing
@@ -14,8 +13,7 @@ import pytest
 from repro.asm import assemble
 from repro.core import BinSymExecutor, Explorer
 from repro.smt import terms as T
-from repro.smt.preprocess import PreprocessConfig, rewrite_slice
-from repro.smt.solver import CachingSolver, QueryCache, Result, Solver
+from repro.smt.solver import CachingSolver, QueryCache, Result, Solver, SolverConfig
 from repro.spec import rv32im
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -97,42 +95,11 @@ class TestConstTrueFastPath:
         assert solver.num_solves == before
 
 
-class TestRewriteProvenance:
-    def test_residual_origin_includes_binding_source(self):
-        x, y = bvv("x"), bvv("y")
-        pin = T.eq(x, T.bv(3, 8))
-        dependent = T.ult(T.add(x, y), T.bv(10, 8))
-        outcome = rewrite_slice([pin, dependent])
-        assert not outcome.unsat
-        assert len(outcome.conditions) == 1
-        [origin] = outcome.origins
-        assert origin == frozenset({pin, dependent})
-
-    def test_conflicting_pins_name_both_conjuncts(self):
-        x, y = bvv("x"), bvv("y")
-        pin1 = T.eq(x, T.bv(3, 8))
-        pin2 = T.eq(x, T.bv(5, 8))
-        noise = T.ult(y, T.bv(10, 8))
-        outcome = rewrite_slice([noise, pin1, pin2])
-        assert outcome.unsat
-        assert outcome.conflict_origin == frozenset({pin1, pin2})
-
-    def test_folded_contradiction_origin(self):
-        x = bvv("x")
-        pin = T.eq(x, T.bv(3, 8))
-        contradiction = T.ugt(x, T.bv(200, 8))
-        outcome = rewrite_slice([pin, contradiction])
-        assert outcome.unsat
-        assert outcome.conflict_origin == frozenset({pin, contradiction})
-
-
 class TestMinimalCoreCaching:
     def test_core_subsumes_unrelated_superset(self):
         """The payoff path: an UNSAT core stored once answers later
         queries that share only the guilty conjuncts."""
-        solver = CachingSolver(
-            preprocess=PreprocessConfig(slicing=False, intervals=False)
-        )
+        solver = CachingSolver()
         x = bvv("x")
         guilty = [T.ult(x, T.bv(5, 8)), T.ugt(x, T.bv(10, 8))]
         padding = [T.ult(x, T.bv(200, 8)), T.ult(x, T.bv(199, 8))]
@@ -144,10 +111,7 @@ class TestMinimalCoreCaching:
         assert solver.cache.subsumption_hits == before + 1
 
     def test_no_cores_no_subsumption_on_disjoint_padding(self):
-        config = PreprocessConfig(
-            slicing=False, intervals=False, unsat_cores=False
-        )
-        solver = CachingSolver(preprocess=config)
+        solver = CachingSolver(solver_config=SolverConfig(unsat_cores=False))
         x = bvv("x")
         guilty = [T.ult(x, T.bv(5, 8)), T.ugt(x, T.bv(10, 8))]
         padding = [T.ult(x, T.bv(200, 8))]
@@ -157,22 +121,6 @@ class TestMinimalCoreCaching:
         assert solver.check([T.ult(x, T.bv(150, 8))] + guilty) is Result.UNSAT
         # Whole-key UNSAT sets cannot subsume across different paddings.
         assert solver.cache.subsumption_hits == before
-
-    def test_core_through_rewrite_bindings(self):
-        """A core over the rewritten residue maps back to original
-        conjuncts (including the equality that produced the binding)."""
-        solver = CachingSolver(preprocess=PreprocessConfig(slicing=False,
-                                                           intervals=False))
-        x, y = bvv("x"), bvv("y")
-        pin = T.eq(x, T.bv(200, 8))
-        lo = T.ult(y, T.bv(10, 8))
-        hi = T.ugt(T.add(x, y), T.bv(250, 8))  # with x == 200 needs y > 50
-        assert solver.check([pin, lo, hi]) is Result.UNSAT
-        sets = list(solver.cache._unsat_sets.values())
-        assert sets, "an UNSAT set must be registered"
-        # Every stored set is a subset of the original conjuncts (the
-        # rewritten residue never leaks into the cache keys).
-        assert all(s <= {pin, lo, hi} for s in sets)
 
 
 class TestQueryCacheInvertedIndex:
@@ -267,10 +215,10 @@ class TestAblationInvariance:
     """Path sets and attribution totals are flag-invariant."""
 
     CONFIGS = {
-        "full": PreprocessConfig(),
-        "no-cores": PreprocessConfig(unsat_cores=False),
-        "no-trail": PreprocessConfig(trail_reuse=False),
-        "neither": PreprocessConfig(unsat_cores=False, trail_reuse=False),
+        "full": SolverConfig(),
+        "no-cores": SolverConfig(unsat_cores=False),
+        "no-trail": SolverConfig(trail_reuse=False),
+        "neither": SolverConfig(unsat_cores=False, trail_reuse=False),
     }
 
     def explore(self, config, jobs=1):
@@ -278,7 +226,7 @@ class TestAblationInvariance:
             build_executor(SATURATING),
             jobs=jobs,
             use_cache=True,
-            preprocess=config,
+            solver_config=config,
         ).explore()
 
     def test_path_sets_identical_across_flags(self):
@@ -298,7 +246,7 @@ class TestAblationInvariance:
 
     @pytest.mark.skipif(not HAS_FORK, reason="fork start method unavailable")
     def test_parallel_matches_serial_with_cores(self):
-        serial = self.explore(PreprocessConfig())
-        parallel = self.explore(PreprocessConfig(), jobs=2)
+        serial = self.explore(SolverConfig())
+        parallel = self.explore(SolverConfig(), jobs=2)
         assert parallel.path_set() == serial.path_set()
         assert parallel.workers == 2

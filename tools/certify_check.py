@@ -3,8 +3,8 @@
 
 Each workload is explored in certify mode — serial and on a 4-worker
 pool, once with the plain incremental solver that exploration uses by
-default and once with the cached query pipeline that ``--store`` runs
-use — and the gate asserts the full evidence contract:
+default and once with the query cache that ``--store`` runs use — and
+the gate asserts the full evidence contract:
 
 * no answer failed certification (``certify_failures == 0``),
 * every query the SAT core solved was certified: its UNSAT answer by
@@ -45,7 +45,7 @@ from repro.core.certificates import (  # noqa: E402
 )
 from repro.eval.engines import make_engine  # noqa: E402
 from repro.eval.workloads import WORKLOADS  # noqa: E402
-from repro.smt.preprocess import PreprocessConfig  # noqa: E402
+from repro.smt.solver import SolverConfig  # noqa: E402
 from repro.spec import rv32im  # noqa: E402
 
 #: The paper's Fig. 6 workload set, at scales small enough for CI.
@@ -71,8 +71,10 @@ def build_explorer(
 ) -> Explorer:
     spec = WORKLOADS[workload]
     engine = make_engine("binsym", rv32im(), spec.image(WORKLOAD_SCALES[workload]))
-    preprocess = PreprocessConfig(certify=certify, proof_log=proof_log)
-    return Explorer(engine, jobs=jobs, use_cache=use_cache, preprocess=preprocess)
+    solver_config = SolverConfig(certify=certify, proof_log=proof_log)
+    return Explorer(
+        engine, jobs=jobs, use_cache=use_cache, solver_config=solver_config
+    )
 
 
 def check_certified(workload: str, baseline, certified, label: str) -> list[str]:

@@ -22,9 +22,12 @@ contract is stricter than the degradation one — corruption must be
 * the path set is **identical** to the clean run (a poisoned cached
   answer must be quarantined and re-solved, never served),
 * total query attribution is conserved (a poisoned hit becomes a miss
-  plus a fresh solve; no query disappears), and
-* at least one quarantine is observed per workload (summed over the
-  schedules), proving the fault actually fired and was detected.
+  plus a fresh solve; no query disappears),
+* the schedule fires on every workload, and
+* at least one quarantine is observed over the workload set, proving
+  poisoned entries are detected when read back.  Only a cache hit
+  reads an entry back, so a workload without hits can neither serve
+  nor detect its poison.
 
 ``--hang`` runs the PR 9 *liveness* gate: pool workers are wedged by a
 ``hang=`` schedule (heartbeats stop, the task is never answered) and
@@ -169,6 +172,7 @@ def check_corruption_invariant(workload, clean, corrupted, label: str) -> list[s
 
 def run_corruption_gate(seeds: int, jobs: int) -> int:
     failures: list[str] = []
+    total_quarantines = 0
     for workload in WORKLOAD_SCALES:
         start = time.perf_counter()
         clean = build_explorer(workload).explore()
@@ -195,11 +199,7 @@ def run_corruption_gate(seeds: int, jobs: int) -> int:
                     f"quarantines="
                     f"{corrupted.solver_stats.get('cache_quarantines', 0)}"
                 )
-        if corruptions and not quarantines:
-            failures.append(
-                f"{workload}: {corruptions} injected corruption(s) but no "
-                f"quarantine — poisoned entries went undetected"
-            )
+        total_quarantines += quarantines
         if not corruptions:
             failures.append(
                 f"{workload}: corrupt schedule never fired — the gate "
@@ -210,14 +210,19 @@ def run_corruption_gate(seeds: int, jobs: int) -> int:
             f"{corruptions} corruptions / {quarantines} quarantines, "
             f"{time.perf_counter() - start:.1f}s"
         )
+    if not total_quarantines:
+        failures.append(
+            "injected corruptions but no quarantine on any workload — "
+            "poisoned entries went undetected"
+        )
     if failures:
         print(f"\ncorruption gate FAILED ({len(failures)} violation(s)):")
         for failure in failures:
             print(f"  - {failure}")
         return 1
     print(
-        "\ncorruption gate passed: every poisoned entry was quarantined "
-        "and re-solved"
+        f"\ncorruption gate passed: no poisoned entry was served; "
+        f"{total_quarantines} read back were quarantined and re-solved"
     )
     return 0
 

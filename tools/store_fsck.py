@@ -122,7 +122,7 @@ def _build_real_store(root: Path) -> None:
     from repro.core import Explorer
     from repro.eval.engines import make_engine
     from repro.eval.workloads import WORKLOADS
-    from repro.smt.preprocess import PreprocessConfig
+    from repro.smt.solver import SolverConfig
     from repro.spec import rv32im
 
     spec = WORKLOADS["base64-encode"]
@@ -130,7 +130,7 @@ def _build_real_store(root: Path) -> None:
     result = Explorer(
         engine,
         use_cache=True,
-        preprocess=PreprocessConfig(unsat_cores=True, certify=True),
+        solver_config=SolverConfig(unsat_cores=True, certify=True),
         store_dir=str(root),
     ).explore()
     assert result.num_paths > 0, "self-test workload found no paths"
