@@ -221,7 +221,8 @@ done:
         assert "2 paths" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", [
-        ["--no-unsat-cores"], ["--core-budget", "0"],
+        pytest.param(["--no-unsat-cores"], id="flag3"),
+        pytest.param(["--core-budget", "0"], id="flag4"),
     ])
     def test_pipeline_flag_requires_store(self, program_file, capsys, flag):
         with pytest.raises(SystemExit) as exit_info:

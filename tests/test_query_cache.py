@@ -137,7 +137,14 @@ class TestCachingSolverCorrectness:
         # UNSAT even on a fresh solver where it is satisfiable.
         assert len(solver.cache) == 0
         assert solver.cache.hits == 0
+
+    def test_tainted_solver_bypasses_pipeline(self):
+        solver = CachingSolver()
+        x = bvv("tnx")
+        solver.add(T.ult(x, T.bv(4, 8)))
+        assert solver.check([T.ugt(x, T.bv(9, 8))]) is Result.UNSAT
         assert solver.pipeline_stats["queries"] == 0
+        assert len(solver.cache) == 0
 
     def test_statistics_shape(self):
         cache = QueryCache()
