@@ -16,6 +16,8 @@ their symbolic input with the ``make_symbolic`` ecall (a7=1337), or via
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
 from pathlib import Path
 
@@ -388,7 +390,17 @@ def main(argv=None) -> int:
                 f"{', '.join(given)}: requires --store, the only "
                 f"configuration with a query cache"
             )
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro explore ... | head``).  Point
+        # stdout at devnull so the flush at exit cannot raise again, and
+        # exit like a process killed by SIGPIPE: 1 means assertion
+        # failures were found.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
 
 
 if __name__ == "__main__":

@@ -1,45 +1,47 @@
-"""Multi-process path exploration: a supervised work-queue over forks.
+"""Multi-process path exploration: worker-local frontiers and a broker.
 
 The offline executor restarts the SUT once per path, and the runs are
-independent given their input assignments — which makes the exploration
-loop embarrassingly parallel apart from the frontier.  This module
-keeps the frontier (and the chosen search strategy) in the parent and
-fans the concolic runs out over a pool of forked workers:
+independent given their input assignments, so exploration parallelizes
+apart from the frontier.  This module splits the frontier over a pool of
+forked workers (see :func:`_worker_main`).  Each worker owns a
+:class:`~repro.core.scheduler.Frontier` with the campaign's strategy and
+seed, plus its own solver and explored-prefix trie: it pops its next
+item itself, runs and expands it, pushes the children, and streams the
+result home without waiting for an answer.  Non-DFS strategies thus
+order each worker's own frontier, and coverage novelty is scored against
+the worker's own covered set; path sets do not depend on the order, but
+``--max-paths`` truncation and coverage order do.
 
-* the parent pops :class:`~repro.core.scheduler.WorkItem`s and sends
-  ``(task_id, assignment, bound)`` over a per-worker task queue; under
-  DFS a free seat takes the newest item whose snapshot it captured (or
-  that has none) and steals the oldest item only when it holds none
-  (work stealing), so flip children resume on the worker that owns
-  their snapshot,
-* each worker owns its *own* :class:`~repro.smt.solver.Solver` (plus
-  query cache and explored-prefix trie), executes the run, performs the
-  branch-flip expansion locally, and streams back the path summary, the
-  newly discovered frontier entries, and exact per-run solver stats,
-* the parent records paths, aggregates statistics, scores coverage
-  novelty against the global covered-branch set, and pushes the new
-  work items.
+The parent is a broker.  It records paths, sums statistics and keeps a
+per-seat *mirror* of every worker's frontier, built from the child lists
+the replies carry.  It moves work only when a seat runs dry: a global
+item (the root, a requeued or a restored one) if there is one, otherwise
+one stolen from the seat with the most mirrored items — the item that
+seat's strategy would run last (:meth:`Frontier.steal`: under DFS the
+oldest, and so the largest subtree).  Flip dedup stays global: the
+broker checks every child's restart-stable flip digest when the reply
+arrives and sends a *drop* for a duplicate; if the worker already ran
+it, that run's reply and children are discarded.  Only a run that
+diverged from the path its model predicted can re-derive another run's
+flip query.
 
-**Supervision.**  Task queues are per-worker so the parent always
-knows which item each worker holds.  A worker that dies mid-item (OOM
-kill, segfault, injected fault) no longer aborts the campaign: the
-parent requeues the lost item (its snapshot reference, if any, still
-names the *capturing* worker, so it resumes or falls back to full
-re-execution per the PR 5 eviction contract), respawns the worker
-under a fresh incarnation uid with a small backoff, and abandons an
-item only after :data:`MAX_ITEM_FAILURES` deaths *while holding it* —
-recorded as an ``incomplete_paths`` count, never a silent loss.  Fresh
-uids matter twice: a stale ``(uid, handle)`` snapshot reference can
-never alias the respawned worker's pool, and the dead incarnation's
-last cumulative stats dict is preserved rather than overwritten.
+**Supervision.**  A worker that dies (OOM kill, segfault, injected
+fault) does not abort the campaign.  The parent processes every reply
+the dead incarnation sent, then requeues what is left of its mirror on
+the global frontier; the item it was running gets ``failures += 1`` and
+is abandoned as an ``incomplete_paths`` count after
+:data:`MAX_ITEM_FAILURES` deaths, never silently lost.  The seat
+respawns under a fresh incarnation uid with a small backoff, so a stale
+``(uid, handle)`` snapshot reference never aliases the new worker's pool
+and the dead incarnation's final stats are kept.  Checkpoint saves and
+deadline drains read the global frontier plus every mirror.
 
-Workers are created with the ``fork`` start method so they inherit the
-executor (ISA, image, interpreter) without pickling — interned terms
-cannot round-trip through pickle, and the formal-spec layer has no
-reason to be serializable.  Input assignments cross the process
-boundary by variable *name* (see :mod:`repro.core.scheduler`).  On
-platforms without ``fork`` the driver transparently falls back to the
-single-process explorer, which discovers the identical path set.
+Workers are forked so they inherit the executor (ISA, image,
+interpreter) without pickling: interned terms cannot round-trip through
+pickle.  Input assignments cross the process boundary by variable
+*name* (see :mod:`repro.core.scheduler`).  Without ``fork`` the driver
+falls back to the single-process explorer, which discovers the identical
+path set.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ import os
 import threading
 import time
 import traceback
-from collections import deque
 from multiprocessing import connection as mp_connection
 from typing import Optional
 
@@ -85,7 +86,7 @@ __all__ = [
     "DEFAULT_HANG_TIMEOUT",
 ]
 
-#: Worker deaths while holding the *same* item before the supervisor
+#: Worker deaths while running the *same* item before the supervisor
 #: abandons it as an ``incomplete`` path instead of retrying.
 MAX_ITEM_FAILURES = 3
 
@@ -100,9 +101,11 @@ HEARTBEAT_INTERVAL = 0.25
 #: on a loaded machine never trips it).
 DEFAULT_HANG_TIMEOUT = 5.0
 
-#: First element of a liveness message on the reply pipe.  Real replies
-#: lead with an integer task id, so the tag can never collide.
+#: First element of a liveness message on the reply pipe.  Run replies
+#: lead with an integer item id, so the tags can never collide.
 _HEARTBEAT = "__heartbeat__"
+#: First element of a steal answer: ``(_STOLEN, item_id or None)``.
+_STOLEN = "__stolen__"
 
 
 class _DeadlineExpired(Exception):
@@ -133,261 +136,341 @@ def _backoff_delay(seed: int, uid: int, respawns: int) -> float:
     return base * jitter
 
 
-def _worker_main(
-    executor,
-    worker_uid,
-    use_cache,
-    dedup_flips,
-    solver_config,
-    snapshots,
-    task_queue,
-    reply_conn,
-    faults,
-    memory_budget_mb,
-    store_dir,
-):
-    """Worker loop: execute runs and expand their branch flips.
+def _worker_main(pool, worker_uid, control, reply_conn):
+    """Worker loop: run items from a local frontier, stream the results.
 
-    Replies are ``(task_id, path_payload, children, stats_payload)`` on
-    success or ``(task_id, None, traceback_text, None)`` on failure,
-    sent over this incarnation's *private* reply pipe.  A shared reply
-    queue would hold a cross-process write lock during puts — a worker
-    dying at the wrong instant (mp.Queue even writes from a background
-    feeder thread) would leave it locked and wedge every other worker;
-    with one pipe per incarnation a crash can only ever truncate that
-    worker's own stream, which the supervisor treats as a lost item.
-    ``None`` on the task queue shuts the worker down.
+    ``pool`` is the fork-inherited :class:`ProcessPoolExplorer`, whose
+    fields configure the worker.  It owns a :class:`Frontier` with the
+    campaign's strategy and seed, a solver and an explored-prefix trie,
+    and it counts and promotes hot superblock PCs itself, exactly as the
+    serial driver does.  Between runs it drains the ``control`` pipe
+    without blocking (it blocks only with an empty frontier):
 
-    The stats payload carries, besides the per-run :class:`RunStats`
-    fields, the worker uid and the solver's (and snapshot layer's)
-    *cumulative* flat counter dicts: the parent keeps the latest dict
-    per uid and sums them at the end, which is exact — a worker only
-    accrues counters while producing replies, so its last reply carries
-    its final totals (work lost to a mid-item death is requeued, so
-    attribution stays a lower bound exactly like the serial driver's).
+    * ``("task", id, assignment, bound, snapshot_ref, novelty)`` pushes
+      an item;
+    * ``("steal",)`` gives up the item :meth:`Frontier.steal` picks and
+      answers ``(_STOLEN, id)``, or ``(_STOLEN, None)`` with none left;
+    * ``("drop", ids)`` discards those items unless they already ran;
+    * ``None`` shuts the worker down.
 
-    Snapshot handles are process-local, so a task's snapshot reference
-    ``(origin_uid, handle)`` is only honoured when this incarnation
-    captured it; cross-worker items (steals) re-execute from the entry
-    point, which discovers the identical path (counted separately so the
-    benchmark can report the cross-worker re-execution share).
+    The drain comes before the last run's children are pushed, so a
+    steal only ever gives up an item the parent has been told about.
+    Each run then sends one reply ``(id, path_payload, children,
+    run_stats, counters, novelty, running)``: ``children`` lists
+    ``(child_id, assignment, bound, digest, snapshot_handle)``,
+    ``counters`` are the solver's, snapshot layer's, superblock layer's
+    and governor's *cumulative* flat dicts (the parent keeps the latest
+    per uid and sums them at the end), and ``running`` names the item
+    the worker popped next (``None``: it went idle).  A failed run sends
+    ``(id, None, traceback_text, ...)``.  Replies travel on this
+    incarnation's *private* pipe, so a crash can only truncate this
+    worker's own stream; a shared queue's write lock could be left held
+    by a dying writer and wedge every other worker.
 
-    ``faults`` (a :class:`repro.core.faults.FaultPlan` or None) drives
-    deterministic chaos: a scheduled *kill* exits the process the
-    moment the task is received (the parent requeues it), a *hang*
-    stops the heartbeat thread and parks the worker in an infinite
-    sleep (a wedged process the watchdog must detect and kill),
-    *memhogs* leak ballast to drive the memory governor, *evictions*
-    purge the snapshot pool before the run, *give-ups* make scheduled
-    CDCL solves answer UNKNOWN, and *hiccups* stall the reply briefly
-    to widen the reply/death race window the supervisor must tolerate.
+    Snapshot handles are process-local: a task's ``(origin_uid, handle)``
+    reference is honoured only by the incarnation that captured it, and
+    any other item re-executes from the entry point, which discovers the
+    identical path (counted in ``snap_cross_worker_items``).
 
-    **Liveness.**  A daemon thread beats every
-    :data:`HEARTBEAT_INTERVAL` seconds on the reply pipe (tagged
-    :data:`_HEARTBEAT`, distinguishable from replies by its string
-    first element).  The GIL guarantees the thread gets scheduled even
-    while the main thread grinds through pure-Python work, so a long
-    run never reads as a hang — only a genuinely wedged process goes
-    silent.  Both threads send under one lock so messages never
-    interleave on the pipe.
+    ``pool.faults`` drives deterministic chaos, keyed by the number of
+    runs this incarnation started: *kill* exits before the run, *hang*
+    stops the heartbeat and sleeps forever (a wedged process only the
+    watchdog recovers), *memhog* leaks ballast for the memory governor,
+    *evict* purges the snapshot pool, *unknown* makes scheduled CDCL
+    solves give up, and *hiccup* stalls the reply.  A daemon thread
+    beats every :data:`HEARTBEAT_INTERVAL` seconds on the reply pipe;
+    the GIL schedules it even while the main thread grinds through a
+    long run, and both threads send under one lock.
     """
-    solver = make_solver(use_cache, solver_config, store_dir)
+    executor = pool.executor
+    faults = pool.faults
+    solver = make_solver(pool.use_cache, pool.solver_config, pool.store_dir)
     install_fault_hooks(solver, faults, worker_uid)
-    certify = solver_config is not None and solver_config.certify
+    certify = pool.solver_config is not None and pool.solver_config.certify
     purge = getattr(executor, "purge_snapshots", None)
-    trie = ExploredPrefixTrie() if dedup_flips else None
+    trie = ExploredPrefixTrie() if pool.dedup_flips else None
     send_lock = threading.Lock()
     hb_stop = threading.Event()
 
-    def _heartbeat_loop():
+    def send(message):
+        with send_lock:
+            reply_conn.send(message)
+
+    def heartbeat_loop():
         while not hb_stop.wait(HEARTBEAT_INTERVAL):
             try:
-                with send_lock:
-                    reply_conn.send((_HEARTBEAT, worker_uid))
-            except (OSError, ValueError, BrokenPipeError):
+                send((_HEARTBEAT, worker_uid))
+            except (OSError, ValueError):
                 return  # parent went away; the process is exiting
 
-    threading.Thread(target=_heartbeat_loop, daemon=True).start()
+    threading.Thread(target=heartbeat_loop, daemon=True).start()
     # Per-worker memory governor: RSS is per-process, so every worker
     # walks its own degradation ladder over its own caches and pool.
-    capture_state = {"snapshots": snapshots}
+    capture_state = {"snapshots": pool.snapshots}
     governor = None
-    if memory_budget_mb is not None:
+    if pool.memory_budget_mb is not None:
         from .governor import build_exploration_governor
 
         governor = build_exploration_governor(
-            memory_budget_mb, executor, solver, capture_state
+            pool.memory_budget_mb, executor, solver, capture_state
         )
     memhog_leaks: list = []
     cross_worker_items = 0
-    tasks_done = 0
-    note_hot = getattr(executor, "note_hot_pcs", None)
-    hot_applied: set = set()
-    # Under snapshot-affine dispatch a worker runs from the entry point
-    # for its first task and afterwards only for its few steals, so
-    # whether it reached ENTRY_HOT_RUNS (and compiled the entry block)
-    # would depend on steal timing.  Counting the fork as one entry run
-    # compiles that block on every worker's first task, keeping the
-    # pool's superblock counters a function of the paths it runs.
+    runs = 0
+    # A worker runs from the entry point for its first item and
+    # afterwards only for its few steals, so whether it reached
+    # ENTRY_HOT_RUNS (and compiled the entry block) would depend on
+    # steal timing.  Counting the fork as one entry run compiles that
+    # block on every worker's first run.
     note_entry = getattr(executor, "note_entry_run", None)
     if note_entry is not None:
         note_entry()
-    while True:
-        task = task_queue.get()
-        if task is None:
-            hb_stop.set()
-            return
-        if faults is not None and faults.should_kill(worker_uid, tasks_done):
-            os._exit(KILL_EXIT_CODE)
-        if faults is not None and faults.should_hang(worker_uid, tasks_done):
-            # Simulate a fully wedged process (hung syscall, C-level
-            # spin): heartbeats stop, the task is never answered, and
-            # only the supervisor's watchdog can recover the seat.
-            hb_stop.set()
-            while True:
-                time.sleep(60)
-        task_id, assignment_payload, bound, snapshot_ref, hot_pcs = task
-        try:
-            if note_hot is not None and hot_pcs:
-                # The parent broadcasts its cumulative hot-branch set
-                # (hotness is global across workers); apply the delta.
-                fresh = [pc for pc in hot_pcs if pc not in hot_applied]
-                if fresh:
-                    hot_applied.update(fresh)
-                    note_hot(fresh)
-            if faults is not None:
-                ballast = faults.memhog_bytes(worker_uid, tasks_done)
-                if ballast:
-                    memhog_leaks.append(bytearray(ballast))
-            capturing = capture_state["snapshots"]
-            if faults is not None and purge is not None and capturing:
-                if faults.should_evict(worker_uid, tasks_done):
-                    purge()
-            assignment = deserialize_assignment(assignment_payload)
-            if capturing:
-                resume = None
-                if snapshot_ref is not None:
-                    if snapshot_ref[0] == worker_uid:
-                        resume = snapshot_ref[1]
-                    else:
-                        cross_worker_items += 1
-                run = executor.execute_from(
-                    resume, assignment, capture_from=bound
+    note_hot = getattr(executor, "note_hot_pcs", None)
+    if note_hot is not None and not getattr(executor, "superblocks_enabled", False):
+        note_hot = None
+    hot_counts: dict = {}
+    hot_sent: set = set()
+    frontier = Frontier(pool.strategy_name, pool.seed)
+    covered: set = set()
+    dropped: set = set()
+    next_id = 0
+    children: list = []  # the last run's, pushed after the control drain
+    reply = None  # the last run's, sent once the next item is chosen
+
+    def take(method):
+        """The next item ``method`` yields that was not dropped."""
+        while frontier:
+            item = method()
+            if item.id not in dropped:
+                return item
+            dropped.discard(item.id)
+        return None
+
+    def handle(message) -> bool:
+        """Apply one control message; False means shut down."""
+        nonlocal cross_worker_items
+        if message is None:
+            return False
+        if message[0] == "task":
+            _, item_id, assignment, bound, snapshot_ref, novelty = message
+            own = snapshot_ref is not None and snapshot_ref[0] == worker_uid
+            if snapshot_ref is not None and not own:
+                cross_worker_items += 1
+            frontier.push(
+                WorkItem(
+                    deserialize_assignment(assignment),
+                    bound,
+                    novelty=novelty,
+                    snapshot=snapshot_ref[1] if own else None,
+                    divergence=bound - 1 if bound else None,
+                    id=item_id,
                 )
-            else:
-                run = executor.execute(assignment)
-            if governor is not None:
-                governor.maybe_step()
-            stats = RunStats()
-            children = expand_run(
-                run,
-                bound,
-                solver,
-                executor.input_variables(),
-                stats,
-                trie,
-                compute_digests=True,
-                snapshots=run.snapshots if snapshots else None,
             )
-            path_payload = (
-                run.halt_reason,
-                run.exit_code,
-                run.instret,
-                len(run.trace),
-                serialize_assignment(run.assignment),
-                run.stdout,
-                run.final_pc,
-                run.resumed_instret,
-                query_digest(run.trace.conditions()) if certify else None,
-            )
-            # child.divergence is not shipped: it always equals
-            # bound - 1 for flip children, so the parent re-derives it.
-            child_payloads = [
-                (
-                    serialize_assignment(child.assignment),
-                    child.bound,
-                    child.digest,
-                    child.snapshot,
+        elif message[0] == "steal":
+            item = take(frontier.steal)
+            send((_STOLEN, item.id if item is not None else None))
+        else:
+            dropped.update(message[1])
+        return True
+
+    try:
+        while True:
+            while control.poll():
+                if not handle(control.recv()):
+                    return
+            for child in children:
+                frontier.push(child)
+            item = take(frontier.pop)
+            if reply is not None:
+                send(reply + (item.id if item is not None else None,))
+                reply = None
+            if item is None:
+                if not handle(control.recv()):
+                    return
+                continue
+            if faults is not None and faults.should_kill(worker_uid, runs):
+                os._exit(KILL_EXIT_CODE)
+            if faults is not None and faults.should_hang(worker_uid, runs):
+                # Simulate a fully wedged process (hung syscall, C-level
+                # spin): heartbeats stop, the item is never answered,
+                # and only the supervisor's watchdog can recover the seat.
+                hb_stop.set()
+                while True:
+                    time.sleep(60)
+            children = []
+            try:
+                if faults is not None:
+                    ballast = faults.memhog_bytes(worker_uid, runs)
+                    if ballast:
+                        memhog_leaks.append(bytearray(ballast))
+                capturing = capture_state["snapshots"]
+                if faults is not None and purge is not None and capturing:
+                    if faults.should_evict(worker_uid, runs):
+                        purge()
+                if capturing:
+                    run = executor.execute_from(
+                        item.snapshot, item.assignment, capture_from=item.bound
+                    )
+                else:
+                    run = executor.execute(item.assignment)
+                if governor is not None:
+                    governor.maybe_step()
+                stats = RunStats()
+                children = expand_run(
+                    run,
+                    item.bound,
+                    solver,
+                    executor.input_variables(),
+                    stats,
+                    trie,
+                    compute_digests=True,
+                    snapshots=run.snapshots if pool.snapshots else None,
                 )
-                for child in children
-            ]
-            snapshot_stats = getattr(executor, "snapshot_statistics", None)
-            if snapshot_stats is not None and snapshots:
-                snapshot_stats = dict(snapshot_stats)
-                snapshot_stats["snap_cross_worker_items"] = cross_worker_items
-            else:
-                snapshot_stats = {}
-            superblock_stats = getattr(executor, "superblock_statistics", None)
-            if superblock_stats is not None and getattr(
-                executor, "superblocks_enabled", False
-            ):
-                superblock_stats = dict(superblock_stats)
-            else:
-                superblock_stats = {}
-            stats_payload = (
-                stats.sat_checks,
-                stats.unsat_checks,
-                stats.cache_hits,
-                stats.fast_path_answers,
-                stats.sat_solves,
-                stats.pruned_queries,
-                stats.solver_time,
-                tuple(stats.covered_pcs),
-                worker_uid,
-                solver.pipeline_statistics,
-                snapshot_stats,
-                tuple(stats.pc_hits.items()),
-                superblock_stats,
-                stats.unknown_queries,
-                governor.statistics if governor is not None else {},
-            )
-            if faults is not None:
-                delay = faults.hiccup_delay(worker_uid, tasks_done)
-                if delay:
-                    time.sleep(delay)
-            with send_lock:
-                reply_conn.send(
-                    (task_id, path_payload, child_payloads, stats_payload)
+                novelty = len(stats.covered_pcs - covered)
+                covered |= stats.covered_pcs
+                if note_hot is not None and stats.pc_hits:
+                    newly_hot = []
+                    for pc, count in stats.pc_hits.items():
+                        total = hot_counts.get(pc, 0) + count
+                        hot_counts[pc] = total
+                        if total >= BRANCH_HOT_HITS and pc not in hot_sent:
+                            hot_sent.add(pc)
+                            newly_hot.append(pc)
+                    if newly_hot:
+                        note_hot(newly_hot)
+                stats.pc_hits = {}  # hotness stays local; do not ship it
+                for child in children:
+                    child.id, child.novelty = next_id, novelty
+                    next_id += 1
+                path_payload = (
+                    run.halt_reason,
+                    run.exit_code,
+                    run.instret,
+                    len(run.trace),
+                    serialize_assignment(run.assignment),
+                    run.stdout,
+                    run.final_pc,
+                    run.resumed_instret,
+                    query_digest(run.trace.conditions()) if certify else None,
                 )
-        except Exception:
-            with send_lock:
-                reply_conn.send((task_id, None, traceback.format_exc(), None))
-        tasks_done += 1
+                snapshot_stats = getattr(executor, "snapshot_statistics", None)
+                if snapshot_stats is not None and pool.snapshots:
+                    snapshot_stats = dict(snapshot_stats)
+                    snapshot_stats["snap_cross_worker_items"] = cross_worker_items
+                else:
+                    snapshot_stats = {}
+                superblock_stats = getattr(executor, "superblock_statistics", None)
+                if superblock_stats is not None and getattr(
+                    executor, "superblocks_enabled", False
+                ):
+                    superblock_stats = dict(superblock_stats)
+                else:
+                    superblock_stats = {}
+                counters = (
+                    solver.pipeline_statistics,
+                    snapshot_stats,
+                    superblock_stats,
+                    governor.statistics if governor is not None else {},
+                )
+                if faults is not None:
+                    delay = faults.hiccup_delay(worker_uid, runs)
+                    if delay:
+                        time.sleep(delay)
+                child_payloads = [
+                    (c.id, serialize_assignment(c.assignment), c.bound, c.digest, c.snapshot)
+                    for c in children
+                ]
+                reply = (item.id, path_payload, child_payloads, stats, counters, novelty)
+            except Exception:
+                children = []
+                send((item.id, None, traceback.format_exc(), None, None, None, None))
+            runs += 1
+    except (EOFError, OSError):
+        return  # the parent closed the pipes; nothing left to answer
+    finally:
+        hb_stop.set()
 
 
 class _WorkerSlot:
     """Parent-side bookkeeping for one worker seat.
 
     A *seat* survives its process: when the incarnation dies, the seat
-    is revived with a fresh uid, a fresh task queue (a task the dead
-    worker never consumed must not leak to its successor — the parent
-    requeues it instead), a fresh reply pipe, and the respawn count for
-    backoff.
+    is revived with a fresh uid, fresh control and reply pipes, an empty
+    mirror and the respawn count for backoff.
     """
 
     __slots__ = (
         "uid",
         "process",
-        "queue",
+        "control",
         "reply",
-        "task_id",
         "respawns",
         "last_beat",
+        "mirror",
+        "running",
+        "steals",
     )
 
-    def __init__(self, uid, process, queue, reply):
+    def __init__(self, uid, process, control, reply):
         self.uid = uid
         self.process = process
-        self.queue = queue
+        #: Parent's send end of the incarnation's control pipe.
+        self.control = control
         #: Parent's receive end of the incarnation's private reply pipe.
         self.reply = reply
-        #: Task id the seat's worker currently holds (None = idle).
-        self.task_id: Optional[int] = None
         self.respawns = 0
         #: Monotonic time of the incarnation's last message (heartbeat
         #: or reply); seeded at spawn so a fresh seat gets a full
         #: hang-timeout window before the watchdog may judge it.
         self.last_beat = time.monotonic()
+        #: Item id -> ``(assignment, bound, digest, snapshot_ref,
+        #: novelty, failures)`` for every item the seat holds, the
+        #: running one included, in the reply's payload form.
+        self.mirror: dict = {}
+        #: Id of the item the worker is running (None = idle).
+        self.running: Optional[int] = None
+        #: Steal requests sent to this seat and not answered yet.
+        self.steals = 0
+
+    def post(self, message) -> None:
+        """Send a control message; a dead seat is left to the death path."""
+        try:
+            self.control.send(message)
+        except OSError:
+            pass
+
+    def drain(self, messages: list, now: float) -> bool:
+        """Receive everything pending on the reply pipe.
+
+        Appends ``(self, message)`` for every non-heartbeat message and
+        returns whether anything arrived.  EOF or a torn message ends
+        the drain; the death check decides what it means.
+        """
+        delivered = False
+        try:
+            while self.reply.poll():
+                message = self.reply.recv()
+                delivered = True
+                self.last_beat = now
+                if message[0] != _HEARTBEAT:
+                    messages.append((self, message))
+        except (EOFError, OSError):
+            pass
+        return delivered
+
+
+def _item_of(entry) -> WorkItem:
+    """A mirror entry as a :class:`WorkItem` (to requeue or checkpoint)."""
+    assignment, bound, digest, snapshot, novelty, failures = entry
+    return WorkItem(
+        deserialize_assignment(assignment),
+        bound,
+        novelty=novelty,
+        digest=digest,
+        snapshot=snapshot,
+        divergence=bound - 1 if bound else None,
+        failures=failures,
+    )
 
 
 class ProcessPoolExplorer:
@@ -436,9 +519,10 @@ class ProcessPoolExplorer:
         self.dedup_flips = dedup_flips
         self.solver_config = solver_config
         # Snapshots are worker-local (pools are fork-inherited but grow
-        # independently): dispatch prefers the capturing seat, items that
-        # land there resume, and steals re-execute, keeping the discovered
-        # path set and query attribution byte-identical to serial mode.
+        # independently): children stay on the worker that captured
+        # their snapshot and resume there, and only stolen or requeued
+        # items re-execute, keeping the discovered path set and query
+        # attribution identical to serial mode.
         self.snapshots = snapshots and getattr(
             executor, "supports_snapshots", False
         )
@@ -492,53 +576,42 @@ class ProcessPoolExplorer:
     # ------------------------------------------------------------------
 
     def _spawn(self, context, uid) -> _WorkerSlot:
-        """Start one incarnation on fresh task/reply channels."""
-        task_queue = context.SimpleQueue()
-        recv_conn, send_conn = context.Pipe(duplex=False)
+        """Start one incarnation on fresh control/reply pipes."""
+        control_recv, control_send = context.Pipe(duplex=False)
+        reply_recv, reply_send = context.Pipe(duplex=False)
         process = context.Process(
             target=_worker_main,
-            args=(
-                self.executor,
-                uid,
-                self.use_cache,
-                self.dedup_flips,
-                self.solver_config,
-                self.snapshots,
-                task_queue,
-                send_conn,
-                self.faults,
-                self.memory_budget_mb,
-                self.store_dir,
-            ),
+            args=(self, uid, control_recv, reply_send),
             daemon=True,
         )
         process.start()
-        # The child inherited the send end; dropping the parent's copy
-        # makes the pipe EOF as soon as the incarnation dies.
-        send_conn.close()
-        return _WorkerSlot(uid, process, task_queue, recv_conn)
+        # The child inherited its ends; dropping the parent's copies
+        # makes the reply pipe EOF as soon as the incarnation dies, and
+        # a control send to a dead seat fail instead of filling a pipe
+        # nobody reads.
+        control_recv.close()
+        reply_send.close()
+        return _WorkerSlot(uid, process, control_send, reply_recv)
 
     def _await_replies(self, slots, result, deadline_at):
-        """Block until replies arrive or a worker death is detected.
+        """Block until messages arrive or a worker death is detected.
 
-        Returns ``(replies, dead_slots)``.  ``_worker_main`` converts
-        in-task exceptions into error replies, but a hard-killed worker
-        (OOM killer, segfault) posts nothing — without a liveness check
-        the parent would wait forever on a reply that can never arrive.
-        Each incarnation replies on its own pipe, so a crash can only
-        truncate that worker's stream: complete replies racing the
-        death are drained and processed, a torn trailing message is
-        discarded (its item will be requeued), and no shared lock
-        exists for a dying writer to wedge the survivors with.
+        Returns ``(messages, dead_slots)`` with ``messages`` a list of
+        ``(slot, message)`` pairs in per-seat pipe order.  A hard-killed
+        worker (OOM killer, segfault) posts nothing, so liveness is
+        checked here too: a dead seat's pipe is drained to its end after
+        its exit code is posted, so every complete message it sent is
+        processed before its mirror is requeued, and a torn trailing
+        message is discarded (that run is repeated).
 
         **Watchdog.**  Every drained message (heartbeat or reply)
         refreshes the seat's ``last_beat``; a *live* seat silent for
         longer than ``hang_timeout`` is declared hung: the supervisor
         kills it (SIGKILL — a wedged process may ignore SIGTERM),
         counts it in ``hung_workers``, and lets the ordinary death path
-        requeue its item and respawn the seat.  The global deadline is
+        requeue its items and respawn the seat.  The global deadline is
         also enforced here, since heartbeats keep this loop turning
-        even when no worker ever finishes its task.
+        even when no worker ever finishes a run.
         """
         while True:
             if deadline_at is not None and time.monotonic() >= deadline_at:
@@ -547,20 +620,11 @@ class ProcessPoolExplorer:
                 [slot.reply for slot in slots], timeout=0.2
             )
             now = time.monotonic()
-            replies = []
+            messages: list = []
             delivered = False
             for slot in slots:
-                if slot.reply not in ready:
-                    continue
-                try:
-                    while slot.reply.poll():
-                        message = slot.reply.recv()
-                        delivered = True
-                        slot.last_beat = now
-                        if message[0] != _HEARTBEAT:
-                            replies.append(message)
-                except (EOFError, OSError):
-                    pass  # EOF or torn message: the death check decides
+                if slot.reply in ready:
+                    delivered |= slot.drain(messages, now)
             for slot in slots:
                 if slot.process.exitcode is not None:
                     continue
@@ -571,8 +635,12 @@ class ProcessPoolExplorer:
             dead = [
                 slot for slot in slots if slot.process.exitcode is not None
             ]
-            if replies or dead:
-                return replies, dead
+            for slot in dead:
+                # Whatever it wrote after the first drain: its pipe is
+                # final now that the exit code is posted.
+                slot.drain(messages, now)
+            if messages or dead:
+                return messages, dead
             if ready and not delivered:
                 # A pipe signalled EOF but the exit code is not posted
                 # yet: yield briefly instead of spinning on wait().  A
@@ -580,35 +648,32 @@ class ProcessPoolExplorer:
                 # to wait(), so the other seats' replies are not delayed.
                 time.sleep(0.005)
 
-    def _revive(
-        self, slot, replied_ids, in_flight, frontier, result, context
-    ) -> None:
-        """Recover one dead seat: requeue or abandon its item, respawn.
+    def _revive(self, slot, frontier, result, context) -> None:
+        """Recover one dead seat: requeue its mirror, respawn.
 
-        An item whose reply already arrived (``replied_ids``) completed
-        before the death — it is *not* requeued; the pending reply will
-        account for it.  Otherwise the item is lost mid-run: it goes
-        back to the frontier with ``failures`` bumped, or — after
-        :data:`MAX_ITEM_FAILURES` deaths while holding it — is recorded
-        as an ``incomplete`` path.  The requeued item keeps its snapshot
-        reference: it names the *capturing* worker's uid, which either
-        still lives (that seat prefers it and resumes) or never matches
-        again (the item is only stolen and fully re-executed — the same
-        sound fallback as a pool eviction).
+        The item the worker was running goes back to the global
+        frontier with ``failures`` bumped, or — after
+        :data:`MAX_ITEM_FAILURES` deaths while running it — is recorded
+        as an ``incomplete`` path.  The rest of the mirror is requeued
+        unchanged.  Requeued items keep their snapshot references, which
+        name the dead uid and so never match again: they re-execute from
+        the entry point, the same sound fallback as a pool eviction.
         """
         slot.process.join()
         slot.reply.close()
-        task_id = slot.task_id
-        slot.task_id = None
-        if task_id is not None and task_id not in replied_ids:
-            item = in_flight.pop(task_id, None)
-            if item is not None:
+        slot.control.close()
+        for item_id, entry in slot.mirror.items():
+            item = _item_of(entry)
+            if item_id == slot.running:
                 result.worker_deaths += 1
                 item.failures += 1
                 if item.failures >= MAX_ITEM_FAILURES:
                     result.incomplete_paths += 1
-                else:
-                    frontier.push(item)
+                    continue
+            frontier.push(item)
+        slot.mirror = {}
+        slot.running = None
+        slot.steals = 0
         # Seeded-jitter exponential backoff per seat: repeated respawns
         # slow down (capped), one-off crashes restart almost
         # immediately, and simultaneous seat deaths desynchronize.
@@ -620,21 +685,111 @@ class ProcessPoolExplorer:
         fresh = self._spawn(context, self._next_uid)
         slot.uid = fresh.uid
         slot.process = fresh.process
-        slot.queue = fresh.queue
+        slot.control = fresh.control
         slot.reply = fresh.reply
         slot.last_beat = fresh.last_beat
 
+    def _shutdown(self, slots) -> None:
+        """Stop every worker, draining replies so none blocks on a send.
+
+        A worker streams replies without waiting, so at a cut it may be
+        blocked writing into a full reply pipe and never read its
+        shutdown sentinel.  The parent discards replies while it waits;
+        past the grace period it escalates to SIGTERM, then SIGKILL, so
+        shutdown can never hang on a wedged worker.
+        """
+        for slot in slots:
+            slot.post(None)
+        grace_until = time.monotonic() + 5
+        live = list(slots)
+        while live and time.monotonic() < grace_until:
+            ready = mp_connection.wait([slot.reply for slot in live], timeout=0.1)
+            for slot in live:
+                if slot.reply in ready and not slot.drain([], time.monotonic()):
+                    slot.process.join(timeout=1)  # at EOF: reap it
+            live = [slot for slot in live if slot.process.exitcode is None]
+        for slot in live:  # pragma: no cover - defensive
+            slot.process.terminate()
+            slot.process.join(timeout=2)
+            if slot.process.is_alive():
+                slot.process.kill()
+                slot.process.join(timeout=5)
+        for slot in slots:
+            slot.reply.close()
+            slot.control.close()
+
     # ------------------------------------------------------------------
-    # The supervised pool loop
+    # The broker loop
     # ------------------------------------------------------------------
+
+    def _dispatch(self, slots, frontier) -> None:
+        """Give every seat with an empty mirror some work.
+
+        Global items go first.  Otherwise a steal request goes to the
+        seat with the most mirrored items not already promised to a
+        thief, and only if it has at least two, because one of them is
+        running.  Its answer lands on the global frontier.
+        """
+        idle = [slot for slot in slots if not slot.mirror]
+        while idle and frontier:
+            item = frontier.pop()
+            assignment = serialize_assignment(item.assignment)
+            slot = idle.pop()
+            self._next_task -= 1
+            slot.running = self._next_task
+            slot.mirror[slot.running] = (assignment, item.bound, item.digest,
+                                         item.snapshot, item.novelty, item.failures)
+            slot.post(("task", slot.running, assignment, item.bound,
+                       item.snapshot, item.novelty))
+        for _ in range(len(idle) - sum(slot.steals for slot in slots)):
+            victim = max(slots, key=lambda slot: len(slot.mirror) - slot.steals)
+            if len(victim.mirror) - victim.steals < 2:
+                break
+            victim.steals += 1
+            victim.post(("steal",))
+
+    def _absorb(self, slot, reply, result, seen_digests, worker_stats) -> bool:
+        """Fold one run reply into the result; False if it was discarded.
+
+        A reply for an item the mirror no longer holds belongs to a
+        dropped duplicate the worker ran before the drop reached it: the
+        run and its children are discarded, and the children dropped in
+        turn.
+        """
+        item_id, path_payload, children, stats, counters, novelty, running = reply
+        if path_payload is None:
+            raise RuntimeError(f"exploration worker failed:\n{children}")
+        slot.running = running
+        worker_stats[slot.uid] = counters
+        if slot.mirror.pop(item_id, None) is None:
+            if children:
+                slot.post(("drop", [child[0] for child in children]))
+            return False
+        self._record_path(result, path_payload)
+        result.merge_run_stats(stats)
+        # Flip dedup: worker tries are per-process, so a flip query some
+        # other worker already expanded is caught here, before any path
+        # is recorded twice.  Digests are restart-stable, so a resumed
+        # campaign's persisted set also suppresses pre-crash children.
+        duplicates = []
+        mirror = slot.mirror
+        for child_id, assignment, bound, digest, snapshot in children:
+            if digest in seen_digests:
+                result.pruned_queries += 1
+                duplicates.append(child_id)
+                continue
+            seen_digests.add(digest)
+            snapshot_ref = (slot.uid, snapshot) if snapshot is not None else None
+            mirror[child_id] = (assignment, bound, digest, snapshot_ref, novelty, 0)
+        if duplicates:
+            slot.post(("drop", duplicates))
+        return True
 
     def _explore_pool(self) -> ExplorationResult:
-        context = multiprocessing.get_context("fork")
-        self._next_uid = self.jobs - 1
-        slots = [self._spawn(context, uid) for uid in range(self.jobs)]
-
         result = ExplorationResult(workers=self.jobs)
         start = time.perf_counter()
+        # The global frontier: the root, requeued and restored items,
+        # and stolen items on their way to an idle seat.
         frontier = Frontier(self.strategy_name, self.seed)
         manager = None
         restored = None
@@ -649,12 +804,6 @@ class ProcessPoolExplorer:
             )
             if self.resume:
                 restored = manager.load()
-        # Flip-query digests of children already enqueued.  Worker tries
-        # are per-process, so when diverged runs on *different* workers
-        # re-derive the same flip, the duplicate is caught here — same
-        # path set as the serial driver's shared trie.  Digests are
-        # restart-stable, so a resumed campaign's persisted set also
-        # suppresses re-deriving pre-crash children.
         seen_digests: set = set()
         if restored is not None:
             restored.restore_result(result)
@@ -668,202 +817,102 @@ class ProcessPoolExplorer:
         deadline_at = (
             time.monotonic() + self.deadline if self.deadline is not None else None
         )
-        next_task = 0
-        dropped = False
-        #: task id -> WorkItem currently held by some worker.
-        in_flight: dict[int, WorkItem] = {}
-        pending_replies: deque = deque()
-        # Latest cumulative solver/snapshot/superblock counter dicts per
-        # worker incarnation uid (see _worker_main); summed into the
-        # result after the pool drains.  Keyed by uid, so a respawned
-        # seat never overwrites its dead predecessor's final totals.
-        worker_solver_stats: dict[int, dict] = {}
-        worker_snapshot_stats: dict[int, dict] = {}
-        worker_superblock_stats: dict[int, dict] = {}
-        worker_governor_stats: dict[int, dict] = {}
-        # Global superblock hotness: per-PC flippable-branch executions
-        # accumulate across all workers' runs; PCs past the threshold
-        # are broadcast with every task (cumulative tuple — workers
-        # apply the delta), so late-started and idle workers converge on
-        # the same hot set.
-        hot_counts: dict = {}
-        hot_pcs: tuple = ()
-        superblocks_on = getattr(self.executor, "superblocks_enabled", False)
+        # Latest cumulative (solver, snapshot, superblock, governor)
+        # counter dicts per worker incarnation uid (see _worker_main);
+        # summed into the result after the pool drains.  Keyed by uid,
+        # so a respawned seat never overwrites its dead predecessor's
+        # final totals.
+        worker_stats: dict[int, tuple] = {}
+        peak = 0
+        # Forked only now, so a journal that fails to load leaks no worker.
+        context = multiprocessing.get_context("fork")
+        self._next_uid = self.jobs - 1
+        self._next_task = 0  # broker-assigned task ids count down from -1
+        slots = [self._spawn(context, uid) for uid in range(self.jobs)]
+
+        def pending():
+            """Every unfinished item: global frontier plus all mirrors."""
+            yield from frontier.items()
+            for slot in slots:
+                for entry in slot.mirror.values():
+                    yield _item_of(entry)
+
         try:
-            while not resumed_complete and (
-                frontier or in_flight or pending_replies
-            ):
+            while not resumed_complete and result.num_paths < self.max_paths:
                 if deadline_at is not None and time.monotonic() >= deadline_at:
                     raise _DeadlineExpired
-                for slot in slots:
-                    if slot.task_id is not None:
+                self._dispatch(slots, frontier)
+                if not frontier and not any(slot.mirror for slot in slots):
+                    break
+                messages, dead = self._await_replies(slots, result, deadline_at)
+                for slot, message in messages:
+                    if message[0] == _STOLEN:
+                        slot.steals -= 1
+                        entry = slot.mirror.pop(message[1], None)
+                        if entry is not None:
+                            frontier.push(_item_of(entry))
                         continue
-                    if not frontier:
-                        break
-                    if result.num_paths + len(in_flight) >= self.max_paths:
-                        break
-                    item = frontier.pop(_owned_by(slot.uid))
-                    slot.task_id = next_task
-                    in_flight[next_task] = item
-                    slot.queue.put(
-                        (
-                            next_task,
-                            serialize_assignment(item.assignment),
-                            item.bound,
-                            item.snapshot,
-                            hot_pcs,
-                        )
-                    )
-                    next_task += 1
-                if not in_flight and not pending_replies:
-                    break  # path budget exhausted with work left over
-                if not pending_replies:
-                    replies, dead = self._await_replies(
-                        slots, result, deadline_at
-                    )
-                    pending_replies.extend(replies)
-                    if dead:
-                        replied_ids = {reply[0] for reply in pending_replies}
-                        for slot in dead:
-                            self._revive(
-                                slot,
-                                replied_ids,
-                                in_flight,
-                                frontier,
-                                result,
-                                context,
-                            )
+                    if not self._absorb(
+                        slot, message, result, seen_digests, worker_stats
+                    ):
                         continue
-                reply = pending_replies.popleft()
-                task_id, path_payload, children, stats_payload = reply
-                item = in_flight.pop(task_id, None)
-                for slot in slots:
-                    if slot.task_id == task_id:
-                        slot.task_id = None
-                        break
-                if path_payload is None:
-                    raise RuntimeError(f"exploration worker failed:\n{children}")
-                if result.num_paths < self.max_paths:
-                    self._record_path(result, path_payload)
-                else:
-                    dropped = True
-                stats = RunStats(
-                    sat_checks=stats_payload[0],
-                    unsat_checks=stats_payload[1],
-                    cache_hits=stats_payload[2],
-                    fast_path_answers=stats_payload[3],
-                    sat_solves=stats_payload[4],
-                    pruned_queries=stats_payload[5],
-                    solver_time=stats_payload[6],
-                    covered_pcs=set(stats_payload[7]),
-                    pc_hits=dict(stats_payload[11]),
-                    unknown_queries=stats_payload[13],
-                )
-                origin_uid = stats_payload[8]
-                worker_solver_stats[origin_uid] = stats_payload[9]
-                worker_snapshot_stats[origin_uid] = stats_payload[10]
-                if stats_payload[12]:
-                    worker_superblock_stats[origin_uid] = stats_payload[12]
-                if stats_payload[14]:
-                    worker_governor_stats[origin_uid] = stats_payload[14]
-                if superblocks_on and stats_payload[11]:
-                    new_hot = False
-                    for pc, count in stats_payload[11]:
-                        total = hot_counts.get(pc, 0) + count
-                        hot_counts[pc] = total
-                        if total >= BRANCH_HOT_HITS:
-                            new_hot = True
-                    if new_hot:
-                        hot_pcs = tuple(
-                            pc
-                            for pc, count in hot_counts.items()
-                            if count >= BRANCH_HOT_HITS
-                        )
-                novelty = len(stats.covered_pcs - result.covered_branches)
-                result.merge_run_stats(stats)
-                for assignment_payload, bound, digest, snapshot in children:
-                    if digest is not None:
-                        if digest in seen_digests:
-                            result.pruned_queries += 1
-                            continue
-                        seen_digests.add(digest)
-                    frontier.push(
-                        WorkItem(
-                            deserialize_assignment(assignment_payload),
-                            bound,
-                            novelty=novelty,
-                            digest=digest,
-                            snapshot=(
-                                (origin_uid, snapshot)
-                                if snapshot is not None
-                                else None
+                    peak = max(
+                        peak,
+                        len(frontier) + sum(len(slot.mirror) for slot in slots),
+                    )
+                    if manager is not None:
+                        manager.maybe_save(
+                            result,
+                            pending(),
+                            seen_digests,
+                            solver_stats=_summed(
+                                result.solver_stats,
+                                (stats[0] for stats in worker_stats.values()),
                             ),
-                            divergence=bound - 1 if bound else None,
                         )
-                    )
-                if manager is not None:
-                    manager.maybe_save(
-                        result,
-                        frontier.items() + list(in_flight.values()),
-                        seen_digests,
-                        solver_stats=_summed(
-                            result.solver_stats, worker_solver_stats.values()
-                        ),
-                    )
-                if faults is not None and faults.interrupt_after is not None:
-                    if result.num_paths >= faults.interrupt_after:
-                        raise KeyboardInterrupt
+                    if faults is not None and faults.interrupt_after is not None:
+                        if result.num_paths >= faults.interrupt_after:
+                            raise KeyboardInterrupt
+                    if result.num_paths >= self.max_paths:
+                        break
+                else:  # no --max-paths stop: recover the dead seats
+                    for slot in dead:
+                        self._revive(slot, frontier, result, context)
         except KeyboardInterrupt:
             result.interrupted = True
         except _DeadlineExpired:
             result.interrupted = True
             result.deadline_expired = True
         finally:
-            # Bounded shutdown escalation: a cooperative join first,
-            # then SIGTERM, then SIGKILL — close() can never hang the
-            # parent on a worker wedged past its shutdown sentinel.
-            for slot in slots:
-                slot.queue.put(None)
-            for slot in slots:
-                slot.process.join(timeout=5)
-            for slot in slots:
-                if slot.process.is_alive():  # pragma: no cover - defensive
-                    slot.process.terminate()
-                    slot.process.join(timeout=2)
-                if slot.process.is_alive():  # pragma: no cover - defensive
-                    slot.process.kill()
-                    slot.process.join(timeout=5)
-                slot.reply.close()
-        result.truncated = dropped or bool(frontier)
-        result.frontier_peak = max(frontier.peak, result.frontier_peak)
-        for stats_dict in worker_solver_stats.values():
-            result.merge_solver_stats(stats_dict)
-        for stats_dict in worker_snapshot_stats.values():
-            result.merge_snapshot_stats(stats_dict)
-        for stats_dict in worker_superblock_stats.values():
-            result.merge_superblock_stats(stats_dict)
-        for stats_dict in worker_governor_stats.values():
-            result.merge_governor_stats(stats_dict)
+            self._shutdown(slots)
+        unfinished = len(frontier) + sum(len(slot.mirror) for slot in slots)
+        result.truncated = unfinished > 0
+        result.frontier_peak = max(peak, frontier.peak, result.frontier_peak)
+        for solver_stats, snapshot_stats, superblock_stats, governor_stats in (
+            worker_stats.values()
+        ):
+            result.merge_solver_stats(solver_stats)
+            result.merge_snapshot_stats(snapshot_stats)
+            result.merge_superblock_stats(superblock_stats)
+            result.merge_governor_stats(governor_stats)
         if manager is not None and not resumed_complete:
             manager.save(
                 result,
-                frontier.items() + list(in_flight.values()),
+                list(pending()),
                 seen_digests,
-                complete=(
-                    not frontier and not in_flight and not result.interrupted
-                ),
+                complete=not unfinished and not result.interrupted,
                 solver_stats=result.solver_stats,
                 snapshot_stats=result.snapshot_stats,
                 superblock_stats=result.superblock_stats,
                 governor_stats=result.governor_stats,
             )
         if result.deadline_expired:
-            # Anytime accounting: drained frontier plus still-in-flight
-            # items are the explicitly counted unexplored paths.  Added
-            # only AFTER the final checkpoint save — ``--resume``
-            # restores those items and re-explores them, so persisting
-            # the count too would double-book them.
-            result.incomplete_paths += len(frontier.drain()) + len(in_flight)
+            # Anytime accounting: the global frontier plus every mirror
+            # are the explicitly counted unexplored paths.  Added only
+            # AFTER the final checkpoint save — ``--resume`` restores
+            # those items and re-explores them, so persisting the count
+            # too would double-book them.
+            result.incomplete_paths += unfinished
         if self.solver_config is not None and self.solver_config.certify:
             # The parent never executed the SUT, so its executor is a
             # pristine replay vehicle for the certificates the workers'
@@ -911,21 +960,6 @@ class ProcessPoolExplorer:
                 condition_digest=condition_digest,
             )
         )
-
-
-def _owned_by(uid: int):
-    """Pop preference of a free seat: the items it owns.
-
-    A seat owns the items whose snapshot it captured.  An item without a
-    snapshot — the root, checkpoint-restored items (handles dropped),
-    every item of a pool that captures none or stopped capturing under
-    memory pressure — re-executes from the entry point on any seat, so
-    it counts as every seat's own: with no snapshots at all, DFS
-    dispatch stays plain LIFO instead of stealing-oldest into BFS order.
-    Items whose capturing incarnation died match no live seat; they are
-    only ever stolen and re-executed, like an evicted handle.
-    """
-    return lambda item: item.snapshot is None or item.snapshot[0] == uid
 
 
 def _summed(base: dict, live_dicts) -> dict:

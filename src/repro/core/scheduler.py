@@ -9,7 +9,7 @@ operate on
   the branch index below which ancestors already enumerated flips),
 * :class:`Frontier` — the work queue, parameterized by a pluggable
   :mod:`repro.core.strategy` policy (DFS, BFS, random, coverage-guided)
-  with push/pop/peak-size accounting,
+  with push/pop/steal/peak-size accounting,
 * :func:`expand_run` — the branch-flip step of the paper's offline
   executor (Sect. III-B): pose one solver query per flippable branch
   beyond the bound, collect satisfiable flips as new work items,
@@ -73,11 +73,14 @@ class WorkItem:
     #: a future distributed tier can validate shipped state against its
     #: divergence point without re-deriving it from the bound.
     divergence: Optional[int] = None
-    #: Times a worker died while holding this item.  The supervisor
+    #: Times a worker died while running this item.  The supervisor
     #: requeues lost items and gives up (recording an *incomplete* path)
     #: once this crosses its retry budget, so one poisonous input cannot
     #: crash-loop the campaign forever.
     failures: int = 0
+    #: The worker pool's name for this item while a worker holds it, so
+    #: the broker can steal or drop it (``None`` outside the pool).
+    id: Optional[int] = None
 
 
 # Structural digests live in repro.smt.digest — one restart-stable
@@ -114,17 +117,16 @@ class Frontier:
         self.pushed += 1
         self.peak = max(self.peak, len(self._strategy))
 
-    def pop(self, prefer=None) -> WorkItem:
-        """Next item per the strategy.
-
-        ``prefer`` (item -> bool) lets the worker pool favour items
-        the free seat owns; see
-        :meth:`repro.core.strategy.Strategy.pop_preferring`.
-        """
+    def pop(self) -> WorkItem:
+        """Next item per the strategy."""
         self.popped += 1
-        if prefer is None:
-            return self._strategy.pop()
-        return self._strategy.pop_preferring(prefer)
+        return self._strategy.pop()
+
+    def steal(self) -> WorkItem:
+        """The item to hand an idle worker; see
+        :meth:`repro.core.strategy.Strategy.steal`."""
+        self.popped += 1
+        return self._strategy.steal()
 
     def items(self) -> list:
         """Non-destructive snapshot of the queued items (checkpointing)."""

@@ -3,7 +3,8 @@
 The paper's BinSym uses depth-first search (Sect. III-B); BFS and a
 seeded random strategy are provided for the search-strategy ablation
 (``benchmarks/bench_ablation_search.py``).  A strategy is just a
-worklist policy: ``push`` pending flip candidates, ``pop`` the next one.
+worklist policy: ``push`` pending flip candidates, ``pop`` the next one,
+and ``steal`` the one the worker pool hands a worker that ran dry.
 """
 
 from __future__ import annotations
@@ -33,13 +34,11 @@ class Strategy:
     def pop(self) -> Any:
         raise NotImplementedError
 
-    def pop_preferring(self, prefer) -> Any:
-        """Pop, favouring items for which ``prefer(item)`` is true.
+    def steal(self) -> Any:
+        """Remove the item to hand a worker that ran dry.
 
-        The worker pool passes "this seat owns the item" (it captured
-        the item's snapshot, or the item has none).
-        Policies whose order is the point of the strategy (BFS, random,
-        coverage) ignore the hint and pop exactly what :meth:`pop` would.
+        The worker pool asks the busiest worker for it.  By default that
+        is what :meth:`pop` would take next.
         """
         return self.pop()
 
@@ -70,18 +69,10 @@ class DepthFirst(Strategy):
     def pop(self):
         return self._items.pop()
 
-    def pop_preferring(self, prefer):
-        """Work stealing: the newest preferred item, else the oldest.
-
-        A seat's own items are taken LIFO like :meth:`pop`; with none
-        pending it steals from the bottom of the stack — the shallowest
-        item, and so the largest subtree to keep it busy.
-        """
-        items = self._items
-        for index in range(len(items) - 1, -1, -1):
-            if prefer(items[index]):
-                return items.pop(index)
-        return items.pop(0)
+    def steal(self):
+        """The oldest item: the one :meth:`pop` would take last, and the
+        shallowest, so the largest subtree to keep the thief busy."""
+        return self._items.pop(0)
 
     def items(self) -> list:
         return list(self._items)

@@ -27,6 +27,7 @@ from repro.smt.solver import SolverConfig
 from repro.smt.sat import SatSolver
 from repro.smt.solver import CachingSolver, Result, Solver
 from tests.test_faults import (
+    assert_journal_resumable,
     assert_subset_or_accounted,
     build_executor,
     needs_fork,
@@ -156,11 +157,15 @@ class TestDeadline:
             ).explore()
             assert cut.deadline_expired
             assert cut.num_paths + cut.incomplete_paths >= 1
+            assert_journal_resumable(
+                tmp, paths=cut.num_paths, pending=cut.incomplete_paths, jobs=2
+            )
             resumed = Explorer(
                 build_executor(), jobs=2, checkpoint_dir=tmp, resume=True
             ).explore()
         assert resumed.path_set() == baseline.path_set()
         assert resumed.incomplete_paths == 0
+        assert resumed.total_instructions == baseline.total_instructions
 
     def test_deadline_expired_run_terminates_promptly(self):
         start = time.monotonic()

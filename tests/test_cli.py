@@ -1,10 +1,16 @@
 """Tests for the `repro` command-line interface."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PROGRAM = """\
 _start:
@@ -334,3 +340,26 @@ _start:
     ecall
 """)
         assert main(["--isa", "rv32im+zbb", "run", str(path)]) == 0xF0
+
+
+def test_closed_stdout_exits_like_sigpipe(tmp_path):
+    """``repro explore prog.s | head`` prints no traceback and does not
+    exit 1, which means assertion failures were found: it exits 141
+    (128 + SIGPIPE), like a process the signal killed."""
+    source = tmp_path / "ranges.s"
+    source.write_text(RANGES)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    )
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "explore", str(source)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    process.stdout.close()  # the reader is gone before the first write
+    stderr = process.stderr.read()
+    process.stderr.close()
+    assert process.wait(timeout=120) == 141
+    assert b"Traceback" not in stderr, stderr.decode()

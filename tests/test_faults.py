@@ -220,6 +220,25 @@ class TestInterrupt:
         assert result.num_paths >= 2
 
 
+def assert_journal_resumable(directory, paths, pending, jobs):
+    """A cut campaign left a journal holding its paths and pending items,
+    and a pooled resume rejects a copy of it with one byte flipped."""
+    state = CheckpointManager(directory, strategy="dfs", seed=0).load()
+    assert state is not None, "the cut run wrote no journal"
+    assert (len(state.paths), len(state.frontier)) == (paths, pending)
+    with open(os.path.join(directory, CHECKPOINT_FILENAME), "rb") as handle:
+        data = bytearray(handle.read())
+    # One digit of a counter or digest, never the JSON structure.
+    data[data.rindex(b"1")] = ord("2")
+    with tempfile.TemporaryDirectory() as damaged:
+        with open(os.path.join(damaged, CHECKPOINT_FILENAME), "wb") as handle:
+            handle.write(data)
+        with pytest.raises(ValueError, match="integrity check"):
+            Explorer(
+                build_executor(), jobs=jobs, checkpoint_dir=damaged, resume=True
+            ).explore()
+
+
 class TestCheckpoint:
     def test_journal_written_and_complete(self):
         with tempfile.TemporaryDirectory() as tmp:
@@ -286,10 +305,14 @@ class TestCheckpoint:
                 faults=FaultPlan(interrupt_after=2),
             ).explore()
             assert partial.interrupted
+            assert partial.num_paths == 2
+            # The PIN check's runs form a chain: one pending item.
+            assert_journal_resumable(tmp, paths=2, pending=1, jobs=4)
             resumed = Explorer(
                 build_executor(), jobs=4, checkpoint_dir=tmp, resume=True
             ).explore()
         assert resumed.path_set() == baseline.path_set()
+        assert resumed.total_instructions == baseline.total_instructions
 
     @pytest.mark.parametrize("strategy", ["bfs", "random", "coverage"])
     def test_resume_respects_strategy(self, strategy):

@@ -6,15 +6,18 @@ discover exactly the serial path set — only completion order may vary.
 """
 
 import multiprocessing
+import tempfile
+import time
 
 import pytest
 
 from repro.asm import assemble
-from repro.core import BinSymExecutor, Explorer, ProcessPoolExplorer
+from repro.core import BinSymExecutor, Explorer, InputAssignment, ProcessPoolExplorer
 from repro.core.parallel import MAX_ITEM_FAILURES, default_jobs
 from repro.eval.engines import make_engine
 from repro.eval.query_stats import RecordingSolver
 from repro.eval.workloads import WORKLOADS
+from repro.smt import terms as T
 from repro.spec import rv32im
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -142,9 +145,9 @@ class TestParallelStats:
 @needs_fork
 class TestSnapshotAffinity:
     """Flip children resume on the worker that captured their snapshot:
-    a free seat takes its own newest item (or the newest one without a
-    snapshot) and steals the oldest only when it owns none, so steals
-    (cross-worker re-executions) stay rare."""
+    each worker pops its own frontier, and a seat that runs dry steals
+    the oldest item of the busiest one, so steals (cross-worker
+    re-executions) stay rare."""
 
     @pytest.mark.parametrize("name", ["bubble-sort", "insertion-sort"])
     def test_pool_keeps_children_on_their_owner(self, name):
@@ -162,9 +165,10 @@ class TestSnapshotAffinity:
 
     @pytest.mark.parametrize("engine", ["binsym-no-snapshots", "binsec"])
     def test_pool_without_snapshots_stays_depth_first(self, engine):
-        """Without snapshots every item is every seat's own, so the
-        pool pops plain LIFO, not steal-oldest (BFS order, a frontier
-        several times larger)."""
+        """Without snapshots each worker still pops its own frontier
+        LIFO; only a seat that runs dry takes the oldest item, so the
+        pool never drifts into BFS order (a frontier several times
+        larger)."""
         spec = WORKLOADS["bubble-sort"]
         image = spec.image(spec.fig6_scale)
 
@@ -200,7 +204,7 @@ class TestSnapshotAffinity:
         """A zero memory budget walks each worker's governor to its last
         rung after a dozen runs, which turns snapshot capture off
         mid-exploration.  The children that follow carry no snapshot and
-        must still be taken LIFO, not stolen oldest-first."""
+        must still be taken LIFO, not oldest-first."""
         spec = WORKLOADS["bubble-sort"]
         image = spec.image(spec.fig6_scale)
         serial = Explorer(BinSymExecutor(rv32im(), image)).explore()
@@ -213,6 +217,108 @@ class TestSnapshotAffinity:
             pooled.frontier_peak,
             serial.frontier_peak,
         )
+
+
+# Symbolic bytes x, y, z: exit 2 when x >= 10, else 0 when y < 5, else
+# 3 when z >= 3, else 1.  The root run (0, 0, 0) flips x and y.
+THREE_BRANCHES = """\
+_start:
+    li a0, 0x30000
+    li a1, 3
+    li a7, 1337
+    ecall
+    li t0, 0x30000
+    lbu t1, 0(t0)
+    lbu t2, 1(t0)
+    lbu t4, 2(t0)
+    li t3, 10
+    bgeu t1, t3, big_x
+    li t3, 5
+    bgeu t2, t3, big_y
+    li a0, 0
+    j done
+big_y:
+    li t3, 3
+    bgeu t4, t3, big_z
+    li a0, 1
+    j done
+big_z:
+    li a0, 3
+    j done
+big_x:
+    li a0, 2
+done:
+    li a7, 93
+    ecall
+"""
+
+
+@needs_fork
+class TestFlipDedup:
+    """Worker tries are per-process, so only the broker's digest check
+    can stop two workers from issuing the same flip query."""
+
+    @pytest.mark.parametrize(
+        "engine", ["binsym", "binsec", "angr", "angr-buggy", "symex-vp"]
+    )
+    def test_fig6_trees_never_repeat_a_flip_query(self, engine):
+        """A cross-worker duplicate needs two runs of the exploration
+        tree that issue the same flip query.  Serial exploration without
+        the prefix trie issues every run's queries, and the checkpoint's
+        digest set counts each repeat as pruned.  None occurs, so no
+        pool schedule can record a path twice on these workloads: a run
+        re-derives another run's query only by diverging from the path
+        its model predicted (the next test)."""
+        for name, spec in WORKLOADS.items():
+            image = spec.image(spec.fig6_scale)
+            with tempfile.TemporaryDirectory() as tmp:
+                result = Explorer(
+                    make_engine(engine, rv32im(), image),
+                    dedup_flips=False,
+                    checkpoint_dir=tmp,
+                    checkpoint_interval=10**9,
+                ).explore()
+            assert result.num_paths > 0, name
+            assert result.pruned_queries == 0, (engine, name)
+
+    def test_diverged_duplicate_on_another_worker_is_dropped(self):
+        """Inputs with x >= 10 run as if x were 0, so the root's x-flip
+        child re-runs the root's path and re-derives the root's y-flip
+        query.  The y >= 5 paths are slow, so the root's worker is still
+        running them when the idle seat steals the x-flip child: the
+        duplicate query is solved on the thief, and the broker must drop
+        its child before a y >= 5 path is recorded a second time."""
+        x = T.bv_var("in_00030000", 8)
+        y = T.bv_var("in_00030001", 8)
+        isa = rv32im()
+
+        class DivergingExecutor(BinSymExecutor):
+            def execute(self, assignment, capture_from=None, resume=None):
+                values = dict(assignment.values)
+                if values.get(x, 0) >= 10:
+                    values[x] = 0
+                if values.get(y, 0) >= 5:
+                    time.sleep(0.5)
+                return super().execute(InputAssignment(values))
+
+        def explore(jobs):
+            executor = DivergingExecutor(isa, assemble(THREE_BRANCHES, isa=isa))
+            return Explorer(executor, jobs=jobs, snapshots=False).explore()
+
+        def attributed(result):
+            return (
+                result.num_queries
+                + result.cache_hits
+                + result.fast_path_answers
+                + result.pruned_queries
+            )
+
+        serial, pooled = explore(1), explore(2)
+        # Exits 0, 1 and 3, plus the diverged x-flip child's exit 0.
+        assert serial.num_paths == pooled.num_paths == 4
+        assert pooled.path_set() == serial.path_set()
+        assert serial.pruned_queries == pooled.pruned_queries == 1
+        assert attributed(pooled) == attributed(serial) + 1
 
 
 class TestFallbacks:

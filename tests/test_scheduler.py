@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.parallel import _owned_by as owned_by
 from repro.core.scheduler import (
     Frontier,
     RunStats,
@@ -52,97 +51,36 @@ class TestFrontier:
         assert len(frontier) == 1
 
 
-def owned_items(owners):
-    """One item per entry of ``owners`` (None = no snapshot), oldest first,
-    carrying the pool's ``(worker uid, handle)`` snapshot references."""
-    return [
-        WorkItem(
-            InputAssignment(),
-            bound=i,
-            novelty=i % 3,
-            snapshot=None if owner is None else (owner, i),
-        )
-        for i, owner in enumerate(owners)
-    ]
-
-
-class TestOwnerPreferringPop:
-    def test_dfs_takes_newest_preferred_item(self):
+class TestSteal:
+    def test_dfs_steals_the_oldest_item(self):
+        """A worker that ran dry gets the bottom of the busiest worker's
+        stack: the shallowest item, and so the largest subtree."""
         frontier = Frontier("dfs")
-        batch = owned_items([0, 1, 0, 1, 2])
+        batch = items(5)
         for item in batch:
             frontier.push(item)
-        assert frontier.pop(owned_by(1)) is batch[3]
-        assert frontier.pop(owned_by(1)) is batch[1]
-        assert frontier.pop(owned_by(0)) is batch[2]
-
-    def test_dfs_steals_oldest_without_match(self):
-        frontier = Frontier("dfs")
-        batch = owned_items([2, 0, 0, 0])
-        for item in batch:
-            frontier.push(item)
-        assert frontier.pop(owned_by(1)) is batch[0]
-        assert frontier.pop(owned_by(1)) is batch[1]
-        assert frontier.pop(owned_by(7)) is batch[2]
-
-    def test_dfs_counts_snapshotless_items_as_own(self):
-        """An item without a snapshot re-executes on any seat, so every
-        seat takes it like its own; a pool that captures nothing pops
-        plain LIFO instead of stealing the oldest item every time."""
-        frontier = Frontier("dfs")
-        batch = owned_items([None, 0, None, 0])
-        for item in batch:
-            frontier.push(item)
-        assert frontier.pop(owned_by(1)) is batch[2]
-        assert frontier.pop(owned_by(1)) is batch[0]
-        assert frontier.pop(owned_by(1)) is batch[1]
-        batch = owned_items([None] * 4)
-        for item in batch:
-            frontier.push(item)
-        assert [frontier.pop(owned_by(1)) for _ in range(4)] == batch[::-1]
-
-    def test_dfs_plain_pop_stays_lifo(self):
-        frontier = Frontier("dfs")
-        batch = owned_items([0, 1, 0, 1, 0, 1])
-        for item in batch:
-            frontier.push(item)
-        assert frontier.pop(owned_by(0)) is batch[4]
-        assert frontier.pop(None) is batch[5]
-        assert [frontier.pop() for _ in range(4)] == [
-            batch[3],
-            batch[2],
-            batch[1],
-            batch[0],
-        ]
+        assert frontier.steal() is batch[0]
+        assert frontier.pop() is batch[4]
+        assert frontier.steal() is batch[1]
+        assert [frontier.pop() for _ in range(2)] == [batch[3], batch[2]]
+        assert frontier.popped == 5
+        assert not frontier
 
     @pytest.mark.parametrize("name", ["bfs", "random", "coverage"])
-    def test_other_strategies_ignore_the_preference(self, name):
-        def pop_order(prefer):
+    def test_other_strategies_steal_what_pop_would_take(self, name):
+        def order(steal_every):
             frontier = Frontier(name, seed=11)
-            batch = owned_items([i % 3 if i % 4 else None for i in range(14)])
-            for item in batch[:12]:
+            batch = items(12)
+            for item in batch:
                 frontier.push(item)
-            order = []
-            for step in range(14):
-                order.append(batch.index(frontier.pop(prefer)))
-                if step == 5:
-                    # Pushes between pops must not desynchronize either.
-                    frontier.push(batch[12])
-                    frontier.push(batch[13])
-            return order
+            return [
+                batch.index(
+                    frontier.steal() if step % steal_every == 0 else frontier.pop()
+                )
+                for step in range(12)
+            ]
 
-        assert pop_order(owned_by(1)) == pop_order(None)
-
-    def test_popped_counts_both_kinds(self):
-        frontier = Frontier("dfs")
-        for item in owned_items([0, 1, 0, 1]):
-            frontier.push(item)
-        frontier.pop()
-        frontier.pop(owned_by(1))
-        frontier.pop(owned_by(5))
-        assert frontier.pushed == 4
-        assert frontier.popped == 3
-        assert len(frontier) == 1
+        assert order(2) == order(13)
 
 
 class TestStrategyDeterminism:

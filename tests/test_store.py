@@ -31,7 +31,7 @@ from repro.core.store import (
 from repro.smt import terms as T
 from repro.smt.digest import store_key, term_digest
 from repro.smt.solver import Model, Result
-from tests.test_faults import build_executor, needs_fork
+from tests.test_faults import HAS_FORK, build_executor, needs_fork
 
 
 def bvv(name, width=8):
@@ -348,18 +348,24 @@ class TestCheckpointTimesStore:
 
 class TestCertificatePersistence:
     def test_certify_run_persists_and_reloads_certificates(self):
+        """The serial driver and the pool each persist their replayed
+        certificates to the store (one test id, so both jobs values
+        run in a loop)."""
         from repro.smt.solver import SolverConfig
 
-        with tempfile.TemporaryDirectory() as tmp:
-            result = Explorer(
-                build_executor(),
-                store_dir=tmp,
-                solver_config=SolverConfig(certify=True),
-            ).explore()
-            assert result.certificates and not result.certificate_failures
-            store = ArtifactStore(tmp, certify=True)
-            certs = store.load_certificates()
-        assert len(certs) == len(result.certificates)
+        for jobs in (1, 2) if HAS_FORK else (1,):
+            with tempfile.TemporaryDirectory() as tmp:
+                result = Explorer(
+                    build_executor(),
+                    jobs=jobs,
+                    store_dir=tmp,
+                    solver_config=SolverConfig(certify=True),
+                ).explore()
+                assert result.workers == jobs
+                assert result.certificates and not result.certificate_failures
+                store = ArtifactStore(tmp, certify=True)
+                certs = store.load_certificates()
+            assert len(certs) == len(result.certificates), jobs
 
     def test_certificate_state_round_trip(self):
         from repro.core.certificates import (

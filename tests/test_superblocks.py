@@ -262,7 +262,7 @@ class TestBlockCache:
         """Pool workers count their fork as one entry run
         (``note_entry_run``), so a worker's first task from the entry
         point already dispatches the entry block instead of waiting for
-        a second full run that affine dispatch may never give it."""
+        a second full run that its local frontier may never give it."""
         image = assemble("_start:\n    li a0, 0\n    li a7, 93\n    ecall\n")
         cold = BinSymExecutor(rv32im(), image)
         cold.execute(InputAssignment())

@@ -39,10 +39,13 @@ asserts the pool still drains: zero paths, everything accounted as
 ``incomplete_paths``, no wedged parent.
 
 ``--deadline-gate`` runs the PR 9 *anytime* gate: each workload is cut
-by a global ``--deadline`` (immediately, and mid-run) into a
-checkpointed partial result whose shortfall is explicitly counted,
-then ``--resume``d — the resumed campaign must complete exactly the
-uninterrupted run's path set, serial and pooled.
+by a global ``--deadline`` (immediately, and half way through the same
+mode's uninterrupted run) into a checkpointed partial result whose
+shortfall is explicitly counted, then ``--resume``d — the journal must
+hold the cut's paths and pending items, a resume must read it (a
+bit-flipped copy is rejected), and the resumed campaign must complete
+exactly the uninterrupted run's path set, serial and pooled.  Each mode
+must get at least one cut that lands mid-campaign.
 
 ``--store`` runs the PR 10 *persistent-store* gate: every workload is
 explored cold into a ``--store`` directory and warm out of it — the
@@ -64,8 +67,10 @@ Usage::
     python tools/chaos_check.py --self-test
 
 ``--self-test`` drops a path from a clean result in memory and asserts
-the invariant check trips, then perturbs a corruption-gate result and
-asserts that check trips too — proving both gates can actually fail.
+the invariant check trips, perturbs a corruption-gate result and
+asserts that check trips too, and resumes a deadline cut without its
+journal and asserts the journal check trips — proving the gates can
+actually fail.
 """
 
 from __future__ import annotations
@@ -79,6 +84,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import Explorer, FaultPlan  # noqa: E402
+from repro.core.checkpoint import (  # noqa: E402
+    CHECKPOINT_FILENAME,
+    CheckpointManager,
+)
 from repro.eval.engines import make_engine  # noqa: E402
 from repro.eval.workloads import WORKLOADS  # noqa: E402
 from repro.spec import rv32im  # noqa: E402
@@ -105,16 +114,28 @@ CORRUPT_RATE = 30
 HANG_RATE = 15
 HANG_TIMEOUT = 1.0
 
-#: Mid-run cut for the deadline gate: long enough for partial progress,
-#: short enough that the cut usually lands mid-campaign.
-DEADLINE_CUTS = (0.0, 0.3)
+#: Deadline-gate cuts, as fractions of the wall time of the same mode's
+#: uninterrupted checkpointed run: 0 cuts before any run, 0.5 about
+#: half way through the campaign.
+DEADLINE_FRACTIONS = (0.0, 0.5)
+
+#: The deadline gate's scales: larger than WORKLOAD_SCALES, so that half
+#: a run's wall time spans many runs and the cut lands mid-campaign.
+DEADLINE_SCALES = {
+    "bubble-sort": 5,
+    "insertion-sort": 5,
+    "base64-encode": 2,
+    "uri-parser": 5,
+    "clif-parser": 5,
+}
 
 
 def build_explorer(
-    workload: str, jobs: int = 1, faults=None, **kwargs
+    workload: str, jobs: int = 1, faults=None, scale=None, **kwargs
 ) -> Explorer:
     spec = WORKLOADS[workload]
-    engine = make_engine("binsym", rv32im(), spec.image(WORKLOAD_SCALES[workload]))
+    image = spec.image(scale if scale is not None else WORKLOAD_SCALES[workload])
+    engine = make_engine("binsym", rv32im(), image)
     return Explorer(engine, jobs=jobs, use_cache=True, faults=faults, **kwargs)
 
 
@@ -305,27 +326,72 @@ def run_hang_gate(seeds: int, jobs: int) -> int:
     return 0
 
 
+def check_journal(workload, ckpt, cut, jobs, scale, resume=True) -> list[str]:
+    """The cut left a journal holding its recorded paths and pending
+    items, and a resume reads it: from a copy with one byte flipped it
+    must fail the journal's integrity check.  ``resume=False`` stands in
+    for a resume that ignores the journal (the self-test)."""
+    state = CheckpointManager(ckpt, strategy="dfs", seed=0).load()
+    if state is None:
+        return [f"{workload}: the cut run left no journal"]
+    errors = []
+    held = (len(state.paths), len(state.frontier))
+    if held != (cut.num_paths, cut.incomplete_paths):
+        errors.append(
+            f"{workload}: journal holds {held[0]} path(s) and {held[1]} "
+            f"pending item(s), the cut recorded {cut.num_paths} and "
+            f"counted {cut.incomplete_paths} incomplete"
+        )
+    data = bytearray((Path(ckpt) / CHECKPOINT_FILENAME).read_bytes())
+    data[data.rindex(b"1")] = ord("2")  # a digit, never JSON structure
+    with tempfile.TemporaryDirectory() as damaged:
+        (Path(damaged) / CHECKPOINT_FILENAME).write_bytes(bytes(data))
+        try:
+            build_explorer(
+                workload, jobs=jobs, scale=scale, checkpoint_dir=damaged,
+                resume=resume,
+            ).explore()
+        except ValueError:
+            pass
+        else:
+            errors.append(
+                f"{workload}: resume accepted a bit-flipped journal, so it "
+                f"never read the journal"
+            )
+    return errors
+
+
 def run_deadline_gate(jobs: int) -> int:
     """Anytime gate: deadline-cut + resume == the uninterrupted run.
 
-    Cuts each workload at each :data:`DEADLINE_CUTS` deadline (0 = cut
-    before any run; the rest land mid-campaign) into a checkpoint, then
+    Cuts each workload at each :data:`DEADLINE_FRACTIONS` fraction of the
+    same mode's uninterrupted checkpointed run into a checkpoint, then
     resumes without a deadline.  The cut run must report
-    ``deadline_expired`` with its shortfall counted, never invent
-    paths, and the resumed campaign must finish exactly the clean path
-    set — serial and pooled.
+    ``deadline_expired`` with its shortfall counted, never invent paths,
+    and leave a journal the resume reads (:func:`check_journal`); the
+    resumed campaign must finish exactly the clean path set — serial and
+    pooled.  Each mode must get at least one cut that lands
+    mid-campaign, or the gate never restored a mid-run journal.
     """
     failures: list[str] = []
-    for workload in WORKLOAD_SCALES:
+    modes = (("serial", 1), (f"jobs={jobs}", jobs))
+    mid_run_cuts = {label: 0 for label, _ in modes}
+    for workload, scale in DEADLINE_SCALES.items():
         start = time.perf_counter()
-        clean = build_explorer(workload).explore()
-        for label, n_jobs in (("serial", 1), (f"jobs={jobs}", jobs)):
-            for deadline in DEADLINE_CUTS:
+        clean = build_explorer(workload, scale=scale).explore()
+        for label, n_jobs in modes:
+            with tempfile.TemporaryDirectory() as ckpt:
+                reference = build_explorer(
+                    workload, jobs=n_jobs, scale=scale, checkpoint_dir=ckpt
+                ).explore()
+            for fraction in DEADLINE_FRACTIONS:
+                deadline = round(fraction * reference.wall_time, 4)
                 before = len(failures)
                 with tempfile.TemporaryDirectory() as ckpt:
                     cut = build_explorer(
                         workload,
                         jobs=n_jobs,
+                        scale=scale,
                         deadline=deadline,
                         checkpoint_dir=ckpt,
                     ).explore()
@@ -341,14 +407,23 @@ def run_deadline_gate(jobs: int) -> int:
                                 f"{workload} [{tag}]: deadline shortfall "
                                 f"not counted (incomplete_paths=0)"
                             )
+                        if 0 < cut.num_paths < clean.num_paths:
+                            mid_run_cuts[label] += 1
                     elif not complete:
                         failures.append(
                             f"{workload} [{tag}]: paths missing without "
                             f"deadline_expired"
                         )
+                    failures.extend(
+                        f"{error} [{tag}]"
+                        for error in check_journal(
+                            workload, ckpt, cut, n_jobs, scale
+                        )
+                    )
                     resumed = build_explorer(
                         workload,
                         jobs=n_jobs,
+                        scale=scale,
                         checkpoint_dir=ckpt,
                         resume=True,
                     ).explore()
@@ -360,7 +435,7 @@ def run_deadline_gate(jobs: int) -> int:
                         )
                     status = "FAIL" if len(failures) > before else "ok"
                     print(
-                        f"  {status:4s} {workload:16s} {tag:22s} "
+                        f"  {status:4s} {workload:16s} {tag:24s} "
                         f"cut={cut.num_paths} "
                         f"incomplete={cut.incomplete_paths} "
                         f"resumed={resumed.num_paths}/{clean.num_paths}"
@@ -369,14 +444,21 @@ def run_deadline_gate(jobs: int) -> int:
             f"{workload}: {clean.num_paths} clean paths, "
             f"{time.perf_counter() - start:.1f}s"
         )
+    for label, count in mid_run_cuts.items():
+        if not count:
+            failures.append(
+                f"[{label}]: no cut landed mid-campaign (deadline_expired "
+                f"with 0 < paths < clean), so no resume restored a "
+                f"mid-run journal"
+            )
     if failures:
         print(f"\ndeadline gate FAILED ({len(failures)} violation(s)):")
         for failure in failures:
             print(f"  - {failure}")
         return 1
     print(
-        "\ndeadline gate passed: every cut was counted and every resume "
-        "completed the full path set"
+        "\ndeadline gate passed: every cut was counted, every resume read "
+        "its journal and completed the full path set"
     )
     return 0
 
@@ -633,6 +715,17 @@ def self_test() -> int:
         print("self-test FAILED: unconserved attribution was not detected")
         return 1
     print(f"self-test passed: corruption gate trips on attribution ({errors[0]})")
+    # The deadline gate must trip on a resume that ignores the journal.
+    scale = DEADLINE_SCALES["clif-parser"]
+    with tempfile.TemporaryDirectory() as ckpt:
+        cut = build_explorer(
+            "clif-parser", scale=scale, deadline=0.0, checkpoint_dir=ckpt
+        ).explore()
+        errors = check_journal("clif-parser", ckpt, cut, 1, scale, resume=False)
+    if not errors:
+        print("self-test FAILED: a resume that ignores the journal passed")
+        return 1
+    print(f"self-test passed: deadline gate trips on an unread journal ({errors[0]})")
     return 0
 
 
