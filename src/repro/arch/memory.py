@@ -81,6 +81,11 @@ class ByteMemory:
         """Mark code pages whose mutation must bump ``code_epoch``."""
         self._watched.update(pages)
 
+    def same_pages(self, other: "ByteMemory", pages: Iterable[int]) -> bool:
+        """True when ``other`` holds the same bytes on every page in ``pages``."""
+        mine, theirs = self._pages, other._pages
+        return all(mine.get(number) == theirs.get(number) for number in pages)
+
     def read_byte(self, addr: int) -> int:
         addr &= _ADDR_MASK
         page = self._pages.get(addr >> _PAGE_BITS)

@@ -169,7 +169,10 @@ class BinSymExecutor:
                 snapshot = None
         resumed_instret = 0
         if snapshot is not None:
-            interp.resume(snapshot, assignment, self._assignment_env(assignment))
+            env = self._assignment_env(assignment)
+            before = self._assignment_env(snapshot.assignment)
+            changed = {var for var, value in env.items() if before[var] != value}
+            interp.resume(snapshot, assignment, env, changed)
             self.resumed_runs += 1
             self.saved_instructions += snapshot.instret
             resumed_instret = snapshot.instret

@@ -234,6 +234,7 @@ class SymbolicInterpreter(StagedStepper):
                 stdout=bytes(self.stdout),
                 stdout_shadow=tuple(self.stdout_shadow),
                 inputs_count=len(self.inputs),
+                assignment=self.assignment,
                 source=weakref.ref(self.memory),
             )
             handle = self._capture_pool.add(snapshot)
@@ -253,30 +254,36 @@ class SymbolicInterpreter(StagedStepper):
         snapshot: StateSnapshot,
         assignment: InputAssignment,
         env: dict[T.Term, int],
+        changed: set,
     ) -> None:
         """Restore a captured state, re-concretized under ``assignment``.
 
-        ``env`` must assign every input variable.  Exactness rests on
-        the concolic invariant: the new assignment satisfies the prefix
-        path condition, so control flow up to the divergence point is
-        identical to a full re-execution — term-free state is therefore
-        input-independent and identical, and every term-carrying datum
-        (registers, shadowed memory bytes, symbolic stdout bytes) is
-        re-evaluated under ``env`` with the reference evaluator,
-        yielding exactly the values the full re-execution would have
-        computed.  Aliased snapshot pages are adopted copy-on-write;
-        the re-concretizing writes below privatize only the input pages.
+        ``env`` must assign every input variable; ``changed`` holds the
+        variables whose value differs from ``snapshot.assignment``.
+        Exactness rests on the concolic invariant: the new assignment
+        satisfies the prefix path condition, so control flow up to the
+        divergence point is identical to a full re-execution — term-free
+        state is therefore input-independent and identical, and every
+        term-carrying datum (registers, shadowed memory bytes, symbolic
+        stdout bytes) holds its term's value under the capture-time
+        assignment.  A term's value depends only on its free variables,
+        so only the data whose term reads a ``changed`` variable are
+        re-evaluated under ``env`` with the reference evaluator; the
+        rest keep the snapshot's values, yielding exactly what the full
+        re-execution would have computed.  Aliased snapshot pages are
+        adopted copy-on-write; only the re-evaluated bytes' pages are
+        privatized.
         """
         self.memory = ByteMemory.adopt(snapshot.pages)
         self.shadow = ShadowMemory.adopt(snapshot.shadow)
         hart: Hart[SymValue] = Hart(zero_value=SymValue(0, 32), pc=snapshot.pc)
         hart.instret = snapshot.instret
         regs = hart.regs
+        unchanged = changed.isdisjoint
         for index, value in enumerate(snapshot.regs):
-            if index and value.term is not None:
-                value = SymValue(
-                    evaluate(value.term, env), value.width, value.term
-                )
+            term = value.term
+            if index and term is not None and not unchanged(term.free_vars()):
+                value = SymValue(evaluate(term, env), value.width, term)
             regs.write(index, value)
         self.hart = hart
         self.trace = PathTrace()
@@ -284,10 +291,12 @@ class SymbolicInterpreter(StagedStepper):
         self.assignment = assignment
         self.stdout = bytearray(snapshot.stdout)
         for offset, term in snapshot.stdout_shadow:
-            self.stdout[offset] = evaluate(term, env) & 0xFF
+            if not unchanged(term.free_vars()):
+                self.stdout[offset] = evaluate(term, env) & 0xFF
         memory = self.memory
         for address, term in snapshot.shadow.items():
-            memory.write_byte(address, evaluate(term, env))
+            if not unchanged(term.free_vars()):
+                memory.write_byte(address, evaluate(term, env))
         self.stdout_shadow = list(snapshot.stdout_shadow)
         self.captured = {}
         self._capture_instret = -1
@@ -297,7 +306,7 @@ class SymbolicInterpreter(StagedStepper):
         # Resumes start mid-path (at a branch instruction, never a block
         # entry), so they don't count toward entry hotness; and their
         # memory descends from a mid-run capture whose code bytes may
-        # differ from the image, so every resolution is revalidated.
+        # differ from the last run's, so resolutions are revalidated.
         self._sb_begin_run(revalidate=True)
 
     # ------------------------------------------------------------------

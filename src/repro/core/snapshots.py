@@ -24,8 +24,12 @@ Resuming under a *different* input assignment is exact because the
 concolic invariant pins every input-dependent datum to a term: a value
 whose ``term`` is ``None`` is input-independent along the (identical,
 guaranteed-by-the-model) control-flow prefix, and every other value is
-re-concretized by evaluating its term under the new assignment with the
-reference evaluator (:mod:`repro.smt.evalbv`).  The capture side guards
+its term evaluated under the capture-time assignment, which the snapshot
+keeps by reference.  A term's value depends only on its free variables,
+so a resume re-evaluates (with the reference evaluator,
+:mod:`repro.smt.evalbv`) only the data whose terms read an input whose
+value the new assignment changed; all other data keep the snapshot's
+values, and their memory pages stay shared.  The capture side guards
 the cases the invariant cannot cover (a syscall consuming a symbolic
 register, input regions discovered after the capture point) by refusing
 to capture / resume — falling back to re-execution, never diverging.
@@ -53,7 +57,10 @@ class StateSnapshot:
     structurally.  ``inputs_count`` pins the number of symbolic inputs
     known at capture time: resuming with a different count would skip
     the reset-time re-application of later-discovered inputs, so the
-    executor falls back to re-execution instead.
+    executor falls back to re-execution instead.  ``assignment`` is the
+    capturing run's :class:`~repro.core.state.InputAssignment`, shared
+    (assignments are never mutated once built): the concrete values
+    above are their terms' values under it.
     """
 
     __slots__ = (
@@ -66,6 +73,7 @@ class StateSnapshot:
         "stdout",
         "stdout_shadow",
         "inputs_count",
+        "assignment",
         "byte_size",
         "source",
     )
@@ -81,6 +89,7 @@ class StateSnapshot:
         stdout: bytes,
         stdout_shadow: tuple,
         inputs_count: int,
+        assignment,
         source=None,
     ):
         self.pc = pc
@@ -92,6 +101,7 @@ class StateSnapshot:
         self.stdout = stdout
         self.stdout_shadow = stdout_shadow
         self.inputs_count = inputs_count
+        self.assignment = assignment
         #: Weak reference to the capturing :class:`ByteMemory` (or
         #: None): lets the pool hand the page references back on
         #: eviction while that memory is still executing, un-marking

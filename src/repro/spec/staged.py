@@ -221,12 +221,17 @@ class StagedStepper:
         given (``None`` for snapshot resumes, which start mid-path at a
         branch, never at a block entry).
 
-        The map persists across runs: a run started by ``reset`` loads
-        the identical image, so resolutions stay valid unless a code
-        write was observed (``_sb_dirty``, or an epoch bump after the
-        last dispatch).  ``revalidate=True`` (snapshot resumes, whose
-        memory descends from a mid-run capture) demotes every entry to
-        pending so the first dispatch re-reads the words instead.
+        The map persists across runs.  Every entry is demoted to pending
+        (the first dispatch re-reads the words) when a code write was
+        observed (``_sb_dirty``, or an epoch bump after the last
+        dispatch) or when some page in ``_sb_pages`` holds different
+        bytes in ``memory`` than in ``_sb_memory``, the memory the map
+        was validated against.  Otherwise every resolved block stays
+        valid: it is guarded by the exact words it was stitched from,
+        and all of them lie on its pages, which are in ``_sb_pages``.
+        ``revalidate=True`` (snapshot resumes, whose memory descends
+        from a mid-run capture) still demotes the ``False``
+        (unstitchable) entries, whose scans may have read other pages.
         """
         if not (self._sb_enabled and self.staging):
             self._sb_map = None
@@ -242,12 +247,16 @@ class StagedStepper:
         else:
             old = self._sb_memory
             if (
-                revalidate
-                or self._sb_dirty
-                or (old is not None and old.code_epoch != self._sb_epoch)
+                self._sb_dirty
+                or old.code_epoch != self._sb_epoch
+                or not memory.same_pages(old, self._sb_pages)
             ):
                 for key in sb_map:
                     sb_map[key] = _SB_PENDING
+            elif revalidate:
+                for key, entry in sb_map.items():
+                    if entry is False:
+                        sb_map[key] = _SB_PENDING
             if len(sb_map) < len(engine.entries):
                 for pc in engine.entries:
                     if pc not in sb_map:

@@ -171,6 +171,7 @@ def _dummy_snapshot(n_pages=1):
         stdout=b"",
         stdout_shadow=(),
         inputs_count=0,
+        assignment=InputAssignment(),
     )
 
 
@@ -464,6 +465,136 @@ done:
         assert on.path_set() == off.path_set()
         assert _attribution(on) == _attribution(off)
         assert _assignments(on) == _assignments(off)
+
+
+# ---------------------------------------------------------------------------
+# Resumed state == re-executed state
+# ---------------------------------------------------------------------------
+
+# Two kinds of input: a0 enters as a symbolic register, the buffer byte
+# via make_symbolic.  Both reach registers, memory and stdout before the
+# branches, so a flip that changes one leaves the other's data as is.
+_SYMBOLIC_REGISTER = f"""\
+_start:
+    mv s0, a0               # symbolic register
+    li a0, {_DATA}
+    li a1, 1
+    li a7, 1337
+    ecall                   # make_symbolic(buf, 1)
+    li t0, {_DATA}
+    lbu s1, 0(t0)
+    andi t1, s0, 0xff
+    sb t1, 1(t0)            # register-derived byte in memory
+    li a1, {_DATA}
+    li a2, 2
+    li a7, 64
+    ecall                   # write(buf, 2): both bytes to stdout
+    li t2, 40
+    bltu t1, t2, reg_low
+    addi s2, s2, 1
+reg_low:
+    li t2, 9
+    bltu s1, t2, byte_low
+    addi s2, s2, 2
+byte_low:
+    srli t3, s0, 8
+    andi t3, t3, 0xff
+    bltu t3, t2, done
+    addi s2, s2, 4
+done:
+    mv a0, s2
+    li a7, 93
+    ecall
+"""
+
+
+def _machine_state(interp):
+    """Everything a resume restores, in comparable form (terms are
+    interned, so equal terms are the same object)."""
+    hart = interp.hart
+    return {
+        "pc": hart.pc,
+        "instret": hart.instret,
+        "regs": [(v.concrete, v.width, v.term) for v in hart.regs.snapshot()],
+        "pages": {n: bytes(page) for n, page in interp.memory._pages.items()},
+        "shadow": interp.shadow.snapshot_state(),
+        "stdout": bytes(interp.stdout),
+        "stdout_shadow": list(interp.stdout_shadow),
+        "records": list(interp.trace.records),
+    }
+
+
+def _explore_checking_resumes(image, monkeypatch, **engine_kwargs):
+    """Explore ``image``, comparing the state after every ``resume()``
+    with a from-entry run of the same assignment stopped at the
+    snapshot's ``instret``.  Returns the counts of resumes, of the
+    ``evaluate`` calls they made and of the term-carrying data they
+    restored."""
+    from repro.core import interpreter as interpreter_module
+
+    engine = BinSymExecutor(rv32im(), image, **engine_kwargs)
+    reference = BinSymExecutor(
+        rv32im(), image, superblocks=False, **engine_kwargs
+    )
+    interp = engine.interpreter
+    resume = interp.resume
+    counts = {"resumes": 0, "evaluate": 0, "restored": 0}
+    evaluate = interpreter_module.evaluate
+
+    def counting_evaluate(term, env):
+        counts["evaluate"] += 1
+        return evaluate(term, env)
+
+    def checked_resume(snapshot, assignment, *args):
+        resume(snapshot, assignment, *args)
+        counts["resumes"] += 1
+        counts["restored"] += (
+            sum(value.term is not None for value in snapshot.regs[1:])
+            + len(snapshot.shadow)
+            + len(snapshot.stdout_shadow)
+        )
+        reference.interpreter.inputs = dict(interp.inputs)
+        reference.max_steps = snapshot.instret
+        # Capture armed with a bound no record reaches: the reference
+        # keeps stdout shadow terms, as a capturing run does, but
+        # captures nothing.
+        reference.execute(assignment, capture_from=1 << 62)
+        assert _machine_state(interp) == _machine_state(reference.interpreter)
+
+    monkeypatch.setattr(interpreter_module, "evaluate", counting_evaluate)
+    monkeypatch.setattr(interp, "resume", checked_resume)
+    result = Explorer(engine, use_cache=True, snapshots=True).explore()
+    assert counts["resumes"] == result.resumed_runs == result.num_paths - 1
+    return counts
+
+
+class TestExactResume:
+    @pytest.mark.parametrize(
+        "name,scale",
+        [("bubble-sort", 3), ("base64-encode", 2), ("uri-parser", None)],
+    )
+    def test_resumed_state_equals_reexecuted_state(
+        self, name, scale, monkeypatch
+    ):
+        image = WORKLOADS[name].image(scale or WORKLOADS[name].default_scale)
+        counts = _explore_checking_resumes(image, monkeypatch)
+        assert counts["resumes"] > 0
+
+    def test_symbolic_register_resume(self, monkeypatch):
+        """The ``symbolic_registers`` path: register variables count as
+        inputs when the executor computes what a flip changed."""
+        image = assemble(_SYMBOLIC_REGISTER, isa=rv32im())
+        counts = _explore_checking_resumes(
+            image, monkeypatch, symbolic_registers=(10,)
+        )
+        assert counts["resumes"] == 7  # 8 paths, all but the first resume
+
+    def test_resume_evaluates_only_changed_data(self, monkeypatch):
+        """A flip on base64-encode changes some of the input bytes, so a
+        resume re-evaluates some, but not all, of the data it restores."""
+        image = WORKLOADS["base64-encode"].image(2)
+        counts = _explore_checking_resumes(image, monkeypatch)
+        assert 0 < counts["evaluate"] < counts["restored"]
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,41 @@ done:
 """
 
 
+# One symbolic branch, two arms into the same loop.  The first run
+# (input 0) patches the loop's first instruction on a page where no
+# block has been resolved yet, so the store bumps no code epoch, and then
+# runs the loop as a block; the other arm must run the unpatched loop.
+_SMC_ONE_ARM = """\
+_start:
+    li a0, 0x20000
+    li a1, 1
+    li a7, 1337
+    ecall                   # make_symbolic(buf, 1)
+    li t5, 0x20000
+    lbu t6, 0(t5)
+    la s1, loop
+    bne t6, zero, run       # input 0 falls through to the patch
+    lw s2, 0(s1)
+    li s3, 0x100
+    slli s3, s3, 12         # 1 << 20: +1 on an I-type immediate
+    add s2, s2, s3
+    sw s2, 0(s1)            # addi t1, t1, 1 -> addi t1, t1, 2
+run:
+    j body
+    .align 12               # the loop gets a code page of its own
+body:
+    li t0, 50
+    li t1, 0
+loop:
+    addi t1, t1, 1
+    addi t0, t0, -1
+    bne t0, zero, loop
+    mv a0, t1
+    li a7, 93
+    ecall
+"""
+
+
 class TestSelfModifyingCode:
     def run_concrete(self, superblocks):
         interp = ConcreteInterpreter(rv32im(), superblocks=superblocks)
@@ -364,6 +399,22 @@ low:
         assert _attribution(on) == _attribution(off)
         assert _assignments(on) == _assignments(off)
         assert on.superblock_stats.get("sb_invalidations", 0) >= 1
+
+    @pytest.mark.parametrize("snapshots", [True, False])
+    def test_patch_on_one_arm_stays_on_that_arm(self, snapshots):
+        """The second arm resumes from the snapshot captured before the
+        patch (or re-executes from the entry with snapshots off), so its
+        memory holds the unpatched loop while the block map holds the
+        patched one: the map survives only if the code pages match."""
+        image = assemble(_SMC_ONE_ARM, isa=rv32im())
+        on = _explore(image, True, snapshots=snapshots)
+        off = _explore(image, False, snapshots=snapshots)
+        assert sorted(path.exit_code for path in on.paths) == [50, 100]
+        assert on.path_set() == off.path_set()
+        assert _attribution(on) == _attribution(off)
+        assert _assignments(on) == _assignments(off)
+        assert on.resumed_runs == int(snapshots)
+        assert on.superblock_hits > 0
 
 
 # ---------------------------------------------------------------------------
