@@ -24,7 +24,7 @@ from pathlib import Path
 from .asm import assemble
 from .asm.disasm import disassemble_image
 from .concrete import ConcreteInterpreter, HostPlatform, TracingInterpreter
-from .core import Explorer, FaultPlan
+from .core import ExploreConfig, Explorer, FaultPlan
 from .eval.engines import make_engine
 from .smt.solver import SolverConfig
 from .loader import read_elf, write_elf
@@ -255,13 +255,15 @@ def main(argv=None) -> int:
         "--engine", default="binsym",
         choices=["binsym", "binsec", "symex-vp", "angr", "angr-buggy"],
     )
-    p_explore.add_argument("--strategy", default="dfs",
+    p_explore.add_argument("--strategy", default=ExploreConfig.strategy,
                            choices=["dfs", "bfs", "random", "coverage"])
     p_explore.add_argument("--symbolic", action="append", metavar="ADDR:LEN",
                            help="mark a memory region symbolic")
-    p_explore.add_argument("--jobs", type=int, default=1, metavar="N",
-                           help="explore on N worker processes (default 1)")
-    p_explore.add_argument("--seed", type=int, default=0,
+    p_explore.add_argument("--jobs", type=int, default=ExploreConfig.jobs,
+                           metavar="N",
+                           help="explore on N worker processes "
+                                "(default %(default)s)")
+    p_explore.add_argument("--seed", type=int, default=ExploreConfig.seed,
                            help="seed for the random search strategy")
     # The --store query cache flags default to None so that main() can
     # tell whether one was given without --store.
@@ -331,10 +333,11 @@ def main(argv=None) -> int:
     p_explore.add_argument("--checkpoint", metavar="DIR", default=None,
                            help="write a crash-safe exploration journal to "
                                 "DIR (atomic-rename checkpoint.json)")
-    p_explore.add_argument("--checkpoint-interval", type=int, default=1,
+    p_explore.add_argument("--checkpoint-interval", type=int,
+                           default=ExploreConfig.checkpoint_interval,
                            metavar="PATHS",
                            help="checkpoint every N recorded paths "
-                                "(default 1)")
+                                "(default %(default)s)")
     p_explore.add_argument("--resume", metavar="DIR", default=None,
                            help="resume a killed campaign from DIR's "
                                 "journal (implies --checkpoint DIR); "
@@ -374,7 +377,8 @@ def main(argv=None) -> int:
                                 "iofail tear and fail --store I/O)")
     p_explore.add_argument("--stats", action="store_true",
                            help="print detailed solver/cache statistics")
-    p_explore.add_argument("--max-paths", type=int, default=100_000)
+    p_explore.add_argument("--max-paths", type=int,
+                           default=ExploreConfig.max_paths)
     p_explore.add_argument("--max-steps", type=int, default=1_000_000)
     p_explore.add_argument("--show-paths", type=int, default=20)
     p_explore.set_defaults(func=_cmd_explore)

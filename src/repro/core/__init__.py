@@ -10,7 +10,8 @@ offline (concolic) exploration driver.
 * :mod:`repro.core.executor` — one concolic run of the SUT
 * :mod:`repro.core.explorer` — dynamic symbolic execution driver
 * :mod:`repro.core.scheduler` — frontier/work-queue + branch-flip expansion
-* :mod:`repro.core.parallel` — multi-process exploration worker pool
+* :mod:`repro.core.parallel` — the worker pool's broker (imported only
+  when a pool runs)
 * :mod:`repro.core.concretize` — address concretization policies
 * :mod:`repro.core.strategy` — DFS/BFS/random/coverage path selection
 * :mod:`repro.core.checkpoint` — crash-safe exploration journal
@@ -22,11 +23,10 @@ offline (concolic) exploration driver.
 from .checkpoint import CheckpointManager, CheckpointState
 from .concretize import ConcretizationPolicy
 from .executor import BinSymExecutor, RunResult
-from .explorer import ExplorationResult, Explorer, PathInfo
+from .explorer import ExplorationResult, ExploreConfig, Explorer, PathInfo
 from .faults import FaultPlan
 from .governor import MemoryGovernor, build_exploration_governor
 from .interpreter import SymbolicInterpreter
-from .parallel import ProcessPoolExplorer
 from .scheduler import Frontier, RunStats, WorkItem
 from .store import ArtifactStore
 from .state import (
@@ -42,7 +42,7 @@ __all__ = [
     "BinSymExecutor",
     "RunResult",
     "Explorer",
-    "ProcessPoolExplorer",
+    "ExploreConfig",
     "ExplorationResult",
     "PathInfo",
     "Frontier",

@@ -1,7 +1,7 @@
 """Crash-safe exploration checkpoints: an atomic-rename JSON journal.
 
-The exploration drivers (serial and pooled) periodically serialize
-their *complete* recoverable state — every recorded path, the pending
+The exploration driver (in process or pooled) periodically serializes
+its *complete* recoverable state — every recorded path, the pending
 frontier, the set of already-issued flip-query digests, and the exact
 query-attribution counters — to ``checkpoint.json`` inside a campaign
 directory.  Writes go through a temp file + ``os.replace``, so a crash
@@ -150,7 +150,6 @@ class CheckpointState:
                 bound,
                 novelty=novelty,
                 digest=digest,
-                divergence=bound - 1 if bound else None,
             )
             for assignment, bound, novelty, digest in self.frontier
         ]
@@ -277,7 +276,7 @@ class CheckpointManager:
         """Atomically write the journal (temp file + ``os.replace``).
 
         ``pending`` is every not-yet-completed item: the frontier
-        snapshot plus, for the pooled driver, the in-flight items —
+        snapshot plus, for a pool, every item a worker holds —
         anything not persisted here *and* not recorded as a path would
         be lost to a crash.  The ``*_stats`` dicts are the *current
         cumulative* flat counters (resume base + live), since the live

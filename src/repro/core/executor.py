@@ -51,7 +51,7 @@ class BinSymExecutor:
     """Engine adapter: repeatedly executes the SUT under new inputs.
 
     Supports snapshot-resumed runs (``supports_snapshots``): the
-    exploration drivers pass ``capture_from`` so the interpreter
+    exploration run step passes ``capture_from`` so the interpreter
     registers a :class:`~repro.core.snapshots.StateSnapshot` at every
     flippable branch beyond the re-flip bound, and ``resume`` to start
     a child run at its divergence point instead of ``pc = entry``.  The

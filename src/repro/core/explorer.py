@@ -12,44 +12,96 @@ baseline engines share the exact same search and solver infrastructure
 — the comparison then isolates the *translation* methodology, like the
 paper's evaluation intends.
 
-Scheduling (frontier policies, branch-flip expansion) lives in
-:mod:`repro.core.scheduler`; multi-process exploration in
-:mod:`repro.core.parallel`.  ``Explorer(executor, jobs=N)`` fans the
-concolic runs out over ``N`` worker processes, and ``use_cache=True``
-puts a cross-path :class:`repro.smt.solver.QueryCache` in front of the
-solver.
+:meth:`Explorer.explore` is the one driver.  Its campaign shell (the
+journal, the deadline, flip dedup, path recording, the final counter
+merge and certify replay) runs around a :class:`Worker`, the run step:
+execute or resume an item, pose its flip queries through
+:func:`repro.core.scheduler.expand_run`, and hand back the satisfiable
+children.  With ``jobs=1`` one ``Worker`` runs in this process; with
+``jobs=N`` the broker in :mod:`repro.core.parallel` forks ``N`` processes
+that each run a ``Worker`` and stream their runs back.  Every knob is a
+field of the frozen :class:`ExploreConfig`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..arch.hart import HaltReason
 from ..smt.solver import CachingSolver, Solver, SolverConfig
 from ..spec.superblock import BRANCH_HOT_HITS
-from .executor import RunResult
+from .faults import FaultPlan
 from .scheduler import Frontier, RunStats, WorkItem, expand_run, query_digest
 from .state import ExploredPrefixTrie, InputAssignment
 
 __all__ = [
     "PathInfo",
     "ExplorationResult",
+    "ExploreConfig",
     "Explorer",
-    "apply_staging",
-    "apply_superblocks",
+    "Worker",
     "make_solver",
     "install_fault_hooks",
 ]
 
 
-def make_solver(
-    use_cache: bool,
-    solver_config: Optional[SolverConfig],
-    store_dir: Optional[str] = None,
-):
-    """Build the exploration solver for one driver (or one worker).
+@dataclass(frozen=True)
+class ExploreConfig:
+    """Every exploration knob, declared once with its default.
+
+    ``Explorer(executor, **options)`` takes exactly these fields, and
+    the ``repro explore`` subcommand reads its defaults from here.
+    """
+
+    strategy: str = "dfs"
+    max_paths: int = 1_000_000
+    seed: int = 0
+    #: Worker processes.  A pool runs when ``jobs > 1``, no ``solver``
+    #: was given and the platform can ``fork``; otherwise one in-process
+    #: :class:`Worker` explores.
+    jobs: int = 1
+    #: Put the cross-path query cache in front of the solver.
+    use_cache: bool = False
+    #: Skip flip queries another path already issued (prefix trie).
+    dedup_flips: bool = True
+    #: Solver-layer knobs (cores, trail reuse, budgets, certification).
+    solver_config: Optional[SolverConfig] = None
+    #: Staging and superblock ablations; ``None`` keeps the executor's.
+    staging: Optional[bool] = None
+    superblocks: Optional[bool] = None
+    #: Snapshot-resumed runs; only engines that support them take part.
+    snapshots: bool = True
+    #: Crash-safe journal directory, its save cadence in recorded paths,
+    #: and whether to reload it before exploring.
+    checkpoint_dir: Optional[str] = None
+    checkpoint_interval: int = 1
+    resume: bool = False
+    #: Deterministic failure schedule for chaos testing; an inactive
+    #: plan counts as none.
+    faults: Optional[FaultPlan] = None
+    #: Anytime knobs: a global wall-clock deadline in seconds (the
+    #: frontier drains into ``incomplete_paths`` when it fires, and the
+    #: journal stays resumable), a per-process RSS budget in MB driving
+    #: the degradation ladder, and the seconds of heartbeat silence
+    #: after which the pool's watchdog kills a seat.
+    deadline: Optional[float] = None
+    memory_budget_mb: Optional[int] = None
+    hang_timeout: float = 5.0
+    #: Persistent artifact store directory (``--store DIR``); every
+    #: process attaches its own handle on the shared tree.
+    store_dir: Optional[str] = None
+
+    @property
+    def certify(self) -> bool:
+        """Certify mode: record per-path condition digests and replay
+        every path under the reference evaluator after exploring."""
+        return self.solver_config is not None and self.solver_config.certify
+
+
+def make_solver(config: ExploreConfig):
+    """Build the exploration solver for one process.
 
     ``use_cache`` selects the :class:`CachingSolver`; without it the
     plain :class:`Solver` still honours the solver-layer knobs (trail
@@ -57,7 +109,7 @@ def make_solver(
     flags behave identically in cached and uncached runs.
 
     ``store_dir`` (``--store DIR``) attaches the persistent artifact
-    tier behind the query cache — each driver/worker owns its own
+    tier behind the query cache — each process owns its own
     :class:`repro.core.store.ArtifactStore` handle on the shared
     directory (reads are per-call, writes single-writer-per-process),
     so the handle is safe to construct before a fork.  A store implies
@@ -66,13 +118,15 @@ def make_solver(
     is off (asking to persist answers that are never collected would be
     a silent no-op).
     """
-    if use_cache or store_dir is not None:
+    solver_config = config.solver_config
+    if config.use_cache or config.store_dir is not None:
         solver = CachingSolver(solver_config=solver_config)
-        if store_dir is not None:
+        if config.store_dir is not None:
             from .store import ArtifactStore
 
-            certify = bool(solver_config is not None and solver_config.certify)
-            solver.cache.attach_store(ArtifactStore(store_dir, certify=certify))
+            solver.cache.attach_store(
+                ArtifactStore(config.store_dir, certify=config.certify)
+            )
         return solver
     if solver_config is None:
         return Solver()
@@ -88,9 +142,8 @@ def make_solver(
 
 
 def install_fault_hooks(solver, faults, scope) -> None:
-    """Attach one driver's fault schedule to its solver (and cache).
+    """Attach one worker's fault schedule to its solver (and cache).
 
-    Used identically by the serial driver and every pool worker:
     ``unknown=`` give-ups go to the CDCL fault hook, ``corrupt=``
     poisoning to the query cache's corruptor seam (a solver without a
     cache simply has nothing to poison).
@@ -111,35 +164,6 @@ def install_fault_hooks(solver, faults, scope) -> None:
             store.set_fault_hook(store_hook)
         if corruptor is not None:
             store.set_corruptor(corruptor)
-
-
-def apply_staging(executor, staging: Optional[bool]) -> Optional[bool]:
-    """Apply the staged-semantics ablation (--no-staging) to an executor.
-
-    Called once at every exploration entry point (serial and pooled)
-    *before* any run — and before the fork, so workers inherit the
-    setting and serial/parallel behave identically.  Returns the value
-    to forward downstream: ``None`` once applied, so a delegation chain
-    reconfigures the executor exactly once.  ``None`` in leaves the
-    executor's own configuration untouched.
-    """
-    if staging is not None and hasattr(executor, "set_staging"):
-        executor.set_staging(staging)
-        return None
-    return staging
-
-
-def apply_superblocks(executor, superblocks: Optional[bool]) -> Optional[bool]:
-    """Apply the superblock ablation (--no-superblocks) to an executor.
-
-    Same contract as :func:`apply_staging`: applied once, before any run
-    and before the worker fork, returning ``None`` once consumed so the
-    delegation chain reconfigures the executor exactly once.
-    """
-    if superblocks is not None and hasattr(executor, "set_superblocks"):
-        executor.set_superblocks(superblocks)
-        return None
-    return superblocks
 
 
 @dataclass
@@ -405,331 +429,384 @@ class ExplorationResult:
 class Explorer:
     """Drives an executor through all feasible paths of the SUT.
 
-    ``jobs > 1`` delegates to the multi-process driver (each worker owns
-    its own solver and query cache); ``use_cache`` enables the
-    cross-path query cache, and ``solver_config`` carries the
-    solver-layer knobs (cores, trail reuse, budgets, certification).  An
-    explicitly supplied ``solver`` pins the exploration to a single
-    process, since a user-provided facade (e.g. the query-complexity
-    recorder) cannot be replicated onto workers.
+    ``options`` are the fields of :class:`ExploreConfig`; an unknown one
+    is a ``TypeError``.  An explicitly supplied ``solver`` pins the
+    exploration to this process, since a user-provided facade (e.g. the
+    query-complexity recorder) cannot be replicated onto workers.
 
     Robustness knobs: ``checkpoint_dir`` arms the crash-safe journal
     (:mod:`repro.core.checkpoint`; ``resume=True`` additionally reloads
     it before exploring), and ``faults`` injects a deterministic
     failure schedule (:class:`repro.core.faults.FaultPlan`) for chaos
-    testing.  ``KeyboardInterrupt`` is caught in both drivers and
-    returns the partial result with ``interrupted=True``.
+    testing.  ``KeyboardInterrupt`` is caught in both modes and returns
+    the partial result with ``interrupted=True``.
     """
 
-    def __init__(
-        self,
-        executor,
-        solver: Optional[Solver] = None,
-        strategy: str = "dfs",
-        max_paths: int = 1_000_000,
-        seed: int = 0,
-        jobs: int = 1,
-        use_cache: bool = False,
-        dedup_flips: bool = True,
-        solver_config: Optional[SolverConfig] = None,
-        staging: Optional[bool] = None,
-        superblocks: Optional[bool] = None,
-        snapshots: bool = True,
-        checkpoint_dir: Optional[str] = None,
-        checkpoint_interval: int = 1,
-        resume: bool = False,
-        faults=None,
-        deadline: Optional[float] = None,
-        memory_budget_mb: Optional[int] = None,
-        hang_timeout: float = 5.0,
-        store_dir: Optional[str] = None,
-    ):
-        self._solver_provided = solver is not None
-        #: Persistent artifact store directory (``--store DIR``); every
-        #: driver/worker attaches its own handle on the shared tree.
-        self.store_dir = store_dir
-        if solver is None:
-            solver = make_solver(use_cache, solver_config, store_dir)
-        self.executor = executor
-        self.solver = solver
-        self.strategy_name = strategy
-        self.max_paths = max_paths
-        self.seed = seed
-        self.jobs = jobs
-        self.use_cache = use_cache
-        self.dedup_flips = dedup_flips
-        self.solver_config = solver_config
-        self.staging = apply_staging(executor, staging)
-        self.superblocks = apply_superblocks(executor, superblocks)
-        # Snapshot-resumed runs (--no-snapshots ablation): only engines
-        # advertising support participate; the rest execute every run
-        # from the entry point exactly as before.
-        self.snapshots = snapshots and getattr(
-            executor, "supports_snapshots", False
+    def __init__(self, executor, solver: Optional[Solver] = None, **options):
+        config = ExploreConfig(**options)
+        faults = config.faults
+        self.config = config = replace(
+            config,
+            faults=faults if faults is not None and faults.active else None,
+            snapshots=config.snapshots
+            and getattr(executor, "supports_snapshots", False),
         )
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_interval = checkpoint_interval
-        self.resume = resume
-        self.faults = faults if faults is not None and faults.active else None
-        #: Anytime knobs (PR 9): a global wall-clock deadline in seconds
-        #: (frontier drains into ``incomplete_paths`` when it fires, the
-        #: checkpoint stays resumable), a per-process RSS budget in MB
-        #: driving the degradation ladder, and the missed-heartbeat
-        #: threshold after which the pool supervisor kills a seat.
-        self.deadline = deadline
-        self.memory_budget_mb = memory_budget_mb
-        self.hang_timeout = hang_timeout
-        #: Certify mode (``--certify``): record per-path condition
-        #: digests during exploration and replay-verify every path
-        #: under the reference evaluator once exploration finishes.
-        self.certify = solver_config is not None and solver_config.certify
+        self.executor = executor
+        self._solver_provided = solver is not None
+        #: The solver an in-process run uses; pool workers build their own.
+        self.solver = solver if solver is not None else make_solver(config)
+        # The ablations are applied once, before any run and before a
+        # pool forks, so every worker inherits them.
+        if config.staging is not None and hasattr(executor, "set_staging"):
+            executor.set_staging(config.staging)
+        if config.superblocks is not None and hasattr(executor, "set_superblocks"):
+            executor.set_superblocks(config.superblocks)
 
     def explore(self) -> ExplorationResult:
         """Run the full exploration; returns all discovered paths."""
-        if self.jobs > 1 and not self._solver_provided:
-            from .parallel import ProcessPoolExplorer
-
-            return ProcessPoolExplorer(
-                self.executor,
-                jobs=self.jobs,
-                strategy=self.strategy_name,
-                max_paths=self.max_paths,
-                seed=self.seed,
-                use_cache=self.use_cache,
-                dedup_flips=self.dedup_flips,
-                solver_config=self.solver_config,
-                staging=self.staging,
-                superblocks=self.superblocks,
-                snapshots=self.snapshots,
-                checkpoint_dir=self.checkpoint_dir,
-                checkpoint_interval=self.checkpoint_interval,
-                resume=self.resume,
-                faults=self.faults,
-                deadline=self.deadline,
-                memory_budget_mb=self.memory_budget_mb,
-                hang_timeout=self.hang_timeout,
-                store_dir=self.store_dir,
-            ).explore()
-        return self._explore_serial()
-
-    def _make_checkpoint(self):
-        """Build the journal manager (and load prior state on resume)."""
-        if self.checkpoint_dir is None:
-            return None, None
-        from .checkpoint import CheckpointManager
-
-        manager = CheckpointManager(
-            self.checkpoint_dir,
-            strategy=self.strategy_name,
-            seed=self.seed,
-            interval=self.checkpoint_interval,
-        )
-        state = manager.load() if self.resume else None
-        return manager, state
-
-    @staticmethod
-    def _summed(base: dict, live: dict) -> dict:
-        total = dict(base)
-        for key, value in live.items():
-            total[key] = total.get(key, 0) + value
-        return total
-
-    def _explore_serial(self) -> ExplorationResult:
-        result = ExplorationResult()
+        config = self.config
         start = time.perf_counter()
-        frontier = Frontier(self.strategy_name, self.seed)
-        manager, restored = self._make_checkpoint()
-        # With checkpointing on, children additionally carry restart-
-        # stable flip-query digests; the persisted digest set suppresses
-        # re-deriving children a pre-crash run already enqueued.  (The
-        # in-process trie below dedups everything within one process
-        # lifetime, so on fresh runs the filter never fires.)
-        seen_digests: Optional[set] = set() if manager is not None else None
+        pooled = False
+        if config.jobs > 1 and not self._solver_provided:
+            import multiprocessing
+
+            pooled = "fork" in multiprocessing.get_all_start_methods()
+        result = ExplorationResult(workers=config.jobs if pooled else 1)
+        frontier = Frontier(config.strategy, config.seed)
+        manager = restored = None
+        if config.checkpoint_dir is not None:
+            from .checkpoint import CheckpointManager
+
+            manager = CheckpointManager(
+                config.checkpoint_dir,
+                strategy=config.strategy,
+                seed=config.seed,
+                interval=config.checkpoint_interval,
+            )
+            restored = manager.load() if config.resume else None
+        campaign = _Campaign(config, result, manager)
         if restored is not None:
             restored.restore_result(result)
-            seen_digests = restored.digests
+            campaign.seen = restored.digests
             for item in restored.frontier_items():
                 frontier.push(item)
-            if restored.complete:
-                result.wall_time = time.perf_counter() - start
-                return result
         else:
             frontier.push(WorkItem(InputAssignment(), 0))
-        trie = ExploredPrefixTrie() if self.dedup_flips else None
-        executor = self.executor
-        snapshots = self.snapshots
-        faults = self.faults
-        install_fault_hooks(self.solver, faults, "serial")
-        # Anytime layer: the deadline is absolute (monotonic clock), and
-        # the governor reads/flips ``capture_state`` — its bottom rung
-        # disables snapshot capture, which the loop below re-reads every
-        # run, so degradation takes effect immediately.
-        deadline_at = (
-            time.monotonic() + self.deadline if self.deadline is not None else None
-        )
-        capture_state = {"snapshots": snapshots}
-        governor = None
-        if self.memory_budget_mb is not None:
-            from .governor import build_exploration_governor
+        if restored is None or not restored.complete:
+            if pooled:
+                from .parallel import Broker
 
-            governor = build_exploration_governor(
-                self.memory_budget_mb, executor, self.solver, capture_state
-            )
-        memhog_leaks: list = []  # memhog= fault ballast, freed on return
-        purge = getattr(executor, "purge_snapshots", None)
-        # Superblock hotness feedback: accumulate per-PC flippable-branch
-        # executions across runs; a PC crossing the threshold is reported
-        # to the executor once, promoting its successors to block entries.
-        note_hot = getattr(executor, "note_hot_pcs", None)
-        if note_hot is not None and not getattr(executor, "superblocks_enabled", False):
-            note_hot = None
-        hot_counts: dict = {}
-        hot_sent: set = set()
-        runs = 0
-        try:
-            while frontier and result.num_paths < self.max_paths:
-                if deadline_at is not None and time.monotonic() >= deadline_at:
-                    result.interrupted = True
-                    result.deadline_expired = True
-                    break
-                item = frontier.pop()
-                capturing = capture_state["snapshots"]
-                if faults is not None and purge is not None and capturing:
-                    if faults.should_evict("serial", runs):
-                        purge()
-                if faults is not None:
-                    ballast = faults.memhog_bytes("serial", runs)
-                    if ballast:
-                        memhog_leaks.append(bytearray(ballast))
-                runs += 1
-                if capturing:
-                    run = executor.execute_from(
-                        item.snapshot, item.assignment, capture_from=item.bound
+                campaign.run(Broker(self, frontier))
+            else:
+                # In-process children carry flip digests only when a
+                # journal persists them; the trie dedups everything
+                # else within this process.
+                campaign.run(
+                    Worker(
+                        self.executor,
+                        config,
+                        self.solver,
+                        "serial",
+                        frontier=frontier,
+                        covered=result.covered_branches,
+                        digests=manager is not None,
                     )
-                else:
-                    run = executor.execute(item.assignment)
-                if governor is not None:
-                    governor.maybe_step()
-                self._record_path(result, run)
-                stats = RunStats()
-                children = expand_run(
-                    run,
-                    item.bound,
-                    self.solver,
-                    executor.input_variables(),
-                    stats,
-                    trie,
-                    compute_digests=seen_digests is not None,
-                    snapshots=run.snapshots if snapshots else None,
                 )
-                novelty = len(stats.covered_pcs - result.covered_branches)
-                if note_hot is not None and stats.pc_hits:
-                    newly_hot = []
-                    for pc, count in stats.pc_hits.items():
-                        total = hot_counts.get(pc, 0) + count
-                        hot_counts[pc] = total
-                        if total >= BRANCH_HOT_HITS and pc not in hot_sent:
-                            hot_sent.add(pc)
-                            newly_hot.append(pc)
-                    if newly_hot:
-                        note_hot(newly_hot)
-                result.merge_run_stats(stats)
-                for child in children:
-                    if seen_digests is not None and child.digest is not None:
-                        if child.digest in seen_digests:
-                            result.pruned_queries += 1
-                            continue
-                        seen_digests.add(child.digest)
-                    child.novelty = novelty
-                    frontier.push(child)
-                if manager is not None:
-                    manager.maybe_save(
-                        result,
-                        frontier.items(),
-                        seen_digests,
-                        solver_stats=self._summed(
-                            result.solver_stats, self.solver.pipeline_statistics
-                        ),
-                    )
-                if faults is not None and faults.interrupt_after is not None:
-                    if result.num_paths >= faults.interrupt_after:
-                        raise KeyboardInterrupt
+        if config.certify:
+            from .certificates import certificate_to_state, verify_result
+
+            verify_result(result, self.executor)
+            # Only certificates that just passed replay are persisted:
+            # the store holds evidence, not claims.  Content-addressed,
+            # so re-running the same campaign rewrites nothing.
+            store = getattr(getattr(self.solver, "cache", None), "store", None)
+            if store is not None and not result.certificate_failures:
+                for cert in result.certificates:
+                    store.save_certificate(certificate_to_state(cert))
+        result.wall_time = time.perf_counter() - start
+        return result
+
+
+class _DeadlineExpired(Exception):
+    """Internal control flow: the global ``--deadline`` fired."""
+
+
+class _Campaign:
+    """The campaign shell around one driver.
+
+    A driver is the in-process :class:`Worker` or the pool's
+    :class:`repro.core.parallel.Broker`.  Its ``explore(campaign)``
+    calls :meth:`record` and :meth:`fresh` for every run it completes
+    and :meth:`after_run` once that run's children are queued; it also
+    offers ``pending()`` (every unfinished item), ``counters()`` (the
+    cumulative solver, snapshot, superblock and governor counter dicts
+    of each process) and ``peak`` (the largest frontier it saw).
+    """
+
+    def __init__(self, config: ExploreConfig, result: ExplorationResult, manager):
+        self.config = config
+        self.result = result
+        self.manager = manager
+        #: Restart-stable digests of the flip queries whose children
+        #: were queued; a resumed campaign starts from the journal's.
+        self.seen: set = set()
+        self.deadline_at: Optional[float] = None
+
+    def check_deadline(self) -> None:
+        if self.deadline_at is not None and time.monotonic() >= self.deadline_at:
+            raise _DeadlineExpired
+
+    def record(self, path: tuple, stats: RunStats) -> None:
+        """Record one run's path (see :meth:`Worker.run`) and fold in
+        its solver accounting."""
+        result = self.result
+        info = PathInfo(len(result.paths), *path[:-1])
+        result.total_instructions += info.instret
+        result.executed_instructions += info.instret - path[-1]
+        result.paths.append(info)
+        result.merge_run_stats(stats)
+
+    def fresh(self, digest: Optional[int]) -> bool:
+        """Flip dedup: whether a child with this flip digest is new.
+
+        A repeat counts as a pruned query.  Worker tries are
+        per-process, so this global check catches a flip query another
+        worker already expanded, and the journal's persisted set
+        suppresses children a pre-crash run already queued.
+        """
+        if digest is None:
+            return True
+        if digest in self.seen:
+            self.result.pruned_queries += 1
+            return False
+        self.seen.add(digest)
+        return True
+
+    def after_run(self, driver) -> None:
+        """Checkpoint, and honour a ``stop=`` fault, after each run."""
+        result = self.result
+        if self.manager is not None:
+            self.manager.maybe_save(
+                result,
+                driver.pending(),
+                self.seen,
+                solver_stats=_summed(
+                    result.solver_stats, (stats[0] for stats in driver.counters())
+                ),
+            )
+        faults = self.config.faults
+        if faults is not None and faults.interrupt_after is not None:
+            if result.num_paths >= faults.interrupt_after:
+                raise KeyboardInterrupt
+
+    def run(self, driver) -> None:
+        """Explore with ``driver``, then merge, save and drain."""
+        result = self.result
+        if self.config.deadline is not None:
+            self.deadline_at = time.monotonic() + self.config.deadline
+        try:
+            driver.explore(self)
         except KeyboardInterrupt:
             result.interrupted = True
-        del memhog_leaks[:]
-        result.truncated = bool(frontier)
-        result.frontier_peak = max(frontier.peak, result.frontier_peak)
-        result.merge_solver_stats(self.solver.pipeline_statistics)
-        if governor is not None:
-            result.merge_governor_stats(governor.statistics)
-        snapshot_stats = getattr(executor, "snapshot_statistics", None)
-        if snapshot_stats is not None and snapshots:
-            result.merge_snapshot_stats(dict(snapshot_stats))
-        superblock_stats = getattr(executor, "superblock_statistics", None)
-        if superblock_stats is not None and getattr(
-            executor, "superblocks_enabled", False
+        except _DeadlineExpired:
+            result.interrupted = result.deadline_expired = True
+        pending = list(driver.pending())
+        result.truncated = bool(pending)
+        result.frontier_peak = max(driver.peak, result.frontier_peak)
+        for solver_stats, snapshot_stats, superblock_stats, governor_stats in (
+            driver.counters()
         ):
-            result.merge_superblock_stats(dict(superblock_stats))
-        if manager is not None:
-            manager.save(
+            result.merge_solver_stats(solver_stats)
+            result.merge_snapshot_stats(snapshot_stats)
+            result.merge_superblock_stats(superblock_stats)
+            result.merge_governor_stats(governor_stats)
+        if self.manager is not None:
+            self.manager.save(
                 result,
-                frontier.items(),
-                seen_digests,
-                complete=not frontier and not result.interrupted,
+                pending,
+                self.seen,
+                complete=not pending and not result.interrupted,
                 solver_stats=result.solver_stats,
                 snapshot_stats=result.snapshot_stats,
                 superblock_stats=result.superblock_stats,
                 governor_stats=result.governor_stats,
             )
         if result.deadline_expired:
-            # Anytime accounting: every drained frontier item is one
-            # explicitly counted unexplored path.  Counted only AFTER
-            # the final checkpoint save — a ``--resume`` restores these
-            # items into its frontier and re-explores them, so
-            # persisting the count too would double-book them.
-            result.incomplete_paths += len(frontier.drain())
-        if self.certify:
-            from .certificates import verify_result
+            # Anytime accounting: every unfinished item is one explicitly
+            # counted unexplored path.  Counted only AFTER the final
+            # checkpoint save — a ``--resume`` restores these items and
+            # re-explores them, so persisting the count too would
+            # double-book them.
+            result.incomplete_paths += len(pending)
 
-            verify_result(result, executor)
-            self._persist_certificates(result)
-        result.wall_time = time.perf_counter() - start
-        return result
 
-    def _persist_certificates(self, result: ExplorationResult) -> None:
-        """Write replay-checked certificates to the persistent store.
+class Worker:
+    """One process's run step: execute or resume an item and expand it.
 
-        Only certificates that just *passed* replay are persisted — the
-        store holds evidence, not claims.  Content-addressed, so
-        re-running the same campaign rewrites nothing.
-        """
-        store = getattr(getattr(self.solver, "cache", None), "store", None)
-        if store is None or not result.certificates:
-            return
-        from .certificates import certificate_to_state
+    Owns the frontier, the solver's fault hooks, the explored-prefix
+    trie, the memory governor (RSS is per-process, so every process
+    walks its own degradation ladder), the ``evict=``/``memhog=``
+    faults keyed by the run ordinal under ``scope`` (``"serial"`` in
+    process, the incarnation uid in a pool), the covered branch set that
+    scores coverage novelty, and hot-PC promotion for the superblock
+    layer.  :meth:`explore` is the in-process loop; a pool worker drives
+    :meth:`run` from :func:`repro.core.parallel._worker_main`.
+    """
 
-        if result.certificate_failures:
-            return
-        for cert in result.certificates:
-            store.save_certificate(certificate_to_state(cert))
+    def __init__(
+        self,
+        executor,
+        config: ExploreConfig,
+        solver,
+        scope,
+        frontier: Optional[Frontier] = None,
+        covered=(),
+        digests: bool = True,
+    ):
+        self.executor = executor
+        self.solver = solver
+        self.scope = scope
+        self.faults = config.faults
+        install_fault_hooks(solver, config.faults, scope)
+        if frontier is None:
+            frontier = Frontier(config.strategy, config.seed)
+        self.frontier = frontier
+        self.trie = ExploredPrefixTrie() if config.dedup_flips else None
+        self.snapshots = config.snapshots
+        self.certify = config.certify
+        #: Whether children carry restart-stable flip-query digests.
+        self.digests = digests
+        self.covered = set(covered)
+        # The governor's bottom rung flips ``capture_state`` off, and
+        # every run re-reads it, so degradation takes effect at once.
+        self.capture_state = {"snapshots": config.snapshots}
+        self.governor = None
+        if config.memory_budget_mb is not None:
+            from .governor import build_exploration_governor
 
-    # ------------------------------------------------------------------
-
-    def _record_path(self, result: ExplorationResult, run: RunResult) -> None:
-        result.total_instructions += run.instret
-        result.executed_instructions += run.instret - run.resumed_instret
-        result.paths.append(
-            PathInfo(
-                index=len(result.paths),
-                halt_reason=run.halt_reason,
-                exit_code=run.exit_code,
-                instret=run.instret,
-                trace_length=len(run.trace),
-                assignment=run.assignment,
-                stdout=run.stdout,
-                final_pc=run.final_pc,
-                condition_digest=(
-                    query_digest(run.trace.conditions()) if self.certify else None
-                ),
+            self.governor = build_exploration_governor(
+                config.memory_budget_mb, executor, solver, self.capture_state
             )
+        self.purge = getattr(executor, "purge_snapshots", None)
+        # Superblock hotness feedback: per-PC flippable-branch executions
+        # accumulate across runs; a PC crossing the threshold is reported
+        # to the executor once, promoting its successors to block entries.
+        self.note_hot = getattr(executor, "note_hot_pcs", None)
+        if not getattr(executor, "superblocks_enabled", False):
+            self.note_hot = None
+        self.hot_counts: dict = {}
+        self.hot_sent: set = set()
+        self.memhog_leaks: list = []  # memhog= ballast, freed with the worker
+        #: Runs started; the ordinal that keys this worker's faults.
+        self.runs = 0
+
+    @property
+    def peak(self) -> int:
+        return self.frontier.peak
+
+    def explore(self, campaign: _Campaign) -> None:
+        """The in-process loop: run items until the frontier is empty."""
+        frontier, result = self.frontier, campaign.result
+        while frontier and result.num_paths < campaign.config.max_paths:
+            campaign.check_deadline()
+            path, children, stats = self.run(frontier.pop())
+            campaign.record(path, stats)
+            for child in children:
+                if campaign.fresh(child.digest):
+                    frontier.push(child)
+            campaign.after_run(self)
+
+    def pending(self) -> list:
+        return self.frontier.items()
+
+    def run(self, item: WorkItem) -> tuple:
+        """Run one item: ``(path, children, stats)``.
+
+        ``path`` holds the :class:`PathInfo` fields after ``index``,
+        then the run's ``resumed_instret``; the children carry the
+        run's coverage novelty.
+        """
+        executor, faults, ordinal = self.executor, self.faults, self.runs
+        self.runs += 1
+        capturing = self.capture_state["snapshots"]
+        if faults is not None:
+            if self.purge is not None and capturing:
+                if faults.should_evict(self.scope, ordinal):
+                    self.purge()
+            ballast = faults.memhog_bytes(self.scope, ordinal)
+            if ballast:
+                self.memhog_leaks.append(bytearray(ballast))
+        if capturing:
+            run = executor.execute_from(
+                item.snapshot, item.assignment, capture_from=item.bound
+            )
+        else:
+            run = executor.execute(item.assignment)
+        if self.governor is not None:
+            self.governor.maybe_step()
+        stats = RunStats()
+        children = expand_run(
+            run,
+            item.bound,
+            self.solver,
+            executor.input_variables(),
+            stats,
+            self.trie,
+            compute_digests=self.digests,
+            snapshots=run.snapshots if self.snapshots else None,
         )
+        novelty = len(stats.covered_pcs - self.covered)
+        self.covered |= stats.covered_pcs
+        for child in children:
+            child.novelty = novelty
+        if self.note_hot is not None and stats.pc_hits:
+            newly_hot = []
+            for pc, count in stats.pc_hits.items():
+                total = self.hot_counts.get(pc, 0) + count
+                self.hot_counts[pc] = total
+                if total >= BRANCH_HOT_HITS and pc not in self.hot_sent:
+                    self.hot_sent.add(pc)
+                    newly_hot.append(pc)
+            if newly_hot:
+                self.note_hot(newly_hot)
+        path = (
+            run.halt_reason,
+            run.exit_code,
+            run.instret,
+            len(run.trace),
+            run.assignment,
+            run.stdout,
+            run.final_pc,
+            query_digest(run.trace.conditions()) if self.certify else None,
+            run.resumed_instret,
+        )
+        return path, children, stats
+
+    def counters(self) -> list:
+        """This process's cumulative (solver, snapshot, superblock,
+        governor) counter dicts, as the one entry of a list."""
+        executor = self.executor
+        snapshot_stats = getattr(executor, "snapshot_statistics", None)
+        superblock_stats = getattr(executor, "superblock_statistics", None)
+        return [
+            (
+                self.solver.pipeline_statistics,
+                dict(snapshot_stats)
+                if snapshot_stats is not None and self.snapshots
+                else {},
+                dict(superblock_stats)
+                if superblock_stats is not None
+                and getattr(executor, "superblocks_enabled", False)
+                else {},
+                self.governor.statistics if self.governor is not None else {},
+            )
+        ]
+
+
+def _summed(base: dict, live_dicts) -> dict:
+    """Key-wise ``base + sum(live_dicts)`` without mutating either."""
+    total = dict(base)
+    for live in live_dicts:
+        for key, value in live.items():
+            total[key] = total.get(key, 0) + value
+    return total

@@ -28,9 +28,9 @@ on.  Four fault classes map onto the robustness machinery they probe:
 * **worker hangs** (``hang=<rate>``) — a worker parks in an infinite
   sleep loop (heartbeats stop) the moment it receives a task,
   exercising the supervisor's heartbeat watchdog: the seat must be
-  declared hung, killed, and its item requeued.  Pool-only: the serial
-  driver has no supervisor, so it ignores hang schedules;
-* **memory hogs** (``memhog=<rate>``) — a driver leaks a large
+  declared hung, killed, and its item requeued.  Pool-only: an
+  in-process run has no supervisor, so it ignores hang schedules;
+* **memory hogs** (``memhog=<rate>``) — a worker leaks a large
   allocation before a run, exercising the RSS governor's degradation
   ladder (:mod:`repro.core.governor`): capacity rungs fire, but the
   eviction → recompute contracts keep the path set invariant;
@@ -188,7 +188,7 @@ class FaultPlan:
     def should_hang(self, scope, ordinal: int) -> bool:
         """Wedge (infinite sleep, heartbeats stopped) on task ``ordinal``?
 
-        Pool workers only: the serial driver has no supervising parent
+        Pool workers only: an in-process run has no supervising parent
         to recover a wedged loop, so it never consults this predicate.
         Keyed by incarnation uid like ``should_kill``, so a respawned
         seat draws a fresh schedule and the retried item usually runs.
@@ -198,7 +198,7 @@ class FaultPlan:
     def memhog_bytes(self, scope, ordinal: int) -> int:
         """Bytes to deliberately leak before run ``ordinal`` (0 = none).
 
-        The leak is retained for the driver's lifetime, so repeated
+        The leak is retained for the worker's lifetime, so repeated
         fires ratchet RSS upward — the deterministic pressure source
         the :mod:`repro.core.governor` ladder is tested against.
         """

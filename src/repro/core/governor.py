@@ -5,9 +5,9 @@ module bounds what *memory pressure* can cost.  A
 :class:`MemoryGovernor` watches the driver process's resident set size
 against a ``--memory-budget`` and, whenever a sample exceeds the
 budget, walks one rung down a degradation ladder of pre-registered
-actions.  The exploration drivers (serial and every pool worker — RSS
-is per-process, so each owns its own governor) register three rungs,
-most-reversible first:
+actions.  Every exploration :class:`repro.core.explorer.Worker` (the
+in-process one, or one per pool process — RSS is per-process, so each
+owns its own governor) registers three rungs, most-reversible first:
 
 1. **shrink the snapshot pool** — halve
    :attr:`repro.core.snapshots.SnapshotPool.max_bytes` and evict down
@@ -154,10 +154,10 @@ def build_exploration_governor(
     capture_state: dict,
     sampler: Optional[Callable[[], int]] = None,
 ) -> MemoryGovernor:
-    """Wire the standard three-rung ladder for one exploration driver.
+    """Wire the standard three-rung ladder for one exploration worker.
 
-    ``capture_state`` is the driver's mutable ``{"snapshots": bool}``
-    cell — rung 3 flips it off, and the driver re-reads it every run,
+    ``capture_state`` is the worker's mutable ``{"snapshots": bool}``
+    cell — rung 3 flips it off, and the worker re-reads it every run,
     so disabling capture takes effect immediately without threading a
     callback through the run loop.  ``solver``/``executor`` hooks are
     duck-typed: a missing surface (no cache, no snapshot pool) makes

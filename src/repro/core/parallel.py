@@ -39,9 +39,13 @@ deadline drains read the global frontier plus every mirror.
 Workers are forked so they inherit the executor (ISA, image,
 interpreter) without pickling: interned terms cannot round-trip through
 pickle.  Input assignments cross the process boundary by variable
-*name* (see :mod:`repro.core.scheduler`).  Without ``fork`` the driver
-falls back to the single-process explorer, which discovers the identical
-path set.
+*name* (see :mod:`repro.core.scheduler`).
+
+:meth:`repro.core.explorer.Explorer.explore` imports this module only
+when a pool runs, and its campaign shell (journal, deadline, flip dedup,
+path recording, final counter merge, certify) is the same one that
+wraps the in-process run: the :class:`Broker` is one of its two drivers,
+and each worker runs the same :class:`~repro.core.explorer.Worker`.
 """
 
 from __future__ import annotations
@@ -55,32 +59,12 @@ import traceback
 from multiprocessing import connection as mp_connection
 from typing import Optional
 
-from ..smt.solver import SolverConfig
-from ..spec.superblock import BRANCH_HOT_HITS
-from .explorer import (
-    ExplorationResult,
-    Explorer,
-    PathInfo,
-    apply_staging,
-    apply_superblocks,
-    install_fault_hooks,
-    make_solver,
-)
+from .explorer import ExploreConfig, Worker, make_solver
 from .faults import KILL_EXIT_CODE
-from .scheduler import (
-    Frontier,
-    RunStats,
-    WorkItem,
-    deserialize_assignment,
-    expand_run,
-    query_digest,
-    serialize_assignment,
-)
-from .state import ExploredPrefixTrie, InputAssignment
+from .scheduler import WorkItem, deserialize_assignment, serialize_assignment
 
 __all__ = [
-    "ProcessPoolExplorer",
-    "default_jobs",
+    "Broker",
     "MAX_ITEM_FAILURES",
     "HEARTBEAT_INTERVAL",
     "DEFAULT_HANG_TIMEOUT",
@@ -98,23 +82,14 @@ HEARTBEAT_INTERVAL = 0.25
 
 #: Seconds of heartbeat silence before the supervisor declares a live
 #: seat hung and kills it (>> HEARTBEAT_INTERVAL, so scheduler jitter
-#: on a loaded machine never trips it).
-DEFAULT_HANG_TIMEOUT = 5.0
+#: on a loaded machine never trips it); ``hang_timeout`` overrides it.
+DEFAULT_HANG_TIMEOUT = ExploreConfig.hang_timeout
 
 #: First element of a liveness message on the reply pipe.  Run replies
 #: lead with an integer item id, so the tags can never collide.
 _HEARTBEAT = "__heartbeat__"
 #: First element of a steal answer: ``(_STOLEN, item_id or None)``.
 _STOLEN = "__stolen__"
-
-
-class _DeadlineExpired(Exception):
-    """Internal control flow: the global ``--deadline`` fired."""
-
-
-def default_jobs() -> int:
-    """Worker count when none is requested: one per CPU, capped at 8."""
-    return min(os.cpu_count() or 1, 8)
 
 
 def _backoff_delay(seed: int, uid: int, respawns: int) -> float:
@@ -136,15 +111,15 @@ def _backoff_delay(seed: int, uid: int, respawns: int) -> float:
     return base * jitter
 
 
-def _worker_main(pool, worker_uid, control, reply_conn):
+def _worker_main(broker, worker_uid, control, reply_conn):
     """Worker loop: run items from a local frontier, stream the results.
 
-    ``pool`` is the fork-inherited :class:`ProcessPoolExplorer`, whose
-    fields configure the worker.  It owns a :class:`Frontier` with the
-    campaign's strategy and seed, a solver and an explored-prefix trie,
-    and it counts and promotes hot superblock PCs itself, exactly as the
-    serial driver does.  Between runs it drains the ``control`` pipe
-    without blocking (it blocks only with an empty frontier):
+    ``broker`` is the fork-inherited :class:`Broker`; its executor and
+    config build this process's :class:`~repro.core.explorer.Worker`
+    (frontier, solver, trie, governor, hot PCs), the same run step an
+    in-process exploration uses.  Between runs the loop drains the
+    ``control`` pipe without blocking (it blocks only with an empty
+    frontier):
 
     * ``("task", id, assignment, bound, snapshot_ref, novelty)`` pushes
       an item;
@@ -155,14 +130,14 @@ def _worker_main(pool, worker_uid, control, reply_conn):
 
     The drain comes before the last run's children are pushed, so a
     steal only ever gives up an item the parent has been told about.
-    Each run then sends one reply ``(id, path_payload, children,
-    run_stats, counters, novelty, running)``: ``children`` lists
-    ``(child_id, assignment, bound, digest, snapshot_handle)``,
-    ``counters`` are the solver's, snapshot layer's, superblock layer's
-    and governor's *cumulative* flat dicts (the parent keeps the latest
-    per uid and sums them at the end), and ``running`` names the item
-    the worker popped next (``None``: it went idle).  A failed run sends
-    ``(id, None, traceback_text, ...)``.  Replies travel on this
+    Each run then sends one reply ``(id, path, children, run_stats,
+    counters, running)``: ``path`` is the run step's path tuple with a
+    serialized assignment, ``children`` lists ``(child_id, assignment,
+    bound, digest, snapshot_handle, novelty)``, ``counters`` are
+    :meth:`Worker.counters`' *cumulative* dicts (the parent keeps the
+    latest per uid and sums them at the end), and ``running`` names the
+    item the worker popped next (``None``: it went idle).  A failed run
+    sends ``(id, None, traceback_text, ...)``.  Replies travel on this
     incarnation's *private* pipe, so a crash can only truncate this
     worker's own stream; a shared queue's write lock could be left held
     by a dying writer and wedge every other worker.
@@ -172,23 +147,19 @@ def _worker_main(pool, worker_uid, control, reply_conn):
     any other item re-executes from the entry point, which discovers the
     identical path (counted in ``snap_cross_worker_items``).
 
-    ``pool.faults`` drives deterministic chaos, keyed by the number of
-    runs this incarnation started: *kill* exits before the run, *hang*
-    stops the heartbeat and sleeps forever (a wedged process only the
-    watchdog recovers), *memhog* leaks ballast for the memory governor,
-    *evict* purges the snapshot pool, *unknown* makes scheduled CDCL
-    solves give up, and *hiccup* stalls the reply.  A daemon thread
-    beats every :data:`HEARTBEAT_INTERVAL` seconds on the reply pipe;
-    the GIL schedules it even while the main thread grinds through a
-    long run, and both threads send under one lock.
+    The config's faults drive deterministic chaos, keyed by the number
+    of runs this incarnation started: *kill* exits before the run,
+    *hang* stops the heartbeat and sleeps forever (a wedged process only
+    the watchdog recovers), and *hiccup* stalls the reply; the run step
+    handles *memhog*, *evict* and, through the solver, *unknown*.  A
+    daemon thread beats every :data:`HEARTBEAT_INTERVAL` seconds on the
+    reply pipe; the GIL schedules it even while the main thread grinds
+    through a long run, and both threads send under one lock.
     """
-    executor = pool.executor
-    faults = pool.faults
-    solver = make_solver(pool.use_cache, pool.solver_config, pool.store_dir)
-    install_fault_hooks(solver, faults, worker_uid)
-    certify = pool.solver_config is not None and pool.solver_config.certify
-    purge = getattr(executor, "purge_snapshots", None)
-    trie = ExploredPrefixTrie() if pool.dedup_flips else None
+    executor, config = broker.executor, broker.config
+    faults = config.faults
+    worker = Worker(executor, config, make_solver(config), worker_uid)
+    frontier = worker.frontier
     send_lock = threading.Lock()
     hb_stop = threading.Event()
 
@@ -204,19 +175,6 @@ def _worker_main(pool, worker_uid, control, reply_conn):
                 return  # parent went away; the process is exiting
 
     threading.Thread(target=heartbeat_loop, daemon=True).start()
-    # Per-worker memory governor: RSS is per-process, so every worker
-    # walks its own degradation ladder over its own caches and pool.
-    capture_state = {"snapshots": pool.snapshots}
-    governor = None
-    if pool.memory_budget_mb is not None:
-        from .governor import build_exploration_governor
-
-        governor = build_exploration_governor(
-            pool.memory_budget_mb, executor, solver, capture_state
-        )
-    memhog_leaks: list = []
-    cross_worker_items = 0
-    runs = 0
     # A worker runs from the entry point for its first item and
     # afterwards only for its few steals, so whether it reached
     # ENTRY_HOT_RUNS (and compiled the entry block) would depend on
@@ -225,13 +183,7 @@ def _worker_main(pool, worker_uid, control, reply_conn):
     note_entry = getattr(executor, "note_entry_run", None)
     if note_entry is not None:
         note_entry()
-    note_hot = getattr(executor, "note_hot_pcs", None)
-    if note_hot is not None and not getattr(executor, "superblocks_enabled", False):
-        note_hot = None
-    hot_counts: dict = {}
-    hot_sent: set = set()
-    frontier = Frontier(pool.strategy_name, pool.seed)
-    covered: set = set()
+    cross_worker_items = 0
     dropped: set = set()
     next_id = 0
     children: list = []  # the last run's, pushed after the control drain
@@ -262,7 +214,6 @@ def _worker_main(pool, worker_uid, control, reply_conn):
                     bound,
                     novelty=novelty,
                     snapshot=snapshot_ref[1] if own else None,
-                    divergence=bound - 1 if bound else None,
                     id=item_id,
                 )
             )
@@ -288,9 +239,10 @@ def _worker_main(pool, worker_uid, control, reply_conn):
                 if not handle(control.recv()):
                     return
                 continue
-            if faults is not None and faults.should_kill(worker_uid, runs):
+            ordinal = worker.runs
+            if faults is not None and faults.should_kill(worker_uid, ordinal):
                 os._exit(KILL_EXIT_CODE)
-            if faults is not None and faults.should_hang(worker_uid, runs):
+            if faults is not None and faults.should_hang(worker_uid, ordinal):
                 # Simulate a fully wedged process (hung syscall, C-level
                 # spin): heartbeats stop, the item is never answered,
                 # and only the supervisor's watchdog can recover the seat.
@@ -299,92 +251,28 @@ def _worker_main(pool, worker_uid, control, reply_conn):
                     time.sleep(60)
             children = []
             try:
-                if faults is not None:
-                    ballast = faults.memhog_bytes(worker_uid, runs)
-                    if ballast:
-                        memhog_leaks.append(bytearray(ballast))
-                capturing = capture_state["snapshots"]
-                if faults is not None and purge is not None and capturing:
-                    if faults.should_evict(worker_uid, runs):
-                        purge()
-                if capturing:
-                    run = executor.execute_from(
-                        item.snapshot, item.assignment, capture_from=item.bound
-                    )
-                else:
-                    run = executor.execute(item.assignment)
-                if governor is not None:
-                    governor.maybe_step()
-                stats = RunStats()
-                children = expand_run(
-                    run,
-                    item.bound,
-                    solver,
-                    executor.input_variables(),
-                    stats,
-                    trie,
-                    compute_digests=True,
-                    snapshots=run.snapshots if pool.snapshots else None,
-                )
-                novelty = len(stats.covered_pcs - covered)
-                covered |= stats.covered_pcs
-                if note_hot is not None and stats.pc_hits:
-                    newly_hot = []
-                    for pc, count in stats.pc_hits.items():
-                        total = hot_counts.get(pc, 0) + count
-                        hot_counts[pc] = total
-                        if total >= BRANCH_HOT_HITS and pc not in hot_sent:
-                            hot_sent.add(pc)
-                            newly_hot.append(pc)
-                    if newly_hot:
-                        note_hot(newly_hot)
+                path, children, stats = worker.run(item)
                 stats.pc_hits = {}  # hotness stays local; do not ship it
                 for child in children:
-                    child.id, child.novelty = next_id, novelty
+                    child.id = next_id
                     next_id += 1
-                path_payload = (
-                    run.halt_reason,
-                    run.exit_code,
-                    run.instret,
-                    len(run.trace),
-                    serialize_assignment(run.assignment),
-                    run.stdout,
-                    run.final_pc,
-                    run.resumed_instret,
-                    query_digest(run.trace.conditions()) if certify else None,
-                )
-                snapshot_stats = getattr(executor, "snapshot_statistics", None)
-                if snapshot_stats is not None and pool.snapshots:
-                    snapshot_stats = dict(snapshot_stats)
-                    snapshot_stats["snap_cross_worker_items"] = cross_worker_items
-                else:
-                    snapshot_stats = {}
-                superblock_stats = getattr(executor, "superblock_statistics", None)
-                if superblock_stats is not None and getattr(
-                    executor, "superblocks_enabled", False
-                ):
-                    superblock_stats = dict(superblock_stats)
-                else:
-                    superblock_stats = {}
-                counters = (
-                    solver.pipeline_statistics,
-                    snapshot_stats,
-                    superblock_stats,
-                    governor.statistics if governor is not None else {},
-                )
+                counters = worker.counters()[0]
+                if counters[1]:
+                    counters[1]["snap_cross_worker_items"] = cross_worker_items
                 if faults is not None:
-                    delay = faults.hiccup_delay(worker_uid, runs)
+                    delay = faults.hiccup_delay(worker_uid, ordinal)
                     if delay:
                         time.sleep(delay)
                 child_payloads = [
-                    (c.id, serialize_assignment(c.assignment), c.bound, c.digest, c.snapshot)
+                    (c.id, serialize_assignment(c.assignment), c.bound, c.digest,
+                     c.snapshot, c.novelty)
                     for c in children
                 ]
-                reply = (item.id, path_payload, child_payloads, stats, counters, novelty)
+                path = path[:4] + (serialize_assignment(path[4]),) + path[5:]
+                reply = (item.id, path, child_payloads, stats, counters)
             except Exception:
                 children = []
-                send((item.id, None, traceback.format_exc(), None, None, None, None))
-            runs += 1
+                send((item.id, None, traceback.format_exc(), None, None, None))
     except (EOFError, OSError):
         return  # the parent closed the pipes; nothing left to answer
     finally:
@@ -468,108 +356,47 @@ def _item_of(entry) -> WorkItem:
         novelty=novelty,
         digest=digest,
         snapshot=snapshot,
-        divergence=bound - 1 if bound else None,
         failures=failures,
     )
 
 
-class ProcessPoolExplorer:
-    """Explores an executor's paths on a pool of forked worker processes.
+class Broker:
+    """The pool's parent: hands work to forked workers and supervises them.
 
-    Drop-in alternative to :class:`~repro.core.explorer.Explorer`: same
-    constructor vocabulary, same :class:`ExplorationResult`, and —
-    because the flip-expansion rules fully determine the reachable
-    (assignment, bound) tree independent of visit order — the same
-    discovered path set.  Path *indices* reflect completion order, so
-    cross-mode comparisons should use ``ExplorationResult.path_set()``.
-
-    The parent process never executes the SUT, so executor-side state
-    (e.g. the interpreter's discovered symbolic inputs) stays untouched
-    in the parent; everything the caller needs is in the result.
+    A driver of the explorer's campaign shell: :meth:`explore` runs the
+    broker loop, :meth:`pending` lists the global frontier plus every
+    mirror, and :meth:`counters` the latest cumulative counter dicts of
+    every worker incarnation.  Path *indices* reflect completion order,
+    so cross-mode comparisons should use
+    ``ExplorationResult.path_set()``.  The parent never executes the
+    SUT, so its executor stays a pristine replay vehicle for certify.
     """
 
-    def __init__(
-        self,
-        executor,
-        jobs: Optional[int] = None,
-        strategy: str = "dfs",
-        max_paths: int = 1_000_000,
-        seed: int = 0,
-        use_cache: bool = False,
-        dedup_flips: bool = True,
-        solver_config: Optional[SolverConfig] = None,
-        staging: Optional[bool] = None,
-        superblocks: Optional[bool] = None,
-        snapshots: bool = True,
-        checkpoint_dir: Optional[str] = None,
-        checkpoint_interval: int = 1,
-        resume: bool = False,
-        faults=None,
-        deadline: Optional[float] = None,
-        memory_budget_mb: Optional[int] = None,
-        hang_timeout: float = DEFAULT_HANG_TIMEOUT,
-        store_dir: Optional[str] = None,
-    ):
-        self.executor = executor
-        self.jobs = jobs if jobs is not None else default_jobs()
-        self.strategy_name = strategy
-        self.max_paths = max_paths
-        self.seed = seed
-        self.use_cache = use_cache
-        self.dedup_flips = dedup_flips
-        self.solver_config = solver_config
-        # Snapshots are worker-local (pools are fork-inherited but grow
-        # independently): children stay on the worker that captured
-        # their snapshot and resume there, and only stolen or requeued
-        # items re-execute, keeping the discovered path set and query
-        # attribution identical to serial mode.
-        self.snapshots = snapshots and getattr(
-            executor, "supports_snapshots", False
-        )
-        # Applied before the fork so every worker inherits the setting;
-        # the staged plan/decode caches themselves are pure per-word
-        # memos, so each worker's copy-on-write copy stays coherent as
-        # it grows independently (see repro.spec.isa).
-        self.staging = apply_staging(executor, staging)
-        self.superblocks = apply_superblocks(executor, superblocks)
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_interval = checkpoint_interval
-        self.resume = resume
-        self.faults = faults if faults is not None and faults.active else None
-        self.deadline = deadline
-        self.memory_budget_mb = memory_budget_mb
-        self.hang_timeout = hang_timeout
-        # Persistent artifact store (--store): the directory path is
-        # what crosses the fork; every worker opens its own handle.
-        self.store_dir = store_dir
+    def __init__(self, explorer, frontier):
+        self.executor = explorer.executor
+        self.config = explorer.config
+        #: The global frontier: the root, requeued and restored items,
+        #: and stolen items on their way to an idle seat.
+        self.frontier = frontier
+        self.slots: list = []
+        #: Latest cumulative (solver, snapshot, superblock, governor)
+        #: counter dicts per worker incarnation uid (see _worker_main).
+        #: Keyed by uid, so a respawned seat never overwrites its dead
+        #: predecessor's final totals.
+        self.worker_stats: dict = {}
+        self.peak = 0
+        self._next_uid = self.config.jobs - 1
+        self._next_task = 0  # broker-assigned task ids count down from -1
 
-    def explore(self) -> ExplorationResult:
-        if self.jobs <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-            return self._fallback()
-        return self._explore_pool()
+    def pending(self):
+        """Every unfinished item: global frontier plus all mirrors."""
+        yield from self.frontier.items()
+        for slot in self.slots:
+            for entry in slot.mirror.values():
+                yield _item_of(entry)
 
-    def _fallback(self) -> ExplorationResult:
-        return Explorer(
-            self.executor,
-            strategy=self.strategy_name,
-            max_paths=self.max_paths,
-            seed=self.seed,
-            jobs=1,
-            use_cache=self.use_cache,
-            dedup_flips=self.dedup_flips,
-            solver_config=self.solver_config,
-            staging=self.staging,
-            superblocks=self.superblocks,
-            snapshots=self.snapshots,
-            checkpoint_dir=self.checkpoint_dir,
-            checkpoint_interval=self.checkpoint_interval,
-            resume=self.resume,
-            faults=self.faults,
-            deadline=self.deadline,
-            memory_budget_mb=self.memory_budget_mb,
-            hang_timeout=self.hang_timeout,
-            store_dir=self.store_dir,
-        ).explore()
+    def counters(self) -> list:
+        return list(self.worker_stats.values())
 
     # ------------------------------------------------------------------
     # Worker lifecycle
@@ -593,7 +420,7 @@ class ProcessPoolExplorer:
         reply_send.close()
         return _WorkerSlot(uid, process, control_send, reply_recv)
 
-    def _await_replies(self, slots, result, deadline_at):
+    def _await_replies(self, campaign):
         """Block until messages arrive or a worker death is detected.
 
         Returns ``(messages, dead_slots)`` with ``messages`` a list of
@@ -613,9 +440,9 @@ class ProcessPoolExplorer:
         also enforced here, since heartbeats keep this loop turning
         even when no worker ever finishes a run.
         """
+        slots = self.slots
         while True:
-            if deadline_at is not None and time.monotonic() >= deadline_at:
-                raise _DeadlineExpired
+            campaign.check_deadline()
             ready = mp_connection.wait(
                 [slot.reply for slot in slots], timeout=0.2
             )
@@ -628,8 +455,8 @@ class ProcessPoolExplorer:
             for slot in slots:
                 if slot.process.exitcode is not None:
                     continue
-                if now - slot.last_beat > self.hang_timeout:
-                    result.hung_workers += 1
+                if now - slot.last_beat > self.config.hang_timeout:
+                    campaign.result.hung_workers += 1
                     slot.process.kill()
                     slot.process.join()
             dead = [
@@ -648,7 +475,7 @@ class ProcessPoolExplorer:
                 # to wait(), so the other seats' replies are not delayed.
                 time.sleep(0.005)
 
-    def _revive(self, slot, frontier, result, context) -> None:
+    def _revive(self, slot, result, context) -> None:
         """Recover one dead seat: requeue its mirror, respawn.
 
         The item the worker was running goes back to the global
@@ -670,14 +497,14 @@ class ProcessPoolExplorer:
                 if item.failures >= MAX_ITEM_FAILURES:
                     result.incomplete_paths += 1
                     continue
-            frontier.push(item)
+            self.frontier.push(item)
         slot.mirror = {}
         slot.running = None
         slot.steals = 0
         # Seeded-jitter exponential backoff per seat: repeated respawns
         # slow down (capped), one-off crashes restart almost
         # immediately, and simultaneous seat deaths desynchronize.
-        delay = _backoff_delay(self.seed, slot.uid, slot.respawns)
+        delay = _backoff_delay(self.config.seed, slot.uid, slot.respawns)
         if delay:
             time.sleep(delay)
         slot.respawns += 1
@@ -689,7 +516,7 @@ class ProcessPoolExplorer:
         slot.reply = fresh.reply
         slot.last_beat = fresh.last_beat
 
-    def _shutdown(self, slots) -> None:
+    def _shutdown(self) -> None:
         """Stop every worker, draining replies so none blocks on a send.
 
         A worker streams replies without waiting, so at a cut it may be
@@ -698,6 +525,7 @@ class ProcessPoolExplorer:
         past the grace period it escalates to SIGTERM, then SIGKILL, so
         shutdown can never hang on a wedged worker.
         """
+        slots = self.slots
         for slot in slots:
             slot.post(None)
         grace_until = time.monotonic() + 5
@@ -722,7 +550,7 @@ class ProcessPoolExplorer:
     # The broker loop
     # ------------------------------------------------------------------
 
-    def _dispatch(self, slots, frontier) -> None:
+    def _dispatch(self) -> None:
         """Give every seat with an empty mirror some work.
 
         Global items go first.  Otherwise a steal request goes to the
@@ -730,6 +558,7 @@ class ProcessPoolExplorer:
         thief, and only if it has at least two, because one of them is
         running.  Its answer lands on the global frontier.
         """
+        slots, frontier = self.slots, self.frontier
         idle = [slot for slot in slots if not slot.mirror]
         while idle and frontier:
             item = frontier.pop()
@@ -748,103 +577,49 @@ class ProcessPoolExplorer:
             victim.steals += 1
             victim.post(("steal",))
 
-    def _absorb(self, slot, reply, result, seen_digests, worker_stats) -> bool:
-        """Fold one run reply into the result; False if it was discarded.
+    def _absorb(self, slot, reply, campaign) -> bool:
+        """Fold one run reply into the campaign; False if it was discarded.
 
         A reply for an item the mirror no longer holds belongs to a
         dropped duplicate the worker ran before the drop reached it: the
         run and its children are discarded, and the children dropped in
-        turn.
+        turn.  Children whose flip query the campaign already queued are
+        dropped the same way.
         """
-        item_id, path_payload, children, stats, counters, novelty, running = reply
-        if path_payload is None:
+        item_id, path, children, stats, counters, running = reply
+        if path is None:
             raise RuntimeError(f"exploration worker failed:\n{children}")
         slot.running = running
-        worker_stats[slot.uid] = counters
+        self.worker_stats[slot.uid] = counters
         if slot.mirror.pop(item_id, None) is None:
             if children:
                 slot.post(("drop", [child[0] for child in children]))
             return False
-        self._record_path(result, path_payload)
-        result.merge_run_stats(stats)
-        # Flip dedup: worker tries are per-process, so a flip query some
-        # other worker already expanded is caught here, before any path
-        # is recorded twice.  Digests are restart-stable, so a resumed
-        # campaign's persisted set also suppresses pre-crash children.
+        campaign.record(path[:4] + (deserialize_assignment(path[4]),) + path[5:], stats)
         duplicates = []
-        mirror = slot.mirror
-        for child_id, assignment, bound, digest, snapshot in children:
-            if digest in seen_digests:
-                result.pruned_queries += 1
+        for child_id, assignment, bound, digest, snapshot, novelty in children:
+            if not campaign.fresh(digest):
                 duplicates.append(child_id)
                 continue
-            seen_digests.add(digest)
             snapshot_ref = (slot.uid, snapshot) if snapshot is not None else None
-            mirror[child_id] = (assignment, bound, digest, snapshot_ref, novelty, 0)
+            slot.mirror[child_id] = (assignment, bound, digest, snapshot_ref, novelty, 0)
         if duplicates:
             slot.post(("drop", duplicates))
         return True
 
-    def _explore_pool(self) -> ExplorationResult:
-        result = ExplorationResult(workers=self.jobs)
-        start = time.perf_counter()
-        # The global frontier: the root, requeued and restored items,
-        # and stolen items on their way to an idle seat.
-        frontier = Frontier(self.strategy_name, self.seed)
-        manager = None
-        restored = None
-        if self.checkpoint_dir is not None:
-            from .checkpoint import CheckpointManager
-
-            manager = CheckpointManager(
-                self.checkpoint_dir,
-                strategy=self.strategy_name,
-                seed=self.seed,
-                interval=self.checkpoint_interval,
-            )
-            if self.resume:
-                restored = manager.load()
-        seen_digests: set = set()
-        if restored is not None:
-            restored.restore_result(result)
-            seen_digests = restored.digests
-            for item in restored.frontier_items():
-                frontier.push(item)
-        else:
-            frontier.push(WorkItem(InputAssignment(), 0))
-        resumed_complete = restored is not None and restored.complete
-        faults = self.faults
-        deadline_at = (
-            time.monotonic() + self.deadline if self.deadline is not None else None
-        )
-        # Latest cumulative (solver, snapshot, superblock, governor)
-        # counter dicts per worker incarnation uid (see _worker_main);
-        # summed into the result after the pool drains.  Keyed by uid,
-        # so a respawned seat never overwrites its dead predecessor's
-        # final totals.
-        worker_stats: dict[int, tuple] = {}
-        peak = 0
-        # Forked only now, so a journal that fails to load leaks no worker.
+    def explore(self, campaign) -> None:
+        """The broker loop: dispatch, absorb replies, revive dead seats."""
+        frontier, result = self.frontier, campaign.result
+        max_paths = self.config.max_paths
         context = multiprocessing.get_context("fork")
-        self._next_uid = self.jobs - 1
-        self._next_task = 0  # broker-assigned task ids count down from -1
-        slots = [self._spawn(context, uid) for uid in range(self.jobs)]
-
-        def pending():
-            """Every unfinished item: global frontier plus all mirrors."""
-            yield from frontier.items()
-            for slot in slots:
-                for entry in slot.mirror.values():
-                    yield _item_of(entry)
-
+        self.slots = [self._spawn(context, uid) for uid in range(self.config.jobs)]
         try:
-            while not resumed_complete and result.num_paths < self.max_paths:
-                if deadline_at is not None and time.monotonic() >= deadline_at:
-                    raise _DeadlineExpired
-                self._dispatch(slots, frontier)
-                if not frontier and not any(slot.mirror for slot in slots):
+            while result.num_paths < max_paths:
+                campaign.check_deadline()
+                self._dispatch()
+                if not frontier and not any(slot.mirror for slot in self.slots):
                     break
-                messages, dead = self._await_replies(slots, result, deadline_at)
+                messages, dead = self._await_replies(campaign)
                 for slot, message in messages:
                     if message[0] == _STOLEN:
                         slot.steals -= 1
@@ -852,120 +627,18 @@ class ProcessPoolExplorer:
                         if entry is not None:
                             frontier.push(_item_of(entry))
                         continue
-                    if not self._absorb(
-                        slot, message, result, seen_digests, worker_stats
-                    ):
+                    if not self._absorb(slot, message, campaign):
                         continue
-                    peak = max(
-                        peak,
-                        len(frontier) + sum(len(slot.mirror) for slot in slots),
+                    self.peak = max(
+                        self.peak,
+                        len(frontier) + sum(len(s.mirror) for s in self.slots),
                     )
-                    if manager is not None:
-                        manager.maybe_save(
-                            result,
-                            pending(),
-                            seen_digests,
-                            solver_stats=_summed(
-                                result.solver_stats,
-                                (stats[0] for stats in worker_stats.values()),
-                            ),
-                        )
-                    if faults is not None and faults.interrupt_after is not None:
-                        if result.num_paths >= faults.interrupt_after:
-                            raise KeyboardInterrupt
-                    if result.num_paths >= self.max_paths:
+                    campaign.after_run(self)
+                    if result.num_paths >= max_paths:
                         break
                 else:  # no --max-paths stop: recover the dead seats
                     for slot in dead:
-                        self._revive(slot, frontier, result, context)
-        except KeyboardInterrupt:
-            result.interrupted = True
-        except _DeadlineExpired:
-            result.interrupted = True
-            result.deadline_expired = True
+                        self._revive(slot, result, context)
         finally:
-            self._shutdown(slots)
-        unfinished = len(frontier) + sum(len(slot.mirror) for slot in slots)
-        result.truncated = unfinished > 0
-        result.frontier_peak = max(peak, frontier.peak, result.frontier_peak)
-        for solver_stats, snapshot_stats, superblock_stats, governor_stats in (
-            worker_stats.values()
-        ):
-            result.merge_solver_stats(solver_stats)
-            result.merge_snapshot_stats(snapshot_stats)
-            result.merge_superblock_stats(superblock_stats)
-            result.merge_governor_stats(governor_stats)
-        if manager is not None and not resumed_complete:
-            manager.save(
-                result,
-                list(pending()),
-                seen_digests,
-                complete=not unfinished and not result.interrupted,
-                solver_stats=result.solver_stats,
-                snapshot_stats=result.snapshot_stats,
-                superblock_stats=result.superblock_stats,
-                governor_stats=result.governor_stats,
-            )
-        if result.deadline_expired:
-            # Anytime accounting: the global frontier plus every mirror
-            # are the explicitly counted unexplored paths.  Added only
-            # AFTER the final checkpoint save — ``--resume`` restores
-            # those items and re-explores them, so persisting the count
-            # too would double-book them.
-            result.incomplete_paths += unfinished
-        if self.solver_config is not None and self.solver_config.certify:
-            # The parent never executed the SUT, so its executor is a
-            # pristine replay vehicle for the certificates the workers'
-            # runs produced.
-            from .certificates import verify_result
-
-            verify_result(result, self.executor)
-            if self.store_dir is not None and not result.certificate_failures:
-                # Replay-checked evidence goes to the persistent store
-                # through the parent's own handle (workers only persist
-                # query verdicts; certificates are a campaign artifact).
-                from .certificates import certificate_to_state
-                from .store import ArtifactStore
-
-                store = ArtifactStore(self.store_dir, certify=True)
-                for cert in result.certificates:
-                    store.save_certificate(certificate_to_state(cert))
-        result.wall_time = time.perf_counter() - start
-        return result
-
-    def _record_path(self, result: ExplorationResult, payload) -> None:
-        (
-            halt_reason,
-            exit_code,
-            instret,
-            trace_length,
-            assignment,
-            stdout,
-            pc,
-            resumed_instret,
-            condition_digest,
-        ) = payload
-        result.total_instructions += instret
-        result.executed_instructions += instret - resumed_instret
-        result.paths.append(
-            PathInfo(
-                index=len(result.paths),
-                halt_reason=halt_reason,
-                exit_code=exit_code,
-                instret=instret,
-                trace_length=trace_length,
-                assignment=deserialize_assignment(assignment),
-                stdout=stdout,
-                final_pc=pc,
-                condition_digest=condition_digest,
-            )
-        )
-
-
-def _summed(base: dict, live_dicts) -> dict:
-    """Key-wise ``base + sum(live_dicts)`` without mutating either."""
-    total = dict(base)
-    for live in live_dicts:
-        for key, value in live.items():
-            total[key] = total.get(key, 0) + value
-    return total
+            self._shutdown()
+            self.peak = max(self.peak, frontier.peak)

@@ -1,9 +1,9 @@
 """Work-queue scheduling for path exploration.
 
 This module is the seam between *what* gets explored and *how*: the
-exploration drivers (serial :class:`repro.core.explorer.Explorer`,
-multi-process :class:`repro.core.parallel.ProcessPoolExplorer`) both
-operate on
+exploration driver (:class:`repro.core.explorer.Explorer`, whose run
+step :class:`repro.core.explorer.Worker` runs in process or on each
+worker of the :mod:`repro.core.parallel` pool) operates on
 
 * :class:`WorkItem` — one pending concolic run (input assignment plus
   the branch index below which ancestors already enumerated flips),
@@ -56,7 +56,7 @@ class WorkItem:
     *parent* run contributed; the coverage-guided strategy prioritizes
     on it and the others ignore it.  ``digest`` identifies the flip
     query that produced this item (see :func:`query_digest`); the
-    parallel driver uses it to deduplicate children across workers.
+    campaign uses it to deduplicate children across workers and restarts.
     """
 
     assignment: InputAssignment
@@ -65,14 +65,10 @@ class WorkItem:
     digest: Optional[int] = None
     #: Opaque snapshot handle the run that spawned this item captured at
     #: the divergence point (``None`` = execute from the entry point).
-    #: Serial exploration stores a pool handle, the parallel driver a
+    #: A worker stores a pool handle, the pool's broker a
     #: ``(worker_id, handle)`` pair — snapshots are process-local.
+    #: A flip child diverges at branch record ``bound - 1``.
     snapshot: Optional[object] = None
-    #: Branch-record index this item diverges at — always ``bound - 1``
-    #: for flip children (``None`` for the root).  Carried explicitly so
-    #: a future distributed tier can validate shipped state against its
-    #: divergence point without re-deriving it from the bound.
-    divergence: Optional[int] = None
     #: Times a worker died while running this item.  The supervisor
     #: requeues lost items and gives up (recording an *incomplete* path)
     #: once this crosses its retry budget, so one poisonous input cannot
@@ -131,15 +127,6 @@ class Frontier:
     def items(self) -> list:
         """Non-destructive snapshot of the queued items (checkpointing)."""
         return self._strategy.items()
-
-    def drain(self) -> list:
-        """Pop every queued item (deadline expiry: the drivers count the
-        drained items into ``incomplete_paths`` after checkpointing them,
-        so an anytime run's unexplored remainder is explicit)."""
-        drained = []
-        while self._strategy:
-            drained.append(self.pop())
-        return drained
 
     def __len__(self) -> int:
         return len(self._strategy)
@@ -225,7 +212,7 @@ def expand_run(
 
     ``snapshots`` (record index -> pool handle, from
     ``RunResult.snapshots``) attaches to each child the snapshot its
-    divergence point was captured under, so the drivers can resume the
+    divergence point was captured under, so the worker can resume the
     child's run there instead of re-executing the shared prefix.
     """
     children: list[WorkItem] = []
@@ -260,7 +247,6 @@ def expand_run(
                                 if snapshots is not None
                                 else None
                             ),
-                            divergence=index,
                         )
                     )
                 stats.solver_time += time.perf_counter() - check_start

@@ -127,7 +127,7 @@ class SnapshotPool:
     Handles are process-local integers: interned terms (inside records,
     shadow values and register terms) hash by identity, so a snapshot is
     only meaningful in the process that captured it.  Each parallel
-    exploration worker therefore owns one pool, and the drivers treat a
+    exploration worker therefore owns one pool, and the run step treats a
     missing handle as "re-execute from the entry point".
     """
 

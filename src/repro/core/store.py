@@ -179,7 +179,7 @@ class ArtifactStore:
     directory path); writes are single-writer-per-process by pid-unique
     ``O_EXCL`` tmp names.  Every public method is total: failures turn
     into counted misses / quarantines / tier disablement, never into
-    exceptions reaching the exploration drivers.
+    exceptions reaching the exploration driver.
     """
 
     def __init__(self, root: str, certify: bool = False):

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 from ..baselines.dba import DbaEngine
 from ..baselines.vexir import FIVE_ANGR_BUGS, VexEngine
 from ..baselines.vp import VpExecutor
-from ..core import BinSymExecutor, ExplorationResult, Explorer
+from ..core import BinSymExecutor, ExplorationResult, ExploreConfig, Explorer
 from ..loader.image import Image
 from ..spec.isa import ISA, rv32im
 
@@ -73,11 +73,11 @@ def explore_with(
     image: Image,
     isa: Optional[ISA] = None,
     symbolic_registers=(),
-    max_paths: int = 1_000_000,
+    max_paths: int = ExploreConfig.max_paths,
     max_steps: int = 1_000_000,
-    strategy: str = "dfs",
-    jobs: int = 1,
-    use_cache: bool = False,
+    strategy: str = ExploreConfig.strategy,
+    jobs: int = ExploreConfig.jobs,
+    use_cache: bool = ExploreConfig.use_cache,
     solver=None,
 ) -> ExplorationResult:
     """Build an engine, explore the image, return the result.

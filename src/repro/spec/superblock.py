@@ -38,15 +38,16 @@ The stitching rules keep the concolic semantics bit-exact:
   counter when a watched code page is written, forcing revalidation —
   self-modifying code deoptimizes instead of executing stale blocks.
 
-Hotness is fed by the exploration driver from the scheduler's per-PC
-flippable-branch hit counts (:class:`repro.core.scheduler.RunStats`):
+Hotness is fed by the exploration run step (:class:`repro.core.explorer.Worker`)
+from the scheduler's per-PC flippable-branch hit counts
+(:class:`repro.core.scheduler.RunStats`):
 once a branch PC crosses :data:`BRANCH_HOT_HITS` cumulative executions,
 the interpreters promote its successors to block entry points; run
 entry PCs are promoted after :data:`ENTRY_HOT_RUNS` runs.  Compiled
 superblocks live in a per-ISA LRU keyed by ``(domain_key, entry_pc,
 words)`` — shared across interpreter instances over that ISA and
-fork-inherited by :class:`repro.core.parallel.ProcessPoolExplorer`
-workers, exactly like the plan caches they are built from.
+fork-inherited by the workers of the :mod:`repro.core.parallel` pool,
+exactly like the plan caches they are built from.
 """
 
 from __future__ import annotations

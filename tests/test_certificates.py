@@ -9,6 +9,7 @@ derivation — counted, never trusted.
 
 import dataclasses
 import json
+import multiprocessing
 
 import pytest
 
@@ -115,6 +116,34 @@ class TestCertifyMode:
     def test_summary_mentions_certification(self):
         result = explore(certify=True)
         assert "certified: 4 paths, 0 failures" in result.summary()
+
+
+class TestCompletedJournalResume:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resume_certifies_and_forks_nothing(self, tmp_path, monkeypatch, jobs):
+        """Resuming a completed journal runs nothing, starts no pool,
+        and still certifies every restored path."""
+
+        def explore_journal(resume):
+            image = WORKLOADS["bubble-sort"].image(3)
+            return Explorer(
+                make_engine("binsym", rv32im(), image),
+                jobs=jobs,
+                solver_config=SolverConfig(certify=True),
+                checkpoint_dir=str(tmp_path),
+                resume=resume,
+            ).explore()
+
+        first = explore_journal(resume=False)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a completed journal started a pool")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        resumed = explore_journal(resume=True)
+        assert resumed.path_set() == first.path_set()
+        assert resumed.certified_paths == resumed.num_paths == 6
+        assert resumed.certificate_failures == 0
 
 
 class TestCertificateTampering:
@@ -227,11 +256,15 @@ class TestCorruptionChaos:
         assert quarantines > 0
 
     def test_corruption_parallel(self):
+        # Draws are keyed by worker uid and per-worker store ordinal, and
+        # how the two workers split the cache entries depends on timing:
+        # poisoning every entry keeps the check independent of the split.
         clean = explore(workload="bubble-sort")
-        plan = FaultPlan(seed=1, corrupt_rate=40)
+        plan = FaultPlan(seed=1, corrupt_rate=100)
         faulted = explore(workload="bubble-sort", jobs=2, faults=plan)
         assert faulted.path_set() == clean.path_set()
         assert faulted.solver_stats.get("cache_corruptions", 0) > 0
+        assert faulted.solver_stats.get("cache_quarantines", 0) > 0
 
     def test_corruption_with_certify(self):
         # Belt and braces: even with poisoning active, certify mode

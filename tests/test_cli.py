@@ -126,6 +126,23 @@ class TestExplore:
         assert "2 paths" in out
         assert "assertion failure" in out
 
+    def test_defaults_come_from_explore_config(self, program_file, monkeypatch):
+        import repro.cli as cli
+        from repro.core import ExploreConfig
+
+        passed = {}
+        real = cli.Explorer
+
+        def recording(executor, **options):
+            passed.update(options)
+            return real(executor, **options)
+
+        monkeypatch.setattr(cli, "Explorer", recording)
+        assert main(["explore", str(program_file)]) == 1
+        defaults = ExploreConfig()
+        for name in ("strategy", "jobs", "seed", "max_paths", "checkpoint_interval"):
+            assert passed[name] == getattr(defaults, name), name
+
     def test_engine_selection(self, program_file, capsys):
         assert main(["explore", "--engine", "binsec", str(program_file)]) == 1
         assert "2 paths" in capsys.readouterr().out

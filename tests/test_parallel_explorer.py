@@ -12,8 +12,8 @@ import time
 import pytest
 
 from repro.asm import assemble
-from repro.core import BinSymExecutor, Explorer, InputAssignment, ProcessPoolExplorer
-from repro.core.parallel import MAX_ITEM_FAILURES, default_jobs
+from repro.core import BinSymExecutor, Explorer, InputAssignment
+from repro.core.parallel import MAX_ITEM_FAILURES
 from repro.eval.engines import make_engine
 from repro.eval.query_stats import RecordingSolver
 from repro.eval.workloads import WORKLOADS
@@ -327,20 +327,12 @@ class TestFallbacks:
         assert result.workers == 1
         assert result.num_paths == 2
 
-    def test_pool_explorer_fallback_path(self):
-        result = ProcessPoolExplorer(build_executor(FAILING), jobs=1).explore()
-        assert result.workers == 1
-        assert result.num_paths == 2
-
     def test_explicit_solver_pins_serial(self):
         solver = RecordingSolver()
         result = Explorer(build_executor(FAILING), solver=solver, jobs=4).explore()
         assert result.workers == 1
         assert solver.stats.queries == result.num_queries
         assert result.num_paths == 2
-
-    def test_default_jobs_positive(self):
-        assert default_jobs() >= 1
 
 
 @needs_fork
@@ -354,7 +346,7 @@ class TestWorkerFailure:
                 return []
 
         with pytest.raises(RuntimeError, match="worker failed"):
-            ProcessPoolExplorer(ExplodingExecutor(), jobs=2).explore()
+            Explorer(ExplodingExecutor(), jobs=2).explore()
 
     def test_hard_killed_worker_recovered(self):
         """A worker that dies without replying must neither hang nor
@@ -370,7 +362,7 @@ class TestWorkerFailure:
             def input_variables(self):
                 return []
 
-        result = ProcessPoolExplorer(DyingExecutor(), jobs=2).explore()
+        result = Explorer(DyingExecutor(), jobs=2).explore()
         assert result.num_paths == 0
         assert result.incomplete_paths == 1
         assert result.worker_deaths == MAX_ITEM_FAILURES
@@ -404,7 +396,7 @@ class TestWorkerFailure:
             os.environ["_TEST_KILL_ONCE"] = os.path.join(tmp, "killed")
             try:
                 executor = KillOnceExecutor(isa, assemble(PIN_CHECK, isa=isa))
-                result = ProcessPoolExplorer(executor, jobs=2).explore()
+                result = Explorer(executor, jobs=2).explore()
             finally:
                 del os.environ["_TEST_KILL_ONCE"]
         assert result.path_set() == baseline.path_set()

@@ -605,7 +605,7 @@ class TestExactResume:
 class TestPlumbing:
     def test_workitem_snapshot_defaults(self):
         item = WorkItem(InputAssignment(), 0)
-        assert item.snapshot is None and item.divergence is None
+        assert item.snapshot is None
 
     def test_instret_identical_for_resumed_paths(self):
         """RunResult.instret reports full path length on resume."""

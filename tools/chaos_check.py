@@ -251,7 +251,7 @@ def run_corruption_gate(seeds: int, jobs: int) -> int:
 def run_hang_gate(seeds: int, jobs: int) -> int:
     """Liveness gate: wedged workers must be recovered, never waited on.
 
-    ``hang=`` is pool-only (a wedged serial driver has no supervisor),
+    ``hang=`` is pool-only (a wedged in-process run has no supervisor),
     so every faulted run here is pooled.  Beyond the standard
     subset-plus-counters invariant, the gate requires the schedule to
     have actually fired (``hung_workers`` summed over all runs) and
