@@ -86,6 +86,16 @@ class ByteMemory:
         mine, theirs = self._pages, other._pages
         return all(mine.get(number) == theirs.get(number) for number in pages)
 
+    def same_bytes(self, other: "ByteMemory") -> bool:
+        """True when both memories read the same byte at every address
+        (a page one side never allocated reads as zeros)."""
+        zero = bytes(_PAGE_SIZE)
+        mine, theirs = self._pages, other._pages
+        return all(
+            mine.get(number, zero) == theirs.get(number, zero)
+            for number in mine.keys() | theirs.keys()
+        )
+
     def read_byte(self, addr: int) -> int:
         addr &= _ADDR_MASK
         page = self._pages.get(addr >> _PAGE_BITS)

@@ -168,7 +168,9 @@ def _cmd_explore(args) -> int:
         stats = result.solver_stats
         print(
             f"certified results: {result.certified_paths} paths replayed "
-            f"({result.certificate_failures} failed), "
+            f"({result.certificate_failures} failed, "
+            f"{result.certificate_resumed} resumed from their parent, "
+            f"{result.certificate_instructions} instructions), "
             f"{stats.get('certified_sat', 0)} SAT models evaluated, "
             f"{stats.get('certified_unsat', 0)} UNSAT proofs checked, "
             f"{stats.get('certify_failures', 0)} certification failures, "

@@ -23,9 +23,42 @@ interpretation of the formal ISA semantics.  Every field must match
 exactly; the condition digest in particular certifies that the staged
 plan compiler, the superblock stitcher and the snapshot layer produced
 byte-for-byte the same path conditions the reference interpretation
-derives from scratch.  A mismatch is counted and reported, never
-silently dropped (same contract as the solver-side certification in
+derives.  A mismatch is counted and reported, never silently dropped
+(same contract as the solver-side certification in
 :mod:`repro.smt.solver`).
+
+**The tree.**  A child path flipped one branch record of the path whose
+run produced it, so the two share the prefix up to that record: the
+certificate's ``parent`` and ``divergence`` links.  :func:`verify_result`
+replays the certificates in path order and justifies each shared prefix
+once.  While a parent replays, the checker copies the reference state
+at every divergence point one of its children names; a child then
+resumes from that copy, re-concretized under its own inputs, and replays
+only its suffix.  It resumes only when two checks show that the resume
+equals a from-entry replay, and replays from the entry otherwise:
+
+1. every prefix condition of the parent that reads an input the child
+   changed holds under the child's inputs (the concolic invariant a
+   resume rests on), and
+2. the re-concretized state equals the state the concrete interpreter
+   (:class:`repro.concrete.interpreter.ConcreteInterpreter`, run with
+   the defaults of ``repro run``) reaches from the entry under the
+   child's inputs at the same instruction: pc, all 32 registers, every
+   memory page and stdout.
+
+Links are hints, never evidence: a missing, out-of-range or wrong link
+costs a from-entry replay, never a verdict.  The copies, the
+re-concretization and both checks share no code with the snapshot layer
+(:mod:`repro.core.snapshots`, ``ByteMemory.snapshot_pages``/``adopt``/
+``fork``, ``SymbolicInterpreter.resume``), which they are the reference
+for.  Other engines, and BinSym under ``FREE`` address concretization,
+replay every path from the entry.
+
+What the tree gives up: a from-entry replay re-derives a child's prefix
+under the child's own inputs, so it also catches a bug in the shared
+interpreter's concolic invariant whose effect is dead by the divergence
+point.  Check (2) keeps that detection wherever the effect is still
+live there.
 """
 
 from __future__ import annotations
@@ -34,7 +67,14 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
+from ..arch.hart import HaltReason
+from ..arch.memory import ShadowMemory
+from ..concrete.interpreter import ConcreteInterpreter
+from ..smt.evalbv import evaluate
+from .concretize import ConcretizationPolicy
+from .executor import BinSymExecutor
 from .scheduler import deserialize_assignment, query_digest, serialize_assignment
+from .symvalue import SymValue
 
 __all__ = [
     "PathCertificate",
@@ -63,7 +103,11 @@ class PathCertificate:
     image can replay it.  ``condition_digest`` is ``None`` when the
     exploring driver did not record condition chains (certify mode
     off, or a path restored from a pre-certify checkpoint) — replay
-    then checks the observable fields only.
+    then checks the observable fields only.  ``parent`` and
+    ``divergence`` link the path to the path whose run produced it and
+    the branch record it flipped (``None`` for the root and for paths
+    restored from a journal); they only steer the replay, never its
+    verdict.
     """
 
     index: int
@@ -75,6 +119,8 @@ class PathCertificate:
     stdout_digest: str
     final_pc: int
     condition_digest: Optional[int] = None
+    parent: Optional[int] = None
+    divergence: Optional[int] = None
 
 
 def certificate_for(path) -> PathCertificate:
@@ -89,6 +135,8 @@ def certificate_for(path) -> PathCertificate:
         stdout_digest=stdout_digest(path.stdout),
         final_pc=path.final_pc,
         condition_digest=path.condition_digest,
+        parent=path.parent,
+        divergence=path.divergence,
     )
 
 
@@ -109,11 +157,27 @@ def certificate_to_state(cert: PathCertificate) -> dict:
         "stdout_digest": cert.stdout_digest,
         "final_pc": cert.final_pc,
         "condition_digest": cert.condition_digest,
+        "parent": cert.parent,
+        "divergence": cert.divergence,
     }
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON ``true`` loads as ``True``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 0
+
+
 def certificate_from_state(state: dict) -> PathCertificate:
-    """Rebuild a certificate from its store state; ``ValueError`` on rot."""
+    """Rebuild a certificate from its store state; ``ValueError`` on rot.
+
+    Every field is type-checked.  ``condition_digest``, ``parent`` and
+    ``divergence`` are optional keys, so certificates written before the
+    links existed still load.
+    """
     if not isinstance(state, dict):
         raise ValueError("certificate state is not an object")
     try:
@@ -123,11 +187,7 @@ def certificate_from_state(state: dict) -> PathCertificate:
         bindings = []
         for binding in inputs:
             name, width, value = binding
-            if not (
-                isinstance(name, str)
-                and isinstance(width, int)
-                and isinstance(value, int)
-            ):
+            if not (isinstance(name, str) and _is_int(width) and _is_int(value)):
                 raise ValueError(f"malformed input binding {binding!r}")
             bindings.append((name, width, value))
         cert = PathCertificate(
@@ -140,25 +200,33 @@ def certificate_from_state(state: dict) -> PathCertificate:
             stdout_digest=state["stdout_digest"],
             final_pc=state["final_pc"],
             condition_digest=state.get("condition_digest"),
+            parent=state.get("parent"),
+            divergence=state.get("divergence"),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed certificate state: {exc}") from None
-    if not isinstance(cert.index, int) or not isinstance(cert.stdout_digest, str):
-        raise ValueError("malformed certificate scalar fields")
-    if not isinstance(cert.instret, int) or not isinstance(cert.final_pc, int):
-        raise ValueError("malformed certificate scalar fields")
+    checks = (
+        ("index", _is_count(cert.index)),
+        ("halt_reason", cert.halt_reason is None or isinstance(cert.halt_reason, str)),
+        ("exit_code", cert.exit_code is None or _is_int(cert.exit_code)),
+        ("instret", _is_count(cert.instret)),
+        ("trace_length", _is_count(cert.trace_length)),
+        ("stdout_digest", isinstance(cert.stdout_digest, str)),
+        ("final_pc", _is_count(cert.final_pc)),
+        ("condition_digest", cert.condition_digest is None or _is_int(cert.condition_digest)),
+        ("parent", cert.parent is None or _is_count(cert.parent)),
+        ("divergence", cert.divergence is None or _is_count(cert.divergence)),
+    )
+    for name, valid in checks:
+        if not valid:
+            raise ValueError(
+                f"malformed certificate field {name}: {getattr(cert, name)!r}"
+            )
     return cert
 
 
-def replay_mismatches(cert: PathCertificate, executor) -> list[str]:
-    """Replay ``cert``'s inputs on ``executor``; list every mismatch.
-
-    An empty list means the certificate checked.  The caller is
-    responsible for putting the executor into reference configuration
-    first (see :class:`reference_mode`) — this function only replays
-    and compares.
-    """
-    run = executor.execute(deserialize_assignment(cert.inputs))
+def _mismatches(cert: PathCertificate, run) -> list[str]:
+    """Every field of ``cert`` that the replayed ``run`` contradicts."""
     checks = [
         ("halt_reason", cert.halt_reason, run.halt_reason),
         ("exit_code", cert.exit_code, run.exit_code),
@@ -182,15 +250,28 @@ def replay_mismatches(cert: PathCertificate, executor) -> list[str]:
     ]
 
 
+def replay_mismatches(cert: PathCertificate, executor) -> list[str]:
+    """Replay ``cert``'s inputs on ``executor``; list every mismatch.
+
+    An empty list means the certificate checked.  The caller is
+    responsible for putting the executor into reference configuration
+    first (see :class:`reference_mode`) — this function only replays
+    from the entry point and compares.  It is the from-entry check
+    :func:`verify_result`'s tree replay must agree with.
+    """
+    return _mismatches(cert, executor.execute(deserialize_assignment(cert.inputs)))
+
+
 class reference_mode:
     """Temporarily drop an executor to the reference evaluator.
 
     Staging and superblocks go off for the duration (engines without
     those knobs are left untouched); the previous configuration is
     restored on exit, so a certify pass does not perturb whatever runs
-    the caller does next.  Replay always goes through ``execute()``
-    from the entry point, so snapshot resumption is out of the picture
-    by construction.
+    the caller does next.  Replays never ask the executor for snapshot
+    capture or resumption, so the snapshot layer stays out of the
+    picture: a tree replay resumes only from the checker's own plain
+    copies, under the two checks of the module docstring.
     """
 
     def __init__(self, executor):
@@ -217,25 +298,228 @@ class reference_mode:
         return False
 
 
+class _EntryReplay:
+    """Replays every certificate from the entry point."""
+
+    def __init__(self, executor):
+        self.executor = executor
+        #: Children resumed from their parent's copy, and instructions
+        #: the symbolic replay executed.
+        self.resumed = 0
+        self.instructions = 0
+
+    def replay(self, position: int, cert: PathCertificate) -> list[str]:
+        run = self.executor.execute(deserialize_assignment(cert.inputs))
+        self.instructions += run.instret
+        return _mismatches(cert, run)
+
+
+class _Copy:
+    """The reference interpreter's state at one instruction start,
+    copied plainly: page bytes, the shadow dict, the registers, the
+    trace prefix up to the instruction start, stdout and its shadow."""
+
+    __slots__ = (
+        "pc",
+        "instret",
+        "memory",
+        "shadow",
+        "regs",
+        "records",
+        "stdout",
+        "stdout_shadow",
+        "inputs_count",
+        "env",
+    )
+
+    def __init__(self, interp, base: int, env: dict):
+        hart, shadow = interp.hart, interp.shadow
+        self.pc = hart.pc
+        self.instret = hart.instret
+        self.memory = interp.memory.clone()
+        self.shadow = {
+            address: shadow.get(address) for address in shadow.tainted_addresses()
+        }
+        self.regs = [hart.regs.read(index) for index in range(32)]
+        self.records = interp.trace.records[:base]
+        self.stdout = bytes(interp.stdout)
+        self.stdout_shadow = list(interp.stdout_shadow)
+        #: Inputs known at the copy: a later-discovered one would be
+        #: written at a from-entry replay's start, so a resume refuses.
+        self.inputs_count = len(interp.inputs)
+        #: The copied run's input values (what the concrete data hold).
+        self.env = env
+
+
+class _TreeReplay(_EntryReplay):
+    """Replays each child from its parent's copy (see the module doc)."""
+
+    def __init__(self, executor, certificates):
+        super().__init__(executor)
+        self.interp = executor.interpreter
+        #: (parent, divergence) -> position of the last child linked
+        #: there: the copy is dropped once that child has replayed.
+        self.last_child: dict = {}
+        for position, cert in enumerate(certificates):
+            link = _link(cert, position)
+            if link is not None:
+                self.last_child[link] = position
+        #: Parent position -> divergence points its children name.
+        self.wanted: dict = {}
+        for parent, divergence in self.last_child:
+            self.wanted.setdefault(parent, set()).add(divergence)
+        self.copies: dict = {}
+
+    def replay(self, position: int, cert: PathCertificate) -> list[str]:
+        executor, interp = self.executor, self.interp
+        assignment = deserialize_assignment(cert.inputs)
+        link = _link(cert, position)
+        copy = self.copies.get(link) if link is not None else None
+        if copy is not None and self._resume(copy, assignment):
+            self.resumed += 1
+            resumed_instret = copy.instret
+        else:
+            executor.start(assignment)
+            resumed_instret = 0
+        if link is not None and self.last_child[link] == position:
+            self.copies.pop(link, None)
+        wanted = self.wanted.get(position)
+        interp.capture_with(self._copier(position, wanted) if wanted else None)
+        run = executor.finish(assignment, resumed_instret)
+        interp.capture_with(None)
+        self.instructions += run.instret - resumed_instret
+        return _mismatches(cert, run)
+
+    def _copier(self, position: int, wanted: set):
+        """Capture hook: copy the state at each wanted divergence point
+        (records of one instruction share one copy)."""
+        interp, copies, executor = self.interp, self.copies, self.executor
+        last: list = [None]
+
+        def hook(index: int, base: int) -> None:
+            if index not in wanted:
+                return
+            copy = last[0]
+            if copy is None or copy.instret != interp.hart.instret:
+                env = executor.input_environment(interp.assignment)
+                copy = last[0] = _Copy(interp, base, env)
+            copies[position, index] = copy
+
+        return hook
+
+    def _resume(self, copy: _Copy, assignment) -> bool:
+        """Install ``copy`` re-concretized under ``assignment`` if checks
+        (1) and (2) hold; False leaves the interpreter untouched."""
+        interp = self.interp
+        if copy.inputs_count != len(interp.inputs):
+            return False
+        env = self.executor.input_environment(assignment)
+        changed = {
+            variable for variable, value in env.items() if copy.env[variable] != value
+        }
+
+        def reads_changed(term) -> bool:
+            return not changed.isdisjoint(term.free_vars())
+
+        # Check (1): the parent's prefix holds under the child's inputs.
+        for record in copy.records:
+            condition = record.condition
+            if reads_changed(condition) and not evaluate(condition, env):
+                return False
+        regs = list(copy.regs)
+        for index, value in enumerate(regs):
+            term = value.term
+            if index and term is not None and reads_changed(term):
+                regs[index] = SymValue(evaluate(term, env), value.width, term)
+        memory = copy.memory.clone()
+        for address, term in copy.shadow.items():
+            if reads_changed(term):
+                memory.write_byte(address, evaluate(term, env))
+        stdout = bytearray(copy.stdout)
+        for offset, term in copy.stdout_shadow:
+            if reads_changed(term):
+                stdout[offset] = evaluate(term, env) & 0xFF
+        if not self._concrete_agrees(copy, env, regs, memory, stdout):
+            return False
+        shadow = ShadowMemory()
+        for address, term in copy.shadow.items():
+            shadow.set(address, term)
+        interp.restore(
+            copy.pc,
+            copy.instret,
+            memory,
+            shadow,
+            regs,
+            list(copy.records),
+            stdout,
+            list(copy.stdout_shadow),
+            assignment,
+        )
+        return True
+
+    def _concrete_agrees(self, copy: _Copy, env, regs, memory, stdout) -> bool:
+        """Check (2): a concrete run from the entry under the child's
+        inputs reaches exactly the re-concretized state."""
+        interp = self.interp
+        machine = ConcreteInterpreter(interp.isa)
+        machine.load_image(interp.image)
+        for sym_input in interp.inputs.values():
+            machine.memory.write_byte(sym_input.address, env[sym_input.variable])
+        for index, variable in self.executor.register_inputs.items():
+            machine.write_register_int(index, env[variable])
+        hart = machine.run(copy.instret)
+        return (
+            hart.halt_reason == HaltReason.OUT_OF_FUEL
+            and hart.instret == copy.instret
+            and hart.pc == copy.pc
+            and all(hart.regs.read(i) == regs[i].concrete for i in range(32))
+            and machine.platform.stdout == stdout
+            and machine.memory.same_bytes(memory)
+        )
+
+
+def _link(cert: PathCertificate, position: int) -> Optional[tuple]:
+    """``(parent, divergence)`` if the certificate names a usable link:
+    a parent earlier in the list and a record index."""
+    parent, divergence = cert.parent, cert.divergence
+    if _is_int(parent) and 0 <= parent < position and _is_count(divergence):
+        return parent, divergence
+    return None
+
+
 def verify_result(result, executor) -> list[str]:
     """Replay-verify every recorded path of an exploration result.
 
     Builds one certificate per path, replays each under the reference
-    evaluator, and folds the outcome into the result's accounting:
-    ``certified_paths`` / ``certificate_failures`` counters, the
+    evaluator (as a tree for :class:`BinSymExecutor` under the default
+    PIN concretization, see the module docstring; otherwise from the
+    entry), and folds the outcome into the result's accounting:
+    ``certified_paths`` / ``certificate_failures`` counters,
+    ``certificate_resumed`` / ``certificate_instructions``, the
     ``certificates`` list, and ``certificate_errors`` carrying one
     message per mismatching field.  Returns the error list.
     """
     certificates = [certificate_for(path) for path in result.paths]
     failures: list[str] = []
+    # Under FREE concretization a symbolic address is not pinned in the
+    # trace, so a child satisfying its parent's prefix may still load
+    # through different addresses (other terms, same bytes): check (1)
+    # would not show the resume exact.
+    tree = (
+        type(executor) is BinSymExecutor
+        and executor.interpreter.concretization is ConcretizationPolicy.PIN
+    )
+    replay = _TreeReplay(executor, certificates) if tree else _EntryReplay(executor)
     with reference_mode(executor):
-        for cert in certificates:
-            problems = replay_mismatches(cert, executor)
+        for position, cert in enumerate(certificates):
+            problems = replay.replay(position, cert)
             if problems:
                 failures.extend(problems)
                 result.certificate_failures += 1
             else:
                 result.certified_paths += 1
+    result.certificate_resumed += replay.resumed
+    result.certificate_instructions += replay.instructions
     result.certificates = certificates
     result.certificate_errors.extend(failures)
     return failures

@@ -20,6 +20,7 @@ from .concretize import ConcretizationPolicy
 from .interpreter import SymbolicInterpreter
 from .snapshots import SnapshotPool
 from .state import InputAssignment, PathTrace
+from .symvalue import SymValue
 
 __all__ = ["RunResult", "BinSymExecutor"]
 
@@ -86,7 +87,8 @@ class BinSymExecutor:
         self.symbolic_memory = tuple(symbolic_memory)
         self.symbolic_registers = tuple(symbolic_registers)
         self.max_steps = max_steps
-        self._register_vars: dict[int, T.Term] = {
+        #: Harness-marked symbolic registers: index -> input variable.
+        self.register_inputs: dict[int, T.Term] = {
             index: T.bv_var(f"reg_{index}", 32) for index in self.symbolic_registers
         }
         self.snapshot_pool = (
@@ -133,15 +135,46 @@ class BinSymExecutor:
             "sb_unstitchable": interp.sb_unstitchable,
         }
 
-    def _assignment_env(self, assignment: InputAssignment) -> dict[T.Term, int]:
-        """Total input-variable environment for snapshot rebasing."""
+    def input_environment(self, assignment: InputAssignment) -> dict[T.Term, int]:
+        """Every known input variable's value under ``assignment``: the
+        bytes :meth:`start` writes and the registers it seeds."""
         env = {
             sym_input.variable: assignment.value_for(sym_input)
             for sym_input in self.interpreter.inputs.values()
         }
-        for variable in self._register_vars.values():
+        for variable in self.register_inputs.values():
             env[variable] = assignment.values.get(variable, 0)
         return env
+
+    def start(self, assignment: InputAssignment) -> None:
+        """Put the interpreter at the entry point under ``assignment``:
+        the image, every known input byte, the harness's symbolic
+        regions and registers."""
+        interp = self.interpreter
+        interp.reset(assignment)
+        for base, length in self.symbolic_memory:
+            interp.make_symbolic(base, length)
+        for index, variable in self.register_inputs.items():
+            concrete = assignment.values.get(variable, 0)
+            interp.hart.regs.write(index, SymValue(concrete, 32, variable))
+
+    def finish(
+        self, assignment: InputAssignment, resumed_instret: int = 0
+    ) -> RunResult:
+        """Run the interpreter from where it stands to a halt."""
+        interp = self.interpreter
+        hart = interp.run(self.max_steps)
+        return RunResult(
+            trace=interp.trace,
+            halt_reason=hart.halt_reason,
+            exit_code=hart.exit_code,
+            instret=hart.instret,
+            assignment=assignment,
+            stdout=bytes(interp.stdout),
+            final_pc=hart.pc,
+            snapshots=dict(interp.captured),
+            resumed_instret=resumed_instret,
+        )
 
     def execute(
         self,
@@ -169,8 +202,8 @@ class BinSymExecutor:
                 snapshot = None
         resumed_instret = 0
         if snapshot is not None:
-            env = self._assignment_env(assignment)
-            before = self._assignment_env(snapshot.assignment)
+            env = self.input_environment(assignment)
+            before = self.input_environment(snapshot.assignment)
             changed = {var for var, value in env.items() if before[var] != value}
             interp.resume(snapshot, assignment, env, changed)
             self.resumed_runs += 1
@@ -179,30 +212,12 @@ class BinSymExecutor:
         else:
             if resume is not None:
                 self.fallback_runs += 1
-            interp.reset(assignment)
-            for base, length in self.symbolic_memory:
-                interp.make_symbolic(base, length)
-            for index, variable in self._register_vars.items():
-                concrete = assignment.values.get(variable, 0)
-                from .symvalue import SymValue
-
-                interp.hart.regs.write(index, SymValue(concrete, 32, variable))
+            self.start(assignment)
         interp.configure_capture(
             self.snapshot_pool if capture_from is not None else None,
             capture_from if capture_from is not None else 0,
         )
-        hart = interp.run(self.max_steps)
-        return RunResult(
-            trace=interp.trace,
-            halt_reason=hart.halt_reason,
-            exit_code=hart.exit_code,
-            instret=hart.instret,
-            assignment=assignment,
-            stdout=bytes(interp.stdout),
-            final_pc=hart.pc,
-            snapshots=dict(interp.captured),
-            resumed_instret=resumed_instret,
-        )
+        return self.finish(assignment, resumed_instret)
 
     def execute_from(
         self,
@@ -255,5 +270,5 @@ class BinSymExecutor:
 
     def input_variables(self) -> list[T.Term]:
         variables = self.interpreter.input_variables()
-        variables.extend(self._register_vars.values())
+        variables.extend(self.register_inputs.values())
         return variables

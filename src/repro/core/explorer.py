@@ -182,6 +182,12 @@ class PathInfo:
     #: assumptions (certify mode only; ``None`` otherwise) — the logical
     #: path identity a certificate replay re-derives and compares.
     condition_digest: Optional[int] = None
+    #: The path whose run produced this one's work item, and the branch
+    #: record this path flipped (the item's ``bound - 1``); both ``None``
+    #: for the root and for paths without a recorded parent.  Certify
+    #: replay resumes a child there from its parent's reference state.
+    parent: Optional[int] = None
+    divergence: Optional[int] = None
 
     @property
     def is_assertion_failure(self) -> bool:
@@ -268,6 +274,11 @@ class ExplorationResult:
     #: mismatching field (see :mod:`repro.core.certificates`).
     certified_paths: int = 0
     certificate_failures: int = 0
+    #: Certify replay's split: children resumed from their parent's
+    #: reference state instead of replayed from the entry, and the
+    #: instructions the symbolic replay executed in all.
+    certificate_resumed: int = 0
+    certificate_instructions: int = 0
     #: One :class:`repro.core.certificates.PathCertificate` per recorded
     #: path (certify mode only), in path order.
     certificates: list = field(default_factory=list)
@@ -556,15 +567,21 @@ class _Campaign:
         if self.deadline_at is not None and time.monotonic() >= self.deadline_at:
             raise _DeadlineExpired
 
-    def record(self, path: tuple, stats: RunStats) -> None:
+    def record(
+        self, path: tuple, stats: RunStats, parent: Optional[int], bound: int
+    ) -> int:
         """Record one run's path (see :meth:`Worker.run`) and fold in
-        its solver accounting."""
+        its solver accounting; returns the path's index.  ``parent`` and
+        ``bound`` are those of the item the run explored."""
         result = self.result
-        info = PathInfo(len(result.paths), *path[:-1])
+        index = len(result.paths)
+        divergence = bound - 1 if parent is not None else None
+        info = PathInfo(index, *path[:-1], parent=parent, divergence=divergence)
         result.total_instructions += info.instret
         result.executed_instructions += info.instret - path[-1]
         result.paths.append(info)
         result.merge_run_stats(stats)
+        return index
 
     def fresh(self, digest: Optional[int]) -> bool:
         """Flip dedup: whether a child with this flip digest is new.
@@ -709,10 +726,12 @@ class Worker:
         frontier, result = self.frontier, campaign.result
         while frontier and result.num_paths < campaign.config.max_paths:
             campaign.check_deadline()
-            path, children, stats = self.run(frontier.pop())
-            campaign.record(path, stats)
+            item = frontier.pop()
+            path, children, stats = self.run(item)
+            index = campaign.record(path, stats, item.parent, item.bound)
             for child in children:
                 if campaign.fresh(child.digest):
+                    child.parent = index
                     frontier.push(child)
             campaign.after_run(self)
 

@@ -108,6 +108,9 @@ class SymbolicInterpreter(StagedStepper):
         self.stdout_shadow: list[tuple[int, T.Term]] = []
         self.captured: dict[int, int] = {}
         self._capture_pool: Optional[SnapshotPool] = None
+        #: Called as ``sink(index, base)`` where capture is allowed (see
+        #: :meth:`_note_flippable`); ``None`` while capture is disarmed.
+        self._capture_sink = None
         self._capture_from = 0
         self._capture_instret = -1
         self._capture_base = 0
@@ -194,9 +197,25 @@ class SymbolicInterpreter(StagedStepper):
         """
         self._capture_pool = pool
         self._capture_from = capture_from
+        self._capture_sink = self._capture_snapshot if pool is not None else None
+
+    def capture_with(self, hook) -> None:
+        """Arm a plain capture hook for this run instead of a pool.
+
+        ``hook(index, base)`` is called as each flippable branch record
+        ``index`` is made while the machine state still equals the
+        state at the start of the recording instruction — the guards of
+        :meth:`_note_flippable` apply unchanged — with ``base`` the
+        index of that instruction's first record, i.e. the length of
+        the trace prefix a run resumed there keeps.  ``None`` disarms.
+        The certificate checker copies its reference state this way.
+        """
+        self._capture_pool = None
+        self._capture_from = 0
+        self._capture_sink = hook
 
     def _note_flippable(self) -> None:
-        """Capture hook, called as each flippable branch is recorded.
+        """Capture guard, called as each flippable branch is recorded.
 
         Machine state at this point still equals the state at the start
         of the current instruction: the formal semantics evaluate every
@@ -213,6 +232,9 @@ class SymbolicInterpreter(StagedStepper):
         custom instruction that writes state (or pins an address)
         before branching simply skips capture here — its children fall
         back to full re-execution instead of resuming corrupt state.
+        Where capture is allowed, the armed sink gets the record: the
+        snapshot pool's (:meth:`configure_capture`) or a plain hook
+        (:meth:`capture_with`).
         """
         instret = self.hart.instret
         index = len(self.trace.records)
@@ -222,15 +244,19 @@ class SymbolicInterpreter(StagedStepper):
             self._capture_handle = None
         if index < self._capture_from or self._effect_instret == instret:
             return
+        self._capture_sink(index, self._capture_base)
+
+    def _capture_snapshot(self, index: int, base: int) -> None:
+        """The snapshot pool's sink: one shared snapshot per instruction."""
         handle = self._capture_handle
         if handle is None:
             snapshot = StateSnapshot(
                 pc=self.hart.pc,
-                instret=instret,
+                instret=self.hart.instret,
                 pages=self.memory.snapshot_pages(),
                 shadow=self.shadow.snapshot_state(),
                 regs=tuple(self.hart.regs.snapshot()),
-                records=tuple(self.trace.records[: self._capture_base]),
+                records=tuple(self.trace.records[:base]),
                 stdout=bytes(self.stdout),
                 stdout_shadow=tuple(self.stdout_shadow),
                 inputs_count=len(self.inputs),
@@ -244,7 +270,7 @@ class SymbolicInterpreter(StagedStepper):
                 # every later snapshot of this run would be rejected
                 # (and rebuilt, and leaked) the same way.
                 self.memory.release_pages(snapshot.pages)
-                self._capture_pool = None
+                self._capture_pool = self._capture_sink = None
                 return
             self._capture_handle = handle
         self.captured[index] = handle
@@ -309,6 +335,45 @@ class SymbolicInterpreter(StagedStepper):
         # differ from the last run's, so resolutions are revalidated.
         self._sb_begin_run(revalidate=True)
 
+    def restore(
+        self,
+        pc: int,
+        instret: int,
+        memory: ByteMemory,
+        shadow: ShadowMemory,
+        regs: list,
+        records: list,
+        stdout: bytearray,
+        stdout_shadow: list,
+        assignment: InputAssignment,
+    ) -> None:
+        """Start a run mid-path from state the caller owns outright.
+
+        The certificate checker's resume.  Unlike :meth:`resume`, which
+        adopts a snapshot copy-on-write and re-concretizes it, this
+        installs structures the caller built itself and shares with no
+        one: ``pc`` and ``instret`` of an instruction start, the 32
+        register values, the trace prefix, stdout and its shadow terms.
+        """
+        self.memory = memory
+        self.shadow = shadow
+        hart: Hart[SymValue] = Hart(zero_value=SymValue(0, 32), pc=pc)
+        hart.instret = instret
+        for index, value in enumerate(regs):
+            hart.regs.write(index, value)
+        self.hart = hart
+        self.trace = PathTrace()
+        self.trace.records = records
+        self.assignment = assignment
+        self.stdout = stdout
+        self.stdout_shadow = stdout_shadow
+        self.captured = {}
+        self._capture_instret = -1
+        self._capture_handle = None
+        self._snapshot_unsafe = False
+        self._effect_instret = -1
+        self._sb_begin_run(revalidate=True)
+
     # ------------------------------------------------------------------
     # Symbolic input marking (the make_symbolic ecall / harness hook)
     # ------------------------------------------------------------------
@@ -369,11 +434,12 @@ class SymbolicInterpreter(StagedStepper):
                 self._snapshot_unsafe = True
             base = self.read_register_int(11)
             length = self.read_register_int(12)
-            if self._capture_pool is not None:
+            if self._capture_sink is not None:
                 # Input-dependent output bytes keep their shadow term
-                # so a snapshot resume can re-concretize the captured
-                # stdout; with capture disarmed nothing can consume the
-                # overlay scan, so skip it.
+                # so a resume (from a snapshot or a certificate
+                # checker's copy) can re-concretize the captured stdout;
+                # with capture disarmed nothing can consume the overlay
+                # scan, so skip it.
                 offset = len(self.stdout)
                 shadow = self.shadow
                 for i in range(length):
@@ -459,7 +525,7 @@ class SymbolicInterpreter(StagedStepper):
         """Staged twin of :meth:`branch`: the condition is pre-evaluated."""
         taken = bool(value.concrete)
         if value.term is not None and not value.term.is_const:
-            if self._capture_pool is not None and not self._snapshot_unsafe:
+            if self._capture_sink is not None and not self._snapshot_unsafe:
                 self._note_flippable()
             self.trace.add_branch(value.condition_term(), self.hart.pc, taken)
         return taken
@@ -490,7 +556,7 @@ class SymbolicInterpreter(StagedStepper):
         # Constant terms (possible under force_terms) are not symbolic
         # decisions — only record conditions the solver could flip.
         if value.term is not None and not value.term.is_const:
-            if self._capture_pool is not None and not self._snapshot_unsafe:
+            if self._capture_sink is not None and not self._snapshot_unsafe:
                 self._note_flippable()
             self.trace.add_branch(value.condition_term(), self.hart.pc, taken)
         return taken

@@ -312,8 +312,8 @@ class _WorkerSlot:
         #: hang-timeout window before the watchdog may judge it.
         self.last_beat = time.monotonic()
         #: Item id -> ``(assignment, bound, digest, snapshot_ref,
-        #: novelty, failures)`` for every item the seat holds, the
-        #: running one included, in the reply's payload form.
+        #: novelty, failures, parent)`` for every item the seat holds,
+        #: the running one included, in the reply's payload form.
         self.mirror: dict = {}
         #: Id of the item the worker is running (None = idle).
         self.running: Optional[int] = None
@@ -349,7 +349,7 @@ class _WorkerSlot:
 
 def _item_of(entry) -> WorkItem:
     """A mirror entry as a :class:`WorkItem` (to requeue or checkpoint)."""
-    assignment, bound, digest, snapshot, novelty, failures = entry
+    assignment, bound, digest, snapshot, novelty, failures, parent = entry
     return WorkItem(
         deserialize_assignment(assignment),
         bound,
@@ -357,6 +357,7 @@ def _item_of(entry) -> WorkItem:
         digest=digest,
         snapshot=snapshot,
         failures=failures,
+        parent=parent,
     )
 
 
@@ -567,7 +568,8 @@ class Broker:
             self._next_task -= 1
             slot.running = self._next_task
             slot.mirror[slot.running] = (assignment, item.bound, item.digest,
-                                         item.snapshot, item.novelty, item.failures)
+                                         item.snapshot, item.novelty, item.failures,
+                                         item.parent)
             slot.post(("task", slot.running, assignment, item.bound,
                        item.snapshot, item.novelty))
         for _ in range(len(idle) - sum(slot.steals for slot in slots)):
@@ -591,18 +593,26 @@ class Broker:
             raise RuntimeError(f"exploration worker failed:\n{children}")
         slot.running = running
         self.worker_stats[slot.uid] = counters
-        if slot.mirror.pop(item_id, None) is None:
+        entry = slot.mirror.pop(item_id, None)
+        if entry is None:
             if children:
                 slot.post(("drop", [child[0] for child in children]))
             return False
-        campaign.record(path[:4] + (deserialize_assignment(path[4]),) + path[5:], stats)
+        index = campaign.record(
+            path[:4] + (deserialize_assignment(path[4]),) + path[5:],
+            stats,
+            parent=entry[6],
+            bound=entry[1],
+        )
         duplicates = []
         for child_id, assignment, bound, digest, snapshot, novelty in children:
             if not campaign.fresh(digest):
                 duplicates.append(child_id)
                 continue
             snapshot_ref = (slot.uid, snapshot) if snapshot is not None else None
-            slot.mirror[child_id] = (assignment, bound, digest, snapshot_ref, novelty, 0)
+            slot.mirror[child_id] = (
+                assignment, bound, digest, snapshot_ref, novelty, 0, index
+            )
         if duplicates:
             slot.post(("drop", duplicates))
         return True

@@ -77,6 +77,10 @@ class WorkItem:
     #: The worker pool's name for this item while a worker holds it, so
     #: the broker can steal or drop it (``None`` outside the pool).
     id: Optional[int] = None
+    #: Index of the recorded path whose run produced this item (``None``
+    #: for the root and for items restored from a journal).  With
+    #: ``bound - 1`` it is the certificate link of the item's path.
+    parent: Optional[int] = None
 
 
 # Structural digests live in repro.smt.digest — one restart-stable

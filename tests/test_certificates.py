@@ -14,13 +14,19 @@ import multiprocessing
 import pytest
 
 from repro.asm import assemble
-from repro.core import BinSymExecutor, Explorer, FaultPlan
+from repro.core import BinSymExecutor, ExplorationResult, Explorer, FaultPlan
+from repro.core import certificates
 from repro.core.certificates import (
+    certificate_from_state,
+    certificate_to_state,
     reference_mode,
     replay_mismatches,
     verify_result,
 )
 from repro.core.checkpoint import CheckpointManager
+from repro.core.concretize import ConcretizationPolicy
+from repro.core.interpreter import SymbolicInterpreter
+from repro.core.state import InputAssignment
 from repro.eval.engines import make_engine
 from repro.eval.workloads import WORKLOADS
 from repro.smt.solver import SolverConfig
@@ -47,6 +53,35 @@ done:
     ecall
 """
 
+#: One symbolic byte; the two arms of the first branch rejoin after the
+#: same number of instructions with the same machine state.
+JOIN_SOURCE = """\
+_start:
+    li a0, 0x20000
+    li a1, 1
+    li a7, 1337
+    ecall
+    li t0, 0x20000
+    lbu t1, 0(t0)
+    li t2, 10
+    li t3, 100
+    bltu t1, t2, small
+    addi t4, zero, 1
+    j join
+small:
+    addi t4, zero, 1
+    j join
+join:
+    bltu t1, t3, done
+    li a0, 2
+    li a7, 93
+    ecall
+done:
+    li a0, 0
+    li a7, 93
+    ecall
+"""
+
 
 def make_executor():
     return BinSymExecutor(rv32im(), assemble(SOURCE))
@@ -67,6 +102,56 @@ def explore(
         solver_config=solver_config,
         faults=faults,
     ).explore()
+
+
+#: The certify gate's workloads and scales (tools/certify_check.py).
+GATE_SCALES = {
+    "bubble-sort": 4,
+    "insertion-sort": 4,
+    "base64-encode": 1,
+    "uri-parser": 3,
+    "clif-parser": 3,
+}
+
+
+def certify_workload(workload, scale, jobs=1):
+    """(executor, result) of a certify exploration of a Fig. 6 workload."""
+    executor = make_engine("binsym", rv32im(), WORKLOADS[workload].image(scale))
+    result = Explorer(
+        executor, jobs=jobs, solver_config=SolverConfig(certify=True)
+    ).explore()
+    return executor, result
+
+
+def reverify(result, executor, monkeypatch=None, forge=None):
+    """Certify ``result``'s paths again, into a fresh result.
+
+    ``forge`` maps path indices to certificate mutations, applied as
+    :func:`verify_result` builds each certificate.
+    """
+    if forge:
+        honest = certificates.certificate_for
+
+        def forged(path):
+            cert = honest(path)
+            mutation = forge.get(path.index)
+            return mutation(cert) if mutation is not None else cert
+
+        monkeypatch.setattr(certificates, "certificate_for", forged)
+    fresh = ExplorationResult(paths=list(result.paths))
+    verify_result(fresh, executor)
+    return fresh
+
+
+def from_entry(result, executor):
+    """``replay_mismatches`` of every certificate: the reference verdicts."""
+    with reference_mode(executor):
+        return [replay_mismatches(cert, executor) for cert in result.certificates]
+
+
+def resumed_child(result):
+    """The index of the last path with a parent link."""
+    return max(p.index for p in result.paths if p.parent is not None)
 
 
 class TestCertifyMode:
@@ -185,25 +270,43 @@ class TestCertificateTampering:
             "condition_digest",
         ],
     )
-    def test_tampered_field_rejected(self, certified, mutation):
+    def test_tampered_field_rejected(self, certified, mutation, monkeypatch):
         executor, result = certified
         cert = mutation(result.certificates[0])
         with reference_mode(executor):
             problems = replay_mismatches(cert, executor)
         assert problems, "tampered certificate was accepted"
+        # Through the tree replay: the root replays from the entry and a
+        # child resumes from its parent's copy; both must be rejected,
+        # and the tampered claim does not stop the child resuming.
+        assert result.certificate_resumed == result.num_paths - 1
+        for target in (0, resumed_child(result)):
+            with monkeypatch.context() as patch:
+                forged = reverify(result, executor, patch, {target: mutation})
+            assert forged.certificate_failures == 1, target
+            assert forged.certified_paths == result.num_paths - 1
+            assert forged.certificate_errors
+            assert all(
+                message.startswith(f"path {target}: ")
+                for message in forged.certificate_errors
+            )
+            assert forged.certificate_resumed == result.num_paths - 1
 
     def test_verify_result_counts_failures(self, certified):
         executor, result = certified
-        # Corrupt one recorded path in memory; re-verification must
-        # count exactly one failing certificate and keep the rest.
-        result.certified_paths = 0
-        result.certificate_failures = 0
-        result.certificate_errors = []
-        result.paths[0].instret += 1
-        failures = verify_result(result, executor)
-        assert result.certificate_failures == 1
-        assert result.certified_paths == result.num_paths - 1
-        assert any("instret" in message for message in failures)
+        # Corrupt one recorded path in memory, the root's or a resumed
+        # child's; re-verification must count exactly one failing
+        # certificate and keep the rest.
+        for target in (0, resumed_child(result)):
+            paths = list(result.paths)
+            paths[target] = dataclasses.replace(
+                paths[target], instret=paths[target].instret + 1
+            )
+            fresh = ExplorationResult(paths=paths)
+            failures = verify_result(fresh, executor)
+            assert fresh.certificate_failures == 1
+            assert fresh.certified_paths == result.num_paths - 1
+            assert any("instret" in message for message in failures)
 
     def test_reference_mode_restores_configuration(self):
         executor = make_executor()
@@ -225,6 +328,223 @@ class TestCertificateTampering:
         restored = type(cert)(**payload)
         with reference_mode(executor):
             assert replay_mismatches(restored, executor) == []
+
+
+class TestTreeReplay:
+    """verify_result replays the exploration tree: each child resumes at
+    its parent's divergence point, and agrees with from-entry replay."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_paths_record_their_parent(self, jobs):
+        _, result = certify_workload("bubble-sort", 4, jobs=jobs)
+        root = [p for p in result.paths if p.parent is None]
+        assert len(root) == 1 and root[0].divergence is None
+        for path in result.paths:
+            if path.parent is None:
+                continue
+            parent = result.paths[path.parent]
+            assert path.parent < path.index
+            assert 0 <= path.divergence < parent.trace_length
+        certs = result.certificates
+        assert [(c.parent, c.divergence) for c in certs] == [
+            (p.parent, p.divergence) for p in result.paths
+        ]
+
+    def test_suffixes_replay_what_exploration_executed(self):
+        executor, result = certify_workload("bubble-sort", 4)
+        assert result.resumed_runs == result.num_paths - 1
+        assert result.certificate_resumed == result.num_paths - 1
+        # Exploration resumed every child at the same instruction the
+        # checker copies its parent's state at.
+        assert result.certificate_instructions == result.executed_instructions
+        assert result.certificate_instructions < result.total_instructions
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("workload", sorted(GATE_SCALES))
+    def test_verdicts_match_from_entry_replay(self, workload, jobs):
+        executor, result = certify_workload(workload, GATE_SCALES[workload], jobs)
+        entry = from_entry(result, executor)
+        assert result.certified_paths == sum(not problems for problems in entry)
+        assert result.certificate_failures == sum(bool(p) for p in entry)
+        assert result.certificate_errors == [m for p in entry for m in p]
+        assert result.certificate_failures == 0
+        assert result.certificate_resumed == result.num_paths - 1
+
+    def test_live_fault_verdicts_match(self, monkeypatch):
+        """A concolic-invariant fault in the shared interpreter: the
+        shadow term of the byte at the input buffer's start is dropped
+        on every store.  Exploration, from-entry replay and the tree
+        all run it; the tree flags exactly the paths from-entry replay
+        flags, and check (2) sends children back to the entry."""
+        store = SymbolicInterpreter._store
+
+        def lossy_store(self, address, value, width):
+            store(self, address, value, width)
+            if address <= 0x20000 < address + width // 8:
+                self.shadow.set(0x20000, None)
+
+        monkeypatch.setattr(SymbolicInterpreter, "_store", lossy_store)
+        verdicts = []
+        agrees = certificates._TreeReplay._concrete_agrees
+
+        def spy(self, *args):
+            verdicts.append(agrees(self, *args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(certificates._TreeReplay, "_concrete_agrees", spy)
+        executor, result = certify_workload("bubble-sort", 4)
+        entry = from_entry(result, executor)
+        assert result.certificate_failures == sum(bool(p) for p in entry) > 0
+        assert result.certificate_errors == [m for p in entry for m in p]
+        assert False in verdicts
+        assert result.certificate_resumed < result.num_paths - 1
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            lambda c: dataclasses.replace(c, parent=None, divergence=None),
+            lambda c: dataclasses.replace(c, parent=c.index),
+            lambda c: dataclasses.replace(c, parent=c.index + 1),
+            lambda c: dataclasses.replace(c, parent=-1),
+            lambda c: dataclasses.replace(c, divergence=10_000),
+            lambda c: dataclasses.replace(c, divergence=c.divergence + 1),
+        ],
+        ids=[
+            "missing",
+            "parent_self",
+            "parent_later",
+            "parent_negative",
+            "divergence_past_trace",
+            "prefix_unsatisfied",
+        ],
+    )
+    def test_wrong_link_costs_a_from_entry_replay(self, mutation, monkeypatch):
+        """Links are hints: a pristine certificate with a wrong link
+        still certifies, replayed from the entry and counted so."""
+        executor, result = certify_workload("bubble-sort", 4)
+        # A child whose parent has a record past its divergence point, so
+        # a one-deeper divergence names a real copy whose prefix holds
+        # the record the child flipped.
+        child = max(
+            p.index
+            for p in result.paths
+            if p.parent is not None
+            and result.paths[p.parent].trace_length > p.divergence + 1
+        )
+        forged = reverify(result, executor, monkeypatch, {child: mutation})
+        assert forged.certified_paths == result.num_paths
+        assert forged.certificate_failures == 0
+        assert forged.certificate_resumed == result.num_paths - 2
+
+    def test_prefix_check_catches_what_the_state_check_cannot(self, monkeypatch):
+        """Both arms of the first branch take two instructions and leave
+        the same state, so a child linked to the wrong arm passes check
+        (2) at the join; only check (1) sends it back to the entry."""
+        executor = BinSymExecutor(rv32im(), assemble(JOIN_SOURCE))
+        result = Explorer(
+            executor, solver_config=SolverConfig(certify=True)
+        ).explore()
+        assert [(p.parent, p.divergence) for p in result.paths] == [
+            (None, None),
+            (0, 0),
+            (1, 1),
+        ]
+        relink = {2: lambda c: dataclasses.replace(c, parent=0)}
+        forged = reverify(result, executor, monkeypatch, relink)
+        assert forged.certified_paths == 3
+        assert forged.certificate_failures == 0
+        assert forged.certificate_resumed == 1
+
+    def test_capture_hook_sees_the_snapshot_points(self):
+        """The checker's hook and the snapshot pool share one guard."""
+        image = WORKLOADS["bubble-sort"].image(4)
+        executor = make_engine("binsym", rv32im(), image)
+        assignment = InputAssignment()
+        run = executor.execute(assignment, capture_from=0)
+        seen = []
+        executor.start(assignment)
+        executor.interpreter.capture_with(lambda index, base: seen.append(index))
+        executor.finish(assignment)
+        assert run.snapshots and seen == sorted(run.snapshots)
+
+    def test_copies_are_dropped_after_their_last_child(self, monkeypatch):
+        replays = []
+        tree = certificates._TreeReplay.__init__
+
+        def keep(self, *args):
+            tree(self, *args)
+            replays.append(self)
+
+        monkeypatch.setattr(certificates._TreeReplay, "__init__", keep)
+        _, result = certify_workload("bubble-sort", 4)
+        (replay,) = replays
+        assert replay.copies == {}
+        assert result.certificate_resumed == result.num_paths - 1
+
+    @pytest.mark.parametrize("engine", ["symex-vp", "binsym-free"])
+    def test_other_engines_replay_from_entry(self, engine):
+        """Other engines, and BinSym under FREE concretization (which
+        does not pin symbolic addresses, so check (1) proves nothing)."""
+        image = WORKLOADS["bubble-sort"].image(3)
+        if engine == "binsym-free":
+            executor = BinSymExecutor(
+                rv32im(), image, concretization=ConcretizationPolicy.FREE
+            )
+        else:
+            executor = make_engine(engine, rv32im(), image)
+        result = Explorer(
+            executor, solver_config=SolverConfig(certify=True)
+        ).explore()
+        assert result.certified_paths == result.num_paths == 6
+        assert result.certificate_resumed == 0
+        assert result.certificate_instructions == result.total_instructions
+
+
+class TestCertificateState:
+    """Store state round trip and field validation."""
+
+    @pytest.fixture()
+    def state(self):
+        _, result = certify_workload("bubble-sort", 3)
+        return certificate_to_state(result.certificates[-1])
+
+    def test_round_trip_keeps_links(self, state):
+        cert = certificate_from_state(state)
+        assert cert.parent is not None and cert.divergence is not None
+        assert certificate_to_state(cert) == state
+
+    def test_state_without_links_still_loads(self, state):
+        for key in ("parent", "divergence", "condition_digest"):
+            del state[key]
+        cert = certificate_from_state(state)
+        assert cert.parent is None and cert.divergence is None
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("index", True),
+            ("index", -1),
+            ("halt_reason", 5),
+            ("exit_code", "x"),
+            ("exit_code", False),
+            ("instret", True),
+            ("trace_length", "bad"),
+            ("stdout_digest", 7),
+            ("final_pc", 1.5),
+            ("condition_digest", "zz"),
+            ("parent", -1),
+            ("parent", True),
+            ("parent", "0"),
+            ("divergence", -2),
+            ("divergence", 1.5),
+            ("inputs", [["in_00020000", True, 3]]),
+            ("inputs", [["in_00020000", 8, "3"]]),
+        ],
+    )
+    def test_malformed_field_rejected(self, state, field, value):
+        state[field] = value
+        with pytest.raises(ValueError, match="malformed"):
+            certificate_from_state(state)
 
 
 class TestCorruptionChaos:

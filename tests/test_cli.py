@@ -281,6 +281,22 @@ done:
         assert num_sat and num_unsat
         assert sum(map(int, certified.groups())) == num_solved
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_certify_reports_the_tree_split(self, tmp_path, capsys, jobs):
+        path = tmp_path / "ranges.s"
+        path.write_text(RANGES)
+        assert main(["explore", "--certify", "--jobs", jobs, str(path)]) == 0
+        out = capsys.readouterr().out
+        split = re.search(
+            r"certified results: (\d+) paths replayed \(0 failed, "
+            r"(\d+) resumed from their parent, (\d+) instructions\)", out
+        )
+        total = re.search(r"(\d+) instructions, ", out)
+        assert split and total, out
+        paths, resumed, replayed = map(int, split.groups())
+        assert paths == 2 and resumed == 1
+        assert 0 < replayed < 2 * int(total.group(1))
+
     def test_staging_toggle_parallel(self, program_file, capsys):
         assert main(
             ["explore", "--no-staging", "--jobs", "2", str(program_file)]

@@ -13,7 +13,11 @@ the gate asserts the full evidence contract:
   unsat_checks``),
 * every recorded path's certificate (inputs, observable outcome,
   path-condition digest chain) replayed identically under the unstaged
-  reference evaluator (``certified_paths == num_paths``), and
+  reference evaluator (``certified_paths == num_paths``),
+* the replay used the exploration tree: at least as many children
+  resumed from their parent's reference state as exploration resumed
+  from snapshots (``certificate_resumed >= resumed_runs``), so a checker
+  that silently replays every child from the entry fails, and
 * the certified path set equals the uncertified baseline's — certify
   mode observes the exploration, it must not change it.
 
@@ -24,8 +28,11 @@ Usage::
 
     python tools/certify_check.py [--jobs N] [--self-test]
 
-``--self-test`` perturbs a valid certificate and asserts the replay
-check rejects it — proving the gate can actually fail.
+``--self-test`` perturbs valid certificates, the root's and a resumed
+child's, and asserts the tree replay rejects every perturbed claim; it
+also gives a pristine child wrong ``parent``/``divergence`` links and
+asserts they cost a from-entry replay, never a verdict — proving the
+gate can actually fail and that links are only hints.
 """
 
 from __future__ import annotations
@@ -38,10 +45,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core import Explorer  # noqa: E402
+from repro.core import ExplorationResult, Explorer  # noqa: E402
+from repro.core import certificates  # noqa: E402
 from repro.core.certificates import (  # noqa: E402
     reference_mode,
     replay_mismatches,
+    verify_result,
 )
 from repro.eval.engines import make_engine  # noqa: E402
 from repro.eval.workloads import WORKLOADS  # noqa: E402
@@ -90,6 +99,12 @@ def check_certified(workload: str, baseline, certified, label: str) -> list[str]
             f"{workload} [{label}]: only {certified.certified_paths} of "
             f"{certified.num_paths} path certificates replayed cleanly"
         )
+    if certified.certificate_resumed < certified.resumed_runs:
+        errors.append(
+            f"{workload} [{label}]: only {certified.certificate_resumed} "
+            f"children resumed in certify replay, exploration resumed "
+            f"{certified.resumed_runs}: the replay is not using the tree"
+        )
     if certified.certificate_failures:
         errors.append(
             f"{workload} [{label}]: {certified.certificate_failures} "
@@ -129,6 +144,8 @@ def run_gate(jobs: int) -> int:
                 print(
                     f"  {status:4s} {workload:16s} {label:15s} "
                     f"paths={certified.certified_paths}/{certified.num_paths} "
+                    f"resumed={certified.certificate_resumed}"
+                    f"/{certified.resumed_runs} "
                     f"solved={certified.num_queries} "
                     f"sat={stats.get('certified_sat', 0)} "
                     f"unsat={stats.get('certified_unsat', 0)} "
@@ -159,38 +176,99 @@ def run_gate(jobs: int) -> int:
     return 0
 
 
+def _reverify(result, executor, forge: dict) -> ExplorationResult:
+    """Certify ``result``'s paths again with ``forge`` (path index ->
+    certificate mutation) applied as :func:`verify_result` builds each
+    certificate; returns the fresh result."""
+    honest = certificates.certificate_for
+
+    def forged(path):
+        cert = honest(path)
+        mutation = forge.get(path.index)
+        return mutation(cert) if mutation is not None else cert
+
+    certificates.certificate_for = forged
+    try:
+        fresh = ExplorationResult(paths=list(result.paths))
+        verify_result(fresh, executor)
+    finally:
+        certificates.certificate_for = honest
+    return fresh
+
+
 def self_test() -> int:
-    """Prove the replay check rejects a perturbed certificate."""
+    """Prove the tree replay rejects perturbed claims, and only those."""
     explorer = build_explorer("clif-parser", certify=True)
     result = explorer.explore()
+    executor = explorer.executor
     assert result.certificates, "certify run produced no certificates"
-    cert = result.certificates[0]
+    children = result.num_paths - 1
+    if result.certificate_resumed != children:
+        print(
+            f"self-test FAILED: {result.certificate_resumed} of {children} "
+            f"children resumed from their parent"
+        )
+        return 1
+    child = max(p.index for p in result.paths if p.parent is not None)
     tampered = [
-        ("exit_code", dataclasses.replace(cert, exit_code=(cert.exit_code or 0) ^ 1)),
-        ("instret", dataclasses.replace(cert, instret=cert.instret + 1)),
-        ("stdout_digest", dataclasses.replace(cert, stdout_digest="0" * 32)),
+        ("exit_code", lambda c: dataclasses.replace(c, exit_code=(c.exit_code or 0) ^ 1)),
+        ("instret", lambda c: dataclasses.replace(c, instret=c.instret + 1)),
+        ("stdout_digest", lambda c: dataclasses.replace(c, stdout_digest="0" * 32)),
         (
             "condition_digest",
-            dataclasses.replace(
-                cert, condition_digest=(cert.condition_digest or 0) ^ 1
+            lambda c: dataclasses.replace(
+                c, condition_digest=(c.condition_digest or 0) ^ 1
             ),
         ),
     ]
-    with reference_mode(explorer.executor):
-        clean = replay_mismatches(cert, explorer.executor)
-        if clean:
-            print(f"self-test FAILED: pristine certificate rejected: {clean}")
-            return 1
-        for field_name, bad_cert in tampered:
-            problems = replay_mismatches(bad_cert, explorer.executor)
-            if not problems:
+    with reference_mode(executor):
+        clean = replay_mismatches(result.certificates[0], executor)
+    if clean:
+        print(f"self-test FAILED: pristine certificate rejected: {clean}")
+        return 1
+    for field_name, mutation in tampered:
+        for target, role in ((0, "root"), (child, "resumed child")):
+            forged = _reverify(result, executor, {target: mutation})
+            # The child still resumes: a tampered claim is caught on
+            # the tree path itself, not by a detour to the entry.
+            if (
+                forged.certificate_failures != 1
+                or forged.certificate_resumed != children
+            ):
                 print(
-                    f"self-test FAILED: tampered {field_name} certificate "
+                    f"self-test FAILED: tampered {field_name} on the {role} "
                     f"was accepted"
                 )
                 return 1
-            print(f"self-test: tampered {field_name} rejected ({problems[0]})")
-    print("self-test passed: replay rejects every tampered certificate")
+            print(
+                f"self-test: tampered {field_name} on the {role} rejected "
+                f"({forged.certificate_errors[0]})"
+            )
+    links = [
+        ("parent", lambda c: dataclasses.replace(c, parent=c.index)),
+        ("divergence", lambda c: dataclasses.replace(c, divergence=10_000)),
+    ]
+    for field_name, mutation in links:
+        forged = _reverify(result, executor, {child: mutation})
+        if (
+            forged.certified_paths != result.num_paths
+            or forged.certificate_resumed != children - 1
+        ):
+            print(
+                f"self-test FAILED: a wrong {field_name} link changed the "
+                f"verdict or was not replayed from the entry "
+                f"({forged.certified_paths}/{result.num_paths} certified, "
+                f"{forged.certificate_resumed} resumed)"
+            )
+            return 1
+        print(
+            f"self-test: wrong {field_name} link certified from the entry "
+            f"({forged.certificate_resumed}/{children} children resumed)"
+        )
+    print(
+        "self-test passed: the tree replay rejects every tampered claim, "
+        "and a wrong link only costs a from-entry replay"
+    )
     return 0
 
 

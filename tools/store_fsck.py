@@ -20,9 +20,10 @@ validators the hot path uses:
 * ``--gc`` — delete ``*.quarantined`` and stale ``*.tmp.*`` files.
 * ``--self-test`` — build a real store by exploring a tiny workload,
   then tamper one field at a time (version, key, verdict, model value,
-  core node, wrapper digest, truncation) and assert every tamper is
-  detected by the scan *and* never served as a warm hit — proving the
-  verification chain has no blind field.
+  core node, wrapper digest, truncation; every field of a path
+  certificate) and assert every tamper is detected by the scan *and*
+  never served as a warm hit — proving the verification chain has no
+  blind field.
 
 Usage::
 
@@ -174,6 +175,64 @@ def _tampers(state: dict):
         )
 
 
+def _cert_tampers():
+    """Yield (label, mutate) digest-refreshed forgeries of one
+    certificate state: each leaves the wrapper valid, so only the field
+    validation can catch it."""
+    yield "cert trace_length", lambda s: s["cert"].__setitem__("trace_length", "bad")
+    yield "cert exit_code", lambda s: s["cert"].__setitem__("exit_code", "x")
+    yield "cert halt_reason", lambda s: s["cert"].__setitem__("halt_reason", 5)
+    yield "cert condition_digest", lambda s: s["cert"].__setitem__(
+        "condition_digest", "zz"
+    )
+    yield "cert index bool", lambda s: s["cert"].__setitem__("index", True)
+    yield "cert instret bool", lambda s: s["cert"].__setitem__("instret", False)
+    yield "cert parent", lambda s: s["cert"].__setitem__("parent", -1)
+    yield "cert divergence", lambda s: s["cert"].__setitem__("divergence", "3")
+    yield "cert input width", lambda s: s["cert"]["inputs"][0].__setitem__(1, True)
+
+
+def _cert_case_failures(root: Path) -> list:
+    """The certificate half of the tamper matrix."""
+    failures = []
+    path = sorted((root / "certs").glob("*.json"))[0]
+    pristine = path.read_text()
+    base = read_wrapper(str(path))
+    # A file written before certificates carried tree links.
+    legacy = json.loads(json.dumps(base))
+    legacy["cert"].pop("parent", None)
+    legacy["cert"].pop("divergence", None)
+    path.write_text(_rewrap(legacy, fix_digest=True))
+    status, detail = classify(path)
+    if status != "ok":
+        failures.append(f"certificate without links: scan said {status!r} ({detail})")
+    for label, mutate in _cert_tampers():
+        tampered = json.loads(json.dumps(base))
+        mutate(tampered)
+        path.write_text(_rewrap(tampered, fix_digest=True))
+        status, detail = classify(path)
+        if status != "corrupt":
+            failures.append(
+                f"{label}: scan said {status!r} ({detail!r}), expected 'corrupt'"
+            )
+    # The hot path's loader quarantines what the scan flags.
+    tampered = json.loads(json.dumps(base))
+    tampered["cert"]["exit_code"] = "x"
+    path.write_text(_rewrap(tampered, fix_digest=True))
+    from repro.core.store import ArtifactStore
+
+    store = ArtifactStore(str(root))
+    before = len(list((root / "certs").glob("*.json")))
+    loaded = store.load_certificates()
+    if len(loaded) != before - 1 or store.quarantines != 1:
+        failures.append("a forged certificate was served by load_certificates")
+    quarantined = Path(str(path) + ".quarantined")
+    if quarantined.exists():
+        quarantined.unlink()
+    path.write_text(pristine)
+    return failures
+
+
 def _hot_path_probes() -> list:
     """Semantic forgeries only load_query's re-checks can catch."""
     import shutil
@@ -263,6 +322,7 @@ def self_test() -> int:
                         f"expected {expected!r}"
                     )
                 path.write_text(pristine)
+        failures.extend(_cert_case_failures(root))
         # Truncation (a torn write the fault hook would produce).
         pristine = sat_path.read_text()
         sat_path.write_text(pristine[: len(pristine) // 2])
