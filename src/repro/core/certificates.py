@@ -46,6 +46,12 @@ equals a from-entry replay, and replays from the entry otherwise:
    child's inputs at the same instruction: pc, all 32 registers, every
    memory page and stdout.
 
+The resumed suffix runs on what remains of the executor's step budget,
+so it runs out of fuel at the instruction a from-entry replay does; a
+copy at or past the budget is never resumed.  Live copies together hold
+at most the snapshot pool's byte budget; a copy over it is not taken,
+and the children naming it replay from the entry.
+
 Links are hints, never evidence: a missing, out-of-range or wrong link
 costs a from-entry replay, never a verdict.  The copies, the
 re-concretization and both checks share no code with the snapshot layer
@@ -314,6 +320,18 @@ class _EntryReplay:
         return _mismatches(cert, run)
 
 
+#: Estimated bytes per copied shadow entry, trace record, register or
+#: stdout shadow term (the dict slot or list slot plus its share of the
+#: containers).
+_ENTRY_BYTES = 96
+
+
+def _copy_size(interp, base: int) -> int:
+    """Bytes a :class:`_Copy` of ``interp`` with ``base`` records holds."""
+    entries = len(interp.shadow) + base + len(interp.stdout_shadow) + 32
+    return interp.memory.resident_bytes + entries * _ENTRY_BYTES + len(interp.stdout)
+
+
 class _Copy:
     """The reference interpreter's state at one instruction start,
     copied plainly: page bytes, the shadow dict, the registers, the
@@ -330,9 +348,11 @@ class _Copy:
         "stdout_shadow",
         "inputs_count",
         "env",
+        "size",
+        "links",
     )
 
-    def __init__(self, interp, base: int, env: dict):
+    def __init__(self, interp, base: int, env: dict, size: int):
         hart, shadow = interp.hart, interp.shadow
         self.pc = hart.pc
         self.instret = hart.instret
@@ -349,14 +369,27 @@ class _Copy:
         self.inputs_count = len(interp.inputs)
         #: The copied run's input values (what the concrete data hold).
         self.env = env
+        self.size = size
+        #: Links still naming this copy (records of one instruction
+        #: share it); its bytes are released when the last one drops.
+        self.links = 0
 
 
 class _TreeReplay(_EntryReplay):
-    """Replays each child from its parent's copy (see the module doc)."""
+    """Replays each child from its parent's copy (see the module doc).
+
+    Live copies together hold at most the executor's snapshot-pool
+    budget (``snapshot_pool.max_bytes``, which the memory governor
+    lowers under ``--memory-budget``): a copy that would exceed it is
+    not taken, and the children naming it replay from the entry.
+    """
 
     def __init__(self, executor, certificates):
         super().__init__(executor)
         self.interp = executor.interpreter
+        self.budget = executor.snapshot_pool.max_bytes
+        #: Bytes held by live copies.
+        self.held = 0
         #: (parent, divergence) -> position of the last child linked
         #: there: the copy is dropped once that child has replayed.
         self.last_child: dict = {}
@@ -382,7 +415,7 @@ class _TreeReplay(_EntryReplay):
             executor.start(assignment)
             resumed_instret = 0
         if link is not None and self.last_child[link] == position:
-            self.copies.pop(link, None)
+            self._drop(link)
         wanted = self.wanted.get(position)
         interp.capture_with(self._copier(position, wanted) if wanted else None)
         run = executor.finish(assignment, resumed_instret)
@@ -390,9 +423,16 @@ class _TreeReplay(_EntryReplay):
         self.instructions += run.instret - resumed_instret
         return _mismatches(cert, run)
 
+    def _drop(self, link: tuple) -> None:
+        copy = self.copies.pop(link, None)
+        if copy is not None:
+            copy.links -= 1
+            if not copy.links:
+                self.held -= copy.size
+
     def _copier(self, position: int, wanted: set):
         """Capture hook: copy the state at each wanted divergence point
-        (records of one instruction share one copy)."""
+        (records of one instruction share one copy) within the budget."""
         interp, copies, executor = self.interp, self.copies, self.executor
         last: list = [None]
 
@@ -401,17 +441,30 @@ class _TreeReplay(_EntryReplay):
                 return
             copy = last[0]
             if copy is None or copy.instret != interp.hart.instret:
+                size = _copy_size(interp, base)
+                if self.held + size > self.budget:
+                    return
                 env = executor.input_environment(interp.assignment)
-                copy = last[0] = _Copy(interp, base, env)
+                copy = last[0] = _Copy(interp, base, env, size)
+                self.held += size
+            copy.links += 1
             copies[position, index] = copy
 
         return hook
 
     def _resume(self, copy: _Copy, assignment) -> bool:
         """Install ``copy`` re-concretized under ``assignment`` if checks
-        (1) and (2) hold; False leaves the interpreter untouched."""
+        (1) and (2) hold; False leaves the interpreter untouched.
+
+        A copy at or past the step budget is refused: a run from the
+        entry has run out of fuel by then.  The resumed suffix gets only
+        the rest of the budget (:meth:`BinSymExecutor.finish`).
+        """
         interp = self.interp
-        if copy.inputs_count != len(interp.inputs):
+        if (
+            copy.inputs_count != len(interp.inputs)
+            or copy.instret >= self.executor.max_steps
+        ):
             return False
         env = self.executor.input_environment(assignment)
         changed = {

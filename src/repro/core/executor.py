@@ -161,9 +161,14 @@ class BinSymExecutor:
     def finish(
         self, assignment: InputAssignment, resumed_instret: int = 0
     ) -> RunResult:
-        """Run the interpreter from where it stands to a halt."""
+        """Run the interpreter from where it stands to a halt.
+
+        A run resumed mid-path has already retired ``resumed_instret``
+        instructions, so it gets only the rest of ``max_steps``: it runs
+        out of fuel at the same instruction a run from the entry does.
+        """
         interp = self.interpreter
-        hart = interp.run(self.max_steps)
+        hart = interp.run(self.max_steps - resumed_instret)
         return RunResult(
             trace=interp.trace,
             halt_reason=hart.halt_reason,

@@ -13,6 +13,7 @@ import multiprocessing
 
 import pytest
 
+from repro.arch.hart import HaltReason
 from repro.asm import assemble
 from repro.core import BinSymExecutor, ExplorationResult, Explorer, FaultPlan
 from repro.core import certificates
@@ -78,6 +79,27 @@ join:
     ecall
 done:
     li a0, 0
+    li a7, 93
+    ecall
+"""
+
+#: One symbolic byte counts the loop's iterations, so under a small step
+#: budget the longer paths run out of fuel.
+LOOP_SOURCE = """\
+_start:
+    li a0, 0x20000
+    li a1, 1
+    li a7, 1337
+    ecall
+    li t0, 0x20000
+    lbu t1, 0(t0)
+    li t2, 0
+loop:
+    bgeu t2, t1, done
+    addi t2, t2, 1
+    j loop
+done:
+    mv a0, t2
     li a7, 93
     ecall
 """
@@ -455,6 +477,60 @@ class TestTreeReplay:
         assert forged.certificate_failures == 0
         assert forged.certificate_resumed == 1
 
+    @pytest.mark.parametrize("verify_steps", [40, 25], ids=["same", "lower"])
+    def test_fuel_bounded_verdicts_match(self, verify_steps):
+        """A resumed suffix gets only what remains of the step budget, so
+        paths that run out of fuel certify exactly when from-entry replay
+        certifies them, also under a lower budget than explored with."""
+        executor = BinSymExecutor(rv32im(), assemble(LOOP_SOURCE), max_steps=40)
+        result = Explorer(
+            executor, solver_config=SolverConfig(certify=True)
+        ).explore()
+        assert result.resumed_runs == result.num_paths - 1
+        assert any(p.halt_reason == HaltReason.OUT_OF_FUEL for p in result.paths)
+        executor.max_steps = verify_steps
+        fresh = reverify(result, executor)
+        entry = from_entry(fresh, executor)
+        assert fresh.certified_paths == sum(not problems for problems in entry)
+        assert fresh.certificate_failures == sum(bool(p) for p in entry)
+        assert fresh.certificate_errors == [m for p in entry for m in p]
+        assert fresh.certificate_resumed > 0
+        # Explored under the same budget, every claim holds (exploration's
+        # snapshot resumes are bounded the same way); under a lower one
+        # the longer paths' claims fail.
+        assert (fresh.certificate_failures > 0) == (verify_steps < 40)
+
+    def test_copies_stay_within_the_pool_budget(self, monkeypatch):
+        """Live copies hold at most the snapshot-pool budget; a copy over
+        it is not taken and its children replay from the entry, with the
+        same verdicts."""
+        image = WORKLOADS["bubble-sort"].image(4)
+        executor = make_engine("binsym", rv32im(), image)
+        result = Explorer(
+            executor, strategy="bfs", solver_config=SolverConfig(certify=True)
+        ).explore()
+        assert result.certificate_resumed == result.num_paths - 1
+        held = []
+        replay = certificates._TreeReplay.replay
+
+        def spy(self, position, cert):
+            problems = replay(self, position, cert)
+            held.append((self.held, self.budget))
+            return problems
+
+        monkeypatch.setattr(certificates._TreeReplay, "replay", spy)
+        unbounded = reverify(result, executor)
+        peak = max(bytes_held for bytes_held, _ in held)
+        assert unbounded.certificate_resumed == result.num_paths - 1
+        assert held[-1][0] == 0
+        held.clear()
+        executor.snapshot_pool.max_bytes = peak // 4
+        bounded = reverify(result, executor)
+        assert all(bytes_held <= budget == peak // 4 for bytes_held, budget in held)
+        assert 0 < bounded.certificate_resumed < result.num_paths - 1
+        assert bounded.certified_paths == result.num_paths
+        assert held[-1][0] == 0
+
     def test_capture_hook_sees_the_snapshot_points(self):
         """The checker's hook and the snapshot pool share one guard."""
         image = WORKLOADS["bubble-sort"].image(4)
@@ -478,7 +554,7 @@ class TestTreeReplay:
         monkeypatch.setattr(certificates._TreeReplay, "__init__", keep)
         _, result = certify_workload("bubble-sort", 4)
         (replay,) = replays
-        assert replay.copies == {}
+        assert replay.copies == {} and replay.held == 0
         assert result.certificate_resumed == result.num_paths - 1
 
     @pytest.mark.parametrize("engine", ["symex-vp", "binsym-free"])

@@ -276,23 +276,17 @@ done:
             r"(\d+) SAT models evaluated, (\d+) UNSAT proofs checked, "
             r"0 certification failures", out
         )
-        assert solved and certified, out
-        num_solved, num_sat, num_unsat = map(int, solved.groups())
-        assert num_sat and num_unsat
-        assert sum(map(int, certified.groups())) == num_solved
-
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_certify_reports_the_tree_split(self, tmp_path, capsys, jobs):
-        path = tmp_path / "ranges.s"
-        path.write_text(RANGES)
-        assert main(["explore", "--certify", "--jobs", jobs, str(path)]) == 0
-        out = capsys.readouterr().out
+        # The path replay walks the exploration tree: the child resumes
+        # from its parent, so fewer instructions replay than were explored.
         split = re.search(
             r"certified results: (\d+) paths replayed \(0 failed, "
             r"(\d+) resumed from their parent, (\d+) instructions\)", out
         )
         total = re.search(r"(\d+) instructions, ", out)
-        assert split and total, out
+        assert solved and certified and split and total, out
+        num_solved, num_sat, num_unsat = map(int, solved.groups())
+        assert num_sat and num_unsat
+        assert sum(map(int, certified.groups())) == num_solved
         paths, resumed, replayed = map(int, split.groups())
         assert paths == 2 and resumed == 1
         assert 0 < replayed < 2 * int(total.group(1))

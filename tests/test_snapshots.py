@@ -45,6 +45,24 @@ _FIG6 = (
 )
 
 
+#: A loop counted by one symbolic byte: long paths run out of fuel.
+_COUNTDOWN = """\
+_start:
+    li a0, 0x20000
+    li a1, 1
+    li a7, 1337
+    ecall
+    lbu t1, 0(a0)
+loop:
+    beqz t1, done
+    addi t1, t1, -1
+    j loop
+done:
+    li a7, 93
+    ecall
+"""
+
+
 def _explore(image, snapshots, engine_cls=BinSymExecutor, **kwargs):
     engine = engine_cls(rv32im(), image)
     return Explorer(engine, use_cache=True, snapshots=snapshots, **kwargs).explore()
@@ -315,6 +333,22 @@ class TestSnapshotDifferential:
             )
             assert answered == serial_answered, snap
             assert result.total_instructions == serial.total_instructions
+
+    def test_identity_under_a_step_budget(self):
+        """A resumed run gets only what remains of the step budget, so a
+        path that runs out of fuel ends where a run from the entry does."""
+        image = assemble(_COUNTDOWN, isa=rv32im())
+        results = {}
+        for snap in (True, False):
+            engine = BinSymExecutor(rv32im(), image, max_steps=40)
+            results[snap] = Explorer(engine, snapshots=snap).explore()
+        on, off = results[True], results[False]
+        assert on.path_set() == off.path_set()
+        assert [(p.halt_reason, p.instret) for p in on.paths] == [
+            (p.halt_reason, p.instret) for p in off.paths
+        ]
+        assert on.resumed_runs == on.num_paths - 1
+        assert any(p.instret == 40 for p in on.paths)
 
     def test_vp_engine_inherits_snapshots(self):
         """The SymEx-VP-style engine resumes through the TLM bus."""
