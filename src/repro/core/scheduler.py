@@ -90,6 +90,7 @@ class WorkItem:
 # names; callers and tests may keep importing them from this module.
 from ..smt.digest import (  # noqa: E402  (re-export)
     DIGEST_MEMO_CAPACITY,  # noqa: F401
+    extend_query_digest,
     query_digest,
     term_digest,
 )
@@ -212,7 +213,9 @@ def expand_run(
     With ``compute_digests`` each child carries the structural digest
     of the query that produced it, so a parent process coordinating
     several workers (whose tries are per-process) can drop children of
-    flip queries another worker already expanded.
+    flip queries another worker already expanded.  The digests are
+    folded along the run: each child extends its prefix's digest by
+    its negation, instead of refolding the whole prefix.
 
     ``snapshots`` (record index -> pool handle, from
     ``RunResult.snapshots``) attaches to each child the snapshot its
@@ -225,6 +228,8 @@ def expand_run(
     cache = getattr(solver, "cache", None)
     node = trie.root() if trie is not None else None
     pc_hits = stats.pc_hits
+    # query_digest(conditions[:index]) while compute_digests holds.
+    prefix_digest = query_digest(())
     for index, record in enumerate(records):
         if record.flippable:
             stats.covered_pcs.add(record.pc)
@@ -245,7 +250,11 @@ def expand_run(
                         WorkItem(
                             run.assignment.derive(model, variables),
                             index + 1,
-                            digest=query_digest(query) if compute_digests else None,
+                            digest=(
+                                extend_query_digest(prefix_digest, negated)
+                                if compute_digests
+                                else None
+                            ),
                             snapshot=(
                                 snapshots.get(index)
                                 if snapshots is not None
@@ -272,6 +281,8 @@ def expand_run(
                     stats.fast_path_answers += 1
         if trie is not None:
             node = trie.step(node, record.condition)
+        if compute_digests:
+            prefix_digest = extend_query_digest(prefix_digest, record.condition)
     return children
 
 

@@ -30,6 +30,9 @@ and never touch the gate builder at all.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+from typing import Mapping
+
 from .cnf import GateBuilder
 from .sat import SatSolver
 from .terms import Term
@@ -58,6 +61,9 @@ class BitBlaster:
         # BV variable name -> literal list, for model extraction.
         self.var_bits: dict[Term, list[int]] = {}
         self.bool_vars: dict[Term, int] = {}
+        #: Read-only view of the boolean memo: every term :meth:`lit`
+        #: has blasted, constants included, to its literal.
+        self.bool_lits: Mapping[Term, int] = MappingProxyType(self._bool_cache)
 
     def _const_value(self, bits: list[int]) -> "int | None":
         """Integer value of a fully constant literal vector, else None.

@@ -31,6 +31,7 @@ import hashlib
 __all__ = [
     "term_digest",
     "query_digest",
+    "extend_query_digest",
     "store_key",
     "DIGEST_MEMO_CAPACITY",
 ]
@@ -129,9 +130,19 @@ def query_digest(conditions) -> int:
     """Order-sensitive digest of a full flip query (prefix + negation)."""
     digest = 0x2545F4914F6CDD1D
     for term in conditions:
-        digest = _mix64(digest ^ term_digest(term))
-        digest = _mix64(digest + 0xD1B54A32D192ED03)
+        digest = extend_query_digest(digest, term)
     return digest
+
+
+def extend_query_digest(digest: int, term) -> int:
+    """One step of :func:`query_digest`'s left fold.
+
+    ``extend_query_digest(query_digest(q), t) == query_digest(q + [t])``,
+    so the flip queries along one run, which share their prefixes, are
+    digested in one pass over the run.
+    """
+    digest = _mix64(digest ^ term_digest(term))
+    return _mix64(digest + 0xD1B54A32D192ED03)
 
 
 def store_key(conditions) -> str:

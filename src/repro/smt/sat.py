@@ -29,6 +29,11 @@ appears as ``v`` (positive) or ``-v`` (negated).  The solver supports
   free variables flipped, evaluated through the registered gates at
   once, often already satisfy the query (see
   :meth:`SatSolver._neighbourhood_model`),
+* per-query costs that do not grow with the solver: each root's gate
+  cone is swept once and kept, a neighbourhood answer fills only the
+  decision variables of its model and evaluates the remaining gate
+  outputs on their first read, and the VSIDS order heap persists
+  across calls,
 * per-call conflict/propagation/wall-clock *budgets*: ``solve`` returns
   :data:`UNKNOWN` instead of running forever on an adversarial query,
   leaving the solver consistent for the next call (sound degradation —
@@ -75,6 +80,16 @@ GATE_MUX = 2
 #: unflipped one, every single flip and, while they fit, every pair of
 #: flips (1 + n + n(n-1)/2 <= 4096 holds up to n = 90 free variables).
 _NEIGHBOURHOOD_CANDIDATES = 4096
+
+#: Entries the cone cache may hold per variable before it is cleared.
+#: Flip queries over the sorting and encoding programs peak at about
+#: two; any one root's cone holds at most one entry per variable.
+_CONE_ENTRIES_PER_VAR = 4
+
+#: The order heap is rebuilt once it holds more than this many entries
+#: per decision variable: backjumps push duplicates that only a rebuild
+#: drops.
+_HEAP_ENTRIES_PER_VAR = 2
 
 
 class _Clause:
@@ -132,6 +147,12 @@ class SatSolver:
         # depend only on the count, which rarely changes between checks,
         # and building them took 3-5 % of an exploration's time.
         self._flips: tuple[int, list[int], int] = (0, *_flip_masks(0))
+        # Root variable -> its fan-in through the gates, as (gate
+        # outputs, decision variables), each ascending.  A gate's
+        # definition never changes, so an entry never goes stale.
+        # _cone_entries counts the ints all entries hold.
+        self._cones: dict[int, tuple[list[int], list[int]]] = {}
+        self._cone_entries = 0
         # Watch lists keyed by literal index (2*v for v, 2*v+1 for -v).
         self._watches: list[list[_Clause]] = [[], []]
         self._clauses: list[_Clause] = []
@@ -144,7 +165,14 @@ class SatSolver:
         self._cla_inc = 1.0
         self._cla_decay = 1.0 / 0.999
         self._ok = True
+        # The last model, +1/-1 by variable.  After a neighbourhood
+        # answer a gate output the trail left unassigned reads 0 until
+        # _complete_model fills it.
         self._model: list[int] = [0]
+        # (-activity, var) entries.  Every unassigned decision variable
+        # has an entry whose activity is at least its current one, so
+        # _pick_branch_var finds the most active (then lowest) one; the
+        # heap persists across solve calls.
         self._order_heap: list[tuple[float, int]] = []
         self._max_learned = 4000
         self._trail_reuse = trail_reuse
@@ -221,6 +249,7 @@ class SatSolver:
         self._gates.append(gate)
         if gate is None:
             self._decision_vars.append(self._num_vars)
+            _heappush(self._order_heap, (-0.0, self._num_vars))
         self._watches.append([])
         self._watches.append([])
         return self._num_vars
@@ -275,11 +304,11 @@ class SatSolver:
     def _check_literals(self, lits: Sequence[int]) -> None:
         """Raise ValueError for literal 0 or a variable never allocated."""
         num_vars = self._num_vars
-        for lit in lits:
-            if lit == 0 or not -num_vars <= lit <= num_vars:
-                raise ValueError(
-                    f"bad literal {lit!r}: variables are 1..{num_vars}"
-                )
+        if lits and (0 in lits or min(lits) < -num_vars or max(lits) > num_vars):
+            bad = next(
+                lit for lit in lits if lit == 0 or not -num_vars <= lit <= num_vars
+            )
+            raise ValueError(f"bad literal {bad!r}: variables are 1..{num_vars}")
 
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause; returns False if the instance became trivially UNSAT.
@@ -391,7 +420,7 @@ class SatSolver:
         level = self._level
         reason = self._reason
         phase = self._phase
-        trail_lim = self._trail_lim
+        current_level = len(self._trail_lim)
         trail_append = trail.append
         head = self._propagate_head
         conflict: Optional[_Clause] = None
@@ -407,48 +436,53 @@ class SatSolver:
                 watch_list = watches[-2 * false_lit + 1]
             new_list: list[_Clause] = []
             append_kept = new_list.append
-            index = 0
-            count = len(watch_list)
-            while index < count:
-                clause = watch_list[index]
-                index += 1
+            for index, clause in enumerate(watch_list):
                 lits = clause.lits
-                # Ensure the falsified literal is in slot 1.
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
+                # Ensure the falsified literal is in slot 1 (a watched
+                # literal is always in slot 0 or 1).
                 first = lits[0]
+                if first == false_lit:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_lit
                 # Inlined _lit_value(first) == 1 (literal is true).
                 if (assign[first] if first > 0 else -assign[-first]) == 1:
                     append_kept(clause)
                     continue
                 # Search for a new literal to watch.
-                found = False
-                for k in range(2, len(lits)):
+                k = 2
+                size = len(lits)
+                while k < size:
                     other = lits[k]
                     if (assign[other] if other > 0 else -assign[-other]) != -1:
-                        lits[1], lits[k] = other, lits[1]
+                        lits[1] = other
+                        lits[k] = false_lit
                         if other > 0:
                             watches[2 * other].append(clause)
                         else:
                             watches[-2 * other + 1].append(clause)
-                        found = True
                         break
-                if found:
-                    continue
-                append_kept(clause)
-                if (assign[first] if first > 0 else -assign[-first]) == -1:
-                    # Conflict: keep remaining watches, signal conflict.
-                    new_list.extend(watch_list[index:])
-                    conflict = clause
-                    break
-                # Inlined _enqueue(first, clause) — one call per unit
-                # propagation is the densest call site in the solver.
-                var = first if first > 0 else -first
-                assign[var] = 1 if first > 0 else -1
-                level[var] = len(trail_lim)
-                reason[var] = clause
-                phase[var] = first > 0
-                trail_append(first)
+                    k += 1
+                else:
+                    append_kept(clause)
+                    if first > 0:
+                        value = assign[first]
+                        var = first
+                    else:
+                        value = -assign[-first]
+                        var = -first
+                    if value == -1:
+                        # Conflict: keep remaining watches, signal conflict.
+                        new_list.extend(watch_list[index + 1:])
+                        conflict = clause
+                        break
+                    # Inlined _enqueue(first, clause) — one call per unit
+                    # propagation is the densest call site in the solver.
+                    assign[var] = 1 if first > 0 else -1
+                    level[var] = current_level
+                    reason[var] = clause
+                    phase[var] = first > 0
+                    trail_append(first)
             watch_list[:] = new_list
             if conflict is not None:
                 break
@@ -722,11 +756,13 @@ class SatSolver:
         value of every assigned decision variable and the saved phase of
         every free one, with zero, one or two free variables of the
         query's cone flipped.  The cone is the fan-in, through the gates,
-        of the assumptions and of the input clauses that are not gate
-        definitions.  Each cone variable becomes an int with one bit per
-        candidate (see :func:`_flip_masks`), and the cone's gates are
-        evaluated in creation order, so all candidates go through one
-        pass.
+        of the check's roots: the variables of the assumptions and of the
+        input clauses that are not gate definitions.  Each root's fan-in
+        is swept once and kept (see :meth:`_root_cone`), so a check only
+        merges its roots' entries.  Each cone variable becomes an int
+        with one bit per candidate (see :func:`_flip_masks`), and the
+        cone's gates are evaluated in creation order, so all candidates
+        go through one pass.
 
         A candidate is a model exactly when it satisfies every input
         clause and every assumption.  Gate clauses hold by construction,
@@ -740,10 +776,14 @@ class SatSolver:
         clauses.  Variables outside the cone cannot falsify any of this.
 
         The lowest satisfying candidate (fewest flips, then variable
-        order) becomes the model: cone values, saved phases outside the
-        cone, then one scalar pass over the gates outside it.  Its flips
-        become the saved phases.  The trail is left standing at the
-        assumption levels.
+        order) becomes the model.  Only its decision variables are set
+        here: the free cone variables from the candidate, every other
+        one from the trail or its saved phase.  The gate outputs the
+        trail leaves unassigned are evaluated on the first read of one
+        (:meth:`_complete_model`); a cone gate's candidate bit is its
+        gate function of its inputs' values, so each gets the value the
+        candidate gave it.  The flips become the saved phases.  The
+        trail is left standing at the assumption levels.
         """
         assign = self._assign
         level = self._level
@@ -762,52 +802,38 @@ class SatSolver:
             )
         ]
         self._input_clauses = clauses
-        # The cone, swept from the highest variable down: a gate's
-        # inputs are older variables than its output.
-        num_vars = self._num_vars
-        needed = bytearray(num_vars + 1)
-        for lit in assumptions:
-            needed[lit if lit > 0 else -lit] = 1
+        roots = {lit if lit > 0 else -lit for lit in assumptions}
         for clause in clauses:
-            for lit in clause:
-                needed[lit if lit > 0 else -lit] = 1
-        cone: list[int] = []
-        free: list[int] = []
-        fixed: list[int] = []
-        find = needed.rfind
-        var = find(1)
-        while var > 0:
-            gate = gates[var]
-            if gate is None:
-                (fixed if assign[var] else free).append(var)
-            else:
-                cone.append(var)
-                _, a, b, c = gate
-                needed[a if a > 0 else -a] = 1
-                needed[b if b > 0 else -b] = 1
-                if c:
-                    needed[c if c > 0 else -c] = 1
-            var = find(1, 0, var)
-        cone.reverse()
-        free.reverse()
+            roots.update(lit if lit > 0 else -lit for lit in clause)
+        cones = self._cones
+        cone_set: set[int] = set()
+        decision_set: set[int] = set()
+        for root in roots:
+            gate_outputs, decision_vars = cones.get(root) or self._root_cone(root)
+            cone_set.update(gate_outputs)
+            decision_set.update(decision_vars)
+        cone = sorted(cone_set)
+        decisions = sorted(decision_set)
+        free = [var for var in decisions if not assign[var]]
+        fixed = [var for var in decisions if assign[var]]
+        num_vars = self._num_vars
         count = min(len(free), _NEIGHBOURHOOD_CANDIDATES - 1)
         if self._flips[0] != count:
             self._flips = (count, *_flip_masks(count))
         _, masks, full = self._flips
-        # Candidate bits by signed literal: value[-v] is the complement
-        # of value[v], stored at the far end of the list.
-        value = [0] * (2 * num_vars + 1)
+        # Candidate bits by variable; a negative literal reads the
+        # complement (gate inputs rarely are negative literals).
+        value = [0] * (num_vars + 1)
         for var in fixed:
-            value[var if assign[var] > 0 else -var] = full
+            if assign[var] > 0:
+                value[var] = full
         phase = self._phase
         for var, bits in zip(free, masks):
-            if phase[var]:
-                bits ^= full
-            value[var] = bits
-            value[-var] = bits ^ full
+            value[var] = bits ^ full if phase[var] else bits
         # Free variables past the candidate bound keep their saved phase.
         for var in free[count:]:
-            value[var if phase[var] else -var] = full
+            if phase[var]:
+                value[var] = full
         ok = full
         evaluated = 0
         for var in cone:
@@ -823,25 +849,26 @@ class SatSolver:
                 bits = full if truth > 0 else 0
             else:
                 evaluated += 1
+                x = value[a] if a > 0 else value[-a] ^ full
+                y = value[b] if b > 0 else value[-b] ^ full
                 if kind == GATE_AND:
-                    bits = value[a] & value[b]
+                    bits = x & y
                 elif kind == GATE_XOR:
-                    bits = value[a] ^ value[b]
+                    bits = x ^ y
                 else:
-                    other = value[c]
-                    bits = other ^ (value[a] & (value[b] ^ other))
+                    other = value[c] if c > 0 else value[-c] ^ full
+                    bits = other ^ (x & (y ^ other))
                 if truth:
                     ok &= bits if truth > 0 else bits ^ full
                     if not ok:
                         break
                     bits = full if truth > 0 else 0
             value[var] = bits
-            value[-var] = bits ^ full
         if ok:
             for clause in clauses:
                 bits = 0
                 for lit in clause:
-                    bits |= value[lit]
+                    bits |= value[lit] if lit > 0 else value[-lit] ^ full
                 ok &= bits
                 if not ok:
                     break
@@ -856,30 +883,50 @@ class SatSolver:
             truth = value[var] & chosen != 0
             model[var] = 1 if truth else -1
             phase[var] = truth
-        for var in cone:
-            model[var] = 1 if value[var] & chosen else -1
-        # Outside the cone: saved phases, then the gates in creation
-        # order, with +1/-1 arithmetic (and = min, xor = -x*y).
-        for var in range(1, num_vars + 1):
-            if model[var]:
-                continue
-            gate = gates[var]
-            if gate is None:
+        for var in self._decision_vars:
+            if not model[var]:
                 model[var] = 1 if phase[var] else -1
-                continue
-            kind, a, b, c = gate
-            x = model[a] if a > 0 else -model[-a]
-            y = model[b] if b > 0 else -model[-b]
-            if kind == GATE_AND:
-                model[var] = x if x < y else y
-            elif kind == GATE_XOR:
-                model[var] = -x * y
-            elif x > 0:
-                model[var] = y
-            else:
-                model[var] = model[c] if c > 0 else -model[-c]
         self._model = model
         return True
+
+    def _root_cone(self, root: int) -> tuple[list[int], list[int]]:
+        """Sweep one root's fan-in and keep it in the cone cache.
+
+        Returns the gate outputs and the decision variables of the
+        fan-in, each ascending.  The sweep runs from the root down, as a
+        gate's inputs are older variables than its output.  The cache
+        holds at most :data:`_CONE_ENTRIES_PER_VAR` ints per variable
+        and is cleared when the next entry would not fit.
+        """
+        gates = self._gates
+        needed = bytearray(root + 1)
+        needed[root] = 1
+        gate_outputs: list[int] = []
+        decision_vars: list[int] = []
+        find = needed.rfind
+        var = root
+        while var > 0:
+            gate = gates[var]
+            if gate is None:
+                decision_vars.append(var)
+            else:
+                gate_outputs.append(var)
+                _, a, b, c = gate
+                needed[a if a > 0 else -a] = 1
+                needed[b if b > 0 else -b] = 1
+                if c:
+                    needed[c if c > 0 else -c] = 1
+            var = find(1, 0, var)
+        gate_outputs.reverse()
+        decision_vars.reverse()
+        size = len(gate_outputs) + len(decision_vars)
+        if self._cone_entries + size > _CONE_ENTRIES_PER_VAR * self._num_vars:
+            self._cones.clear()
+            self._cone_entries = 0
+        entry = (gate_outputs, decision_vars)
+        self._cones[root] = entry
+        self._cone_entries += size
+        return entry
 
     # ------------------------------------------------------------------
     # Main search loop
@@ -951,7 +998,8 @@ class SatSolver:
                 len(self._trail) - self._trail_lim[0]
             )
         self._prev_assumptions = assumptions
-        self._rebuild_heap()
+        if len(self._order_heap) > _HEAP_ENTRIES_PER_VAR * len(self._decision_vars):
+            self._rebuild_heap()
         restart_count = 0
         conflicts_until_restart = _luby(restart_count) * 100
         conflict_budget_used = 0
@@ -1072,6 +1120,9 @@ class SatSolver:
                 # made yet: try the neighbourhood of the saved phases.
                 neighbourhood_tried = True
                 if self._neighbourhood_model(assumptions):
+                    # var stays free: its heap entry, which the pick
+                    # took, goes back.
+                    _heappush(self._order_heap, (-self._activity[var], var))
                     if not self._trail_reuse:
                         self._cancel_until(0)
                     return SAT
@@ -1086,9 +1137,55 @@ class SatSolver:
 
     def value(self, var: int) -> bool:
         """Model value of a variable after a SAT answer (False if free)."""
-        if var < len(self._model):
-            return self._model[var] == 1
+        model = self._model
+        if var < len(model):
+            return (model[var] or self._complete_model()[var]) == 1
         return False
+
+    def bits_value(self, lits: Sequence[int]) -> int:
+        """Model value of a literal vector, least significant bit first.
+
+        Bit ``i`` is set when ``lits[i]`` is true in the model, as
+        :meth:`value` reads it: one call for a whole bit vector.
+        """
+        model = self._model
+        size = len(model)
+        result = 0
+        bit = 1
+        for lit in lits:
+            var = lit if lit > 0 else -lit
+            truth = model[var] if var < size else -1
+            if not truth:
+                truth = self._complete_model()[var]
+            if (truth > 0) == (lit > 0):
+                result |= bit
+            bit <<= 1
+        return result
+
+    def _complete_model(self) -> list[int]:
+        """The last model with every gate output filled in.
+
+        A neighbourhood answer leaves the gate outputs the trail did
+        not assign at 0; the first read of one fills them all, in
+        creation order, with +1/-1 arithmetic (and = min, xor = -x*y).
+        """
+        model = self._model
+        gates = self._gates
+        for var in range(1, len(model)):
+            if model[var]:
+                continue
+            kind, a, b, c = gates[var]
+            x = model[a] if a > 0 else -model[-a]
+            y = model[b] if b > 0 else -model[-b]
+            if kind == GATE_AND:
+                model[var] = x if x < y else y
+            elif kind == GATE_XOR:
+                model[var] = -x * y
+            elif x > 0:
+                model[var] = y
+            else:
+                model[var] = model[c] if c > 0 else -model[-c]
+        return model
 
 
 def _flip_masks(count: int) -> tuple[list[int], int]:

@@ -255,24 +255,31 @@ class Solver:
 
     def check(self, assumptions: Iterable[Term] = ()) -> Result:
         """Check satisfiability of the asserted formula + assumptions."""
+        terms = list(assumptions)
         assumption_lits = list(self._scopes)
         lit_terms: dict[int, Term] = {}
         self.last_core = None
-        for term in assumptions:
-            if not term.is_bool:
-                raise TypeError("assumptions must be boolean terms")
-            if term.is_const:
-                if term.payload:
-                    continue
-                self._last_result = Result.UNSAT
-                self.num_checks += 1
-                if self._unsat_cores:
-                    self.last_core = frozenset((term,))
-                if self._certify:
-                    # The constant-false conjunct is its own evidence.
-                    self.certified_unsat += 1
-                return Result.UNSAT
-            lit = self._blaster.lit(term)
+        blasted = self._blaster.bool_lits
+        true_lit = self._blaster.gates.true_lit
+        for term in terms:
+            lit = blasted.get(term)
+            # A term blasted before is a boolean; one blasted to a
+            # constant literal may be a constant term.
+            if lit is None or lit == true_lit or lit == -true_lit:
+                if not term.is_bool:
+                    raise TypeError("assumptions must be boolean terms")
+                if term.is_const:
+                    if term.payload:
+                        continue
+                    self._last_result = Result.UNSAT
+                    self.num_checks += 1
+                    if self._unsat_cores:
+                        self.last_core = frozenset((term,))
+                    if self._certify:
+                        # The constant-false conjunct is its own evidence.
+                        self.certified_unsat += 1
+                    return Result.UNSAT
+                lit = self._blaster.lit(term)
             lit_terms.setdefault(lit, term)
             assumption_lits.append(lit)
         self.num_checks += 1
@@ -286,7 +293,7 @@ class Solver:
         outcome = self._sat.solve(assumption_lits)
         if outcome is SAT:
             self._last_result = Result.SAT
-            if self._certify and not self._certify_sat_model(lit_terms.values()):
+            if self._certify and not self._certify_sat_model(terms):
                 # The model fails its own query under the reference
                 # evaluator: never trusted — answer UNKNOWN, counted.
                 self.num_unknowns += 1
@@ -322,9 +329,12 @@ class Solver:
     def _certify_sat_model(self, query_terms) -> bool:
         """Check the fresh model against the query with ``evalbv``.
 
-        Only assumption-style queries are checkable — terms asserted
-        via :meth:`add` (or scoped) are not reconstructable here, so
-        those checks pass through unverified rather than failing.
+        Every query term is evaluated, also one whose literal another
+        term already took: a blaster that maps two terms to one literal
+        wrongly is what this check exists to catch.  Only
+        assumption-style queries are checkable — terms asserted via
+        :meth:`add` (or scoped) are not reconstructable here, so those
+        checks pass through unverified rather than failing.
         """
         if self._has_assertions or self._scopes:
             return True
@@ -371,15 +381,12 @@ class Solver:
         """Extract the model after a satisfiable :meth:`check`."""
         if self._last_result is not Result.SAT:
             raise RuntimeError("model() requires a preceding sat check")
-        values: dict[Term, int] = {}
-        for var, bits in self._blaster.var_bits.items():
-            value = 0
-            for i, lit in enumerate(bits):
-                if self._sat.value(abs(lit)) == (lit > 0):
-                    value |= 1 << i
-            values[var] = value
+        bits_value = self._sat.bits_value
+        values = {
+            var: bits_value(bits) for var, bits in self._blaster.var_bits.items()
+        }
         for var, lit in self._blaster.bool_vars.items():
-            values[var] = 1 if self._sat.value(abs(lit)) == (lit > 0) else 0
+            values[var] = bits_value((lit,))
         return Model(values)
 
     def value_of(self, var: Term) -> Optional[int]:
@@ -396,15 +403,11 @@ class Solver:
             lit = self._blaster.bool_vars.get(var)
             if lit is None:
                 return None
-            return 1 if self._sat.value(abs(lit)) == (lit > 0) else 0
+            return self._sat.bits_value((lit,))
         bits = self._blaster.var_bits.get(var)
         if bits is None:
             return None
-        value = 0
-        for i, lit in enumerate(bits):
-            if self._sat.value(abs(lit)) == (lit > 0):
-                value |= 1 << i
-        return value
+        return self._sat.bits_value(bits)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -427,12 +430,16 @@ class Solver:
     @property
     def pipeline_statistics(self) -> Mapping[str, int]:
         """Flat counters the exploration drivers sum exactly across
-        workers: CDCL solves, trail reuse, neighbourhood checks, cores,
-        budgets, certification.  :class:`CachingSolver` extends the dict
+        workers: CDCL solves, the search's decisions, propagations and
+        conflicts, trail reuse, neighbourhood checks, cores, budgets,
+        certification.  :class:`CachingSolver` extends the dict
         with its cache and query counters."""
         sat_stats = self._sat.statistics
         return {
             "sat_core_solves": self.num_solves,
+            "sat_decisions": sat_stats["decisions"],
+            "sat_propagations": sat_stats["propagations"],
+            "sat_conflicts": sat_stats["conflicts"],
             "sat_trail_reused_lits": sat_stats["trail_reused_lits"],
             "sat_neighbourhood_hits": sat_stats["neighbourhood_hits"],
             "sat_neighbourhood_misses": sat_stats["neighbourhood_misses"],

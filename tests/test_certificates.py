@@ -30,7 +30,8 @@ from repro.core.interpreter import SymbolicInterpreter
 from repro.core.state import InputAssignment
 from repro.eval.engines import make_engine
 from repro.eval.workloads import WORKLOADS
-from repro.smt.solver import SolverConfig
+from repro.smt import terms as T
+from repro.smt.solver import Result, Solver, SolverConfig
 from repro.spec import rv32im
 
 SOURCE = """\
@@ -189,6 +190,19 @@ class TestCertifyMode:
         stats = result.solver_stats
         assert stats.get("certified_sat", 0) + stats.get("certified_unsat", 0) > 0
         assert stats.get("certify_failures", 0) == 0
+
+    def test_sat_model_check_evaluates_every_query_term(self):
+        """Two query terms on one literal: a blaster bug of exactly the
+        kind the model check exists to catch.  The term that did not
+        supply the literal must be evaluated too."""
+        solver = Solver(certify=True)
+        x = T.bv_var("certify_alias", 8)
+        low, high = T.ult(x, T.bv(5, 8)), T.ugt(x, T.bv(100, 8))
+        blaster = solver._blaster
+        blaster._bool_cache[high] = blaster.lit(low)
+        assert solver.check([low, high]) is Result.UNKNOWN
+        assert (solver.certified_sat, solver.certify_failures) == (0, 1)
+        assert solver.num_unknowns == 1
 
     def test_certify_does_not_change_path_set(self):
         plain = explore(certify=False)

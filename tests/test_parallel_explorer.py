@@ -74,6 +74,40 @@ lucky:
     ebreak
 """
 
+#: A load through a symbolic index: the engine pins the address with a
+#: non-flippable record before the two branches.
+PINNED_LOOKUP = """\
+_start:
+    li a0, 0x30000
+    li a1, 2
+    li a7, 1337
+    ecall
+    li t0, 0x30000
+    lbu t1, 0(t0)
+    andi t1, t1, 3
+    la t2, table
+    add t2, t2, t1
+    lbu t3, 0(t2)
+    lbu t4, 1(t0)
+    bltu t3, t4, big
+    li a0, 0
+    li a7, 93
+    ecall
+big:
+    li t5, 200
+    bltu t4, t5, mid
+    li a0, 2
+    li a7, 93
+    ecall
+mid:
+    li a0, 1
+    li a7, 93
+    ecall
+.data
+table:
+    .byte 10, 20, 30, 40
+"""
+
 
 def build_executor(source):
     return BinSymExecutor(rv32im(), assemble(source))
@@ -468,3 +502,49 @@ class TestQueryDigest:
         assert query_digest([a, b]) != query_digest([b, a])
         assert query_digest([a]) != query_digest([b])
         assert query_digest([a, b]) == query_digest([a, b])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("program", ["bubble-sort", "pinned-lookup"])
+    def test_child_digests_are_their_query_digests(
+        self, program, jobs, monkeypatch, tmp_path
+    ):
+        """``expand_run`` folds the flip digests along the run; each
+        child's digest must still equal ``query_digest`` of the query
+        that produced it, serial with a journal and pooled.  The pinned
+        lookup puts a non-flippable record into every prefix."""
+        import multiprocessing as mp
+
+        from repro.core import explorer as explorer_module
+        from repro.core.scheduler import expand_run, query_digest
+
+        checked = mp.get_context("fork").Value("i", 0)
+
+        def checking_expand_run(run, bound, *args, **kwargs):
+            children = expand_run(run, bound, *args, **kwargs)
+            conditions = run.trace.conditions()
+            for child in children:
+                index = child.bound - 1
+                negated = run.trace.records[index].negated()
+                expected = query_digest(conditions[:index] + [negated])
+                if child.digest != expected:
+                    raise AssertionError((index, child.digest, expected))
+                with checked.get_lock():
+                    checked.value += 1
+            return children
+
+        monkeypatch.setattr(explorer_module, "expand_run", checking_expand_run)
+        if program == "pinned-lookup":
+            image, paths = assemble(PINNED_LOOKUP), 3
+        else:
+            spec = WORKLOADS[program]
+            image = spec.image(spec.fig6_scale)
+            paths = spec.expected_paths(spec.fig6_scale)
+        journal = str(tmp_path) if jobs == 1 else None
+        result = Explorer(
+            BinSymExecutor(rv32im(), image), jobs=jobs, checkpoint_dir=journal
+        ).explore()
+        # A mismatch in a pool worker is a worker death and, repeated,
+        # an abandoned item.
+        assert (result.worker_deaths, result.incomplete_paths) == (0, 0)
+        assert result.num_paths == paths
+        assert checked.value == paths - 1

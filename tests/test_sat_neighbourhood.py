@@ -5,7 +5,9 @@ pass over the query's gate cone, the saved phases with zero, one or two
 free variables flipped.  These tests pin that a hit is a genuine model
 of everything ever added, that a miss falls through to the unchanged
 CDCL search, and that the check's cost stays bounded: at most 4,096
-candidates and only the gates of the query's cone.
+candidates and only the gates of the query's cone.  The cone cache and
+the order heap persist across solves; neither may change an answer, a
+model or a counter, and the cache stays within its bound.
 """
 
 import random
@@ -97,7 +99,7 @@ class TestFallThrough:
         assert (stats["neighbourhood_hits"], stats["neighbourhood_misses"]) == (0, 1)
         assert stats["decisions"] > 0
         assert all(solver.value(x) or solver.value(y) for x, y in pairs)
-        assert 0 not in solver._model[1:]
+        assert 0 not in solver._complete_model()[1:]
         # The search's model is now the saved phases: the next solve
         # needs no flip at all.
         decisions = stats["decisions"]
@@ -231,7 +233,7 @@ class TestSoundnessStream:
             verdicts.append(result)
             if result is not Result.SAT or not solved:
                 continue
-            model = sat._model
+            model = sat._complete_model()
             assert 0 not in model[1:], "SAT with an unassigned variable"
             for clause in added:
                 assert any(
@@ -247,3 +249,93 @@ class TestSoundnessStream:
         assert stats["neighbourhood_misses"] > 0
         kinds = {gate[0] for gate in sat._gates if gate is not None}
         assert kinds == {GATE_AND, GATE_XOR, GATE_MUX}
+
+
+class TestCachesChangeNothing:
+    """The cone cache and the order heap persist across solves.  Neither
+    may change an answer, a model or a counter."""
+
+    def test_stream_matches_a_solver_without_caches(self, monkeypatch):
+        rng = random.Random(4242)
+        bits = [T.bool_var(f"dbit{i}") for i in range(FREE_BITS)]
+        leaves = list(zip(bits, (bit_table(i) for i in range(FREE_BITS))))
+        circuit = TestSoundnessStream().random_circuit
+        cached, uncached = Solver(), Solver()
+        sat = uncached._sat
+        solve = sat.solve
+
+        def solve_without_caches(assumptions=()):
+            # As if neither the cone cache nor the heap outlived a call.
+            sat._cones.clear()
+            sat._cone_entries = 0
+            sat._rebuild_heap()
+            return solve(assumptions)
+
+        monkeypatch.setattr(sat, "solve", solve_without_caches)
+        solvers = (cached, uncached)
+        verdicts = set()
+        for step in range(240):
+            if step in (50, 170):
+                chosen = rng.sample(range(FREE_BITS), 3)
+                for solver in solvers:
+                    lits = [solver._blaster.lit(bits[i]) for i in chosen]
+                    solver._sat.add_clause(lits)
+            elif step == 90:
+                term, _ = circuit(rng, leaves, 3)
+                for solver in solvers:
+                    solver.push()
+                    solver.add(term)
+            elif step == 140:
+                for solver in solvers:
+                    solver.pop()
+            query = [
+                circuit(rng, leaves, rng.randint(1, 4))[0]
+                for _ in range(rng.randint(1, 5))
+            ]
+            results = [solver.check(query) for solver in solvers]
+            assert results[0] is results[1], step
+            verdicts.add(results[0])
+            if results[0] is Result.SAT:
+                # One vector read, gate outputs included, before anything
+                # completed the model, against bit-by-bit reads.
+                lits = [
+                    rng.choice((1, -1)) * rng.randint(1, sat.num_vars)
+                    for _ in range(16)
+                ]
+                expected = sum(
+                    1 << i for i, lit in enumerate(lits) if sat.value(abs(lit)) == (lit > 0)
+                )
+                assert cached._sat.bits_value(lits) == expected, step
+                models = [solver._sat._complete_model() for solver in solvers]
+                assert models[0] == models[1], step
+                assert dict(cached.model().items()) == dict(uncached.model().items())
+            assert cached._sat.statistics == sat.statistics, step
+        stats = sat.statistics
+        assert verdicts == {Result.SAT, Result.UNSAT}
+        assert stats["neighbourhood_hits"] > 0 and stats["neighbourhood_misses"] > 0
+        assert stats["decisions"] > 0 and stats["conflicts"] > 0
+
+    def test_cone_cache_stays_within_its_bound(self):
+        """An xor chain makes every root's cone hold every older gate:
+        checks over many roots overflow the cache, which is cleared
+        and refilled, and never holds more than its bound."""
+        solver = SatSolver()
+        inputs = [solver.new_var() for _ in range(64)]
+        chain = [inputs[0]]
+        for var in inputs[1:]:
+            chain.append(solver.add_gate(GATE_XOR, chain[-1], var))
+        bound = sat_module._CONE_ENTRIES_PER_VAR * solver.num_vars
+        rng = random.Random(5)
+        roots_seen = set()
+        for _ in range(40):
+            roots = rng.sample(chain[1:], 12)
+            assumptions = [root * rng.choice((1, -1)) for root in roots]
+            assert solver.solve(assumptions) is SAT
+            for lit in assumptions:
+                assert solver.value(abs(lit)) == (lit > 0)
+            roots_seen.update(roots)
+            held = sum(len(g) + len(d) for g, d in solver._cones.values())
+            assert held == solver._cone_entries <= bound
+        assert len(solver._cones) < len(roots_seen), "the cache never overflowed"
+        stats = solver.statistics
+        assert stats["neighbourhood_hits"] + stats["neighbourhood_misses"] == 40

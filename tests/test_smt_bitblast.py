@@ -397,7 +397,7 @@ class TestIncrementalCircuitDifferential:
                 model = solver.model()
                 env = {x: model[x], y: model[y]}
                 assert all(evaluate(cond, env) for cond in query + scoped)
-                assert 0 not in sat._model[1:], "SAT with an unassigned variable"
+                assert 0 not in sat._complete_model()[1:], "SAT with an unassigned variable"
         # The stream covers what it claims: both verdicts, a database
         # growing after the first solve, reused trails, division witnesses.
         assert Result.SAT in verdicts and Result.UNSAT in verdicts

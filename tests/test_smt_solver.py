@@ -56,6 +56,18 @@ class TestAssumptions:
         assert solver.check([T.true()]) is Result.SAT
         assert solver.check([T.false()]) is Result.UNSAT
 
+    def test_memoized_const_assumptions_short_circuit(self):
+        """``check`` looks assumption terms up in the blaster's memo
+        first; constants the memo holds (``add`` blasts them) must still
+        be answered without a solve."""
+        solver = Solver(unsat_cores=True)
+        for term in (T.true(), T.false()):
+            solver._blaster.lit(term)
+        assert solver.check([T.true()]) is Result.SAT
+        assert solver.check([T.false()]) is Result.UNSAT
+        assert solver.last_core == frozenset({T.false()})
+        assert solver.num_solves == 0
+
     def test_assumption_type_error(self):
         solver = Solver()
         with pytest.raises(TypeError):
