@@ -6,11 +6,22 @@ apart from the frontier.  This module splits the frontier over a pool of
 forked workers (see :func:`_worker_main`).  Each worker owns a
 :class:`~repro.core.scheduler.Frontier` with the campaign's strategy and
 seed, plus its own solver and explored-prefix trie: it pops its next
-item itself, runs and expands it, pushes the children, and streams the
-result home without waiting for an answer.  Non-DFS strategies thus
-order each worker's own frontier, and coverage novelty is scored against
-the worker's own covered set; path sets do not depend on the order, but
-``--max-paths`` truncation and coverage order do.
+item itself, runs and expands it, pushes the children, and sends its
+finished runs home in *batches* without waiting for an answer.  Non-DFS
+strategies thus order each worker's own frontier, and coverage novelty
+is scored against the worker's own covered set; path sets do not depend
+on the order, but ``--max-paths`` truncation and coverage order do.
+
+**Batches.**  A worker keeps the replies of its finished runs and sends
+them as one message: before it runs an item the broker has not been
+told about (a child of an unsent run), when it runs dry, before it
+answers a steal, when the broker asks for the children it holds back,
+and otherwise once its oldest unsent run is older than
+:data:`MAX_BATCH_AGE`, so a run longer than that still goes out alone.
+Each reply keeps its run's own cumulative counters, and the broker
+absorbs a batch one reply at a time, so the journal, a cut result,
+``--max-paths`` and the final totals are exactly those of the runs
+absorbed so far.
 
 The parent is a broker.  It records paths, sums statistics and keeps a
 per-seat *mirror* of every worker's frontier, built from the child lists
@@ -18,23 +29,27 @@ the replies carry.  It moves work only when a seat runs dry: a global
 item (the root, a requeued or a restored one) if there is one, otherwise
 one stolen from the seat with the most mirrored items — the item that
 seat's strategy would run last (:meth:`Frontier.steal`: under DFS the
-oldest, and so the largest subtree).  Flip dedup stays global: the
-broker checks every child's restart-stable flip digest when the reply
-arrives and sends a *drop* for a duplicate; if the worker already ran
-it, that run's reply and children are discarded.  Only a run that
-diverged from the path its model predicted can re-derive another run's
-flip query.
+oldest, and so the largest subtree).  When no seat has an item to
+spare, it asks the busy seats to send the children they hold back.
+Flip dedup stays global: the broker checks every child's
+restart-stable flip digest when the reply arrives and sends a *drop*
+for a duplicate; if the worker already ran it, that run's reply and
+children are discarded.  Only a run that diverged from the path its
+model predicted can re-derive another run's flip query.
 
 **Supervision.**  A worker that dies (OOM kill, segfault, injected
 fault) does not abort the campaign.  The parent processes every reply
 the dead incarnation sent, then requeues what is left of its mirror on
-the global frontier; the item it was running gets ``failures += 1`` and
-is abandoned as an ``incomplete_paths`` count after
-:data:`MAX_ITEM_FAILURES` deaths, never silently lost.  The seat
-respawns under a fresh incarnation uid with a small backoff, so a stale
-``(uid, handle)`` snapshot reference never aliases the new worker's pool
-and the dead incarnation's final stats are kept.  Checkpoint saves and
-deadline drains read the global frontier plus every mirror.
+the global frontier.  The item it was running is named by a per-seat
+shared integer the worker sets before each run and clears after it;
+since a worker never starts an item the broker has not heard of, that
+item is in the mirror.  It gets ``failures += 1`` and is abandoned as an
+``incomplete_paths`` count after :data:`MAX_ITEM_FAILURES` deaths, never
+silently lost.  The seat respawns under a fresh incarnation uid with a
+small backoff, so a stale ``(uid, handle)`` snapshot reference never
+aliases the new worker's pool and the dead incarnation's final stats
+are kept.  Checkpoint saves and deadline drains read the global
+frontier plus every mirror.
 
 Workers are forked so they inherit the executor (ISA, image,
 interpreter) without pickling: interned terms cannot round-trip through
@@ -51,13 +66,14 @@ and each worker runs the same :class:`~repro.core.explorer.Worker`.
 from __future__ import annotations
 
 import hashlib
+import mmap
 import multiprocessing
 import os
+import select
 import threading
 import time
 import traceback
 from multiprocessing import connection as mp_connection
-from typing import Optional
 
 from .explorer import ExploreConfig, Worker, make_solver
 from .faults import KILL_EXIT_CODE
@@ -66,6 +82,7 @@ from .scheduler import WorkItem, deserialize_assignment, serialize_assignment
 __all__ = [
     "Broker",
     "MAX_ITEM_FAILURES",
+    "MAX_BATCH_AGE",
     "HEARTBEAT_INTERVAL",
     "DEFAULT_HANG_TIMEOUT",
 ]
@@ -85,11 +102,20 @@ HEARTBEAT_INTERVAL = 0.25
 #: on a loaded machine never trips it); ``hang_timeout`` overrides it.
 DEFAULT_HANG_TIMEOUT = ExploreConfig.hang_timeout
 
-#: First element of a liveness message on the reply pipe.  Run replies
-#: lead with an integer item id, so the tags can never collide.
+#: Seconds after the start of a worker's oldest unsent run at which its
+#: batch goes out, so the broker's records lag a busy worker by about
+#: this at most.  A median insertion-sort-7 run takes 0.1 ms; at 5 ms
+#: most batches end at a run that left children instead.
+MAX_BATCH_AGE = 0.005
+
+#: First element of a liveness message on the reply pipe.  A batch of
+#: run replies is a list, every other message a tuple led by its tag.
 _HEARTBEAT = "__heartbeat__"
 #: First element of a steal answer: ``(_STOLEN, item_id or None)``.
 _STOLEN = "__stolen__"
+#: The shared running slot's value while the worker runs nothing; item
+#: ids count down from -1 (broker tasks) and up from 0 (worker children).
+_IDLE = -(2**63)
 
 
 def _backoff_delay(seed: int, uid: int, respawns: int) -> float:
@@ -111,36 +137,59 @@ def _backoff_delay(seed: int, uid: int, respawns: int) -> float:
     return base * jitter
 
 
-def _worker_main(broker, worker_uid, control, reply_conn):
-    """Worker loop: run items from a local frontier, stream the results.
+def _worker_main(broker, worker_uid, control, reply_conn, running):
+    """Worker loop: run items from a local frontier, send the results home.
 
     ``broker`` is the fork-inherited :class:`Broker`; its executor and
     config build this process's :class:`~repro.core.explorer.Worker`
     (frontier, solver, trie, governor, hot PCs), the same run step an
     in-process exploration uses.  Between runs the loop drains the
-    ``control`` pipe without blocking (it blocks only with an empty
-    frontier):
+    ``control`` pipe without blocking, through one ``select.poll``
+    object made at start (it blocks only with an empty frontier):
 
     * ``("task", id, assignment, bound, snapshot_ref, novelty)`` pushes
       an item;
-    * ``("steal",)`` gives up the item :meth:`Frontier.steal` picks and
-      answers ``(_STOLEN, id)``, or ``(_STOLEN, None)`` with none left;
+    * ``("steal",)`` sends the batch, then gives up the item
+      :meth:`Frontier.steal` picks and answers ``(_STOLEN, id)``, or
+      ``(_STOLEN, None)`` with none left;
+    * ``("flush",)`` asks for the children the batch holds back: the
+      batch goes out before the next run if some run in it left
+      children, otherwise after the next run that leaves some;
     * ``("drop", ids)`` discards those items unless they already ran;
     * ``None`` shuts the worker down.
 
     The drain comes before the last run's children are pushed, so a
     steal only ever gives up an item the parent has been told about.
-    Each run then sends one reply ``(id, path, children, run_stats,
-    counters, running)``: ``path`` is the run step's path tuple with a
-    serialized assignment, ``children`` lists ``(child_id, assignment,
-    bound, digest, snapshot_handle, novelty)``, ``counters`` are
-    :meth:`Worker.counters`' *cumulative* dicts (the parent keeps the
-    latest per uid and sums them at the end), and ``running`` names the
-    item the worker popped next (``None``: it went idle).  A failed run
-    sends ``(id, None, traceback_text, ...)``.  Replies travel on this
-    incarnation's *private* pipe, so a crash can only truncate this
-    worker's own stream; a shared queue's write lock could be left held
-    by a dying writer and wedge every other worker.
+
+    Each run appends one reply ``(id, path, children, run_stats,
+    counters)`` to the *batch*: ``path`` is the run step's path tuple
+    with a serialized assignment, ``children`` lists ``(child_id,
+    assignment, bound, digest, snapshot_handle, novelty)``, and
+    ``counters`` are :meth:`Worker.counters`' *cumulative* dicts as of
+    that run (the parent keeps the latest per uid and sums them at the
+    end).  A failed run appends ``(id, None, traceback_text, None,
+    None)``.  The batch, a list of replies in run order, goes home as
+    one message:
+
+    * before the worker starts a child of a run in it (child ids at or
+      above ``next_id`` as of the last send);
+    * when the worker runs dry, before it answers a steal, on a flush
+      request as above, and after a failed run;
+    * otherwise before the next run once the oldest run in it started
+      :data:`MAX_BATCH_AGE` seconds ago, so a longer run goes alone.
+
+    Messages travel on this incarnation's *private* pipe, so a crash
+    can only truncate this worker's own stream; a shared queue's write
+    lock could be left held by a dying writer and wedge every other
+    worker.
+
+    ``running`` is the seat's shared integer, a one-element view of an
+    anonymous shared mapping: the worker sets ``running[0]`` to the
+    item's id before each run and to ``_IDLE`` after it, and the
+    supervisor reads it when the incarnation dies.  Every item a worker
+    starts is a task or a child of a sent run, so the item it names is
+    in the broker's mirror: a death is charged to exactly the item that
+    was running, never to one the broker happened to hear of last.
 
     Snapshot handles are process-local: a task's ``(origin_uid, handle)``
     reference is honoured only by the incarnation that captured it, and
@@ -162,6 +211,8 @@ def _worker_main(broker, worker_uid, control, reply_conn):
     frontier = worker.frontier
     send_lock = threading.Lock()
     hb_stop = threading.Event()
+    control_ready = select.poll()
+    control_ready.register(control, select.POLLIN)
 
     def send(message):
         with send_lock:
@@ -187,7 +238,19 @@ def _worker_main(broker, worker_uid, control, reply_conn):
     dropped: set = set()
     next_id = 0
     children: list = []  # the last run's, pushed after the control drain
-    reply = None  # the last run's, sent once the next item is chosen
+    batch: list = []  # replies of finished runs not sent yet
+    batch_started = 0.0  # when the batch's oldest run started
+    sent_ids = 0  # next_id at the last send; ids from it up are unsent
+    flush_wanted = False
+
+    def flush():
+        """Send the batch; the broker then knows every child so far."""
+        nonlocal sent_ids, flush_wanted
+        if batch:
+            send(batch)
+            batch.clear()
+        sent_ids = next_id
+        flush_wanted = False
 
     def take(method):
         """The next item ``method`` yields that was not dropped."""
@@ -200,10 +263,11 @@ def _worker_main(broker, worker_uid, control, reply_conn):
 
     def handle(message) -> bool:
         """Apply one control message; False means shut down."""
-        nonlocal cross_worker_items
+        nonlocal cross_worker_items, flush_wanted
         if message is None:
             return False
-        if message[0] == "task":
+        kind = message[0]
+        if kind == "task":
             _, item_id, assignment, bound, snapshot_ref, novelty = message
             own = snapshot_ref is not None and snapshot_ref[0] == worker_uid
             if snapshot_ref is not None and not own:
@@ -217,28 +281,38 @@ def _worker_main(broker, worker_uid, control, reply_conn):
                     id=item_id,
                 )
             )
-        elif message[0] == "steal":
+        elif kind == "steal":
+            flush()
             item = take(frontier.steal)
             send((_STOLEN, item.id if item is not None else None))
+        elif kind == "flush":
+            flush_wanted = True
         else:
             dropped.update(message[1])
         return True
 
     try:
         while True:
-            while control.poll():
+            while control_ready.poll(0):
                 if not handle(control.recv()):
                     return
             for child in children:
                 frontier.push(child)
             item = take(frontier.pop)
-            if reply is not None:
-                send(reply + (item.id if item is not None else None,))
-                reply = None
             if item is None:
+                flush()
                 if not handle(control.recv()):
                     return
                 continue
+            if batch and (
+                item.id >= sent_ids
+                or (flush_wanted and next_id > sent_ids)
+                or time.monotonic() - batch_started >= MAX_BATCH_AGE
+            ):
+                flush()
+            if not batch:
+                batch_started = time.monotonic()
+            running[0] = item.id
             ordinal = worker.runs
             if faults is not None and faults.should_kill(worker_uid, ordinal):
                 os._exit(KILL_EXIT_CODE)
@@ -269,10 +343,12 @@ def _worker_main(broker, worker_uid, control, reply_conn):
                     for c in children
                 ]
                 path = path[:4] + (serialize_assignment(path[4]),) + path[5:]
-                reply = (item.id, path, child_payloads, stats, counters)
+                batch.append((item.id, path, child_payloads, stats, counters))
             except Exception:
                 children = []
-                send((item.id, None, traceback.format_exc(), None, None, None))
+                batch.append((item.id, None, traceback.format_exc(), None, None))
+                flush()
+            running[0] = _IDLE
     except (EOFError, OSError):
         return  # the parent closed the pipes; nothing left to answer
     finally:
@@ -292,20 +368,28 @@ class _WorkerSlot:
         "process",
         "control",
         "reply",
+        "ready",
+        "running",
         "respawns",
         "last_beat",
         "mirror",
-        "running",
         "steals",
+        "asked",
     )
 
-    def __init__(self, uid, process, control, reply):
+    def __init__(self, uid, process, control, reply, running):
         self.uid = uid
         self.process = process
         #: Parent's send end of the incarnation's control pipe.
         self.control = control
-        #: Parent's receive end of the incarnation's private reply pipe.
+        #: Parent's receive end of the incarnation's private reply pipe,
+        #: and one poll object over it for the drain.
         self.reply = reply
+        self.ready = select.poll()
+        self.ready.register(reply, select.POLLIN)
+        #: Shared integer: the id of the item the incarnation is running,
+        #: or ``_IDLE``; read when it dies.
+        self.running = running
         self.respawns = 0
         #: Monotonic time of the incarnation's last message (heartbeat
         #: or reply); seeded at spawn so a fresh seat gets a full
@@ -313,12 +397,13 @@ class _WorkerSlot:
         self.last_beat = time.monotonic()
         #: Item id -> ``(assignment, bound, digest, snapshot_ref,
         #: novelty, failures, parent)`` for every item the seat holds,
-        #: the running one included, in the reply's payload form.
+        #: the running one and those whose runs are still in the batch
+        #: included, in the reply's payload form.
         self.mirror: dict = {}
-        #: Id of the item the worker is running (None = idle).
-        self.running: Optional[int] = None
         #: Steal requests sent to this seat and not answered yet.
         self.steals = 0
+        #: A flush request is out and no batch has arrived since.
+        self.asked = False
 
     def post(self, message) -> None:
         """Send a control message; a dead seat is left to the death path."""
@@ -330,17 +415,21 @@ class _WorkerSlot:
     def drain(self, messages: list, now: float) -> bool:
         """Receive everything pending on the reply pipe.
 
-        Appends ``(self, message)`` for every non-heartbeat message and
+        Appends ``(self, reply)`` for every run reply of every batch and
+        ``(self, message)`` for every other non-heartbeat message, and
         returns whether anything arrived.  EOF or a torn message ends
         the drain; the death check decides what it means.
         """
         delivered = False
         try:
-            while self.reply.poll():
+            while self.ready.poll(0):
                 message = self.reply.recv()
                 delivered = True
                 self.last_beat = now
-                if message[0] != _HEARTBEAT:
+                if type(message) is list:
+                    self.asked = False
+                    messages.extend((self, reply) for reply in message)
+                elif message[0] != _HEARTBEAT:
                     messages.append((self, message))
         except (EOFError, OSError):
             pass
@@ -407,9 +496,11 @@ class Broker:
         """Start one incarnation on fresh control/reply pipes."""
         control_recv, control_send = context.Pipe(duplex=False)
         reply_recv, reply_send = context.Pipe(duplex=False)
+        running = memoryview(mmap.mmap(-1, 8)).cast("q")
+        running[0] = _IDLE
         process = context.Process(
             target=_worker_main,
-            args=(self, uid, control_recv, reply_send),
+            args=(self, uid, control_recv, reply_send, running),
             daemon=True,
         )
         process.start()
@@ -419,13 +510,14 @@ class Broker:
         # nobody reads.
         control_recv.close()
         reply_send.close()
-        return _WorkerSlot(uid, process, control_send, reply_recv)
+        return _WorkerSlot(uid, process, control_send, reply_recv, running)
 
     def _await_replies(self, campaign):
         """Block until messages arrive or a worker death is detected.
 
         Returns ``(messages, dead_slots)`` with ``messages`` a list of
-        ``(slot, message)`` pairs in per-seat pipe order.  A hard-killed
+        ``(slot, message)`` pairs in per-seat pipe order, a batch
+        unpacked into one pair per run reply.  A hard-killed
         worker (OOM killer, segfault) posts nothing, so liveness is
         checked here too: a dead seat's pipe is drained to its end after
         its exit code is posted, so every complete message it sent is
@@ -479,20 +571,22 @@ class Broker:
     def _revive(self, slot, result, context) -> None:
         """Recover one dead seat: requeue its mirror, respawn.
 
-        The item the worker was running goes back to the global
-        frontier with ``failures`` bumped, or — after
-        :data:`MAX_ITEM_FAILURES` deaths while running it — is recorded
-        as an ``incomplete`` path.  The rest of the mirror is requeued
-        unchanged.  Requeued items keep their snapshot references, which
-        name the dead uid and so never match again: they re-execute from
-        the entry point, the same sound fallback as a pool eviction.
+        The item the worker was running, as its shared slot names it,
+        goes back to the global frontier with ``failures`` bumped, or —
+        after :data:`MAX_ITEM_FAILURES` deaths while running it — is
+        recorded as an ``incomplete`` path.  The rest of the mirror is
+        requeued unchanged, the items whose runs were lost in an unsent
+        batch included.  Requeued items keep their snapshot references,
+        which name the dead uid and so never match again: they re-execute
+        from the entry point, the same sound fallback as a pool eviction.
         """
         slot.process.join()
         slot.reply.close()
         slot.control.close()
+        running = slot.running[0]
         for item_id, entry in slot.mirror.items():
             item = _item_of(entry)
-            if item_id == slot.running:
+            if item_id == running:
                 result.worker_deaths += 1
                 item.failures += 1
                 if item.failures >= MAX_ITEM_FAILURES:
@@ -500,8 +594,8 @@ class Broker:
                     continue
             self.frontier.push(item)
         slot.mirror = {}
-        slot.running = None
         slot.steals = 0
+        slot.asked = False
         # Seeded-jitter exponential backoff per seat: repeated respawns
         # slow down (capped), one-off crashes restart almost
         # immediately, and simultaneous seat deaths desynchronize.
@@ -515,6 +609,8 @@ class Broker:
         slot.process = fresh.process
         slot.control = fresh.control
         slot.reply = fresh.reply
+        slot.ready = fresh.ready
+        slot.running = fresh.running
         slot.last_beat = fresh.last_beat
 
     def _shutdown(self) -> None:
@@ -557,7 +653,9 @@ class Broker:
         Global items go first.  Otherwise a steal request goes to the
         seat with the most mirrored items not already promised to a
         thief, and only if it has at least two, because one of them is
-        running.  Its answer lands on the global frontier.
+        running.  Its answer lands on the global frontier.  If no seat
+        has two, every busy seat not yet asked gets a flush request, so
+        the children its batch holds back reach the mirror.
         """
         slots, frontier = self.slots, self.frontier
         idle = [slot for slot in slots if not slot.mirror]
@@ -566,15 +664,18 @@ class Broker:
             assignment = serialize_assignment(item.assignment)
             slot = idle.pop()
             self._next_task -= 1
-            slot.running = self._next_task
-            slot.mirror[slot.running] = (assignment, item.bound, item.digest,
-                                         item.snapshot, item.novelty, item.failures,
-                                         item.parent)
-            slot.post(("task", slot.running, assignment, item.bound,
+            slot.mirror[self._next_task] = (assignment, item.bound, item.digest,
+                                            item.snapshot, item.novelty,
+                                            item.failures, item.parent)
+            slot.post(("task", self._next_task, assignment, item.bound,
                        item.snapshot, item.novelty))
         for _ in range(len(idle) - sum(slot.steals for slot in slots)):
             victim = max(slots, key=lambda slot: len(slot.mirror) - slot.steals)
             if len(victim.mirror) - victim.steals < 2:
+                for slot in slots:
+                    if slot.mirror and not slot.asked:
+                        slot.asked = True
+                        slot.post(("flush",))
                 break
             victim.steals += 1
             victim.post(("steal",))
@@ -588,10 +689,9 @@ class Broker:
         turn.  Children whose flip query the campaign already queued are
         dropped the same way.
         """
-        item_id, path, children, stats, counters, running = reply
+        item_id, path, children, stats, counters = reply
         if path is None:
             raise RuntimeError(f"exploration worker failed:\n{children}")
-        slot.running = running
         self.worker_stats[slot.uid] = counters
         entry = slot.mirror.pop(item_id, None)
         if entry is None:

@@ -18,6 +18,7 @@ import pytest
 from repro.asm import assemble
 from repro.core import BinSymExecutor, Explorer, FaultPlan
 from repro.core.checkpoint import CHECKPOINT_FILENAME, CheckpointManager
+from repro.eval.workloads import WORKLOADS
 from repro.smt import terms as T
 from repro.smt.solver import SolverConfig
 from repro.smt.solver import CachingSolver, Result, Solver
@@ -313,6 +314,42 @@ class TestCheckpoint:
             ).explore()
         assert resumed.path_set() == baseline.path_set()
         assert resumed.total_instructions == baseline.total_instructions
+
+    @needs_fork
+    @pytest.mark.parametrize("cut", [15, 40, 60])
+    def test_pooled_cut_keeps_counters_exact(self, cut):
+        """Pool workers send their runs home in batches, so a cut can
+        fall inside one.  Each run carries its own cumulative counters,
+        so the SAT core's solve count is that of the recorded runs on
+        the cut result and on the resumed one, and the resumed campaign
+        equals the uninterrupted run."""
+        spec = WORKLOADS["insertion-sort"]
+        image = spec.image(spec.fig6_scale)
+        isa = rv32im()
+
+        def explore(**options):
+            return Explorer(BinSymExecutor(isa, image), jobs=2, **options).explore()
+
+        def totals(result):
+            return (
+                result.num_paths,
+                result.path_set(),
+                result.total_instructions,
+                result.sat_solves,
+                result.solver_stats["sat_core_solves"],
+            )
+
+        baseline = explore()
+        with tempfile.TemporaryDirectory() as tmp:
+            partial = explore(
+                checkpoint_dir=tmp, faults=FaultPlan(interrupt_after=cut)
+            )
+            resumed = explore(checkpoint_dir=tmp, resume=True)
+        assert partial.interrupted
+        assert partial.num_paths == cut
+        for result in (partial, resumed):
+            assert result.solver_stats["sat_core_solves"] == result.sat_solves
+        assert totals(resumed) == totals(baseline)
 
     @pytest.mark.parametrize("strategy", ["bfs", "random", "coverage"])
     def test_resume_respects_strategy(self, strategy):

@@ -437,6 +437,128 @@ class TestWorkerFailure:
         assert result.worker_deaths == 1
         assert result.incomplete_paths == 0
 
+    def test_worker_reports_an_item_before_running_it(self, monkeypatch):
+        """A worker may hold finished runs back, but never the run that
+        derived the item it starts next: the supervisor can charge a
+        death only to an item the broker has heard of.  One worker
+        loop, driven in a thread over real pipes with batches that never
+        age out, must announce every child in an earlier message than
+        the one carrying the child's own run, and still batch runs."""
+        import threading
+        from types import SimpleNamespace
+
+        from repro.core import parallel
+        from repro.core.scheduler import serialize_assignment
+
+        monkeypatch.setattr(parallel, "MAX_BATCH_AGE", 3600.0)
+        spec = WORKLOADS["bubble-sort"]
+        paths = spec.expected_paths(spec.fig6_scale)
+        explorer = Explorer(
+            BinSymExecutor(rv32im(), spec.image(spec.fig6_scale)), jobs=2
+        )
+        broker = SimpleNamespace(executor=explorer.executor, config=explorer.config)
+        control_recv, control_send = multiprocessing.Pipe(duplex=False)
+        reply_recv, reply_send = multiprocessing.Pipe(duplex=False)
+        running = [0]  # the seat's running slot; a thread shares a list
+        control_send.send(
+            ("task", -1, serialize_assignment(InputAssignment()), 0, None, 0)
+        )
+        worker = threading.Thread(
+            target=parallel._worker_main,
+            args=(broker, 0, control_recv, reply_send, running),
+        )
+        worker.start()
+        announced = {-1: -1}  # item id -> index of the message naming it
+        batches = runs = 0
+        try:
+            while runs < paths:
+                # Heartbeats stop when the loop ends, so silence means
+                # the worker died.
+                assert reply_recv.poll(30), "the worker loop ended early"
+                message = reply_recv.recv()
+                if not isinstance(message, list):
+                    continue  # a heartbeat
+                for item_id, path, children, *_ in message:
+                    assert path is not None, children
+                    assert announced.pop(item_id) < batches, item_id
+                    announced.update((child[0], batches) for child in children)
+                runs += len(message)
+                batches += 1
+        finally:
+            control_send.send(None)
+            worker.join(timeout=30)
+            for end in (control_recv, control_send, reply_recv, reply_send):
+                end.close()
+        assert not worker.is_alive()
+        assert runs == paths and not announced
+        assert batches < runs
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_death_is_charged_to_the_running_item(self, jobs):
+        """An executor that dies on every run of one non-root path must
+        cost exactly the item that runs it: abandoned after
+        MAX_ITEM_FAILURES deaths, with every path outside its subtree
+        recorded.  Blaming a death on the newest item the broker heard
+        of would abandon innocent items instead.  Which item runs the
+        path depends on the models each worker's solver picks, so the
+        subtree is read off that item's bound: the paths whose first
+        ``bound`` compare-exchanges go the way the poisoned path's do.
+        Four workers share two cores, so a crash loop is cut by the
+        deadline."""
+        import itertools
+        import os
+
+        spec = WORKLOADS["bubble-sort"]
+        n = spec.fig6_scale
+        image = spec.image(n)
+        isa = rv32im()
+        variables = [T.bv_var(f"in_{0x20000 + i:08x}", 8) for i in range(n)]
+
+        def ordering(assignment):
+            """The stable sort order of the input positions."""
+            values = [assignment.values.get(var, 0) for var in variables]
+            return tuple(sorted(range(n), key=lambda i: (values[i], i)))
+
+        def swaps(order):
+            """The compare-exchange outcomes of sorting ``order``, one
+            per branch record of its path."""
+            ranks = [order.index(i) for i in range(n)]
+            outcomes = []
+            for i in range(n - 1):
+                for j in range(n - 1 - i):
+                    outcomes.append(ranks[j + 1] < ranks[j])
+                    if outcomes[-1]:
+                        ranks[j], ranks[j + 1] = ranks[j + 1], ranks[j]
+            return outcomes
+
+        poisoned = (0, 2, 1, 3, 4)  # in[0] < in[2] < in[1] < in[3] < in[4]
+        bound = multiprocessing.get_context("fork").Value("i", -1)
+
+        class PoisonedExecutor(BinSymExecutor):
+            def execute(self, assignment, capture_from=None, resume=None):
+                if ordering(assignment) == poisoned:
+                    bound.value = capture_from
+                    os._exit(9)
+                return super().execute(
+                    assignment, capture_from=capture_from, resume=resume
+                )
+
+        result = Explorer(
+            PoisonedExecutor(isa, image), jobs=jobs, deadline=30
+        ).explore()
+        assert not result.deadline_expired
+        assert result.incomplete_paths == 1
+        assert result.worker_deaths == MAX_ITEM_FAILURES
+        assert bound.value > 0
+        prefix = swaps(poisoned)[: bound.value]
+        innocent = [
+            order
+            for order in itertools.permutations(range(n))
+            if swaps(order)[: bound.value] != prefix
+        ]
+        recorded = [ordering(path.assignment) for path in result.paths]
+        assert sorted(recorded) == innocent
+
     def test_heartbeats_never_put_the_parent_to_sleep(self, monkeypatch):
         """A ready pipe that delivered only heartbeats must not make the
         parent sleep: the other seat's reply (and its next task) would
