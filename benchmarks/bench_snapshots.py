@@ -191,7 +191,7 @@ def test_pool_starvation_fallback(benchmark):
 
     def run():
         engine = BinSymExecutor(rv32im(), image)
-        engine.snapshot_pool.max_bytes = 8 * 4096 * 4  # a handful
+        engine.snapshot_pool.max_bytes = 2 * 4096 * 4  # two live snapshots
         return Explorer(engine, use_cache=True, snapshots=True).explore()
 
     starved = benchmark.pedantic(run, rounds=3, iterations=1)

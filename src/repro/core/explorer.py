@@ -668,6 +668,13 @@ class Worker:
     scores coverage novelty, and hot-PC promotion for the superblock
     layer.  :meth:`explore` is the in-process loop; a pool worker drives
     :meth:`run` from :func:`repro.core.parallel._worker_main`.
+
+    It also keeps the snapshot pool's holds
+    (:class:`repro.core.snapshots.SnapshotPool`): :meth:`run` gives back
+    the hold of the item it runs, makes each child hold the snapshot it
+    names and then gives back the run's own capture holds, so the pool
+    keeps only snapshots that pending items name.  An item that will not
+    run here gives its hold back through :meth:`release`.
     """
 
     def __init__(
@@ -690,6 +697,10 @@ class Worker:
         self.frontier = frontier
         self.trie = ExploredPrefixTrie() if config.dedup_flips else None
         self.snapshots = config.snapshots
+        #: The executor's snapshot pool, whose holds this worker keeps.
+        self.pool = (
+            getattr(executor, "snapshot_pool", None) if config.snapshots else None
+        )
         self.certify = config.certify
         #: Whether children carry restart-stable flip-query digests.
         self.digests = digests
@@ -733,18 +744,53 @@ class Worker:
                 if campaign.fresh(child.digest):
                     child.parent = index
                     frontier.push(child)
+                else:
+                    self.release(child)
             campaign.after_run(self)
 
     def pending(self) -> list:
         return self.frontier.items()
+
+    def hold(self, item: WorkItem) -> None:
+        """Take a hold on the snapshot ``item`` names (a pool task that
+        came back to the worker that captured its snapshot)."""
+        if self.pool is not None and item.snapshot is not None:
+            self.pool.hold(item.snapshot)
+
+    def release(self, item: WorkItem) -> None:
+        """Give back ``item``'s hold on the snapshot it names: the item
+        ran, or it will not run here (a duplicate, or an item the pool's
+        broker dropped or stole)."""
+        if self.pool is not None and item.snapshot is not None:
+            self.pool.release(item.snapshot)
 
     def run(self, item: WorkItem) -> tuple:
         """Run one item: ``(path, children, stats)``.
 
         ``path`` holds the :class:`PathInfo` fields after ``index``,
         then the run's ``resumed_instret``; the children carry the
-        run's coverage novelty.
+        run's coverage novelty and each holds the snapshot it names.
+        The item's own hold and the run's capture holds are given back,
+        also when the run raises.
         """
+        pool = self.pool
+        first = pool.next_handle if pool is not None else 0
+        try:
+            path, children, stats = self._run(item)
+            if pool is not None:
+                for child in children:
+                    if child.snapshot is not None:
+                        pool.hold(child.snapshot)
+        finally:
+            if pool is not None:
+                # The run's capture holds end once its children hold
+                # theirs: a snapshot no child names leaves the pool here.
+                pool.release_from(first)
+            self.release(item)
+        return path, children, stats
+
+    def _run(self, item: WorkItem) -> tuple:
+        """:meth:`run` without the snapshot holds."""
         executor, faults, ordinal = self.executor, self.faults, self.runs
         self.runs += 1
         capturing = self.capture_state["snapshots"]

@@ -194,7 +194,12 @@ def _worker_main(broker, worker_uid, control, reply_conn, running):
     Snapshot handles are process-local: a task's ``(origin_uid, handle)``
     reference is honoured only by the incarnation that captured it, and
     any other item re-executes from the entry point, which discovers the
-    identical path (counted in ``snap_cross_worker_items``).
+    identical path (counted in ``snap_cross_worker_items``).  The loop
+    keeps the pool's holds with the run step's (see
+    :class:`~repro.core.explorer.Worker`): an item ``take`` skips as
+    dropped, and one that answers a steal, gives its snapshot hold back,
+    and a task naming this incarnation's own handle takes one, so the
+    pool keeps only snapshots that items in this frontier name.
 
     The config's faults drive deterministic chaos, keyed by the number
     of runs this incarnation started: *kill* exits before the run,
@@ -253,12 +258,14 @@ def _worker_main(broker, worker_uid, control, reply_conn, running):
         flush_wanted = False
 
     def take(method):
-        """The next item ``method`` yields that was not dropped."""
+        """The next item ``method`` yields that was not dropped; a
+        dropped one gives its snapshot hold back."""
         while frontier:
             item = method()
             if item.id not in dropped:
                 return item
             dropped.discard(item.id)
+            worker.release(item)
         return None
 
     def handle(message) -> bool:
@@ -272,18 +279,20 @@ def _worker_main(broker, worker_uid, control, reply_conn, running):
             own = snapshot_ref is not None and snapshot_ref[0] == worker_uid
             if snapshot_ref is not None and not own:
                 cross_worker_items += 1
-            frontier.push(
-                WorkItem(
-                    deserialize_assignment(assignment),
-                    bound,
-                    novelty=novelty,
-                    snapshot=snapshot_ref[1] if own else None,
-                    id=item_id,
-                )
+            item = WorkItem(
+                deserialize_assignment(assignment),
+                bound,
+                novelty=novelty,
+                snapshot=snapshot_ref[1] if own else None,
+                id=item_id,
             )
+            worker.hold(item)
+            frontier.push(item)
         elif kind == "steal":
             flush()
             item = take(frontier.steal)
+            if item is not None:
+                worker.release(item)
             send((_STOLEN, item.id if item is not None else None))
         elif kind == "flush":
             flush_wanted = True

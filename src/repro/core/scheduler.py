@@ -67,7 +67,11 @@ class WorkItem:
     #: the divergence point (``None`` = execute from the entry point).
     #: A worker stores a pool handle, the pool's broker a
     #: ``(worker_id, handle)`` pair — snapshots are process-local.
-    #: A flip child diverges at branch record ``bound - 1``.
+    #: A flip child diverges at branch record ``bound - 1``.  The item
+    #: holds its snapshot in the worker's
+    #: :class:`~repro.core.snapshots.SnapshotPool` from when the run
+    #: step builds it until it runs, is dropped as a duplicate or is
+    #: stolen; the pool frees a snapshot no pending item holds.
     snapshot: Optional[object] = None
     #: Times a worker died while running this item.  The supervisor
     #: requeues lost items and gives up (recording an *incomplete* path)

@@ -14,11 +14,16 @@ execute only the suffix:
   prefix as a shared tuple of records, and the stdout produced so far
   (plus the shadow terms of its input-dependent bytes).
 
-* :class:`SnapshotPool` — an LRU pool with byte-size accounting.  The
-  pool is a pure cache: eviction (or a cross-worker miss) makes the
-  executor fall back to full re-execution from ``pc = entry``, which
-  discovers the identical path, so snapshots never affect *what* is
-  explored — only how much of it is re-executed.
+* :class:`SnapshotPool` — the live snapshots, counted by holder.  The
+  run that captures a snapshot holds it until its children are built;
+  each child that names it holds it until the child runs, is dropped
+  as a duplicate or is stolen by another worker.  The last hold given
+  back frees the snapshot, so the pool holds the snapshots of the
+  pending frontier, not every capture.  A byte budget bounds those live
+  snapshots by LRU eviction, and eviction (like a cross-worker miss)
+  makes the executor fall back to full re-execution from
+  ``pc = entry``, which discovers the identical path, so snapshots
+  never affect *what* is explored — only how much of it is re-executed.
 
 Resuming under a *different* input assignment is exact because the
 concolic invariant pins every input-dependent datum to a term: a value
@@ -103,11 +108,11 @@ class StateSnapshot:
         self.inputs_count = inputs_count
         self.assignment = assignment
         #: Weak reference to the capturing :class:`ByteMemory` (or
-        #: None): lets the pool hand the page references back on
-        #: eviction while that memory is still executing, un-marking
-        #: pages no live snapshot protects.  Dead by the next run —
-        #: the interpreter replaces its memory on reset — in which
-        #: case releasing is a no-op.
+        #: None): lets the pool hand the page references back when it
+        #: frees the snapshot while that memory is still executing or
+        #: has just finished, un-marking pages no live snapshot
+        #: protects.  Dead by the next run — the interpreter replaces
+        #: its memory on reset — in which case handing back is a no-op.
         self.source = source
         # Conservative size estimate: aliased pages are charged in full
         # to every snapshot referencing them (structural sharing means
@@ -122,19 +127,37 @@ class StateSnapshot:
 
 
 class SnapshotPool:
-    """LRU-bounded snapshot store with byte-size accounting.
+    """The live snapshots of one process, with holds and a byte budget.
 
-    Handles are process-local integers: interned terms (inside records,
-    shadow values and register terms) hash by identity, so a snapshot is
-    only meaningful in the process that captured it.  Each parallel
-    exploration worker therefore owns one pool, and the run step treats a
-    missing handle as "re-execute from the entry point".
+    Each entry keeps a count of its holders.  :meth:`add` admits a
+    snapshot held once, by the run that captured it; the run step takes
+    one :meth:`hold` per child that names the handle and then gives its
+    own back with :meth:`release`.  A child's hold is given back when
+    the child runs (resumed or not), is dropped as a duplicate, or is
+    stolen by another worker.  The last :meth:`release` frees the
+    snapshot and hands its page references back, as eviction does, so a
+    snapshot lives exactly as long as some pending item names it.
+
+    ``max_bytes`` bounds the live snapshots: admitting one over it
+    evicts the least recently used.  Eviction is the pool's sound
+    degradation: a child whose snapshot is gone, like a missing or stale
+    handle, re-executes from the entry point, and a later :meth:`hold`
+    or :meth:`release` of it does nothing.
+
+    Handles are process-local integers, never reused: interned terms
+    (inside records, shadow values and register terms) hash by identity,
+    so a snapshot is only meaningful in the process that captured it.
+    Each parallel exploration worker therefore owns one pool, and the
+    run step treats a missing handle as "re-execute from the entry
+    point".
     """
 
     def __init__(self, max_bytes: int = 64 * 1024 * 1024):
         self.max_bytes = max_bytes
         # handle -> snapshot, in LRU order (oldest first).
         self._snapshots: dict[int, StateSnapshot] = {}
+        # handle -> holders, for every handle in _snapshots.
+        self._holds: dict[int, int] = {}
         self._next_handle = 0
         self.resident_bytes = 0
         self.captured = 0
@@ -145,8 +168,15 @@ class SnapshotPool:
     def __len__(self) -> int:
         return len(self._snapshots)
 
+    @property
+    def next_handle(self) -> int:
+        """The handle the next admitted snapshot gets: every snapshot
+        admitted from now on has a handle at least this."""
+        return self._next_handle
+
     def add(self, snapshot: StateSnapshot) -> Optional[int]:
-        """Admit a snapshot; returns its handle (None if over budget)."""
+        """Admit a snapshot held once, by the capturing run; returns its
+        handle (None if over budget)."""
         if snapshot.byte_size > self.max_bytes:
             return None  # would evict the whole pool for one entry
         while self.resident_bytes + snapshot.byte_size > self.max_bytes:
@@ -154,9 +184,40 @@ class SnapshotPool:
         handle = self._next_handle
         self._next_handle += 1
         self._snapshots[handle] = snapshot
+        self._holds[handle] = 1
         self.resident_bytes += snapshot.byte_size
         self.captured += 1
         return handle
+
+    def hold(self, handle: int) -> None:
+        """One more holder of ``handle``; nothing if it left the pool."""
+        holds = self._holds
+        if handle in holds:
+            holds[handle] += 1
+
+    def release(self, handle: int) -> None:
+        """Give back one hold of ``handle``; the last frees the snapshot.
+
+        Nothing happens if the snapshot already left the pool.
+        """
+        holds = self._holds
+        count = holds.get(handle)
+        if count is None:
+            return
+        if count > 1:
+            holds[handle] = count - 1
+            return
+        del holds[handle]
+        snapshot = self._snapshots.pop(handle)
+        self.resident_bytes -= snapshot.byte_size
+        self._return_pages(snapshot)
+
+    def release_from(self, first: int) -> None:
+        """Give back one hold of every snapshot admitted since
+        :attr:`next_handle` was ``first``: the capture holds of the run
+        that started then."""
+        for handle in range(first, self._next_handle):
+            self.release(handle)
 
     def get(self, handle: int) -> Optional[StateSnapshot]:
         """Snapshot for ``handle``, or None when evicted (LRU touch)."""
@@ -176,18 +237,19 @@ class SnapshotPool:
         was served but could not be consumed — and frees the entry: a
         stale snapshot can never become consumable again (symbolic
         inputs only accumulate), so keeping it would only displace
-        usable entries.
+        usable entries; it leaves the pool whatever its holds.
         """
         snapshot = self._snapshots.pop(handle, None)
         if snapshot is None:
             return
+        del self._holds[handle]
         self.resident_bytes -= snapshot.byte_size
         self.hits -= 1
         self.misses += 1
-        self._release(snapshot)
+        self._return_pages(snapshot)
 
     @staticmethod
-    def _release(snapshot: StateSnapshot) -> None:
+    def _return_pages(snapshot: StateSnapshot) -> None:
         """Hand page references back to the capturing memory, if alive."""
         source = snapshot.source
         if source is None:
@@ -199,9 +261,10 @@ class SnapshotPool:
     def _evict_oldest(self) -> None:
         handle = next(iter(self._snapshots))
         snapshot = self._snapshots.pop(handle)
+        del self._holds[handle]
         self.resident_bytes -= snapshot.byte_size
         self.evictions += 1
-        self._release(snapshot)
+        self._return_pages(snapshot)
 
     def set_budget(self, max_bytes: int) -> None:
         """Shrink (or grow) the byte budget, evicting down to it.
@@ -216,8 +279,9 @@ class SnapshotPool:
 
     def clear(self) -> None:
         for snapshot in self._snapshots.values():
-            self._release(snapshot)
+            self._return_pages(snapshot)
         self._snapshots.clear()
+        self._holds.clear()
         self.resident_bytes = 0
 
     @property

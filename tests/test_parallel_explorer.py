@@ -1,12 +1,17 @@
 """Tests for multi-process exploration (core.parallel).
 
-The load-bearing property: the flip-expansion rules fully determine the
-reachable (assignment, bound) tree, so parallel exploration must
-discover exactly the serial path set — only completion order may vary.
+The load-bearing property: the flip-expansion rules fix the set of
+feasible paths and the flip queries that find them, so parallel
+exploration must discover exactly the serial path set, with the same
+total query attribution.  They do not fix the models: each worker's
+solver picks its own satisfying assignments, so a pooled run's per-path
+inputs and parent links differ from a serial run's (35-41 of
+bubble-sort's 120 links at ``jobs=2``), and so does completion order.
 """
 
 import multiprocessing
 import tempfile
+import threading
 import time
 
 import pytest
@@ -369,6 +374,94 @@ class TestFallbacks:
         assert result.num_paths == 2
 
 
+class _ThreadedSeat:
+    """One pool worker loop (``_worker_main``) driven in a thread over
+    real pipes, with batches that never age out.  The thread shares the
+    executor, so a test can read its snapshot pool."""
+
+    def __init__(self, monkeypatch, executor):
+        from types import SimpleNamespace
+
+        from repro.core import parallel
+
+        monkeypatch.setattr(parallel, "MAX_BATCH_AGE", 3600.0)
+        broker = SimpleNamespace(
+            executor=executor, config=Explorer(executor, jobs=2).config
+        )
+        self.control_recv, self.control = multiprocessing.Pipe(duplex=False)
+        self.replies, self.reply_send = multiprocessing.Pipe(duplex=False)
+        running = [0]  # the seat's running slot; a thread shares a list
+        self.thread = threading.Thread(
+            target=parallel._worker_main,
+            args=(broker, 0, self.control_recv, self.reply_send, running),
+        )
+        self.thread.start()
+
+    def post(self, *message) -> None:
+        self.control.send(message)
+
+    def receive(self):
+        """The next message that is not a heartbeat: a batch of run
+        replies or a steal answer."""
+        from repro.core import parallel
+
+        while True:
+            assert self.replies.poll(30), "the worker loop ended early"
+            message = self.replies.recv()
+            if isinstance(message, list) or message[0] != parallel._HEARTBEAT:
+                return message
+
+    def stop(self) -> None:
+        """Shut the loop down, reading what it still sends so that it
+        never blocks on a full reply pipe."""
+        self.control.send(None)
+        deadline = time.monotonic() + 30
+        while self.thread.is_alive() and time.monotonic() < deadline:
+            while self.replies.poll(0.05):
+                self.replies.recv()
+            self.thread.join(timeout=0.05)
+        for end in (self.control_recv, self.control, self.replies, self.reply_send):
+            end.close()
+        assert not self.thread.is_alive()
+
+
+class _GatedExecutor(BinSymExecutor):
+    """Holds its second run until ``gate`` opens, so the control messages
+    a test posts meanwhile are read before any other child runs."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.gate = threading.Event()
+        self.calls = 0
+
+    def execute(self, assignment, capture_from=None, resume=None):
+        self.calls += 1
+        if self.calls == 2:
+            assert self.gate.wait(30)
+        return super().execute(assignment, capture_from=capture_from, resume=resume)
+
+
+def _check_holds(monkeypatch, strays: list) -> None:
+    """Make every pool worker check, before each run, that its snapshot
+    pool holds exactly the snapshots the item and its frontier name;
+    each mismatch is appended to ``strays``."""
+    from repro.core import explorer, parallel
+
+    class CheckedWorker(explorer.Worker):
+        def run(self, item):
+            named = {other.snapshot for other in self.frontier.items()}
+            named = (named | {item.snapshot}) - {None}
+            held = set(self.executor.snapshot_pool._snapshots)
+            if held != named:
+                strays.append((item.id, held - named, named - held))
+            return super().run(item)
+
+    monkeypatch.setattr(parallel, "Worker", CheckedWorker)
+
+
+_ROOT_TASK = ("task", -1, (), 0, None, 0)
+
+
 @needs_fork
 class TestWorkerFailure:
     def test_worker_exception_propagates(self):
@@ -444,40 +537,17 @@ class TestWorkerFailure:
         loop, driven in a thread over real pipes with batches that never
         age out, must announce every child in an earlier message than
         the one carrying the child's own run, and still batch runs."""
-        import threading
-        from types import SimpleNamespace
-
-        from repro.core import parallel
-        from repro.core.scheduler import serialize_assignment
-
-        monkeypatch.setattr(parallel, "MAX_BATCH_AGE", 3600.0)
         spec = WORKLOADS["bubble-sort"]
         paths = spec.expected_paths(spec.fig6_scale)
-        explorer = Explorer(
-            BinSymExecutor(rv32im(), spec.image(spec.fig6_scale)), jobs=2
+        seat = _ThreadedSeat(
+            monkeypatch, BinSymExecutor(rv32im(), spec.image(spec.fig6_scale))
         )
-        broker = SimpleNamespace(executor=explorer.executor, config=explorer.config)
-        control_recv, control_send = multiprocessing.Pipe(duplex=False)
-        reply_recv, reply_send = multiprocessing.Pipe(duplex=False)
-        running = [0]  # the seat's running slot; a thread shares a list
-        control_send.send(
-            ("task", -1, serialize_assignment(InputAssignment()), 0, None, 0)
-        )
-        worker = threading.Thread(
-            target=parallel._worker_main,
-            args=(broker, 0, control_recv, reply_send, running),
-        )
-        worker.start()
         announced = {-1: -1}  # item id -> index of the message naming it
         batches = runs = 0
         try:
+            seat.post(*_ROOT_TASK)
             while runs < paths:
-                # Heartbeats stop when the loop ends, so silence means
-                # the worker died.
-                assert reply_recv.poll(30), "the worker loop ended early"
-                message = reply_recv.recv()
-                if not isinstance(message, list):
-                    continue  # a heartbeat
+                message = seat.receive()
                 for item_id, path, children, *_ in message:
                     assert path is not None, children
                     assert announced.pop(item_id) < batches, item_id
@@ -485,11 +555,7 @@ class TestWorkerFailure:
                 runs += len(message)
                 batches += 1
         finally:
-            control_send.send(None)
-            worker.join(timeout=30)
-            for end in (control_recv, control_send, reply_recv, reply_send):
-                end.close()
-        assert not worker.is_alive()
+            seat.stop()
         assert runs == paths and not announced
         assert batches < runs
 
@@ -586,6 +652,136 @@ class TestWorkerFailure:
         assert result.num_paths == spec.expected_paths(spec.fig6_scale)
         assert result.worker_deaths == 0
         assert parent_sleeps == []
+
+
+@needs_fork
+class TestSnapshotHolds:
+    """A pool worker's snapshot pool holds what its pending items name.
+
+    Each test drives one worker loop in a thread, as
+    ``test_worker_reports_an_item_before_running_it`` does, and checks
+    the pool before every run and at the end."""
+
+    def test_dropped_and_stolen_items_give_their_snapshots_back(
+        self, monkeypatch
+    ):
+        """The root's second-shallowest child is dropped and a steal
+        takes the shallowest; both give their snapshot holds back, so
+        when the frontier runs dry the pool is empty."""
+        strays: list = []
+        _check_holds(monkeypatch, strays)
+        spec = WORKLOADS["bubble-sort"]
+        executor = _GatedExecutor(rv32im(), spec.image(spec.fig6_scale))
+        pool = executor.snapshot_pool
+        seat = _ThreadedSeat(monkeypatch, executor)
+        try:
+            seat.post(*_ROOT_TASK)
+            # The root's reply goes out before its first child runs.
+            ((_, path, children, *_),) = seat.receive()
+            assert path is not None, children
+            handles = {child[0]: child[4] for child in children}
+            assert len(set(handles.values()) - {None}) == len(children) > 2
+            dropped = children[1][0]
+            seat.post("drop", [dropped])
+            seat.post("steal")
+            executor.gate.set()
+            pending = set(handles) - {dropped}
+            stolen = None
+            while pending:
+                message = seat.receive()
+                if not isinstance(message, list):
+                    stolen = message[1]
+                    pending.remove(stolen)
+                    assert handles[stolen] not in pool._snapshots
+                    continue
+                for item_id, path, grandchildren, *_ in message:
+                    assert path is not None, grandchildren
+                    assert item_id in pending, item_id
+                    pending.remove(item_id)
+                    pending.update(child[0] for child in grandchildren)
+            # Under DFS a steal takes the oldest item.  The last batch
+            # went out when the frontier ran dry, after every hold of
+            # the dropped item and the runs came back.
+            assert stolen == children[0][0]
+            assert len(pool) == 0 and pool.resident_bytes == 0
+            assert pool.evictions == 0
+        finally:
+            seat.stop()
+        assert strays == []
+
+    def test_a_failed_run_gives_back_its_hold_and_its_captures(
+        self, monkeypatch
+    ):
+        strays: list = []
+        _check_holds(monkeypatch, strays)
+        failed = []
+
+        class FailingExecutor(BinSymExecutor):
+            """Raises after the first resumed run that captured."""
+
+            def execute(self, assignment, capture_from=None, resume=None):
+                run = super().execute(
+                    assignment, capture_from=capture_from, resume=resume
+                )
+                if not failed and resume is not None and run.snapshots:
+                    failed.append((resume, set(run.snapshots.values())))
+                    raise RuntimeError("injected")
+                return run
+
+        spec = WORKLOADS["bubble-sort"]
+        executor = FailingExecutor(rv32im(), spec.image(spec.fig6_scale))
+        pool = executor.snapshot_pool
+        seat = _ThreadedSeat(monkeypatch, executor)
+        try:
+            seat.post(*_ROOT_TASK)
+            while True:
+                message = seat.receive()
+                if any(reply[1] is None for reply in message):
+                    break
+        finally:
+            seat.stop()
+        ((resumed_from, captured),) = failed
+        assert captured
+        assert resumed_from not in pool._snapshots
+        assert captured.isdisjoint(pool._snapshots)
+        assert strays == []
+
+    def test_a_task_naming_its_own_snapshot_holds_it(self, monkeypatch):
+        """The div program's root leaves two children on one snapshot.
+        A steal takes one of them, and it comes back as a task naming
+        this worker's handle before the other child has run: the task
+        holds the snapshot again, so all three children resume."""
+        from test_snapshots import SHARED_DIV
+
+        strays: list = []
+        _check_holds(monkeypatch, strays)
+        isa = rv32im()
+        executor = _GatedExecutor(isa, assemble(SHARED_DIV, isa=isa))
+        seat = _ThreadedSeat(monkeypatch, executor)
+        try:
+            seat.post(*_ROOT_TASK)
+            ((_, path, children, *_),) = seat.receive()
+            assert path is not None, children
+            handles = [child[4] for child in children]
+            assert len(handles) == 3 and handles[0] == handles[1] != handles[2]
+            _, assignment, bound, _, handle, novelty = children[0]
+            seat.post("steal")
+            seat.post("task", -2, assignment, bound, (0, handle), novelty)
+            executor.gate.set()
+            ran, stolen = [], None
+            while len(ran) < 3:
+                message = seat.receive()
+                if isinstance(message, list):
+                    ran.extend(reply[0] for reply in message)
+                else:
+                    stolen = message[1]
+        finally:
+            seat.stop()
+        assert stolen == children[0][0]
+        assert sorted(ran) == sorted([-2, children[1][0], children[2][0]])
+        assert executor.resumed_runs == 3 and executor.fallback_runs == 0
+        assert len(executor.snapshot_pool) == 0
+        assert strays == []
 
 
 @needs_fork

@@ -238,6 +238,38 @@ class TestSnapshotPool:
         assert pool.evictions == 1
         assert memory.shared_pages == 0
 
+    def test_last_release_frees_the_snapshot(self):
+        """The capturing run holds a snapshot from add(), each hold()
+        needs a release(), and the last one frees the snapshot and hands
+        its page references back, as eviction does."""
+        import weakref
+
+        memory = ByteMemory()
+        memory.write_byte(0x1000, 1)
+        snapshot = _dummy_snapshot()
+        snapshot.pages = memory.snapshot_pages()
+        snapshot.source = weakref.ref(memory)
+        pool = SnapshotPool()
+        handle = pool.add(snapshot)
+        pool.hold(handle)  # a child names it
+        pool.release(handle)  # the capturing run's hold
+        assert len(pool) == 1 and memory.shared_pages == 1
+        pool.release(handle)  # the child ran
+        assert len(pool) == 0 and pool.resident_bytes == 0
+        assert memory.shared_pages == 0 and pool.evictions == 0
+        pool.hold(handle)  # gone: neither call brings it back
+        pool.release(handle)
+        assert len(pool) == 0 and pool.get(handle) is None
+
+    def test_release_from_frees_what_a_failed_run_captured(self):
+        pool = SnapshotPool()
+        kept = pool.add(_dummy_snapshot())
+        first = pool.next_handle
+        pool.add(_dummy_snapshot())
+        pool.add(_dummy_snapshot())
+        pool.release_from(first)
+        assert len(pool) == 1 and pool.get(kept) is not None
+
 
 # ---------------------------------------------------------------------------
 # Bounded digest memo (satellite)
@@ -373,6 +405,70 @@ class TestSnapshotDifferential:
         assert starved.resumed_runs + starved.snapshot_stats[
             "snap_fallback_runs"
         ] == starved.num_paths - 1
+
+
+# ---------------------------------------------------------------------------
+# Snapshot lifetime: the pool holds the snapshots pending items name
+# ---------------------------------------------------------------------------
+
+#: A ``div`` by an input word plus 1: its zero check and its overflow
+#: check are two branch records of one instruction, so the two children
+#: of the root that flip them name one snapshot.  Four paths.
+SHARED_DIV = """\
+_start:
+    li a0, 0x20000
+    li a1, 8
+    li a7, 1337
+    ecall
+    lw t0, 0(a0)
+    lw t1, 4(a0)
+    addi t1, t1, 1
+    div t2, t0, t1
+    bltz t2, negative
+    li a0, 0
+    li a7, 93
+    ecall
+negative:
+    li a0, 1
+    li a7, 93
+    ecall
+"""
+
+
+class TestSnapshotLifetime:
+    @pytest.mark.parametrize("strategy", ["dfs", "bfs", "random", "coverage"])
+    def test_a_budget_that_fits_the_frontier_loses_no_resume(self, strategy):
+        """640 KiB holds every snapshot a pending item names, under any
+        strategy, so no child falls back; a pool that also kept dead
+        snapshots evicted live ones under this budget."""
+        image = WORKLOADS["bubble-sort"].image(5)
+        unbounded = _explore(image, snapshots=True, strategy=strategy)
+        engine = BinSymExecutor(rv32im(), image)
+        engine.snapshot_pool.max_bytes = 655_360
+        bounded = Explorer(engine, use_cache=True, strategy=strategy).explore()
+        assert bounded.path_set() == unbounded.path_set()
+        assert _attribution(bounded) == _attribution(unbounded)
+        assert bounded.snapshot_stats["snap_fallback_runs"] == 0
+        assert bounded.resumed_runs == 119
+        assert bounded.executed_instructions == unbounded.executed_instructions
+        assert unbounded.executed_instructions == 5950
+
+    def test_two_children_of_one_instruction_share_its_snapshot(self):
+        """The snapshot two children name survives until both have run."""
+        result = _explore_source(SHARED_DIV, snapshots=True)
+        assert result.num_paths == 4
+        assert result.snapshot_stats["snap_captured"] == 2
+        assert result.resumed_runs == 3
+        assert result.snapshot_stats["snap_fallback_runs"] == 0
+
+    def test_a_finished_exploration_leaves_the_pool_empty(self):
+        image = WORKLOADS["bubble-sort"].image(5)
+        result = _explore(image, snapshots=True)
+        stats = result.snapshot_stats
+        assert result.resumed_runs == result.num_paths - 1
+        assert stats["snap_pool_entries"] == 0
+        assert stats["snap_pool_bytes"] == 0
+        assert stats["snap_pool_evictions"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,17 @@ Each workload is explored twice — once clean, once under a seeded
 queue hiccups) — in serial and on a 4-worker pool.  The gate asserts
 the PR 7 degradation contract on every run:
 
-* the faulted path set is a subset of the clean one (a chaos run must
-  never *invent* paths), and
+* the faulted paths are a sub-multiset of the clean ones (a chaos run
+  must never *invent* paths, nor record one twice), and
 * any shortfall is explicitly accounted: ``unknown_queries`` +
-  ``incomplete_paths`` must be positive whenever the subset is proper
+  ``incomplete_paths`` must be positive whenever a clean path is missing
   (silent path loss is the one forbidden outcome), and
-* a schedule that reports no degradation found the identical path set.
+* a schedule that reports no degradation found the identical paths.
+
+Paths are compared as multisets of their ``path_set()`` key (halt
+reason, exit code, trace length, stdout, final pc): every bubble-sort
+path has the same key, so comparing sets would miss a lost or doubled
+sort path while one path with that key survives.
 
 ``--corrupt`` runs the *cache-corruption* gate instead: each workload
 is explored under a ``corrupt=`` schedule that bit-flips freshly stored
@@ -19,7 +24,7 @@ query-cache entries after their integrity digest is taken.  The
 contract is stricter than the degradation one — corruption must be
 *absorbed*, not degraded around:
 
-* the path set is **identical** to the clean run (a poisoned cached
+* the paths are **identical** to the clean run's (a poisoned cached
   answer must be quarantined and re-solved, never served),
 * total query attribution is conserved (a poisoned hit becomes a miss
   plus a fresh solve; no query disappears),
@@ -66,11 +71,14 @@ Usage::
     python tools/chaos_check.py [--hang | --deadline-gate | --store]
     python tools/chaos_check.py --self-test
 
+``--strategy {dfs,bfs,random,coverage}`` (default dfs) sets the search
+strategy of every exploration a gate runs.
+
 ``--self-test`` drops a path from a clean result in memory and asserts
-the invariant check trips, perturbs a corruption-gate result and
-asserts that check trips too, and resumes a deadline cut without its
-journal and asserts the journal check trips — proving the gates can
-actually fail.
+the invariant check trips, as it must when a bubble-sort path is lost
+or recorded twice, perturbs a corruption-gate result and asserts that
+check trips too, and resumes a deadline cut without its journal and
+asserts the journal check trips — proving the gates can actually fail.
 """
 
 from __future__ import annotations
@@ -79,6 +87,8 @@ import argparse
 import sys
 import tempfile
 import time
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -130,34 +140,49 @@ DEADLINE_SCALES = {
 }
 
 
+#: Search strategy of every exploration the gates run (``--strategy``).
+STRATEGY = "dfs"
+
+
 def build_explorer(
     workload: str, jobs: int = 1, faults=None, scale=None, **kwargs
 ) -> Explorer:
     spec = WORKLOADS[workload]
     image = spec.image(scale if scale is not None else WORKLOAD_SCALES[workload])
     engine = make_engine("binsym", rv32im(), image)
-    return Explorer(engine, jobs=jobs, use_cache=True, faults=faults, **kwargs)
+    return Explorer(
+        engine, jobs=jobs, use_cache=True, faults=faults, strategy=STRATEGY,
+        **kwargs,
+    )
+
+
+def path_counts(result) -> Counter:
+    """The multiset of the result's path keys, those of ``path_set()``."""
+    return Counter(
+        (p.halt_reason, p.exit_code, p.trace_length, p.stdout, p.final_pc)
+        for p in result.paths
+    )
 
 
 def check_invariant(workload: str, clean, faulted, label: str) -> list[str]:
     """Return the violated invariants (empty = contract held)."""
     errors = []
-    clean_set = clean.path_set()
-    faulted_set = faulted.path_set()
-    invented = faulted_set - clean_set
+    clean_counts = path_counts(clean)
+    faulted_counts = path_counts(faulted)
+    invented = sum((faulted_counts - clean_counts).values())
     if invented:
         errors.append(
-            f"{workload} [{label}]: chaos run invented {len(invented)} "
-            f"path(s) not in the clean set"
+            f"{workload} [{label}]: chaos run invented {invented} "
+            f"path(s) not in the clean run"
         )
     degraded = faulted.unknown_queries + faulted.incomplete_paths
-    missing = len(clean_set - faulted_set)
+    missing = sum((clean_counts - faulted_counts).values())
     if missing and not degraded:
         errors.append(
             f"{workload} [{label}]: {missing} path(s) silently lost — "
             f"no unknown_queries / incomplete_paths reported"
         )
-    if not missing and not invented and degraded and faulted_set != clean_set:
+    if not missing and not invented and degraded and faulted_counts != clean_counts:
         errors.append(f"{workload} [{label}]: inconsistent path accounting")
     return errors
 
@@ -177,9 +202,9 @@ def total_attribution(result) -> int:
 def check_corruption_invariant(workload, clean, corrupted, label: str) -> list[str]:
     """Corruption must be absorbed: identical paths, conserved queries."""
     errors = []
-    if corrupted.path_set() != clean.path_set():
+    if path_counts(corrupted) != path_counts(clean):
         errors.append(
-            f"{workload} [{label}]: corrupted run changed the path set "
+            f"{workload} [{label}]: corrupted run changed the paths "
             f"({corrupted.num_paths} vs {clean.num_paths} paths) — a "
             f"poisoned cache entry was served instead of quarantined"
         )
@@ -331,7 +356,7 @@ def check_journal(workload, ckpt, cut, jobs, scale, resume=True) -> list[str]:
     items, and a resume reads it: from a copy with one byte flipped it
     must fail the journal's integrity check.  ``resume=False`` stands in
     for a resume that ignores the journal (the self-test)."""
-    state = CheckpointManager(ckpt, strategy="dfs", seed=0).load()
+    state = CheckpointManager(ckpt, strategy=STRATEGY, seed=0).load()
     if state is None:
         return [f"{workload}: the cut run left no journal"]
     errors = []
@@ -691,6 +716,20 @@ def self_test() -> int:
         print("self-test FAILED: silent path loss was not detected")
         return 1
     print(f"self-test passed: gate trips on silent loss ({errors[0]})")
+    # Every bubble-sort path has the same key, so a lost or a doubled
+    # one leaves the path *set* as it is; the multiset must still trip.
+    sort = build_explorer("bubble-sort").explore()
+    assert sort.unknown_queries == 0 and sort.incomplete_paths == 0
+    for fault, paths in (
+        ("lost", sort.paths[1:]),
+        ("duplicated", sort.paths + sort.paths[:1]),
+    ):
+        faulted = replace(sort, paths=paths)
+        errors = check_invariant("bubble-sort", sort, faulted, "self-test")
+        if not errors:
+            print(f"self-test FAILED: a {fault} bubble-sort path was not detected")
+            return 1
+        print(f"self-test passed: gate trips on a {fault} path ({errors[0]})")
     # The corruption gate must trip on both of its invariants: a served
     # poisoned answer (changed path set) and a vanished query.
     served = build_explorer("clif-parser").explore()
@@ -751,10 +790,16 @@ def main(argv=None) -> int:
                              "starts are bit-identical and cheaper, "
                              "torn/corrupt/iofail damage is "
                              "quarantined or degrades softly")
+    parser.add_argument("--strategy", default="dfs",
+                        choices=("dfs", "bfs", "random", "coverage"),
+                        help="search strategy of every exploration "
+                             "(default dfs)")
     parser.add_argument("--self-test", action="store_true",
                         help="verify the gates detect silent path loss, "
                              "served corruption and lost attribution")
     args = parser.parse_args(argv)
+    global STRATEGY
+    STRATEGY = args.strategy
     if args.self_test:
         return self_test()
     if args.corrupt:
