@@ -31,7 +31,6 @@ from .scheduler import Frontier, RunStats, WorkItem
 from .store import ArtifactStore
 from .state import (
     BranchRecord,
-    ExploredPrefixTrie,
     InputAssignment,
     PathTrace,
     SymbolicInput,
@@ -61,6 +60,5 @@ __all__ = [
     "BranchRecord",
     "InputAssignment",
     "SymbolicInput",
-    "ExploredPrefixTrie",
     "ConcretizationPolicy",
 ]

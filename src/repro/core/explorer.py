@@ -33,8 +33,8 @@ from ..arch.hart import HaltReason
 from ..smt.solver import CachingSolver, Solver, SolverConfig
 from ..spec.superblock import BRANCH_HOT_HITS
 from .faults import FaultPlan
-from .scheduler import Frontier, RunStats, WorkItem, expand_run, query_digest
-from .state import ExploredPrefixTrie, InputAssignment
+from .scheduler import Frontier, RunStats, WorkItem, expand_run
+from .state import InputAssignment
 
 __all__ = [
     "PathInfo",
@@ -53,6 +53,8 @@ class ExploreConfig:
 
     ``Explorer(executor, **options)`` takes exactly these fields, and
     the ``repro explore`` subcommand reads its defaults from here.
+    Flip dedup is not a knob: the campaign always drops a child whose
+    flip query it has seen (:meth:`_Campaign.fresh`).
     """
 
     strategy: str = "dfs"
@@ -64,8 +66,6 @@ class ExploreConfig:
     jobs: int = 1
     #: Put the cross-path query cache in front of the solver.
     use_cache: bool = False
-    #: Skip flip queries another path already issued (prefix trie).
-    dedup_flips: bool = True
     #: Solver-layer knobs (cores, trail reuse, budgets, certification).
     solver_config: Optional[SolverConfig] = None
     #: Staging and superblock ablations; ``None`` keeps the executor's.
@@ -201,13 +201,15 @@ class ExplorationResult:
     Query accounting is exact in both execution modes: ``sat_checks``
     and ``unsat_checks`` count queries the SAT core actually solved
     (summed over all workers in parallel mode), ``sat_solves`` the raw
-    CDCL invocations behind them, while ``cache_hits``,
-    ``fast_path_answers`` and ``pruned_queries`` count queries the query
-    cache, the solver's no-search answers and the explored-prefix trie
-    settled.  ``solver_stats`` carries the flat solver counter dict
-    (:attr:`repro.smt.solver.Solver.pipeline_statistics`, extended by
-    ``CachingSolver`` with cache and query counters), key-wise summed
-    across workers.
+    CDCL invocations behind them, while ``cache_hits`` and
+    ``fast_path_answers`` count queries the query cache and the
+    solver's no-search answers settled.  ``pruned_queries`` counts the
+    children flip dedup dropped as repeats (:meth:`_Campaign.fresh`);
+    each such repeat's query was answered first and is also counted
+    where it was answered.  ``solver_stats`` carries the flat solver
+    counter dict (:attr:`repro.smt.solver.Solver.pipeline_statistics`,
+    extended by ``CachingSolver`` with cache and query counters),
+    key-wise summed across workers.
     """
 
     paths: list[PathInfo] = field(default_factory=list)
@@ -324,7 +326,6 @@ class ExplorationResult:
         self.cache_hits += stats.cache_hits
         self.fast_path_answers += stats.fast_path_answers
         self.sat_solves += stats.sat_solves
-        self.pruned_queries += stats.pruned_queries
         self.unknown_queries += stats.unknown_queries
         self.solver_time += stats.solver_time
         self.covered_branches |= stats.covered_pcs
@@ -509,9 +510,6 @@ class Explorer:
 
                 campaign.run(Broker(self, frontier))
             else:
-                # In-process children carry flip digests only when a
-                # journal persists them; the trie dedups everything
-                # else within this process.
                 campaign.run(
                     Worker(
                         self.executor,
@@ -520,7 +518,6 @@ class Explorer:
                         "serial",
                         frontier=frontier,
                         covered=result.covered_branches,
-                        digests=manager is not None,
                     )
                 )
         if config.certify:
@@ -583,16 +580,17 @@ class _Campaign:
         result.merge_run_stats(stats)
         return index
 
-    def fresh(self, digest: Optional[int]) -> bool:
+    def fresh(self, digest: int) -> bool:
         """Flip dedup: whether a child with this flip digest is new.
 
-        A repeat counts as a pruned query.  Worker tries are
-        per-process, so this global check catches a flip query another
-        worker already expanded, and the journal's persisted set
-        suppresses children a pre-crash run already queued.
+        The one flip dedup of both drivers.  A child repeats another's
+        flip query only when a run diverged from the path its model
+        predicted; the query was solved and attributed in that run, and
+        dropping the child counts as a pruned query.  The check is
+        global, so it catches a query another pool worker already
+        expanded, and the journal's persisted set suppresses children a
+        pre-crash run already queued.
         """
-        if digest is None:
-            return True
         if digest in self.seen:
             self.result.pruned_queries += 1
             return False
@@ -660,21 +658,24 @@ class _Campaign:
 class Worker:
     """One process's run step: execute or resume an item and expand it.
 
-    Owns the frontier, the solver's fault hooks, the explored-prefix
-    trie, the memory governor (RSS is per-process, so every process
-    walks its own degradation ladder), the ``evict=``/``memhog=``
-    faults keyed by the run ordinal under ``scope`` (``"serial"`` in
-    process, the incarnation uid in a pool), the covered branch set that
-    scores coverage novelty, and hot-PC promotion for the superblock
-    layer.  :meth:`explore` is the in-process loop; a pool worker drives
-    :meth:`run` from :func:`repro.core.parallel._worker_main`.
+    Owns the frontier, the solver's fault hooks, the memory governor
+    (RSS is per-process, so every process walks its own degradation
+    ladder), the ``evict=``/``memhog=`` faults keyed by the run ordinal
+    under ``scope`` (``"serial"`` in process, the incarnation uid in a
+    pool), the covered branch set that scores coverage novelty, and
+    hot-PC promotion for the superblock layer.  :meth:`explore` is the
+    in-process loop; a pool worker drives :meth:`run` from
+    :func:`repro.core.parallel._worker_main`.  Every child :meth:`run`
+    returns carries its flip-query digest; dropping repeats is the
+    campaign's job (:meth:`_Campaign.fresh`), not the worker's.
 
     It also keeps the snapshot pool's holds
     (:class:`repro.core.snapshots.SnapshotPool`): :meth:`run` gives back
     the hold of the item it runs, makes each child hold the snapshot it
     names and then gives back the run's own capture holds, so the pool
     keeps only snapshots that pending items name.  An item that will not
-    run here gives its hold back through :meth:`release`.
+    run here gives its hold back through :meth:`release`, and so does
+    every item still queued when :meth:`explore` stops early.
     """
 
     def __init__(
@@ -685,7 +686,6 @@ class Worker:
         scope,
         frontier: Optional[Frontier] = None,
         covered=(),
-        digests: bool = True,
     ):
         self.executor = executor
         self.solver = solver
@@ -695,15 +695,12 @@ class Worker:
         if frontier is None:
             frontier = Frontier(config.strategy, config.seed)
         self.frontier = frontier
-        self.trie = ExploredPrefixTrie() if config.dedup_flips else None
         self.snapshots = config.snapshots
         #: The executor's snapshot pool, whose holds this worker keeps.
         self.pool = (
             getattr(executor, "snapshot_pool", None) if config.snapshots else None
         )
         self.certify = config.certify
-        #: Whether children carry restart-stable flip-query digests.
-        self.digests = digests
         self.covered = set(covered)
         # The governor's bottom rung flips ``capture_state`` off, and
         # every run re-reads it, so degradation takes effect at once.
@@ -733,20 +730,28 @@ class Worker:
         return self.frontier.peak
 
     def explore(self, campaign: _Campaign) -> None:
-        """The in-process loop: run items until the frontier is empty."""
+        """The in-process loop: run items until the frontier is empty.
+
+        Items a cut leaves queued give back their snapshot holds but stay
+        in the frontier, so the campaign still saves and drains them.
+        """
         frontier, result = self.frontier, campaign.result
-        while frontier and result.num_paths < campaign.config.max_paths:
-            campaign.check_deadline()
-            item = frontier.pop()
-            path, children, stats = self.run(item)
-            index = campaign.record(path, stats, item.parent, item.bound)
-            for child in children:
-                if campaign.fresh(child.digest):
-                    child.parent = index
-                    frontier.push(child)
-                else:
-                    self.release(child)
-            campaign.after_run(self)
+        try:
+            while frontier and result.num_paths < campaign.config.max_paths:
+                campaign.check_deadline()
+                item = frontier.pop()
+                path, children, stats = self.run(item)
+                index = campaign.record(path, stats, item.parent, item.bound)
+                for child in children:
+                    if campaign.fresh(child.digest):
+                        child.parent = index
+                        frontier.push(child)
+                    else:
+                        self.release(child)
+                campaign.after_run(self)
+        finally:
+            for item in frontier.items():
+                self.release(item)
 
     def pending(self) -> list:
         return self.frontier.items()
@@ -816,8 +821,6 @@ class Worker:
             self.solver,
             executor.input_variables(),
             stats,
-            self.trie,
-            compute_digests=self.digests,
             snapshots=run.snapshots if self.snapshots else None,
         )
         novelty = len(stats.covered_pcs - self.covered)
@@ -842,7 +845,7 @@ class Worker:
             run.assignment,
             run.stdout,
             run.final_pc,
-            query_digest(run.trace.conditions()) if self.certify else None,
+            run.trace.digest(len(run.trace)) if self.certify else None,
             run.resumed_instret,
         )
         return path, children, stats

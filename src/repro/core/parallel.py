@@ -5,12 +5,12 @@ independent given their input assignments, so exploration parallelizes
 apart from the frontier.  This module splits the frontier over a pool of
 forked workers (see :func:`_worker_main`).  Each worker owns a
 :class:`~repro.core.scheduler.Frontier` with the campaign's strategy and
-seed, plus its own solver and explored-prefix trie: it pops its next
-item itself, runs and expands it, pushes the children, and sends its
-finished runs home in *batches* without waiting for an answer.  Non-DFS
-strategies thus order each worker's own frontier, and coverage novelty
-is scored against the worker's own covered set; path sets do not depend
-on the order, but ``--max-paths`` truncation and coverage order do.
+seed, plus its own solver: it pops its next item itself, runs and
+expands it, pushes the children, and sends its finished runs home in
+*batches* without waiting for an answer.  Non-DFS strategies thus order
+each worker's own frontier, and coverage novelty is scored against the
+worker's own covered set; path sets do not depend on the order, but
+``--max-paths`` truncation and coverage order do.
 
 **Batches.**  A worker keeps the replies of its finished runs and sends
 them as one message: before it runs an item the broker has not been
@@ -31,11 +31,12 @@ one stolen from the seat with the most mirrored items — the item that
 seat's strategy would run last (:meth:`Frontier.steal`: under DFS the
 oldest, and so the largest subtree).  When no seat has an item to
 spare, it asks the busy seats to send the children they hold back.
-Flip dedup stays global: the broker checks every child's
-restart-stable flip digest when the reply arrives and sends a *drop*
-for a duplicate; if the worker already ran it, that run's reply and
-children are discarded.  Only a run that diverged from the path its
-model predicted can re-derive another run's flip query.
+Flip dedup is the campaign's, as in an in-process run: the broker
+checks every child's restart-stable flip digest when the reply arrives
+and sends a *drop* for a duplicate; if the worker already ran it, that
+run's reply and children are discarded.  Only a run that diverged from
+the path its model predicted can re-derive another run's flip query,
+and the worker solves that query before the broker sees the repeat.
 
 **Supervision.**  A worker that dies (OOM kill, segfault, injected
 fault) does not abort the campaign.  The parent processes every reply
@@ -142,7 +143,7 @@ def _worker_main(broker, worker_uid, control, reply_conn, running):
 
     ``broker`` is the fork-inherited :class:`Broker`; its executor and
     config build this process's :class:`~repro.core.explorer.Worker`
-    (frontier, solver, trie, governor, hot PCs), the same run step an
+    (frontier, solver, governor, hot PCs), the same run step an
     in-process exploration uses.  Between runs the loop drains the
     ``control`` pipe without blocking, through one ``select.poll``
     object made at start (it blocks only with an empty frontier):

@@ -32,7 +32,7 @@ from typing import Optional
 
 from ..smt import terms as T
 from ..smt.solver import Result, Solver
-from .state import ExploredPrefixTrie, InputAssignment
+from .state import InputAssignment
 from .strategy import Strategy, make_strategy
 
 __all__ = [
@@ -55,8 +55,8 @@ class WorkItem:
     flipped again.  ``novelty`` scores how much new branch coverage the
     *parent* run contributed; the coverage-guided strategy prioritizes
     on it and the others ignore it.  ``digest`` identifies the flip
-    query that produced this item (see :func:`query_digest`); the
-    campaign uses it to deduplicate children across workers and restarts.
+    query that produced this item (see :func:`query_digest`; ``None``
+    for the root); the campaign drops a child whose digest it has seen.
     """
 
     assignment: InputAssignment
@@ -154,7 +154,8 @@ class RunStats:
     answered without a solve, and towards ``fast_path_answers`` when
     the solver decided it with neither (e.g. only constant conjuncts).
     ``sat_solves`` additionally counts the raw CDCL invocations those
-    solved queries needed.
+    solved queries needed.  A child the campaign then drops as a repeat
+    (``pruned_queries``) keeps its query's count here.
     """
 
     sat_checks: int = 0
@@ -162,7 +163,6 @@ class RunStats:
     cache_hits: int = 0
     fast_path_answers: int = 0
     sat_solves: int = 0
-    pruned_queries: int = 0
     #: Flip queries the solver gave up on (work budget exhausted; see
     #: ``SolverConfig.conflict_budget``).  The branch is *not*
     #: flipped, so every path missing from a budgeted run is accounted
@@ -175,19 +175,6 @@ class RunStats:
     #: the superblock layer; see repro.spec.superblock).
     pc_hits: dict = field(default_factory=dict)
 
-    def merge(self, other: "RunStats") -> None:
-        self.sat_checks += other.sat_checks
-        self.unsat_checks += other.unsat_checks
-        self.cache_hits += other.cache_hits
-        self.fast_path_answers += other.fast_path_answers
-        self.sat_solves += other.sat_solves
-        self.pruned_queries += other.pruned_queries
-        self.unknown_queries += other.unknown_queries
-        self.solver_time += other.solver_time
-        self.covered_pcs |= other.covered_pcs
-        for pc, count in other.pc_hits.items():
-            self.pc_hits[pc] = self.pc_hits.get(pc, 0) + count
-
 
 def expand_run(
     run,
@@ -195,8 +182,6 @@ def expand_run(
     solver: Solver,
     variables,
     stats: RunStats,
-    trie: Optional[ExploredPrefixTrie] = None,
-    compute_digests: bool = False,
     snapshots: Optional[dict] = None,
 ) -> list[WorkItem]:
     """Generate flipped-branch children of a completed run.
@@ -204,22 +189,20 @@ def expand_run(
     Children are returned shallow-to-deep, so a LIFO frontier (DFS)
     explores the deepest unexplored branch first — the classic
     depth-first concolic schedule.  ``bound`` prevents re-flipping
-    decisions an ancestor already enumerated; the optional ``trie``
-    additionally skips flip queries some *other* path already issued
-    (which happens when a run diverges from its predicted path).
+    decisions an ancestor already enumerated.
 
     ``stats`` receives exact accounting: every answered query counts as
-    sat/unsat only when the CDCL core actually ran — cache hits,
-    fast-path answers and trie prunes are tracked separately — and
-    ``solver_time`` covers model extraction, not just the
-    satisfiability check.
+    sat/unsat only when the CDCL core actually ran — cache hits and
+    fast-path answers are tracked separately — and ``solver_time``
+    covers model extraction, not just the satisfiability check.
 
-    With ``compute_digests`` each child carries the structural digest
-    of the query that produced it, so a parent process coordinating
-    several workers (whose tries are per-process) can drop children of
-    flip queries another worker already expanded.  The digests are
-    folded along the run: each child extends its prefix's digest by
-    its negation, instead of refolding the whole prefix.
+    Each child carries the restart-stable digest of the query that
+    produced it: one :func:`extend_query_digest` step from its prefix's
+    digest, which the trace records carry
+    (:meth:`repro.core.state.PathTrace.digest`).  The campaign drops a
+    child whose digest it has seen (a run that diverged from its
+    predicted path re-derived another run's query), on a worker pool
+    and across a journal restart alike.
 
     ``snapshots`` (record index -> pool handle, from
     ``RunResult.snapshots``) attaches to each child the snapshot its
@@ -227,66 +210,49 @@ def expand_run(
     child's run there instead of re-executing the shared prefix.
     """
     children: list[WorkItem] = []
-    records = run.trace.records
-    conditions = run.trace.conditions()
+    trace = run.trace
+    conditions = trace.conditions()
     cache = getattr(solver, "cache", None)
-    node = trie.root() if trie is not None else None
     pc_hits = stats.pc_hits
-    # query_digest(conditions[:index]) while compute_digests holds.
-    prefix_digest = query_digest(())
-    for index, record in enumerate(records):
-        if record.flippable:
-            stats.covered_pcs.add(record.pc)
-            pc_hits[record.pc] = pc_hits.get(record.pc, 0) + 1
-        if index >= bound and record.flippable:
-            negated = record.negated()
-            if trie is not None and not trie.try_mark(node, negated):
-                stats.pruned_queries += 1
+    for index, record in enumerate(trace.records):
+        if not record.flippable:
+            continue
+        stats.covered_pcs.add(record.pc)
+        pc_hits[record.pc] = pc_hits.get(record.pc, 0) + 1
+        if index < bound:
+            continue
+        negated = record.negated()
+        hits_before = cache.hits if cache is not None else 0
+        solves_before = solver.num_solves
+        check_start = time.perf_counter()
+        verdict = solver.check(conditions[:index] + [negated])
+        if verdict is Result.SAT:
+            model = solver.model()
+            children.append(
+                WorkItem(
+                    run.assignment.derive(model, variables),
+                    index + 1,
+                    digest=extend_query_digest(trace.digest(index), negated),
+                    snapshot=snapshots.get(index) if snapshots is not None else None,
+                )
+            )
+        stats.solver_time += time.perf_counter() - check_start
+        delta_solves = solver.num_solves - solves_before
+        if verdict is Result.UNKNOWN:
+            # Budget exhausted: the branch is not flipped and the
+            # query is attributed here, never to sat/unsat counts.
+            stats.unknown_queries += 1
+            stats.sat_solves += delta_solves
+        elif delta_solves:
+            stats.sat_solves += delta_solves
+            if verdict is Result.SAT:
+                stats.sat_checks += 1
             else:
-                query = conditions[:index] + [negated]
-                hits_before = cache.hits if cache is not None else 0
-                solves_before = solver.num_solves
-                check_start = time.perf_counter()
-                verdict = solver.check(query)
-                if verdict is Result.SAT:
-                    model = solver.model()
-                    children.append(
-                        WorkItem(
-                            run.assignment.derive(model, variables),
-                            index + 1,
-                            digest=(
-                                extend_query_digest(prefix_digest, negated)
-                                if compute_digests
-                                else None
-                            ),
-                            snapshot=(
-                                snapshots.get(index)
-                                if snapshots is not None
-                                else None
-                            ),
-                        )
-                    )
-                stats.solver_time += time.perf_counter() - check_start
-                delta_solves = solver.num_solves - solves_before
-                if verdict is Result.UNKNOWN:
-                    # Budget exhausted: the branch is not flipped and the
-                    # query is attributed here, never to sat/unsat counts.
-                    stats.unknown_queries += 1
-                    stats.sat_solves += delta_solves
-                elif delta_solves:
-                    stats.sat_solves += delta_solves
-                    if verdict is Result.SAT:
-                        stats.sat_checks += 1
-                    else:
-                        stats.unsat_checks += 1
-                elif cache is not None and cache.hits > hits_before:
-                    stats.cache_hits += 1
-                else:
-                    stats.fast_path_answers += 1
-        if trie is not None:
-            node = trie.step(node, record.condition)
-        if compute_digests:
-            prefix_digest = extend_query_digest(prefix_digest, record.condition)
+                stats.unsat_checks += 1
+        elif cache is not None and cache.hits > hits_before:
+            stats.cache_hits += 1
+        else:
+            stats.fast_path_answers += 1
     return children
 
 

@@ -8,22 +8,23 @@ The state kept by one concolic run consists of
 * the **path trace**: the sequence of symbolic branch decisions
   (flippable) and concretization assumptions (not flippable) collected
   during execution — the raw material of the offline executor's
-  branch-flipping queries.
+  branch-flipping queries.  Each record carries the query digest of the
+  trace up to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..smt import terms as T
+from ..smt.digest import extend_query_digest, query_digest
 
 __all__ = [
     "BranchRecord",
     "PathTrace",
     "SymbolicInput",
     "InputAssignment",
-    "ExploredPrefixTrie",
 ]
 
 
@@ -35,34 +36,53 @@ class BranchRecord:
     evaluated to False the negated condition is stored, so the path
     condition is always the conjunction of ``condition`` fields.
     ``flippable`` distinguishes real branch decisions from
-    concretization assumptions pinned by the memory model.
+    concretization assumptions pinned by the memory model.  ``digest``
+    is the :func:`~repro.smt.digest.query_digest` of the conditions up
+    to and including this one; :class:`PathTrace` computes it when it
+    creates the record.
     """
 
     condition: T.Term
     pc: int
     taken: bool
-    flippable: bool = True
+    flippable: bool
+    digest: int
 
     def negated(self) -> T.Term:
         return T.bnot(self.condition)
 
 
+#: ``query_digest`` of the empty condition list.
+_EMPTY_DIGEST = query_digest(())
+
+
 class PathTrace:
-    """Ordered collection of branch records for one execution."""
+    """Ordered collection of branch records for one execution.
+
+    A snapshot resume copies the records of its prefix whole, digests
+    included, so a resumed run digests only the records it executes.
+    """
 
     def __init__(self) -> None:
         self.records: list[BranchRecord] = []
 
+    def _append(self, condition: T.Term, pc: int, taken: bool, flippable: bool):
+        digest = extend_query_digest(self.digest(len(self.records)), condition)
+        self.records.append(BranchRecord(condition, pc, taken, flippable, digest))
+
     def add_branch(self, condition: T.Term, pc: int, taken: bool) -> None:
         """Record a symbolic branch outcome (condition-as-taken form)."""
-        as_taken = condition if taken else T.bnot(condition)
-        self.records.append(BranchRecord(as_taken, pc, taken, flippable=True))
+        self._append(condition if taken else T.bnot(condition), pc, taken, True)
 
     def add_assumption(self, condition: T.Term, pc: int) -> None:
         """Record a non-flippable constraint (e.g. address pinning)."""
         if condition.is_const and condition.payload:
             return  # trivially true assumptions carry no information
-        self.records.append(BranchRecord(condition, pc, True, flippable=False))
+        self._append(condition, pc, True, False)
+
+    def digest(self, index: int) -> int:
+        """``query_digest`` of the conditions of records [0, index)."""
+        return self.records[index - 1].digest if index else _EMPTY_DIGEST
 
     def conditions(self) -> list[T.Term]:
         return [record.condition for record in self.records]
@@ -82,73 +102,6 @@ class PathTrace:
         return tuple(
             (record.pc, record.taken) for record in self.records if record.flippable
         )
-
-
-class _TrieNode:
-    __slots__ = ("children", "attempted")
-
-    def __init__(self) -> None:
-        self.children: dict[T.Term, _TrieNode] = {}
-        self.attempted = False
-
-
-class ExploredPrefixTrie:
-    """Prefix-sharing set of already-issued branch-flip queries.
-
-    Each query the explorer poses is a path-condition prefix plus one
-    negated branch condition.  Keys are the sequences of (interned)
-    condition terms, so the trie shares storage between the heavily
-    overlapping prefixes of sibling paths.  Marking a flip that was
-    already attempted returns False, letting the exploration driver skip
-    the solver query *and* the duplicate frontier entry it would create
-    — the situation arises when concolic runs diverge from their
-    predicted path and re-execute an already-enumerated prefix.
-    """
-
-    def __init__(self) -> None:
-        self._root = _TrieNode()
-        self._flips = 0
-
-    def __len__(self) -> int:
-        """Number of distinct flip queries marked so far."""
-        return self._flips
-
-    def root(self) -> _TrieNode:
-        return self._root
-
-    def step(self, node: _TrieNode, condition: T.Term) -> _TrieNode:
-        """Advance one condition deeper, creating the child on demand."""
-        child = node.children.get(condition)
-        if child is None:
-            child = _TrieNode()
-            node.children[condition] = child
-        return child
-
-    def try_mark(self, node: _TrieNode, negated: T.Term) -> bool:
-        """Mark the flip ``negated`` under ``node``; False if seen before."""
-        child = self.step(node, negated)
-        if child.attempted:
-            return False
-        child.attempted = True
-        self._flips += 1
-        return True
-
-    def insert(self, conditions: list[T.Term]) -> bool:
-        """Mark a full query (prefix + negated flip); False if present."""
-        if not conditions:
-            return False
-        node = self._root
-        for condition in conditions[:-1]:
-            node = self.step(node, condition)
-        return self.try_mark(node, conditions[-1])
-
-    def contains(self, conditions: list[T.Term]) -> bool:
-        node = self._root
-        for condition in conditions:
-            node = node.children.get(condition)
-            if node is None:
-                return False
-        return node.attempted
 
 
 @dataclass

@@ -14,6 +14,7 @@ from repro.core import (
     SymDomain,
 )
 from repro.smt import terms as T
+from repro.smt.digest import query_digest
 from repro.spec import rv32im
 
 
@@ -117,6 +118,19 @@ class TestPathTrace:
         trace.add_branch(T.bool_var("a"), 0x10, True)
         trace.add_assumption(T.bool_var("p"), 0x14)
         assert trace.signature() == ((0x10, True),)
+
+    def test_record_digests_are_prefix_query_digests(self):
+        x = T.bv_var("x", 8)
+        trace = PathTrace()
+        trace.add_branch(T.ult(x, T.bv(5, 8)), 0x10, False)
+        trace.add_assumption(T.eq(x, T.bv(9, 8)), 0x14)
+        trace.add_assumption(T.true(), 0x18)  # dropped, folds nothing
+        trace.add_branch(T.bool_var("a"), 0x1C, True)
+        trace.add_assumption(T.bool_var("p"), 0x20)
+        assert len(trace) == 4
+        conditions = trace.conditions()
+        for index in range(len(trace) + 1):
+            assert trace.digest(index) == query_digest(conditions[:index])
 
 
 class TestExplorationCounts:

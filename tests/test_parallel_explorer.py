@@ -10,7 +10,6 @@ bubble-sort's 120 links at ``jobs=2``), and so does completion order.
 """
 
 import multiprocessing
-import tempfile
 import threading
 import time
 
@@ -294,29 +293,24 @@ done:
 
 @needs_fork
 class TestFlipDedup:
-    """Worker tries are per-process, so only the broker's digest check
-    can stop two workers from issuing the same flip query."""
+    """Flip dedup is the campaign's digest check in both drivers: a
+    repeated flip query is solved where it arises and its child is
+    dropped, so serial and pooled runs attribute the same queries."""
 
     @pytest.mark.parametrize(
         "engine", ["binsym", "binsec", "angr", "angr-buggy", "symex-vp"]
     )
     def test_fig6_trees_never_repeat_a_flip_query(self, engine):
         """A cross-worker duplicate needs two runs of the exploration
-        tree that issue the same flip query.  Serial exploration without
-        the prefix trie issues every run's queries, and the checkpoint's
-        digest set counts each repeat as pruned.  None occurs, so no
-        pool schedule can record a path twice on these workloads: a run
-        re-derives another run's query only by diverging from the path
-        its model predicted (the next test)."""
+        tree that issue the same flip query.  Serial exploration solves
+        every run's queries, and flip dedup counts each repeat as
+        pruned.  None occurs, so no pool schedule can record a path
+        twice on these workloads: a run re-derives another run's query
+        only by diverging from the path its model predicted (the next
+        test)."""
         for name, spec in WORKLOADS.items():
             image = spec.image(spec.fig6_scale)
-            with tempfile.TemporaryDirectory() as tmp:
-                result = Explorer(
-                    make_engine(engine, rv32im(), image),
-                    dedup_flips=False,
-                    checkpoint_dir=tmp,
-                    checkpoint_interval=10**9,
-                ).explore()
+            result = Explorer(make_engine(engine, rv32im(), image)).explore()
             assert result.num_paths > 0, name
             assert result.pruned_queries == 0, (engine, name)
 
@@ -326,7 +320,9 @@ class TestFlipDedup:
         query.  The y >= 5 paths are slow, so the root's worker is still
         running them when the idle seat steals the x-flip child: the
         duplicate query is solved on the thief, and the broker must drop
-        its child before a y >= 5 path is recorded a second time."""
+        its child before a y >= 5 path is recorded a second time.  A
+        serial run solves the duplicate too and drops its child the
+        same way, so both attribute the same queries."""
         x = T.bv_var("in_00030000", 8)
         y = T.bv_var("in_00030001", 8)
         isa = rv32im()
@@ -357,7 +353,7 @@ class TestFlipDedup:
         assert serial.num_paths == pooled.num_paths == 4
         assert pooled.path_set() == serial.path_set()
         assert serial.pruned_queries == pooled.pruned_queries == 1
-        assert attributed(pooled) == attributed(serial) + 1
+        assert attributed(pooled) == attributed(serial)
 
 
 class TestFallbacks:
@@ -823,13 +819,14 @@ class TestQueryDigest:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("program", ["bubble-sort", "pinned-lookup"])
-    def test_child_digests_are_their_query_digests(
-        self, program, jobs, monkeypatch, tmp_path
-    ):
-        """``expand_run`` folds the flip digests along the run; each
-        child's digest must still equal ``query_digest`` of the query
-        that produced it, serial with a journal and pooled.  The pinned
-        lookup puts a non-flippable record into every prefix."""
+    def test_child_digests_are_their_query_digests(self, program, jobs, monkeypatch):
+        """Each trace record carries its prefix's digest, and each child
+        extends it by its negation; every ``trace.digest(i)`` and every
+        child's digest must still equal ``query_digest`` of the same
+        conditions, serial and pooled, on runs resumed from a snapshot
+        (whose records were copied, not folded) as on runs from the
+        entry.  The pinned lookup puts a non-flippable record into every
+        prefix."""
         import multiprocessing as mp
 
         from repro.core import explorer as explorer_module
@@ -840,6 +837,10 @@ class TestQueryDigest:
         def checking_expand_run(run, bound, *args, **kwargs):
             children = expand_run(run, bound, *args, **kwargs)
             conditions = run.trace.conditions()
+            for index in range(len(conditions) + 1):
+                expected = query_digest(conditions[:index])
+                if run.trace.digest(index) != expected:
+                    raise AssertionError((index, run.trace.digest(index), expected))
             for child in children:
                 index = child.bound - 1
                 negated = run.trace.records[index].negated()
@@ -857,12 +858,10 @@ class TestQueryDigest:
             spec = WORKLOADS[program]
             image = spec.image(spec.fig6_scale)
             paths = spec.expected_paths(spec.fig6_scale)
-        journal = str(tmp_path) if jobs == 1 else None
-        result = Explorer(
-            BinSymExecutor(rv32im(), image), jobs=jobs, checkpoint_dir=journal
-        ).explore()
+        result = Explorer(BinSymExecutor(rv32im(), image), jobs=jobs).explore()
         # A mismatch in a pool worker is a worker death and, repeated,
         # an abandoned item.
         assert (result.worker_deaths, result.incomplete_paths) == (0, 0)
         assert result.num_paths == paths
+        assert result.resumed_runs > 0
         assert checked.value == paths - 1

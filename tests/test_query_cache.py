@@ -1,10 +1,12 @@
-"""Tests for the cross-path query cache and the explored-prefix trie.
+"""Tests for the cross-path query cache.
 
 Covers :class:`CachingSolver` answers against a plain :class:`Solver`,
 the cache's exact / UNSAT-subsumption tiers and their bookkeeping, and
 the end-to-end property that caching never changes what exploration
-discovers and attributes every flip query exactly once, serial and on
-a worker pool.
+discovers and attributes every flip query exactly once, where it was
+answered, serial and on a worker pool.  Dropping the child of a
+repeated flip query is the campaign's flip dedup, tested with the pool
+(``TestFlipDedup`` in ``test_parallel_explorer.py``).
 """
 
 import multiprocessing
@@ -12,7 +14,7 @@ import multiprocessing
 import pytest
 
 from repro.asm import assemble
-from repro.core import BinSymExecutor, Explorer, ExploredPrefixTrie
+from repro.core import BinSymExecutor, Explorer
 from repro.eval.engines import make_engine
 from repro.eval.workloads import WORKLOADS
 from repro.smt import terms as T
@@ -195,36 +197,6 @@ class TestCachingSolverCorrectness:
         assert keys[2] in cache._results
 
 
-class TestExploredPrefixTrie:
-    def test_insert_once(self):
-        trie = ExploredPrefixTrie()
-        x = bvv("x")
-        query = [T.ult(x, T.bv(4, 8)), T.eq(x, T.bv(1, 8))]
-        assert trie.insert(query) is True
-        assert trie.insert(query) is False
-        assert len(trie) == 1
-        assert trie.contains(query)
-
-    def test_shared_prefix_distinct_flips(self):
-        trie = ExploredPrefixTrie()
-        x = bvv("x")
-        prefix = [T.ult(x, T.bv(4, 8))]
-        assert trie.insert(prefix + [T.eq(x, T.bv(1, 8))])
-        assert trie.insert(prefix + [T.eq(x, T.bv(2, 8))])
-        assert len(trie) == 2
-        assert not trie.contains(prefix)  # prefix alone was never a query
-
-    def test_incremental_walk_matches_insert(self):
-        trie = ExploredPrefixTrie()
-        x = bvv("x")
-        a, b, flip = T.ult(x, T.bv(4, 8)), T.ugt(x, T.bv(1, 8)), T.eq(x, T.bv(2, 8))
-        node = trie.root()
-        node = trie.step(node, a)
-        node = trie.step(node, b)
-        assert trie.try_mark(node, flip) is True
-        assert trie.insert([a, b, flip]) is False
-
-
 SOURCE = """\
 _start:
     li a0, 0x20000
@@ -275,15 +247,6 @@ class TestCachedExploration:
         assert identities(second) == identities(first)
         assert second.cache_hits > 0
         assert second.num_queries < first.num_queries
-
-    def test_trie_prunes_nothing_on_clean_runs(self):
-        # Without divergence every flip query is unique, so the trie
-        # must be invisible: identical results with and without it.
-        with_trie = self.explore(dedup_flips=True)
-        without = self.explore(dedup_flips=False)
-        assert with_trie.path_set() == without.path_set()
-        assert with_trie.num_queries == without.num_queries
-        assert with_trie.pruned_queries == 0
 
     def test_bubble_sort_path_set_invariant(self):
         image = WORKLOADS["bubble-sort"].image(3)

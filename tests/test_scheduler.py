@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.scheduler import (
     Frontier,
-    RunStats,
     WorkItem,
     deserialize_assignment,
     serialize_assignment,
@@ -120,20 +119,6 @@ class TestStrategyDeterminism:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             make_strategy("astar")
-
-
-class TestRunStats:
-    def test_merge_accumulates(self):
-        a = RunStats(sat_checks=2, unsat_checks=1, cache_hits=3,
-                     pruned_queries=1, solver_time=0.5, covered_pcs={4, 8})
-        b = RunStats(sat_checks=1, unsat_checks=4, cache_hits=0,
-                     pruned_queries=2, solver_time=0.25, covered_pcs={8, 12})
-        a.merge(b)
-        assert (a.sat_checks, a.unsat_checks) == (3, 5)
-        assert a.cache_hits == 3
-        assert a.pruned_queries == 3
-        assert a.solver_time == pytest.approx(0.75)
-        assert a.covered_pcs == {4, 8, 12}
 
 
 class TestAssignmentSerialization:

@@ -17,7 +17,7 @@ import pytest
 from repro.arch.memory import ByteMemory, ShadowMemory
 from repro.arch.regfile import RegisterFile
 from repro.asm import assemble
-from repro.core import BinSymExecutor, Explorer, InputAssignment
+from repro.core import BinSymExecutor, Explorer, FaultPlan, InputAssignment
 from repro.core.scheduler import WorkItem
 from repro.core.snapshots import SnapshotPool, StateSnapshot
 from repro.core import scheduler
@@ -469,6 +469,23 @@ class TestSnapshotLifetime:
         assert stats["snap_pool_entries"] == 0
         assert stats["snap_pool_bytes"] == 0
         assert stats["snap_pool_evictions"] == 0
+
+    @pytest.mark.parametrize(
+        "cut",
+        [{"max_paths": 10}, {"faults": FaultPlan(interrupt_after=10)}],
+        ids=["max_paths=10", "stop=10"],
+    )
+    def test_a_cut_exploration_leaves_the_pool_empty(self, cut):
+        """Items a cut leaves queued give back their snapshot holds but
+        stay pending: the result keeps the cut's paths and flags."""
+        engine = BinSymExecutor(rv32im(), WORKLOADS["bubble-sort"].image(5))
+        result = Explorer(engine, **cut).explore()
+        assert result.num_paths == 10
+        assert result.truncated
+        assert result.interrupted == ("faults" in cut)
+        assert len(engine.snapshot_pool) == 0
+        assert result.snapshot_stats["snap_pool_entries"] == 0
+        assert result.snapshot_stats["snap_pool_bytes"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -188,8 +188,10 @@ def check_invariant(workload: str, clean, faulted, label: str) -> list[str]:
 
 
 def total_attribution(result) -> int:
-    """Every flip query lands in exactly one bucket; the total is a
-    structural invariant of the exploration, not of the cache's luck."""
+    """Every flip query lands in exactly one bucket, where it was
+    answered; a repeat whose child flip dedup dropped also counts as
+    pruned.  The total is a structural invariant of the exploration,
+    not of the cache's luck."""
     return (
         result.num_queries
         + result.cache_hits
