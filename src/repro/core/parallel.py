@@ -446,20 +446,6 @@ class _WorkerSlot:
         return delivered
 
 
-def _item_of(entry) -> WorkItem:
-    """A mirror entry as a :class:`WorkItem` (to requeue or checkpoint)."""
-    assignment, bound, digest, snapshot, novelty, failures, parent = entry
-    return WorkItem(
-        deserialize_assignment(assignment),
-        bound,
-        novelty=novelty,
-        digest=digest,
-        snapshot=snapshot,
-        failures=failures,
-        parent=parent,
-    )
-
-
 class Broker:
     """The pool's parent: hands work to forked workers and supervises them.
 
@@ -485,15 +471,32 @@ class Broker:
         #: predecessor's final totals.
         self.worker_stats: dict = {}
         self.peak = 0
+        #: ``(name, width) -> variable`` for every input variable seen, so
+        #: rebuilding each recorded path's or mirrored item's assignment
+        #: does not re-intern its variables (see deserialize_assignment).
+        self.variables: dict = {}
         self._next_uid = self.config.jobs - 1
         self._next_task = 0  # broker-assigned task ids count down from -1
+
+    def _item_of(self, entry) -> WorkItem:
+        """A mirror entry as a :class:`WorkItem` (to requeue or checkpoint)."""
+        assignment, bound, digest, snapshot, novelty, failures, parent = entry
+        return WorkItem(
+            deserialize_assignment(assignment, self.variables),
+            bound,
+            novelty=novelty,
+            digest=digest,
+            snapshot=snapshot,
+            failures=failures,
+            parent=parent,
+        )
 
     def pending(self):
         """Every unfinished item: global frontier plus all mirrors."""
         yield from self.frontier.items()
         for slot in self.slots:
             for entry in slot.mirror.values():
-                yield _item_of(entry)
+                yield self._item_of(entry)
 
     def counters(self) -> list:
         return list(self.worker_stats.values())
@@ -595,7 +598,7 @@ class Broker:
         slot.control.close()
         running = slot.running[0]
         for item_id, entry in slot.mirror.items():
-            item = _item_of(entry)
+            item = self._item_of(entry)
             if item_id == running:
                 result.worker_deaths += 1
                 item.failures += 1
@@ -709,7 +712,9 @@ class Broker:
                 slot.post(("drop", [child[0] for child in children]))
             return False
         index = campaign.record(
-            path[:4] + (deserialize_assignment(path[4]),) + path[5:],
+            path[:4]
+            + (deserialize_assignment(path[4], self.variables),)
+            + path[5:],
             stats,
             parent=entry[6],
             bound=entry[1],
@@ -745,7 +750,7 @@ class Broker:
                         slot.steals -= 1
                         entry = slot.mirror.pop(message[1], None)
                         if entry is not None:
-                            frontier.push(_item_of(entry))
+                            frontier.push(self._item_of(entry))
                         continue
                     if not self._absorb(slot, message, campaign):
                         continue

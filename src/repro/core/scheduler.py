@@ -264,10 +264,22 @@ def serialize_assignment(assignment: InputAssignment) -> tuple:
     )
 
 
-def deserialize_assignment(payload) -> InputAssignment:
-    """Rebuild an assignment, re-interning its variables in this process."""
+def deserialize_assignment(
+    payload, variables: Optional[dict] = None
+) -> InputAssignment:
+    """Rebuild an assignment, re-interning its variables in this process.
+
+    ``variables`` memoizes ``(name, width) -> variable`` across calls: a
+    caller that rebuilds many assignments over the same inputs (the pool
+    broker) passes one dict it owns, so each variable is built once.
+    """
+    if variables is None:
+        variables = {}
     values = {}
     for name, width, value in payload:
-        variable = T.bv_var(name, width) if width else T.bool_var(name)
+        variable = variables.get((name, width))
+        if variable is None:
+            variable = T.bv_var(name, width) if width else T.bool_var(name)
+            variables[name, width] = variable
         values[variable] = value
     return InputAssignment(values)

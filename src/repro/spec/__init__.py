@@ -21,7 +21,7 @@ changing the DSL the semantics are written in.
 from . import expr, fields, primitives
 from .decoder import DecodedInstruction, Decoder, IllegalInstruction
 from .dsl import Handler, execute_semantics
-from .staged import CompiledPlan, Plan, bind_plan, compile_expr, record_plan
+from .staged import CompiledPlan, Plan, bind_plan, record_plan
 from .isa import ISA, Extension, rv32i, rv32im, rv32im_zbb, rv32im_zimadd
 from .opcodes import (
     RV32I_ENCODINGS,
@@ -43,7 +43,6 @@ __all__ = [
     "Plan",
     "CompiledPlan",
     "record_plan",
-    "compile_expr",
     "bind_plan",
     "ISA",
     "Extension",

@@ -69,7 +69,7 @@ class ISA:
         return self._semantics[mnemonic.lower()]
 
     # ------------------------------------------------------------------
-    # Staged execution (PR 3): per-word plans and domain-bound executors
+    # Staged execution: per-word plans and domain-bound emitted functions
     # ------------------------------------------------------------------
 
     #: Upper bound on cached plans / compiled plans per ISA.  Distinct
@@ -101,17 +101,19 @@ class ISA:
         ``domain_key`` must uniquely identify the *behaviour* of
         ``domain`` (e.g. ``("sym", force_terms)``): compiled plans are
         shared across interpreter instances whose domains are
-        behaviourally identical.  Returns ``None`` for unstageable
-        words.
+        behaviourally identical.  The emitted code's filename names the
+        key and the word.  Returns ``None`` for unstageable words.
         """
-        from .staged import bind_plan
+        from .staged import bind_plan, domain_label
 
         key = (domain_key, word)
         cache = self._compiled_cache
         if key in cache:
             return cache[key]
         plan = self.plan_for(word, mnemonic)
-        compiled = None if plan is None else bind_plan(plan, domain)
+        compiled = None if plan is None else bind_plan(
+            plan, domain, f"<plan {domain_label(domain_key)} word={word:#010x}>"
+        )
         if len(cache) >= self.STAGED_CACHE_CAPACITY:
             del cache[next(iter(cache))]
         cache[key] = compiled

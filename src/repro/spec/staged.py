@@ -28,19 +28,20 @@ Three cooperating pieces:
     interpreters keep driving the generator.  Plans are shared
     process-wide and survive ``fork`` into exploration workers.
 
-``compile_expr``
-    Compiles a specification ``Expr`` DAG into a flat closure over a
-    :class:`~repro.spec.expr.Domain` — no recursion, no isinstance
-    dispatch at evaluation time.  Closures are composed once at compile
-    time and cached per shared sub-DAG (the plan retains its interned
-    expression nodes, so the ``id``-keyed memo is stable).  Domains may
-    expose ``specialize_binop``/``specialize_cmpop``/``specialize_unop``
-    hooks returning pre-dispatched operator closures; absent those the
-    compiler falls back to the generic protocol methods.
+:class:`Emitter`
+    Writes a plan as Python source: one straight-line function whose
+    slots are locals and whose spec ``Expr`` DAGs are nested calls of
+    operator functions resolved at emit time — no recursion, no
+    isinstance dispatch and no closure per node at evaluation time.
+    Domains may expose ``specialize_binop``/``specialize_cmpop``/
+    ``specialize_unop`` hooks returning pre-dispatched operator
+    functions; absent those the emitter falls back to the generic
+    protocol methods.  The superblock engine
+    (:mod:`repro.spec.superblock`) emits whole traces the same way.
 
 ``bind_plan``
     Specializes a plan for one evaluation domain, producing a
-    :class:`CompiledPlan` whose steps are closures invoking the
+    :class:`CompiledPlan` whose emitted function invokes the
     :class:`PlanHost` callbacks an interpreter provides (register file,
     memory, pc, environment calls).  One compiled plan serves every
     interpreter instance sharing that domain configuration — the
@@ -99,7 +100,6 @@ __all__ = [
     "PlanHost",
     "StagedStepper",
     "record_plan",
-    "compile_expr",
     "bind_plan",
 ]
 
@@ -422,15 +422,14 @@ class Plan:
     """A recorded straight-line primitive sequence for one word.
 
     ``steps`` is a tuple of tagged tuples (see :class:`_PlanRecorder`);
-    expressions inside the steps reference :class:`SlotRef` leaves
-    resolved from a per-execution environment of ``n_slots`` entries.
+    expressions inside the steps reference :class:`SlotRef` leaves, the
+    values numbered reads produced earlier in the same execution.
     """
 
-    __slots__ = ("steps", "n_slots")
+    __slots__ = ("steps",)
 
-    def __init__(self, steps: tuple, n_slots: int):
+    def __init__(self, steps: tuple):
         self.steps = steps
-        self.n_slots = n_slots
 
 
 class _Unstageable(Exception):
@@ -585,11 +584,13 @@ def record_plan(semantics_fn: Callable, word: int) -> Optional[Plan]:
     except _Unstageable:
         generator.close()
         return None
-    return Plan(tuple(recorder.steps), recorder.n_slots)
+    return Plan(tuple(recorder.steps))
+
+
 
 
 # ---------------------------------------------------------------------------
-# Expression compilation
+# Code emission: plans (and superblocks) as Python source
 # ---------------------------------------------------------------------------
 
 
@@ -617,71 +618,154 @@ def _unop_fn(domain, op: str, width: int) -> Callable:
     return lambda arg: generic(op, arg, width)
 
 
-def compile_expr(expr: Expr, domain, memo: Optional[dict] = None) -> Callable:
-    """Compile an ``Expr`` DAG into a closure ``env -> value``.
+class Emitter:
+    """Writes one Python function over one evaluation domain.
 
-    ``env`` is the plan's slot environment (a list).  The closure tree
-    is composed once; evaluation performs no type dispatch and no
-    attribute traversal of the expression nodes.  ``memo`` shares
-    compiled closures across references to the same (interned) sub-DAG.
+    The function takes the :class:`PlanHost` as ``host`` and keeps
+    slot values in locals ``s0``, ``s1``, ...  Everything else the code
+    needs — folded constants, operator functions, the domain's bound
+    methods, leaf values — enters through the function's namespace
+    under a name picked here (``add32``, ``ext``, ``c3`` ...), so the
+    source holds only those names, locals and int literals.
+    Expressions are written as nested calls: a shared sub-DAG is
+    evaluated once per reference and ``Ite`` arms eagerly, in the order
+    :func:`~repro.spec.expr.eval_expr` uses.  :func:`bind_plan` emits
+    one plan; the superblock engine emits a whole trace into one
+    function, with its guards between the plans.
     """
-    if memo is None:
-        memo = {}
-    cached = memo.get(id(expr))
-    if cached is not None:
-        return cached
-    kind = type(expr)
-    if kind is SlotRef:
-        slot = expr.slot
-        fn = lambda env: env[slot]  # noqa: E731
-    elif kind is Imm:
-        if getattr(domain, "supports_const_folding", True):
-            # Domains are stateless: constants fold at compile time.
-            const = domain.const(expr.value, expr.width)
-            fn = lambda env: const  # noqa: E731
-        else:
-            # A domain whose constants carry interned SMT terms must not
-            # fold: cached plans would pin terms across reset_interner().
-            const_fn = domain.const
+
+    __slots__ = ("domain", "fold", "lines", "namespace", "_names")
+
+    def __init__(self, domain):
+        self.domain = domain
+        # A domain whose constants carry interned SMT terms must not
+        # fold: cached code would pin terms across reset_interner().
+        self.fold = getattr(domain, "supports_const_folding", True)
+        self.lines: list = []
+        self.namespace: dict = {}
+        self._names: dict = {}
+
+    def line(self, indent: int, text: str) -> None:
+        self.lines.append("    " * indent + text)
+
+    def _bind(self, key, name: str, make: Callable[[], Any]) -> str:
+        """The namespace name of ``make()``, built once per ``key``.
+
+        Names are the spec's fixed operator names plus a width, a few
+        fixed words, or numbered (``c``/``v`` plus the namespace size),
+        so they are unique and never meet a local's name.
+        """
+        bound = self._names.get(key)
+        if bound is None:
+            bound = self._names[key] = name
+            self.namespace[name] = make()
+        return bound
+
+    def expr(self, expr: Expr) -> str:
+        """Source of one evaluation of ``expr``."""
+        domain = self.domain
+        kind = type(expr)
+        if kind is SlotRef:
+            return f"s{expr.slot:d}"
+        if kind is Imm:
             value, width = expr.value, expr.width
-            fn = lambda env: const_fn(value, width)  # noqa: E731
-    elif kind is Val:
-        from_leaf = domain.from_leaf
-        value, width = expr.value, expr.width
-        fn = lambda env: from_leaf(value, width)  # noqa: E731
-    elif kind is BinOp:
-        lhs = compile_expr(expr.lhs, domain, memo)
-        rhs = compile_expr(expr.rhs, domain, memo)
-        if expr.op in COMPARISON_OPS:
-            op_fn = _cmpop_fn(domain, expr.op, expr.lhs.width)
-        else:
-            op_fn = _binop_fn(domain, expr.op, expr.width)
-        fn = lambda env: op_fn(lhs(env), rhs(env))  # noqa: E731
-    elif kind is UnOp:
-        arg = compile_expr(expr.arg, domain, memo)
-        op_fn = _unop_fn(domain, expr.op, expr.width)
-        fn = lambda env: op_fn(arg(env))  # noqa: E731
-    elif kind is Ext:
-        arg = compile_expr(expr.arg, domain, memo)
-        ext = domain.ext
-        ext_kind, amount, from_width = expr.kind, expr.amount, expr.arg.width
-        fn = lambda env: ext(ext_kind, arg(env), amount, from_width)  # noqa: E731
-    elif kind is Extract:
-        arg = compile_expr(expr.arg, domain, memo)
-        extract = domain.extract
-        high, low = expr.high, expr.low
-        fn = lambda env: extract(arg(env), high, low)  # noqa: E731
-    elif kind is Ite:
-        cond = compile_expr(expr.cond, domain, memo)
-        then_fn = compile_expr(expr.then_expr, domain, memo)
-        else_fn = compile_expr(expr.else_expr, domain, memo)
-        ite = domain.ite
-        width = expr.width
-        fn = lambda env: ite(cond(env), then_fn(env), else_fn(env), width)  # noqa: E731
-    else:
+            if not self.fold:
+                const = self._bind("const", "const", lambda: domain.const)
+                return f"{const}({value:d}, {width:d})"
+            folded = domain.const(value, width)
+            if type(folded) is int:
+                return f"{folded:d}"
+            return self._bind(
+                ("imm", value, width), f"c{len(self.namespace)}", lambda: folded
+            )
+        if kind is Val:
+            leaf = self._bind(
+                ("val", id(expr)), f"v{len(self.namespace)}", lambda: expr.value
+            )
+            from_leaf = self._bind("from_leaf", "from_leaf", lambda: domain.from_leaf)
+            return f"{from_leaf}({leaf}, {expr.width:d})"
+        if kind is BinOp:
+            lhs, rhs = self.expr(expr.lhs), self.expr(expr.rhs)
+            op = expr.op
+            if op in COMPARISON_OPS:
+                width = expr.lhs.width
+                make = lambda: _cmpop_fn(domain, op, width)  # noqa: E731
+                fn = self._bind(("cmpop", op, width), f"{op}{width}", make)
+            else:
+                width = expr.width
+                make = lambda: _binop_fn(domain, op, width)  # noqa: E731
+                fn = self._bind(("binop", op, width), f"{op}{width}", make)
+            return f"{fn}({lhs}, {rhs})"
+        if kind is UnOp:
+            arg = self.expr(expr.arg)
+            op, width = expr.op, expr.width
+            make = lambda: _unop_fn(domain, op, width)  # noqa: E731
+            fn = self._bind(("unop", op, width), f"{op}{width}", make)
+            return f"{fn}({arg})"
+        if kind is Ext:
+            arg = self.expr(expr.arg)
+            ext = self._bind("ext", "ext", lambda: domain.ext)
+            ext_kind = self._bind(("ext", expr.kind), expr.kind, lambda: expr.kind)
+            return f"{ext}({ext_kind}, {arg}, {expr.amount:d}, {expr.arg.width:d})"
+        if kind is Extract:
+            arg = self.expr(expr.arg)
+            extract = self._bind("extract", "extract", lambda: domain.extract)
+            return f"{extract}({arg}, {expr.high:d}, {expr.low:d})"
+        if kind is Ite:
+            cond = self.expr(expr.cond)
+            then_value = self.expr(expr.then_expr)
+            else_value = self.expr(expr.else_expr)
+            ite = self._bind("ite", "ite", lambda: domain.ite)
+            return f"{ite}({cond}, {then_value}, {else_value}, {expr.width:d})"
         raise TypeError(f"not a compilable specification expression: {expr!r}")
-    memo[id(expr)] = fn
-    return fn
+
+    def steps(self, steps: tuple, indent: int) -> None:
+        """Write a plan's steps, each as the host callback it replays."""
+        if not steps:
+            self.line(indent, "pass")
+        for step in steps:
+            tag = step[0]
+            if tag == "reg":
+                self.line(indent, f"s{step[1]:d} = host.plan_reg({step[2]:d})")
+            elif tag == "pc":
+                self.line(indent, f"s{step[1]:d} = host.plan_pc()")
+            elif tag == "load":
+                address = self.expr(step[3])
+                self.line(
+                    indent, f"s{step[1]:d} = host.plan_load({step[2]:d}, {address})"
+                )
+            elif tag == "wreg":
+                value = self.expr(step[2])
+                self.line(indent, f"host.plan_write_reg({step[1]:d}, {value})")
+            elif tag == "wpc":
+                self.line(indent, f"host.plan_write_pc({self.expr(step[1])})")
+            elif tag == "store":
+                address, value = self.expr(step[2]), self.expr(step[3])
+                self.line(
+                    indent, f"host.plan_store({step[1]:d}, {address}, {value})"
+                )
+            elif tag == "cond":
+                self.line(indent, f"if host.plan_branch({self.expr(step[1])}):")
+                self.steps(step[2], indent + 1)
+                if step[3]:
+                    self.line(indent, "else:")
+                    self.steps(step[3], indent + 1)
+            elif tag in ("ecall", "ebreak", "fence"):
+                self.line(indent, f"host.plan_{tag}()")
+            else:  # pragma: no cover - recorder and emitter move in lockstep
+                raise ValueError(f"unknown plan step {step!r}")
+
+    def function(self, name: str, filename: str) -> tuple[Callable, str]:
+        """Compile the lines as ``def name(host)``; returns it and its source.
+
+        ``filename`` names the code object, so a traceback through the
+        function says which plan or block it is; the line numbers index
+        the returned source.
+        """
+        source = "\n".join([f"def {name}(host):", *self.lines]) + "\n"
+        namespace = self.namespace
+        exec(compile(source, filename, "exec"), namespace)
+        return namespace.pop(name), source
 
 
 # ---------------------------------------------------------------------------
@@ -690,127 +774,26 @@ def compile_expr(expr: Expr, domain, memo: Optional[dict] = None) -> Callable:
 
 
 class CompiledPlan:
-    """A plan specialized for one domain; replayed against a host."""
+    """A plan specialized for one domain: one emitted function.
 
-    __slots__ = ("ops", "n_slots")
+    ``run(host)`` replays the plan against a :class:`PlanHost`;
+    ``source`` is the function's text.
+    """
 
-    def __init__(self, ops: tuple, n_slots: int):
-        self.ops = ops
-        self.n_slots = n_slots
+    __slots__ = ("run", "source")
 
-    def run(self, host: PlanHost) -> None:
-        env = [None] * self.n_slots
-        for op in self.ops:
-            op(host, env)
-
-
-def _bind_reg(slot: int, index: int) -> Callable:
-    def run(host, env):
-        env[slot] = host.plan_reg(index)
-
-    return run
+    def __init__(self, run: Callable, source: str):
+        self.run = run
+        self.source = source
 
 
-def _bind_pc(slot: int) -> Callable:
-    def run(host, env):
-        env[slot] = host.plan_pc()
-
-    return run
-
-
-def _bind_load(slot: int, width: int, addr_fn: Callable) -> Callable:
-    def run(host, env):
-        env[slot] = host.plan_load(width, addr_fn(env))
-
-    return run
+def bind_plan(plan: Plan, domain, filename: str = "<plan>") -> CompiledPlan:
+    """Emit a recorded plan as one Python function over ``domain``."""
+    emitter = Emitter(domain)
+    emitter.steps(plan.steps, 1)
+    return CompiledPlan(*emitter.function("plan", filename))
 
 
-def _bind_wreg(index: int, value_fn: Callable) -> Callable:
-    def run(host, env):
-        host.plan_write_reg(index, value_fn(env))
-
-    return run
-
-
-def _bind_wpc(value_fn: Callable) -> Callable:
-    def run(host, env):
-        host.plan_write_pc(value_fn(env))
-
-    return run
-
-
-def _bind_store(width: int, addr_fn: Callable, value_fn: Callable) -> Callable:
-    def run(host, env):
-        host.plan_store(width, addr_fn(env), value_fn(env))
-
-    return run
-
-
-def _bind_cond(cond_fn: Callable, then_ops: tuple, else_ops: tuple) -> Callable:
-    def run(host, env):
-        if host.plan_branch(cond_fn(env)):
-            for op in then_ops:
-                op(host, env)
-        else:
-            for op in else_ops:
-                op(host, env)
-
-    return run
-
-
-def _run_ecall(host, env):
-    host.plan_ecall()
-
-
-def _run_ebreak(host, env):
-    host.plan_ebreak()
-
-
-def _run_fence(host, env):
-    host.plan_fence()
-
-
-def _bind_steps(steps: tuple, domain, memo: dict) -> tuple:
-    ops: list = []
-    for step in steps:
-        tag = step[0]
-        if tag == "reg":
-            ops.append(_bind_reg(step[1], step[2]))
-        elif tag == "pc":
-            ops.append(_bind_pc(step[1]))
-        elif tag == "load":
-            ops.append(_bind_load(step[1], step[2], compile_expr(step[3], domain, memo)))
-        elif tag == "wreg":
-            ops.append(_bind_wreg(step[1], compile_expr(step[2], domain, memo)))
-        elif tag == "wpc":
-            ops.append(_bind_wpc(compile_expr(step[1], domain, memo)))
-        elif tag == "store":
-            ops.append(
-                _bind_store(
-                    step[1],
-                    compile_expr(step[2], domain, memo),
-                    compile_expr(step[3], domain, memo),
-                )
-            )
-        elif tag == "cond":
-            ops.append(
-                _bind_cond(
-                    compile_expr(step[1], domain, memo),
-                    _bind_steps(step[2], domain, memo),
-                    _bind_steps(step[3], domain, memo),
-                )
-            )
-        elif tag == "ecall":
-            ops.append(_run_ecall)
-        elif tag == "ebreak":
-            ops.append(_run_ebreak)
-        elif tag == "fence":
-            ops.append(_run_fence)
-        else:  # pragma: no cover - recorder and binder move in lockstep
-            raise ValueError(f"unknown plan step {step!r}")
-    return tuple(ops)
-
-
-def bind_plan(plan: Plan, domain) -> CompiledPlan:
-    """Compile a recorded plan's expressions for one domain."""
-    return CompiledPlan(_bind_steps(plan.steps, domain, {}), plan.n_slots)
+def domain_label(domain_key: tuple) -> str:
+    """A domain key as text for emitted code's filenames (``sym-False``)."""
+    return "-".join(str(part) for part in domain_key)

@@ -1,12 +1,13 @@
 """Superblock trace compilation on top of the staged plan cache.
 
-PR 3's staging layer removed the semantics-interpretation cost per
+The staging layer removed the semantics-interpretation cost per
 instruction; what remains is the per-instruction *dispatch* — fetch,
 word memo probe, ``CompiledPlan.run`` call, PC bookkeeping — paid once
 per retired instruction.  This module removes most of that the way
 dynamic binary translators do (QEMU's translation blocks, SymQEMU): hot
 straight-line guest sequences are stitched into a single *superblock*
-executor that replays the concatenated compiled plans back to back.
+function, emitted as Python source, that runs the plans back to back
+with the dispatch bookkeeping written inline between them.
 
 The stitching rules keep the concolic semantics bit-exact:
 
@@ -19,10 +20,10 @@ The stitching rules keep the concolic semantics bit-exact:
   also ``div``'s zero/overflow checks) may be stitched *through* along
   a predicted direction, superblock-style: the block syncs ``hart.pc``,
   ``hart.instret`` and the default ``_next_pc`` to exactly the
-  per-instruction state before running the instruction's compiled plan
-  — so flippable-branch records and PR 5's snapshot capture points
-  (both issued by the plan's own ``cond`` op) observe bit-identical
-  machine state — then compares the resulting ``_next_pc`` against the
+  per-instruction state before running the instruction's plan — so
+  flippable-branch records and snapshot capture points (both issued by
+  the plan's own ``plan_branch`` call) observe bit-identical machine
+  state — then compares the resulting ``_next_pc`` against the
   predicted successor and *side-exits* (sets the true PC and returns to
   the dispatch loop) on mismatch.  Prediction follows the classic
   trace-JIT rule: backward targets (loop back-edges) are predicted
@@ -56,6 +57,7 @@ from typing import Optional
 
 from .decoder import IllegalInstruction
 from .expr import BinOp, Expr, Imm, SlotRef
+from .staged import Emitter, domain_label
 
 __all__ = [
     "Superblock",
@@ -149,44 +151,12 @@ def _has_store(steps: tuple) -> bool:
     return False
 
 
-def _pc_setter(pc: int):
-    """A fused op that pins ``hart.pc`` before a PC-observing plan.
-
-    Only instructions whose plan reads the architectural PC (an
-    ``auipc``/``jal`` PC slot, or a load/store whose concretization pin
-    must record its site) get one; pure ALU plans execute without any
-    per-instruction PC bookkeeping.
-    """
-
-    def op(host, env):
-        host.hart.pc = pc
-
-    return op
-
-
 class Superblock:
-    """A stitched trace with side exits, compiled for one domain.
+    """A stitched trace with side exits, emitted for one domain.
 
-    ``segments`` is a tuple of ``(pre_ops, pre_count, cond_pc,
-    next_default, cond_ops, expected)`` six-tuples.  ``pre_ops`` is the
-    *fused* op tuple of ``pre_count`` straight-line instructions —
-    every :class:`CompiledPlan`'s ops concatenated back to back, with a
-    :func:`_pc_setter` spliced in front of each plan that observes the
-    architectural PC.  A segment with ``cond_pc >= 0`` then runs one
-    conditional instruction under exact per-instruction state
-    (``hart.pc = cond_pc``, ``hart.instret`` synced, ``_next_pc =
-    next_default``) and side-exits unless the instruction's successor
-    equals ``expected`` (the predicted direction).  ``cond_pc == -2``
-    marks an epoch-check boundary after a store instruction: if the
-    memory's ``code_epoch`` moved since block entry, the store may have
-    overwritten words later segments were stitched from, and the block
-    side-exits to ``next_default`` (the following instruction) instead
-    — self-modifying code within a block stays exact.  ``cond_pc ==
-    -1`` is the final plain segment.  All plans share one slot
-    environment of ``n_slots`` entries (the per-plan maximum) — safe
-    because a plan always writes a slot before reading it, so
-    instructions cannot see each other's slot values.
-
+    ``execute(host)`` is one emitted Python function (see
+    :meth:`SuperblockEngine.acquire`); ``source`` is its text.  Its code
+    object's filename names the domain key, entry PC and length.
     ``words`` keeps the ``(pc, word)`` pairs the block was stitched
     from for revalidation, ``pages`` the code pages to watch for
     self-modifying writes, ``exit_pc`` the statically known successor
@@ -197,25 +167,24 @@ class Superblock:
     """
 
     __slots__ = (
-        "entry_pc", "segments", "n_slots", "words", "length", "exit_pc",
+        "entry_pc", "execute", "source", "words", "length", "exit_pc",
         "pages", "side_exits",
     )
 
     def __init__(
         self,
         entry_pc: int,
-        segments: tuple,
-        n_slots: int,
-        length: int,
+        execute,
+        source: str,
         words: tuple,
         exit_pc: int,
         side_exits: tuple,
     ):
         self.entry_pc = entry_pc
-        self.segments = segments
-        self.n_slots = n_slots
+        self.execute = execute
+        self.source = source
         self.words = words
-        self.length = length
+        self.length = len(words)
         self.exit_pc = exit_pc
         self.side_exits = side_exits
         pages = set()
@@ -223,44 +192,6 @@ class Superblock:
             pages.add(pc >> _PAGE_BITS)
             pages.add(((pc + 3) & _WORD) >> _PAGE_BITS)
         self.pages = frozenset(pages)
-
-    def execute(self, host) -> None:
-        """Replay the trace against ``host``, side-exiting on demand.
-
-        ``instret`` is batched between conds (nothing else can observe
-        it) and restored to the exact per-instruction value before each
-        cond runs, so branch records and snapshot captures — both
-        issued by the cond op itself — see bit-identical state.  On a
-        side exit the hart's PC/instret are already exact, and the
-        remaining segments are skipped.
-        """
-        env = [None] * self.n_slots
-        hart = host.hart
-        memory = host.memory
-        epoch = memory.code_epoch
-        for pre_ops, pre_count, cond_pc, next_default, cond_ops, expected \
-                in self.segments:
-            for op in pre_ops:
-                op(host, env)
-            hart.instret += pre_count
-            if cond_pc >= 0:
-                hart.pc = cond_pc
-                host._next_pc = next_default
-                for op in cond_ops:
-                    op(host, env)
-                hart.instret += 1
-                target = host._next_pc
-                if target != expected:
-                    hart.pc = target
-                    return
-            elif cond_pc == -2:
-                # Epoch-check boundary after a store instruction: if a
-                # watched code page changed, later segments may be
-                # stitched from overwritten words — exit exactly here.
-                if memory.code_epoch != epoch:
-                    hart.pc = next_default
-                    return
-        hart.pc = self.exit_pc
 
 
 class SuperblockEngine:
@@ -489,58 +420,89 @@ class SuperblockEngine:
             blocks[key] = block
             self._by_entry[(domain_key, entry_pc)] = block
             return block, False
-        isa = self.isa
-        segments: list = []
-        side_exits: list = []
-        pre_ops: list = []
-        pre_count = 0
-        n_slots = 1
-        for index, (pc, word) in enumerate(words):
-            decoded = isa.decoder.decode(word, pc)
-            compiled = isa.compiled_plan(word, decoded.name, domain, domain_key)
-            if compiled.n_slots > n_slots:
-                n_slots = compiled.n_slots
-            info = self._classify_word(word, pc)
-            next_pc = words[index + 1][0] if index + 1 < len(words) else exit_pc
-            if info[0] == "plain":
-                if info[3]:  # the plan observes the architectural PC
-                    pre_ops.append(_pc_setter(pc))
-                pre_ops.extend(compiled.ops)
-                pre_count += 1
-                if info[4]:  # store: epoch-check boundary (see _has_store)
-                    segments.append((
-                        tuple(pre_ops), pre_count, -2, next_pc, (), 0,
-                    ))
-                    pre_ops = []
-                    pre_count = 0
-            else:
-                predicted, exits = self._successors(info, pc)
-                side_exits.extend(exits)
-                segments.append((
-                    tuple(pre_ops),
-                    pre_count,
-                    pc,
-                    (pc + 4) & _WORD,
-                    compiled.ops,
-                    predicted,
-                ))
-                pre_ops = []
-                pre_count = 0
-                if info[4]:
-                    segments.append(((), 0, -2, predicted, (), 0))
-        if pre_count:
-            segments.append((tuple(pre_ops), pre_count, -1, 0, (), exit_pc))
-        block = Superblock(
-            entry_pc,
-            tuple(segments),
-            n_slots,
-            len(words),
-            words,
-            exit_pc,
-            tuple(side_exits),
-        )
+        block = self._emit(entry_pc, words, exit_pc, domain, domain_key)
         if len(blocks) >= BLOCK_CACHE_CAPACITY:
             del blocks[next(iter(blocks))]
         blocks[key] = block
         self._by_entry[(domain_key, entry_pc)] = block
         return block, True
+
+    def _emit(
+        self, entry_pc: int, words: tuple, exit_pc: int, domain, domain_key
+    ) -> Superblock:
+        """Write the trace ``words`` as one function over ``domain``.
+
+        Each plan's steps are written inline, with the dispatch
+        bookkeeping between them: ``hart.pc`` is set before each plan
+        that observes it; ``instret`` is batched and made exact before
+        each cond; before a cond, ``_next_pc`` gets its default and
+        after it, a successor other than the predicted one side-exits
+        with the hart's PC and instret exact.  After each store the
+        memory's ``code_epoch`` is compared with its value at block
+        entry: a store may have overwritten words later instructions
+        were stitched from, so the block exits to the next instruction
+        (the QEMU store-into-current-TB rule).  All plans share the slot
+        locals — safe because a plan always writes a slot before reading
+        it, so instructions cannot see each other's slot values.
+        """
+        isa = self.isa
+        emit = Emitter(domain)
+        line = emit.line
+        line(1, "hart = host.hart")
+        infos = [self._classify_word(word, pc) for pc, word in words]
+        if any(info[4] for info in infos):
+            line(1, "memory = host.memory")
+            line(1, "epoch = memory.code_epoch")
+        side_exits: list = []
+        pending = 0  # retired plain instructions not yet added to instret
+        for index, (pc, word) in enumerate(words):
+            info = infos[index]
+            plan = isa.plan_for(word, isa.decoder.decode(word, pc).name)
+            next_pc = words[index + 1][0] if index + 1 < len(words) else exit_pc
+            line(1, f"# pc {pc:#010x} word {word:#010x}")
+            if info[0] == "plain":
+                if info[3]:
+                    # The plan observes the architectural PC: a PC slot,
+                    # or a load/store whose concretization pin records
+                    # its site.  Pure ALU plans need no PC bookkeeping.
+                    line(1, f"hart.pc = {pc:#010x}")
+                emit.steps(plan.steps, 1)
+                pending += 1
+                if not info[4]:
+                    continue
+                exit_to = next_pc
+            else:
+                predicted, exits = self._successors(info, pc)
+                side_exits.extend(exits)
+                if pending:
+                    line(1, f"hart.instret += {pending:d}")
+                    pending = 0
+                line(1, f"hart.pc = {pc:#010x}")
+                line(1, f"host._next_pc = {(pc + 4) & _WORD:#010x}")
+                emit.steps(plan.steps, 1)
+                line(1, "hart.instret += 1")
+                line(1, "target = host._next_pc")
+                line(1, f"if target != {predicted:#010x}:")
+                line(2, "hart.pc = target")
+                line(2, "return")
+                if not info[4]:
+                    continue
+                exit_to = predicted
+            # A store: epoch-check boundary (see _has_store).
+            if pending:
+                line(1, f"hart.instret += {pending:d}")
+                pending = 0
+            line(1, "if memory.code_epoch != epoch:")
+            line(2, f"hart.pc = {exit_to:#010x}")
+            line(2, "return")
+        if pending:
+            line(1, f"hart.instret += {pending:d}")
+        line(1, f"hart.pc = {exit_pc:#010x}")
+        execute, source = emit.function(
+            "superblock",
+            f"<superblock {domain_label(domain_key)} "
+            f"entry={entry_pc:#010x} len={len(words)}>",
+        )
+        return Superblock(
+            entry_pc, execute, source, words, exit_pc, tuple(side_exits)
+        )

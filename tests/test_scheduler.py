@@ -141,3 +141,28 @@ class TestAssignmentSerialization:
 
     def test_empty_assignment(self):
         assert deserialize_assignment(serialize_assignment(InputAssignment())).values == {}
+
+    def test_variable_memo_builds_each_variable_once(self, monkeypatch):
+        x = T.bv_var("in_0", 8)
+        flag = T.bool_var("flag")
+        payloads = [
+            serialize_assignment(InputAssignment({x: value, flag: value & 1}))
+            for value in range(3)
+        ]
+        plain = [deserialize_assignment(payload).values for payload in payloads]
+        built = []
+        bv_var, bool_var = T.bv_var, T.bool_var
+        monkeypatch.setattr(
+            T, "bv_var", lambda *args: built.append(args) or bv_var(*args)
+        )
+        monkeypatch.setattr(
+            T, "bool_var", lambda *args: built.append(args) or bool_var(*args)
+        )
+        variables = {}
+        memoized = [
+            deserialize_assignment(payload, variables).values
+            for payload in payloads
+        ]
+        assert memoized == plain
+        assert sorted(built) == [("flag",), ("in_0", 8)]
+        assert set(variables.values()) == {x, flag}
