@@ -42,31 +42,36 @@ class RegisterFile(Generic[V]):
     ``zero_value`` supplies the representation of the constant 0 in the
     interpreter's value domain (e.g. ``0`` for the emulator, a concrete
     SymValue for BinSym).
+
+    ``values`` is the storage list itself, one object for the file's
+    lifetime: emitted plan code (:mod:`repro.spec.staged`) indexes it
+    directly.  ``values[0]`` always holds the zero value, and a writer
+    that bypasses :meth:`write` must skip index 0.
     """
 
-    __slots__ = ("_values", "_zero")
+    __slots__ = ("values", "_zero")
 
     def __init__(self, zero_value: V):
         self._zero = zero_value
-        self._values: list[V] = [zero_value] * 32
+        self.values: list[V] = [zero_value] * 32
 
     def read(self, index: int) -> V:
         if not 0 <= index < 32:
             raise IndexError(f"register index {index} out of range")
         if index == 0:
             return self._zero
-        return self._values[index]
+        return self.values[index]
 
     def write(self, index: int, value: V) -> None:
         if not 0 <= index < 32:
             raise IndexError(f"register index {index} out of range")
         if index == 0:
             return  # x0 writes are architectural no-ops
-        self._values[index] = value
+        self.values[index] = value
 
     def snapshot(self) -> list[V]:
         """A copy of the register contents (x0 included)."""
-        values = list(self._values)
+        values = list(self.values)
         values[0] = self._zero
         return values
 
@@ -78,14 +83,15 @@ class RegisterFile(Generic[V]):
         domain the interpreters instantiate this class at.
         """
         copy: RegisterFile[V] = RegisterFile(self._zero)
-        copy._values = list(self._values)
+        copy.values[:] = self.values
         return copy
 
-    def load_snapshot(self, values: list[V]) -> None:
+    def load_snapshot(self, values) -> None:
+        """Overwrite every register from a 32-entry sequence (x0 kept)."""
         if len(values) != 32:
             raise ValueError("snapshot must have 32 entries")
-        self._values = list(values)
-        self._values[0] = self._zero
+        self.values[:] = values
+        self.values[0] = self._zero
 
     def __iter__(self) -> Iterator[V]:
         return iter(self.snapshot())

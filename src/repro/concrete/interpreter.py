@@ -50,9 +50,16 @@ _WORD = 0xFFFFFFFF
 
 
 class IntDomain:
-    """Expression evaluation over plain Python integers."""
+    """Expression evaluation over plain Python integers.
 
-    _BINOPS = {
+    Emitted plan and block code writes each operator tree as one int
+    expression, calling :attr:`int_binops` for the operators it does
+    not write out (see :class:`repro.spec.staged.Emitter`).
+    """
+
+    inline = "int"
+
+    int_binops = {
         "add": bvops.bv_add,
         "sub": bvops.bv_sub,
         "mul": bvops.bv_mul,
@@ -88,7 +95,7 @@ class IntDomain:
         return value & ((1 << width) - 1)
 
     def binop(self, op: str, lhs: int, rhs: int, width: int) -> int:
-        return self._BINOPS[op](lhs, rhs, width)
+        return self.int_binops[op](lhs, rhs, width)
 
     def cmpop(self, op: str, lhs: int, rhs: int, width: int) -> int:
         return 1 if self._CMPOPS[op](lhs, rhs, width) else 0
@@ -110,24 +117,6 @@ class IntDomain:
 
     def ite(self, cond: int, then_value: int, else_value: int, width: int) -> int:
         return then_value if cond else else_value
-
-    # -- staged-compilation hooks (see repro.spec.staged) ----------------
-
-    def specialize_binop(self, op: str, width: int):
-        """Bind the bvops function directly: zero dispatch at replay."""
-        fn = self._BINOPS[op]
-        return lambda lhs, rhs: fn(lhs, rhs, width)
-
-    def specialize_cmpop(self, op: str, width: int):
-        fn = self._CMPOPS[op]
-        return lambda lhs, rhs: 1 if fn(lhs, rhs, width) else 0
-
-    def specialize_unop(self, op: str, width: int):
-        if op == "not":
-            return lambda arg: bvops.bv_not(arg, width)
-        if op == "neg":
-            return lambda arg: bvops.bv_neg(arg, width)
-        raise ValueError(f"unknown unary op {op}")
 
 
 class ConcreteInterpreter(StagedStepper):
@@ -218,9 +207,6 @@ class ConcreteInterpreter(StagedStepper):
 
     def plan_reg(self, index: int) -> int:
         return self.hart.regs.read(index)
-
-    def plan_pc(self) -> int:
-        return self.hart.pc
 
     def plan_load(self, width: int, address: int) -> int:
         return self.memory.read(address, width)

@@ -474,24 +474,26 @@ class _TreeReplay(_EntryReplay):
         def reads_changed(term) -> bool:
             return not changed.isdisjoint(term.free_vars())
 
+        # One memo for every term evaluated under env here.
+        memo: dict = {}
         # Check (1): the parent's prefix holds under the child's inputs.
         for record in copy.records:
             condition = record.condition
-            if reads_changed(condition) and not evaluate(condition, env):
+            if reads_changed(condition) and not evaluate(condition, env, memo):
                 return False
         regs = list(copy.regs)
         for index, value in enumerate(regs):
             term = value.term
             if index and term is not None and reads_changed(term):
-                regs[index] = SymValue(evaluate(term, env), value.width, term)
+                regs[index] = SymValue(evaluate(term, env, memo), value.width, term)
         memory = copy.memory.clone()
         for address, term in copy.shadow.items():
             if reads_changed(term):
-                memory.write_byte(address, evaluate(term, env))
+                memory.write_byte(address, evaluate(term, env, memo))
         stdout = bytearray(copy.stdout)
         for offset, term in copy.stdout_shadow:
             if reads_changed(term):
-                stdout[offset] = evaluate(term, env) & 0xFF
+                stdout[offset] = evaluate(term, env, memo) & 0xFF
         if not self._concrete_agrees(copy, env, regs, memory, stdout):
             return False
         shadow = ShadowMemory()

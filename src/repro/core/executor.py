@@ -251,19 +251,19 @@ class BinSymExecutor:
         are trimmed FIFO down to it; the superblock engine's step-info
         and block caches are trimmed to half their current population
         (their capacity caps are module constants, so the trim itself is
-        the pressure relief).
+        the pressure relief).  This executor's interpreter demotes its
+        resolutions to the trimmed blocks, so that nothing here keeps
+        them alive.
         """
-        isa = self.interpreter.isa
+        interp = self.interpreter
+        isa = interp.isa
         isa.STAGED_CACHE_CAPACITY = max(256, isa.STAGED_CACHE_CAPACITY // factor)
         for cache in (isa._plan_cache, isa._compiled_cache):
             while len(cache) > isa.STAGED_CACHE_CAPACITY:
                 del cache[next(iter(cache))]
         engine = isa._superblock_engine
         if engine is not None:
-            for cache in (engine._step_info, engine._blocks):
-                keep = len(cache) // factor
-                while len(cache) > keep:
-                    del cache[next(iter(cache))]
+            interp.sb_forget(engine.trim(factor))
 
     def purge_snapshots(self) -> None:
         """Drop every pooled snapshot (fault injection: eviction storm).

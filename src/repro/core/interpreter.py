@@ -304,13 +304,16 @@ class SymbolicInterpreter(StagedStepper):
         self.shadow = ShadowMemory.adopt(snapshot.shadow)
         hart: Hart[SymValue] = Hart(zero_value=SymValue(0, 32), pc=snapshot.pc)
         hart.instret = snapshot.instret
-        regs = hart.regs
         unchanged = changed.isdisjoint
-        for index, value in enumerate(snapshot.regs):
+        # One memo for every datum re-evaluated here: they share one env,
+        # and their terms share subterms (the bytes of one symbolic word).
+        memo: dict = {}
+        regs = list(snapshot.regs)
+        for index, value in enumerate(regs):
             term = value.term
             if index and term is not None and not unchanged(term.free_vars()):
-                value = SymValue(evaluate(term, env), value.width, term)
-            regs.write(index, value)
+                regs[index] = SymValue(evaluate(term, env, memo), value.width, term)
+        hart.regs.load_snapshot(regs)
         self.hart = hart
         self.trace = PathTrace()
         self.trace.records = list(snapshot.records)
@@ -318,11 +321,11 @@ class SymbolicInterpreter(StagedStepper):
         self.stdout = bytearray(snapshot.stdout)
         for offset, term in snapshot.stdout_shadow:
             if not unchanged(term.free_vars()):
-                self.stdout[offset] = evaluate(term, env) & 0xFF
+                self.stdout[offset] = evaluate(term, env, memo) & 0xFF
         memory = self.memory
         for address, term in snapshot.shadow.items():
             if not unchanged(term.free_vars()):
-                memory.write_byte(address, evaluate(term, env))
+                memory.write_byte(address, evaluate(term, env, memo))
         self.stdout_shadow = list(snapshot.stdout_shadow)
         self.captured = {}
         self._capture_instret = -1
@@ -359,8 +362,7 @@ class SymbolicInterpreter(StagedStepper):
         self.shadow = shadow
         hart: Hart[SymValue] = Hart(zero_value=SymValue(0, 32), pc=pc)
         hart.instret = instret
-        for index, value in enumerate(regs):
-            hart.regs.write(index, value)
+        hart.regs.load_snapshot(regs)
         self.hart = hart
         self.trace = PathTrace()
         self.trace.records = records

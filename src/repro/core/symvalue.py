@@ -6,7 +6,11 @@ data-depend on symbolic input additionally carry an SMT shadow term.
 Purely concrete values skip term construction entirely — the *concrete
 fast path* that keeps shadow expressions proportional to the symbolic
 dataflow instead of the full instruction stream (ablation:
-``benchmarks/bench_ablation_fastpath.py``).
+``benchmarks/bench_ablations.py::test_ablation_concrete_fastpath``).
+In staged execution the fast path lives in the emitted plan and block
+code: each operator tree is one integer expression behind a ``term is
+None`` test, and the operators below run only for values that carry a
+term (see :class:`repro.spec.staged.Emitter`).
 """
 
 from __future__ import annotations
@@ -150,11 +154,20 @@ class SymDomain:
     :meth:`repro.spec.isa.ISA.compiled_plan`).
     """
 
+    #: Inlined emitted code (:class:`repro.spec.staged.Emitter`): the
+    #: integer operators it calls, and the constructor of the one
+    #: term-free value it builds per operator tree.
+    int_binops = _INT_BINOPS
+    term_free = SymValue
+
     def __init__(self, force_terms: bool = False):
         self.force_terms = force_terms
         # Constants fold at plan-compile time only when they carry no
         # interned term (terms must not outlive reset_interner()).
         self.supports_const_folding = not force_terms
+        # A forcing domain builds every term, so its emitted code makes
+        # every operator a domain call.
+        self.inline = None if force_terms else "sym"
 
     # -- leaves ---------------------------------------------------------
 

@@ -12,7 +12,7 @@ the value of any term.  It is used to
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 from . import bvops
 from .terms import Term
@@ -60,14 +60,20 @@ def _lookup(assignment: Mapping, term: Term) -> int:
     return bvops.truncate(int(value), term.width)
 
 
-def evaluate(term: Term, assignment: Mapping[Union[Term, str], int]) -> int:
+def evaluate(
+    term: Term,
+    assignment: Mapping[Union[Term, str], int],
+    memo: Optional[dict] = None,
+) -> int:
     """Evaluate ``term`` under ``assignment``.
 
     The assignment maps variable terms *or* their string names to integer
     values.  Bitvector results are returned as unsigned ints; boolean
-    results as 0/1.
+    results as 0/1.  ``memo`` (node id -> value) may be shared by calls
+    under the same assignment while their terms stay alive, so a
+    subterm they share is evaluated once.
     """
-    cache: dict[int, int] = {}
+    cache: dict[int, int] = {} if memo is None else memo
     # Iterative post-order evaluation: terms can be deep (long add chains
     # from loop-carried symbolic state) and Python's recursion limit is a
     # real hazard there.

@@ -30,13 +30,17 @@ Three cooperating pieces:
 
 :class:`Emitter`
     Writes a plan as Python source: one straight-line function whose
-    slots are locals and whose spec ``Expr`` DAGs are nested calls of
-    operator functions resolved at emit time — no recursion, no
-    isinstance dispatch and no closure per node at evaluation time.
-    Domains may expose ``specialize_binop``/``specialize_cmpop``/
+    slots are locals — no recursion, no isinstance dispatch and no
+    closure per node at evaluation time.  For the integer domain and
+    the concolic domain each spec ``Expr`` DAG is one integer
+    expression, the concolic one behind a ``term is None`` test, and
+    register, PC and branch steps touch machine state directly; values
+    that carry a term, and every value of any other domain, go through
+    nested calls of operator functions resolved at emit time (domains
+    may expose ``specialize_binop``/``specialize_cmpop``/
     ``specialize_unop`` hooks returning pre-dispatched operator
     functions; absent those the emitter falls back to the generic
-    protocol methods.  The superblock engine
+    protocol methods).  The superblock engine
     (:mod:`repro.spec.superblock`) emits whole traces the same way.
 
 ``bind_plan``
@@ -55,6 +59,7 @@ here or anywhere else.
 
 from __future__ import annotations
 
+import re
 from typing import Any, Callable, Optional, Protocol
 
 from . import fields
@@ -119,6 +124,24 @@ class PlanHost(Protocol):
     compiled plan calls them in recorded order with already-evaluated
     domain values, so an interpreter implements each as a direct state
     access with no expression wrapping.
+
+    The emitted-code contract.  Code emitted for a domain without an
+    inlined form makes every step a callback.  Code emitted for
+    :class:`~repro.concrete.interpreter.IntDomain`, or for a concolic
+    domain without ``force_terms``, makes callbacks only for loads,
+    stores, ``ecall``/``ebreak``/``fence`` and for register writes, PC
+    writes and branch conditions whose value carries a term.  Register
+    reads and every other register write index ``hart.regs.values``
+    directly, PC reads and writes use ``hart.pc`` and ``_next_pc``, a
+    term-free branch decides without :meth:`plan_branch`, and the
+    concolic host's ``_effect_instret`` is stamped directly where a
+    later branch of the same plan can read it (see :class:`Emitter`).
+    So the host must keep its state in those attributes; that code
+    bypasses an override of ``plan_reg`` or ``plan_pc``, and one of
+    ``plan_write_reg``, ``plan_write_pc`` or ``plan_branch`` sees only
+    the values that carry a term.  Trace
+    records, capture points, terms and all machine state are those of
+    the all-callback form; the number and order of domain calls are not.
     """
 
     def plan_reg(self, index: int) -> Any: ...
@@ -265,6 +288,17 @@ class StagedStepper:
         self._sb_memory = memory
         self._sb_dirty = False
         self._sb_epoch = memory.code_epoch
+
+    def sb_forget(self, blocks) -> None:
+        """Demote this interpreter's resolutions to ``blocks`` to
+        pending (the blocks were dropped from the engine's cache)."""
+        sb_map = self._sb_map
+        if sb_map is None or not blocks:
+            return
+        dropped = set(blocks)
+        for pc, entry in sb_map.items():
+            if entry in dropped:
+                sb_map[pc] = _SB_PENDING
 
     def _sb_resolve(self, pc: int):
         """Resolve the map entry at ``pc`` to a validated block."""
@@ -618,6 +652,54 @@ def _unop_fn(domain, op: str, width: int) -> Callable:
     return lambda arg: generic(op, arg, width)
 
 
+#: Integer source of binary operators over unsigned operands ``a`` and
+#: ``b``, with result mask ``m`` and operand sign bit ``s``; each equals
+#: the :mod:`repro.smt.bvops` function of the same name.  A shift is
+#: written out only while its amount is known to be below the width
+#: (:func:`_below`); other operators call the domain's integer function.
+_INT_BINOPS = {
+    "add": "(({a} + {b}) & {m:#x})",
+    "sub": "(({a} - {b}) & {m:#x})",
+    "mul": "(({a} * {b}) & {m:#x})",
+    "and": "({a} & {b})",
+    "or": "({a} | {b})",
+    "xor": "({a} ^ {b})",
+}
+_INT_SHIFTS = {
+    "shl": "(({a} << {b}) & {m:#x})",
+    "lshr": "({a} >> {b})",
+    "ashr": "(((({a} ^ {s:#x}) - {s:#x}) >> {b}) & {m:#x})",
+}
+
+#: Comparisons as Python conditions.  Flipping the sign bit maps signed
+#: order onto unsigned order, so signed ones compare ``a ^ s``.
+_CONDITIONS = {
+    "eq": "{a} == {b}",
+    "ne": "{a} != {b}",
+    "ult": "{a} < {b}",
+    "ule": "{a} <= {b}",
+    "ugt": "{a} > {b}",
+    "uge": "{a} >= {b}",
+    "slt": "({a} ^ {s:#x}) < ({b} ^ {s:#x})",
+    "sle": "({a} ^ {s:#x}) <= ({b} ^ {s:#x})",
+    "sgt": "({a} ^ {s:#x}) > ({b} ^ {s:#x})",
+    "sge": "({a} ^ {s:#x}) >= ({b} ^ {s:#x})",
+}
+
+
+def _below(amount: Expr, width: int) -> bool:
+    """True when a shift amount is an immediate, or masked by one,
+    below ``width``."""
+    if type(amount) is Imm:
+        return amount.value & ((1 << amount.width) - 1) < width
+    if type(amount) is BinOp and amount.op == "and":
+        return any(
+            type(side) is Imm and side.value & ((1 << side.width) - 1) < width
+            for side in (amount.lhs, amount.rhs)
+        )
+    return False
+
+
 class Emitter:
     """Writes one Python function over one evaluation domain.
 
@@ -627,23 +709,61 @@ class Emitter:
     methods, leaf values — enters through the function's namespace
     under a name picked here (``add32``, ``ext``, ``c3`` ...), so the
     source holds only those names, locals and int literals.
-    Expressions are written as nested calls: a shared sub-DAG is
-    evaluated once per reference and ``Ite`` arms eagerly, in the order
-    :func:`~repro.spec.expr.eval_expr` uses.  :func:`bind_plan` emits
-    one plan; the superblock engine emits a whole trace into one
-    function, with its guards between the plans.
+    :func:`bind_plan` emits one plan; the superblock engine emits a
+    whole trace into one function, with its guards between the plans.
+
+    Domain calls.  Expressions are written as nested calls: a shared
+    sub-DAG is evaluated once per reference and ``Ite`` arms eagerly,
+    in the order :func:`~repro.spec.expr.eval_expr` uses.  Every plan
+    step is a :class:`PlanHost` callback.  A domain without an
+    ``inline`` attribute, or with ``inline = None`` (a
+    ``force_terms`` :class:`~repro.core.symvalue.SymDomain`), gets only
+    this form.
+
+    Inlined form.  A domain whose ``inline`` is ``"int"`` (values are
+    ints) or ``"sym"`` (values are concolic: a ``concrete`` int and a
+    ``term`` that is ``None`` when input-independent) also names its
+    integer operator functions (``int_binops``), and a ``"sym"`` domain
+    the constructor of a term-free value (``term_free``).  Each
+    operator tree is then one integer expression on the operands'
+    concrete values.  In the int domain that expression is the value.
+    In the sym domain it stands behind one ``sN.term is None`` test per
+    slot the tree reads, builds one value, and the domain calls above
+    stay the path of a value that carries a term.  Register reads and
+    term-free register writes index ``host.hart.regs.values`` (x0 reads
+    as the constant 0), term-free PC reads and writes use ``hart.pc``
+    and ``host._next_pc``, and a term-free branch condition is a plain
+    ``if``.  A sym-domain write made that way stamps
+    ``host._effect_instret`` where a later branch of the same plan can
+    read the stamp (the capture guard, see
+    :meth:`repro.core.interpreter.SymbolicInterpreter._note_flippable`).
+    Loads, stores, ``ecall``/``ebreak``/``fence`` and every value that
+    carries a term keep their callbacks.  Trace records, capture points,
+    terms and all machine state equal the callback form's; the number
+    and order of domain calls do not.
     """
 
-    __slots__ = ("domain", "fold", "lines", "namespace", "_names")
+    __slots__ = (
+        "domain", "fold", "inline", "lines", "namespace", "_names",
+        "_int_binops", "_slots", "_pc", "_jumps",
+    )
 
     def __init__(self, domain):
         self.domain = domain
         # A domain whose constants carry interned SMT terms must not
         # fold: cached code would pin terms across reset_interner().
         self.fold = getattr(domain, "supports_const_folding", True)
+        self.inline = getattr(domain, "inline", None)
+        self._int_binops = getattr(domain, "int_binops", None) or {}
         self.lines: list = []
         self.namespace: dict = {}
         self._names: dict = {}
+        #: Per plan, in the inlined form: slot -> ``"pc"`` for a PC read
+        #: (written as ``hart.pc`` where used), or the int a constant
+        #: slot holds (x0, or the PC inside a block).
+        self._slots: dict = {}
+        self._pc: Optional[int] = None
+        self._jumps = True
 
     def line(self, indent: int, text: str) -> None:
         self.lines.append("    " * indent + text)
@@ -661,23 +781,38 @@ class Emitter:
             self.namespace[name] = make()
         return bound
 
+    def _const(self, value: int, width: int) -> str:
+        """Source of the folded domain constant ``value``."""
+        folded = self.domain.const(value, width)
+        if type(folded) is int:
+            return f"{folded:d}"
+        return self._bind(
+            ("imm", value, width), f"c{len(self.namespace)}", lambda: folded
+        )
+
+    def _term_free(self) -> str:
+        domain = self.domain
+        return self._bind("term_free", "concrete", lambda: domain.term_free)
+
     def expr(self, expr: Expr) -> str:
-        """Source of one evaluation of ``expr``."""
+        """Source of one evaluation of ``expr`` through domain calls."""
         domain = self.domain
         kind = type(expr)
         if kind is SlotRef:
-            return f"s{expr.slot:d}"
+            held = self._slots.get(expr.slot)
+            if held is None:
+                return f"s{expr.slot:d}"
+            if held == "pc":
+                if self.inline == "int":
+                    return "hart.pc"
+                return f"{self._term_free()}(hart.pc, {expr.width:d})"
+            return self._const(held, expr.width)
         if kind is Imm:
             value, width = expr.value, expr.width
             if not self.fold:
                 const = self._bind("const", "const", lambda: domain.const)
                 return f"{const}({value:d}, {width:d})"
-            folded = domain.const(value, width)
-            if type(folded) is int:
-                return f"{folded:d}"
-            return self._bind(
-                ("imm", value, width), f"c{len(self.namespace)}", lambda: folded
-            )
+            return self._const(value, width)
         if kind is Val:
             leaf = self._bind(
                 ("val", id(expr)), f"v{len(self.namespace)}", lambda: expr.value
@@ -719,41 +854,274 @@ class Emitter:
             return f"{ite}({cond}, {then_value}, {else_value}, {expr.width:d})"
         raise TypeError(f"not a compilable specification expression: {expr!r}")
 
-    def steps(self, steps: tuple, indent: int) -> None:
-        """Write a plan's steps, each as the host callback it replays."""
-        if not steps:
+    # -- the inlined form ------------------------------------------------
+
+    def _reads(self, expr: Expr) -> Optional[list]:
+        """The slots ``expr`` reads, in order; ``None`` when it has no
+        integer expression (a ``Val`` leaf, an unknown operator)."""
+        kind = type(expr)
+        if kind is SlotRef:
+            return [expr.slot]
+        if kind is Imm:
+            return []
+        if kind is BinOp:
+            if expr.op not in _CONDITIONS and expr.op not in self._int_binops:
+                return None
+            children: tuple = (expr.lhs, expr.rhs)
+        elif kind is UnOp:
+            if expr.op not in ("not", "neg"):
+                return None
+            children = (expr.arg,)
+        elif kind is Ext:
+            if expr.kind not in ("zext", "sext"):
+                return None
+            children = (expr.arg,)
+        elif kind is Extract:
+            children = (expr.arg,)
+        elif kind is Ite:
+            children = (expr.cond, expr.then_expr, expr.else_expr)
+        else:
+            return None
+        reads: list = []
+        for child in children:
+            found = self._reads(child)
+            if found is None:
+                return None
+            reads.extend(found)
+        return reads
+
+    def _int(self, expr: Expr) -> str:
+        """Integer source of ``expr``'s (concrete) value."""
+        kind = type(expr)
+        if kind is SlotRef:
+            held = self._slots.get(expr.slot)
+            if held is None:
+                suffix = ".concrete" if self.inline == "sym" else ""
+                return f"s{expr.slot:d}{suffix}"
+            if held == "pc":
+                return "hart.pc"
+            return f"{held:d}"
+        width = expr.width
+        mask = (1 << width) - 1
+        if kind is Imm:
+            return f"{expr.value & mask:d}"
+        if kind is BinOp:
+            op = expr.op
+            if op in _CONDITIONS:
+                return f"(1 if {self._truth(expr)} else 0)"
+            a, b = self._int(expr.lhs), self._int(expr.rhs)
+            template = _INT_BINOPS.get(op)
+            if template is None and op in _INT_SHIFTS and _below(expr.rhs, width):
+                template = _INT_SHIFTS[op]
+            if template is not None:
+                return template.format(a=a, b=b, m=mask, s=1 << (width - 1))
+            int_fn = self._int_binops[op]
+            fn = self._bind(("int", op), f"int_{op}", lambda: int_fn)
+            return f"{fn}({a}, {b}, {width:d})"
+        if kind is UnOp:
+            a = self._int(expr.arg)
+            if expr.op == "not":
+                return f"({a} ^ {mask:#x})"
+            return f"(-{a} & {mask:#x})"
+        if kind is Ext:
+            a = self._int(expr.arg)
+            if expr.kind == "zext":
+                return a
+            sign = 1 << (expr.arg.width - 1)
+            return f"((({a} ^ {sign:#x}) - {sign:#x}) & {mask:#x})"
+        if kind is Extract:
+            a = self._int(expr.arg)
+            if expr.low:
+                return f"(({a} >> {expr.low:d}) & {mask:#x})"
+            return f"({a} & {mask:#x})"
+        then_value, else_value = self._int(expr.then_expr), self._int(expr.else_expr)
+        return f"({then_value} if {self._truth(expr.cond)} else {else_value})"
+
+    def _truth(self, expr: Expr) -> str:
+        """Source of ``expr`` as a Python condition."""
+        if type(expr) is BinOp and expr.op in _CONDITIONS:
+            return _CONDITIONS[expr.op].format(
+                a=self._int(expr.lhs),
+                b=self._int(expr.rhs),
+                s=1 << (expr.lhs.width - 1),
+            )
+        return self._int(expr)
+
+    def _split(self, expr: Expr, truth: bool = False) -> Optional[tuple]:
+        """``(guard, source, constant)`` of ``expr`` in the inlined form.
+
+        ``source`` is the integer (``truth``: condition) source of the
+        concrete value, valid where ``guard`` holds: ``""`` when it
+        always does, else a ``term is None`` test of each sym-domain
+        slot the tree reads.  ``constant`` is the value, folded now,
+        when the tree reads no slot that varies.  ``None`` when the
+        tree has no integer expression, or the domain no inlined form.
+        """
+        reads = None if self.inline is None else self._reads(expr)
+        if reads is None:
+            return None
+        slots = self._slots
+        guard = ""
+        if self.inline == "sym":
+            guard = " and ".join(
+                f"s{slot:d}.term is None"
+                for slot in dict.fromkeys(reads)
+                if slot not in slots
+            )
+        source = self._truth(expr) if truth else self._int(expr)
+        if all(type(slots.get(slot)) is int for slot in reads):
+            constant = int(eval(source, self.namespace))
+            return guard, f"{constant:d}", constant
+        return guard, source, None
+
+    def _wrap(self, expr: Expr, source: str, constant: Optional[int]) -> str:
+        """Source of the domain value whose concrete value is ``source``."""
+        if self.inline == "int":
+            return source
+        if constant is not None:
+            return self._const(constant, expr.width)
+        if type(expr) is SlotRef and expr.slot not in self._slots:
+            return f"s{expr.slot:d}"  # the operand's own value
+        return f"{self._term_free()}({source}, {expr.width:d})"
+
+    def _value(self, expr: Expr) -> str:
+        """Source of ``expr``'s domain value, as a callback argument."""
+        if type(expr) is SlotRef:
+            return self.expr(expr)
+        split = self._split(expr)
+        if split is None:
+            return self.expr(expr)
+        guard, source, constant = split
+        fast = self._wrap(expr, source, constant)
+        if guard:
+            return f"{fast} if {guard} else {self.expr(expr)}"
+        return fast
+
+    def _guarded(
+        self, indent: int, guard: str, fast: list, slow: Callable[[], str]
+    ) -> None:
+        """Write ``fast`` where ``guard`` holds, else the callback ``slow()``."""
+        if not guard:
+            for text in fast:
+                self.line(indent, text)
+            return
+        if fast:
+            self.line(indent, f"if {guard}:")
+            for text in fast:
+                self.line(indent + 1, text)
+            self.line(indent, "else:")
+        else:
+            self.line(indent, f"if not ({guard}):")
+        self.line(indent + 1, slow())
+
+    def _stamp(self, later_branch: bool) -> list:
+        """The capture guard's effect stamp, where a branch can read it."""
+        if later_branch and self.inline == "sym":
+            return ["host._effect_instret = hart.instret"]
+        return []
+
+    # -- steps -----------------------------------------------------------
+
+    def steps(
+        self, steps: tuple, indent: int, pc: Optional[int] = None,
+        jumps: bool = True,
+    ) -> None:
+        """Write one plan's steps.
+
+        In the inlined form, ``pc`` (known inside a superblock) makes the
+        plan's PC reads literals, and ``jumps=False`` drops its PC
+        writes, for a block that follows the instruction's static jump
+        itself.
+        """
+        self._slots = {}
+        self._pc = pc
+        self._jumps = jumps
+        self._steps(steps, indent, False)
+
+    def _steps(self, steps: tuple, indent: int, branch_after: bool) -> None:
+        """Write ``steps``; ``branch_after`` when a branch of the same
+        plan follows them."""
+        later = [branch_after] * len(steps)
+        for index in range(len(steps) - 1, 0, -1):
+            later[index - 1] = later[index] or steps[index][0] == "cond"
+        for step, later_branch in zip(steps, later):
+            self._step(step, indent, later_branch)
+
+    def _arm(self, steps: tuple, indent: int, branch_after: bool) -> None:
+        """Write a cond arm: its steps, or ``pass`` where none is left."""
+        start = len(self.lines)
+        self._steps(steps, indent, branch_after)
+        if len(self.lines) == start:
             self.line(indent, "pass")
-        for step in steps:
-            tag = step[0]
-            if tag == "reg":
-                self.line(indent, f"s{step[1]:d} = host.plan_reg({step[2]:d})")
-            elif tag == "pc":
-                self.line(indent, f"s{step[1]:d} = host.plan_pc()")
-            elif tag == "load":
-                address = self.expr(step[3])
-                self.line(
-                    indent, f"s{step[1]:d} = host.plan_load({step[2]:d}, {address})"
-                )
-            elif tag == "wreg":
-                value = self.expr(step[2])
-                self.line(indent, f"host.plan_write_reg({step[1]:d}, {value})")
-            elif tag == "wpc":
-                self.line(indent, f"host.plan_write_pc({self.expr(step[1])})")
-            elif tag == "store":
-                address, value = self.expr(step[2]), self.expr(step[3])
-                self.line(
-                    indent, f"host.plan_store({step[1]:d}, {address}, {value})"
-                )
-            elif tag == "cond":
-                self.line(indent, f"if host.plan_branch({self.expr(step[1])}):")
-                self.steps(step[2], indent + 1)
-                if step[3]:
-                    self.line(indent, "else:")
-                    self.steps(step[3], indent + 1)
-            elif tag in ("ecall", "ebreak", "fence"):
-                self.line(indent, f"host.plan_{tag}()")
-            else:  # pragma: no cover - recorder and emitter move in lockstep
-                raise ValueError(f"unknown plan step {step!r}")
+
+    def _step(self, step: tuple, indent: int, later_branch: bool) -> None:
+        tag = step[0]
+        inline = self.inline
+        if tag == "reg":
+            slot, index = step[1], step[2]
+            if inline is None or not 0 <= index < 32:
+                self.line(indent, f"s{slot:d} = host.plan_reg({index:d})")
+            elif index == 0:
+                self._slots[slot] = 0
+            else:
+                self.line(indent, f"s{slot:d} = regs[{index:d}]")
+        elif tag == "pc":
+            slot = step[1]
+            if inline is None:
+                self.line(indent, f"s{slot:d} = host.plan_pc()")
+            else:
+                # Nothing a plan does moves hart.pc, so a use reads it.
+                self._slots[slot] = "pc" if self._pc is None else self._pc
+        elif tag == "load":
+            address = self._value(step[3])
+            self.line(
+                indent, f"s{step[1]:d} = host.plan_load({step[2]:d}, {address})"
+            )
+        elif tag == "wreg":
+            index, expr = step[1], step[2]
+            split = self._split(expr) if 0 <= index < 32 else None
+            slow = lambda: f"host.plan_write_reg({index:d}, {self.expr(expr)})"  # noqa: E731
+            if split is None:
+                self.line(indent, slow())
+                return
+            guard, source, constant = split
+            fast = self._stamp(later_branch)
+            if index:
+                value = self._wrap(expr, source, constant)
+                fast.insert(0, f"regs[{index:d}] = {value}")
+            self._guarded(indent, guard, fast, slow)
+        elif tag == "wpc":
+            expr = step[1]
+            split = self._split(expr)
+            slow = lambda: f"host.plan_write_pc({self.expr(expr)})"  # noqa: E731
+            if split is None:
+                self.line(indent, slow())
+            elif self._jumps:
+                guard, source, _constant = split
+                fast = [f"host._next_pc = {source}", *self._stamp(later_branch)]
+                self._guarded(indent, guard, fast, slow)
+        elif tag == "store":
+            address, value = self._value(step[2]), self._value(step[3])
+            self.line(indent, f"host.plan_store({step[1]:d}, {address}, {value})")
+        elif tag == "cond":
+            expr = step[1]
+            split = self._split(expr, truth=True)
+            condition = f"host.plan_branch({self.expr(expr)})"
+            if split is not None:
+                guard, source, _constant = split
+                if guard:
+                    condition = f"({source}) if {guard} else {condition}"
+                else:
+                    condition = source
+            self.line(indent, f"if {condition}:")
+            self._arm(step[2], indent + 1, later_branch)
+            if step[3]:
+                self.line(indent, "else:")
+                self._arm(step[3], indent + 1, later_branch)
+        elif tag in ("ecall", "ebreak", "fence"):
+            self.line(indent, f"host.plan_{tag}()")
+        else:  # pragma: no cover - recorder and emitter move in lockstep
+            raise ValueError(f"unknown plan step {step!r}")
 
     def function(self, name: str, filename: str) -> tuple[Callable, str]:
         """Compile the lines as ``def name(host)``; returns it and its source.
@@ -762,7 +1130,17 @@ class Emitter:
         function says which plan or block it is; the line numbers index
         the returned source.
         """
-        source = "\n".join([f"def {name}(host):", *self.lines]) + "\n"
+        text = "\n".join(self.lines)
+        prologue = []
+        if re.search(r"\bhart\b", text):
+            prologue.append("    hart = host.hart")
+        if re.search(r"\bregs\b", text):
+            hart = "hart" if prologue else "host.hart"
+            prologue.append(f"    regs = {hart}.regs.values")
+        body = prologue + self.lines
+        if all(text.lstrip().startswith("#") for text in body):
+            body.append("    pass")
+        source = "\n".join([f"def {name}(host):", *body]) + "\n"
         namespace = self.namespace
         exec(compile(source, filename, "exec"), namespace)
         return namespace.pop(name), source

@@ -168,7 +168,7 @@ class Superblock:
 
     __slots__ = (
         "entry_pc", "execute", "source", "words", "length", "exit_pc",
-        "pages", "side_exits",
+        "pages", "side_exits", "__weakref__",
     )
 
     def __init__(
@@ -219,7 +219,8 @@ class SuperblockEngine:
         self._blocks: dict[tuple, Superblock] = {}
         #: (domain_key, entry_pc) -> last Superblock resolved there; a
         #: fast revalidation path that skips re-classification when the
-        #: code bytes still match.
+        #: code bytes still match.  Holds only blocks ``_blocks`` holds:
+        #: :meth:`_evict` drops a block from both.
         self._by_entry: dict[tuple, Superblock] = {}
 
     # -- hotness ---------------------------------------------------------
@@ -422,10 +423,31 @@ class SuperblockEngine:
             return block, False
         block = self._emit(entry_pc, words, exit_pc, domain, domain_key)
         if len(blocks) >= BLOCK_CACHE_CAPACITY:
-            del blocks[next(iter(blocks))]
+            self._evict(next(iter(blocks)))
         blocks[key] = block
         self._by_entry[(domain_key, entry_pc)] = block
         return block, True
+
+    def _evict(self, key: tuple) -> Superblock:
+        """Drop the block cached under ``key`` from both block maps."""
+        block = self._blocks.pop(key)
+        entry = key[:2]
+        if self._by_entry.get(entry) is block:
+            del self._by_entry[entry]
+        return block
+
+    def trim(self, factor: int) -> list:
+        """Cut the block cache and the word-classification memo to
+        ``1/factor`` of their size, least recently used first (the
+        memory governor's cache rung).  Returns the dropped blocks, so
+        interpreters can let go of their resolutions to them too."""
+        info = self._step_info
+        keep = len(info) // factor
+        while len(info) > keep:
+            del info[next(iter(info))]
+        blocks = self._blocks
+        keep = len(blocks) // factor
+        return [self._evict(next(iter(blocks))) for _ in range(len(blocks) - keep)]
 
     def _emit(
         self, entry_pc: int, words: tuple, exit_pc: int, domain, domain_key
@@ -448,7 +470,6 @@ class SuperblockEngine:
         isa = self.isa
         emit = Emitter(domain)
         line = emit.line
-        line(1, "hart = host.hart")
         infos = [self._classify_word(word, pc) for pc, word in words]
         if any(info[4] for info in infos):
             line(1, "memory = host.memory")
@@ -461,12 +482,17 @@ class SuperblockEngine:
             next_pc = words[index + 1][0] if index + 1 < len(words) else exit_pc
             line(1, f"# pc {pc:#010x} word {word:#010x}")
             if info[0] == "plain":
-                if info[3]:
-                    # The plan observes the architectural PC: a PC slot,
-                    # or a load/store whose concretization pin records
-                    # its site.  Pure ALU plans need no PC bookkeeping.
+                if info[3] and (
+                    emit.inline is None
+                    or any(step[0] in ("load", "store") for step in plan.steps)
+                ):
+                    # The plan observes the architectural PC: a PC slot
+                    # (a literal in inlined code), or a load/store whose
+                    # concretization pin records its site.  Pure ALU
+                    # plans need no PC bookkeeping.
                     line(1, f"hart.pc = {pc:#010x}")
-                emit.steps(plan.steps, 1)
+                # The block follows a plain instruction's static jump.
+                emit.steps(plan.steps, 1, pc=pc, jumps=False)
                 pending += 1
                 if not info[4]:
                     continue
@@ -479,7 +505,7 @@ class SuperblockEngine:
                     pending = 0
                 line(1, f"hart.pc = {pc:#010x}")
                 line(1, f"host._next_pc = {(pc + 4) & _WORD:#010x}")
-                emit.steps(plan.steps, 1)
+                emit.steps(plan.steps, 1, pc=pc)
                 line(1, "hart.instret += 1")
                 line(1, "target = host._next_pc")
                 line(1, f"if target != {predicted:#010x}:")

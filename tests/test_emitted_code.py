@@ -196,7 +196,7 @@ class TestEmittedNames:
         concrete = ConcreteInterpreter(isa)
         plan = isa.compiled_plan(word, "addi", concrete.domain, concrete._domain_key)
         assert plan.run.__code__.co_filename == "<plan int word=0x02a00293>"
-        assert "host.plan_write_reg(5, " in plan.source
+        assert "regs[5] = 42" in plan.source
         symbolic = isa.compiled_plan(word, "addi", SymDomain(), ("sym", False))
         assert symbolic.run.__code__.co_filename == (
             "<plan sym-False word=0x02a00293>"

@@ -24,7 +24,11 @@ from repro.core import scheduler
 from repro.baselines.vp import VpExecutor
 from repro.eval.workloads import WORKLOADS
 from repro.smt import terms as T
-from repro.spec import rv32im
+from repro.spec import Extension, rv32im
+from repro.spec.dsl import write_register
+from repro.spec.expr import Add, EqInt, imm
+from repro.spec.opcodes import encodings_from_yaml
+from repro.spec.primitives import DecodeAndReadRType, RunIf, WriteRegister
 
 _ATTRIBUTION_KEYS = (
     "sat_checks",
@@ -688,9 +692,9 @@ def _explore_checking_resumes(image, monkeypatch, **engine_kwargs):
     counts = {"resumes": 0, "evaluate": 0, "restored": 0}
     evaluate = interpreter_module.evaluate
 
-    def counting_evaluate(term, env):
+    def counting_evaluate(term, env, memo=None):
         counts["evaluate"] += 1
-        return evaluate(term, env)
+        return evaluate(term, env, memo)
 
     def checked_resume(snapshot, assignment, *args):
         resume(snapshot, assignment, *args)
@@ -747,6 +751,55 @@ class TestExactResume:
 # ---------------------------------------------------------------------------
 # Driver plumbing
 # ---------------------------------------------------------------------------
+
+
+#: A custom R-type instruction (opcode custom-0) whose semantics write
+#: ``rd`` and then branch on ``rs1``: state changes before the branch,
+#: so a capture there must be vetoed.  The write reads only ``rs2``, so
+#: with a symbolic ``rs1`` and a concrete ``rs2`` emitted code makes it
+#: without a callback.
+_WRIF_YAML = """\
+wrif:
+  encoding: '0000000----------000-----0001011'
+  extension: [rv_zwrif]
+  mask: '0xfe00707f'
+  match: '0xb'
+  variable_fields: [rd, rs1, rs2]
+"""
+
+
+def _wrif():
+    rs1, rs2, rd = yield DecodeAndReadRType()
+    yield WriteRegister(rd, Add(rs2, imm(1)))
+    yield RunIf(EqInt(rs1, imm(7)), write_register(rd, imm(1)))
+
+
+#: A loop over three symbolic bytes that branches inside ``wrif`` (a
+#: vetoed capture) and on the byte's low bit (a capture).
+_WRIF_LOOP = """\
+_start:
+    li a0, 0x30000
+    li a1, 3
+    li a7, 1337
+    ecall
+    li t0, 0x30000
+    li t6, 3
+    li s0, 0
+loop:
+    lbu t1, 0(t0)
+    wrif t2, t1, s0
+    add s0, s0, t2
+    andi t3, t1, 1
+    beq t3, zero, even
+    addi s0, s0, 3
+even:
+    addi t0, t0, 1
+    addi t6, t6, -1
+    bne t6, zero, loop
+    mv a0, s0
+    li a7, 93
+    ecall
+"""
 
 
 class TestPlumbing:
@@ -815,6 +868,36 @@ class TestPlumbing:
         interp.hart.instret += 1
         record()  # next instruction is clean again
         assert len(interp.captured) == 2
+
+    def test_effect_before_branch_under_emitted_code(self):
+        """The same guard when plans and blocks are emitted code, which
+        writes registers without ``plan_write_reg``: a custom
+        instruction that writes ``rd`` and then branches on a symbolic
+        ``rs1`` captures, resumes and falls back exactly as interpreted
+        semantics do, in a loop that runs as a superblock."""
+        isa = rv32im().extended_with(
+            Extension("zwrif", tuple(encodings_from_yaml(_WRIF_YAML)), {"wrif": _wrif})
+        )
+        image = assemble(_WRIF_LOOP, isa=isa)
+        outcomes = []
+        for staging, superblocks in ((True, True), (True, False), (False, False)):
+            engine = BinSymExecutor(isa, image)
+            result = Explorer(
+                engine, use_cache=True, snapshots=True, staging=staging,
+                superblocks=superblocks,
+            ).explore()
+            stats = result.snapshot_stats
+            outcomes.append((
+                result.path_set(),
+                _attribution(result),
+                stats["snap_captured"],
+                stats["snap_fallback_runs"],
+                result.resumed_runs,
+            ))
+            if superblocks:
+                assert result.superblock_stats["sb_block_instructions"] > 0
+        assert outcomes[0][0] and outcomes[0][2] > 0
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_non_snapshot_engine_unaffected(self):
         """Engines without snapshot support never see the new kwargs."""

@@ -12,7 +12,9 @@ unit-test the classifier, the trace scanner, the successor prediction
 and the shared block cache underneath.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -246,6 +248,37 @@ class TestBlockCache:
         assert len(engine._blocks) == 2
         keys = list(engine._blocks)
         assert all(entry_pc != 0x10000 for _dk, entry_pc, _w in keys)
+
+    def test_eviction_drops_the_entry_map_entry(self, isa, engine, monkeypatch):
+        """The entry map holds only cached blocks: an LRU eviction drops
+        the evicted block from it too."""
+        monkeypatch.setattr(sb, "BLOCK_CACHE_CAPACITY", 2)
+        body = "".join("    addi t0, t0, 1\n" for _ in range(8))
+        _image, memory = _memory_for("entry:\n" + body + "    ecall\n")
+        from repro.concrete.interpreter import ConcreteInterpreter as CI
+
+        domain, key = CI(isa).domain, CI._domain_key
+        for offset in (0, 4, 8):
+            engine.acquire(0x10000 + offset, memory, domain, key)
+        cached = {id(block) for block in engine._blocks.values()}
+        assert len(engine._by_entry) == 2
+        assert {id(block) for block in engine._by_entry.values()} == cached
+
+    def test_cache_rung_frees_trimmed_blocks(self):
+        """The governor's cache rung frees every block it trims: neither
+        the engine's maps nor the executor's interpreter keeps one."""
+        executor = BinSymExecutor(rv32im(), WORKLOADS["base64-encode"].image(2))
+        Explorer(executor, use_cache=True).explore()
+        interp = executor.interpreter
+        engine = interp.isa.superblocks
+        blocks = list(engine._blocks.values())
+        assert blocks and any(entry in blocks for entry in interp._sb_map.values())
+        refs = [weakref.ref(block) for block in blocks]
+        del blocks
+        executor.tighten_caches(factor=1 << 20)
+        gc.collect()
+        assert not engine._blocks and not engine._by_entry
+        assert [ref for ref in refs if ref() is not None] == []
 
     def test_engine_shared_per_isa(self, isa):
         """Interpreters over one ISA bind the same lazy engine, so
