@@ -28,25 +28,14 @@ from ..arch.memory import ByteMemory, ShadowMemory
 from ..loader.image import Image
 from ..smt import bvops
 from ..spec.decoder import IllegalInstruction
-from ..spec.dsl import execute_semantics
+from ..spec.dsl import PrimitiveDispatch, execute_semantics
 from ..spec.expr import Expr, Val, eval_expr
 from ..spec.isa import ISA
-from ..spec import fields
 from ..spec.primitives import (
-    DecodeAndReadBType,
-    DecodeAndReadIType,
-    DecodeAndReadR4Type,
-    DecodeAndReadRType,
-    DecodeAndReadSType,
-    DecodeAndReadShamt,
-    DecodeJType,
-    DecodeUType,
     Ebreak,
     Ecall,
-    Fence,
     LoadMem,
     ReadPC,
-    ReadRegister,
     StoreMem,
     WritePC,
     WriteRegister,
@@ -121,7 +110,7 @@ class TaintDomain:
         return TaintedValue(chosen.value, chosen.tainted or cond.tainted)
 
 
-class DiftInterpreter:
+class DiftInterpreter(PrimitiveDispatch):
     """Taint-tracking modular interpreter over the formal specification."""
 
     def __init__(self, isa: ISA):
@@ -188,88 +177,50 @@ class DiftInterpreter:
             )
         return bool(value.value)
 
-    def handle(self, primitive):
-        word = self._current_word
-        if isinstance(primitive, DecodeAndReadRType):
-            return (
-                self._reg_leaf(fields.rs1(word)),
-                self._reg_leaf(fields.rs2(word)),
-                fields.rd(word),
-            )
-        if isinstance(primitive, DecodeAndReadR4Type):
-            return (
-                self._reg_leaf(fields.rs1(word)),
-                self._reg_leaf(fields.rs2(word)),
-                self._reg_leaf(fields.rs3(word)),
-                fields.rd(word),
-            )
-        if isinstance(primitive, DecodeAndReadIType):
-            return (
-                Val(fields.imm_i(word), 32),
-                self._reg_leaf(fields.rs1(word)),
-                fields.rd(word),
-            )
-        if isinstance(primitive, DecodeAndReadShamt):
-            return (
-                Val(fields.shamt(word), 32),
-                self._reg_leaf(fields.rs1(word)),
-                fields.rd(word),
-            )
-        if isinstance(primitive, DecodeAndReadSType):
-            return (
-                Val(fields.imm_s(word), 32),
-                self._reg_leaf(fields.rs1(word)),
-                self._reg_leaf(fields.rs2(word)),
-            )
-        if isinstance(primitive, DecodeAndReadBType):
-            return (
-                Val(fields.imm_b(word), 32),
-                self._reg_leaf(fields.rs1(word)),
-                self._reg_leaf(fields.rs2(word)),
-            )
-        if isinstance(primitive, DecodeUType):
-            return Val(fields.imm_u(word), 32), fields.rd(word)
-        if isinstance(primitive, DecodeJType):
-            return Val(fields.imm_j(word), 32), fields.rd(word)
-        if isinstance(primitive, ReadRegister):
-            return self._reg_leaf(primitive.index)
-        if isinstance(primitive, WriteRegister):
-            self.hart.regs.write(primitive.index, self._eval(primitive.value))
-            return None
-        if isinstance(primitive, ReadPC):
-            return Val(TaintedValue(self.hart.pc), 32)
-        if isinstance(primitive, WritePC):
-            target = self._eval(primitive.value)
-            if target.tainted:
-                self.tainted_pc_writes.append(self.hart.pc)
-            self._next_pc = target.value
-            return None
-        if isinstance(primitive, LoadMem):
-            address = self._eval(primitive.addr)
-            value = self.memory.read(address.value, primitive.width)
-            tainted = address.tainted or any(
-                self.taint.get((address.value + i) & _WORD)
-                for i in range(primitive.width // 8)
-            )
-            return Val(TaintedValue(value, tainted), primitive.width)
-        if isinstance(primitive, StoreMem):
-            address = self._eval(primitive.addr)
-            value = self._eval(primitive.value)
-            self.memory.write(address.value, value.value, primitive.width)
-            for i in range(primitive.width // 8):
-                self.taint.set(
-                    (address.value + i) & _WORD, value.tainted or None
-                )
-            return None
-        if isinstance(primitive, Ecall):
-            self._ecall()
-            return None
-        if isinstance(primitive, Ebreak):
-            self.hart.halt(HaltReason.EBREAK)
-            return None
-        if isinstance(primitive, Fence):
-            return None
-        raise NotImplementedError(f"unhandled primitive {primitive!r}")
+    # Operand decoding, ReadRegister and Fence: see PrimitiveDispatch.
+    PRIMITIVE_METHODS = {
+        WriteRegister: "_on_write_register",
+        ReadPC: "_on_read_pc",
+        WritePC: "_on_write_pc",
+        LoadMem: "_on_load",
+        StoreMem: "_on_store",
+        Ecall: "_on_ecall",
+        Ebreak: "_on_ebreak",
+    }
+
+    def _on_write_register(self, primitive: WriteRegister) -> None:
+        self.hart.regs.write(primitive.index, self._eval(primitive.value))
+
+    def _on_read_pc(self, primitive: ReadPC) -> Val:
+        return Val(TaintedValue(self.hart.pc), 32)
+
+    def _on_write_pc(self, primitive: WritePC) -> None:
+        target = self._eval(primitive.value)
+        if target.tainted:
+            self.tainted_pc_writes.append(self.hart.pc)
+        self._next_pc = target.value
+
+    def _on_load(self, primitive: LoadMem) -> Val:
+        address = self._eval(primitive.addr)
+        value = self.memory.read(address.value, primitive.width)
+        tainted = address.tainted or any(
+            self.taint.get((address.value + i) & _WORD)
+            for i in range(primitive.width // 8)
+        )
+        return Val(TaintedValue(value, tainted), primitive.width)
+
+    def _on_store(self, primitive: StoreMem) -> None:
+        address = self._eval(primitive.addr)
+        value = self._eval(primitive.value)
+        self.memory.write(address.value, value.value, primitive.width)
+        for i in range(primitive.width // 8):
+            self.taint.set((address.value + i) & _WORD, value.tainted or None)
+
+    def _on_ecall(self, primitive: Ecall) -> None:
+        self._ecall()
+
+    def _on_ebreak(self, primitive: Ebreak) -> None:
+        self.hart.halt(HaltReason.EBREAK)
 
     def _ecall(self) -> None:
         number = self.hart.regs.read(17).value

@@ -21,23 +21,13 @@ from ..loader.image import Image
 from ..smt import bvops
 from ..spec.expr import Expr, Val, eval_expr
 from ..spec.isa import ISA
+from ..spec.dsl import PrimitiveDispatch
 from ..spec.staged import StagedStepper
-from ..spec import fields
 from ..spec.primitives import (
-    DecodeAndReadBType,
-    DecodeAndReadIType,
-    DecodeAndReadR4Type,
-    DecodeAndReadRType,
-    DecodeAndReadSType,
-    DecodeAndReadShamt,
-    DecodeJType,
-    DecodeUType,
     Ebreak,
     Ecall,
-    Fence,
     LoadMem,
     ReadPC,
-    ReadRegister,
     StoreMem,
     WritePC,
     WriteRegister,
@@ -119,15 +109,15 @@ class IntDomain:
         return then_value if cond else else_value
 
 
-class ConcreteInterpreter(StagedStepper):
+class ConcreteInterpreter(StagedStepper, PrimitiveDispatch):
     """RV32 emulator; also the `Handler` for the spec's primitives.
 
     ``staging=True`` (the default) executes instructions through the
     compiled per-word plans of :mod:`repro.spec.staged` where the
     semantics are staged, falling back to driving the semantics
     generator otherwise; ``staging=False`` always interprets.  Both
-    modes share the decoder's process-wide decode cache; the step loop
-    itself lives in :class:`~repro.spec.staged.StagedStepper`.
+    modes decode each word once into the interpreter's word memo; the
+    step loop itself lives in :class:`~repro.spec.staged.StagedStepper`.
     """
 
     #: Identifies IntDomain behaviour for the ISA's compiled-plan cache
@@ -161,6 +151,20 @@ class ConcreteInterpreter(StagedStepper):
         image.load_into(self.memory)
         self.hart.reset(image.entry)
         self._sb_begin_run(self.hart.pc)
+
+    def reset(self, image: Image) -> None:
+        """Start over on ``image``: a new memory holding only the image,
+        a new hart at its entry (zero registers, instret 0) and a new
+        :class:`HostPlatform` (empty stdout).
+
+        The word memo and the superblock map carry over; a run start
+        revalidates the map against the new memory, so the run is the
+        one a new interpreter would make, without its cold start.
+        """
+        self.memory = ByteMemory()
+        self.hart = Hart(zero_value=0)
+        self.platform = HostPlatform()
+        self.load_image(image)
 
     def run(self, max_steps: int = 10_000_000) -> Hart:
         """Run until the hart halts or the step budget is exhausted.
@@ -245,72 +249,36 @@ class ConcreteInterpreter(StagedStepper):
     def branch(self, cond: Expr) -> bool:
         return bool(self._eval(cond))
 
-    def handle(self, primitive):
-        word = self._current_word
-        if isinstance(primitive, DecodeAndReadRType):
-            return (
-                self._reg_leaf(fields.rs1(word)),
-                self._reg_leaf(fields.rs2(word)),
-                fields.rd(word),
-            )
-        if isinstance(primitive, DecodeAndReadR4Type):
-            return (
-                self._reg_leaf(fields.rs1(word)),
-                self._reg_leaf(fields.rs2(word)),
-                self._reg_leaf(fields.rs3(word)),
-                fields.rd(word),
-            )
-        if isinstance(primitive, DecodeAndReadIType):
-            return (
-                Val(fields.imm_i(word), 32),
-                self._reg_leaf(fields.rs1(word)),
-                fields.rd(word),
-            )
-        if isinstance(primitive, DecodeAndReadShamt):
-            return (
-                Val(fields.shamt(word), 32),
-                self._reg_leaf(fields.rs1(word)),
-                fields.rd(word),
-            )
-        if isinstance(primitive, DecodeAndReadSType):
-            return (
-                Val(fields.imm_s(word), 32),
-                self._reg_leaf(fields.rs1(word)),
-                self._reg_leaf(fields.rs2(word)),
-            )
-        if isinstance(primitive, DecodeAndReadBType):
-            return (
-                Val(fields.imm_b(word), 32),
-                self._reg_leaf(fields.rs1(word)),
-                self._reg_leaf(fields.rs2(word)),
-            )
-        if isinstance(primitive, DecodeUType):
-            return Val(fields.imm_u(word), 32), fields.rd(word)
-        if isinstance(primitive, DecodeJType):
-            return Val(fields.imm_j(word), 32), fields.rd(word)
-        if isinstance(primitive, ReadRegister):
-            return self._reg_leaf(primitive.index)
-        if isinstance(primitive, WriteRegister):
-            self.hart.regs.write(primitive.index, self._eval(primitive.value))
-            return None
-        if isinstance(primitive, ReadPC):
-            return Val(self.hart.pc, 32)
-        if isinstance(primitive, WritePC):
-            self._next_pc = self._eval(primitive.value)
-            return None
-        if isinstance(primitive, LoadMem):
-            address = self._eval(primitive.addr)
-            return Val(self.memory.read(address, primitive.width), primitive.width)
-        if isinstance(primitive, StoreMem):
-            address = self._eval(primitive.addr)
-            self.memory.write(address, self._eval(primitive.value), primitive.width)
-            return None
-        if isinstance(primitive, Ecall):
-            self.platform.ecall(self)
-            return None
-        if isinstance(primitive, Ebreak):
-            self.hart.halt(HaltReason.EBREAK)
-            return None
-        if isinstance(primitive, Fence):
-            return None
-        raise NotImplementedError(f"unhandled primitive {primitive!r}")
+    # Operand decoding, ReadRegister and Fence: see PrimitiveDispatch.
+    PRIMITIVE_METHODS = {
+        WriteRegister: "_on_write_register",
+        ReadPC: "_on_read_pc",
+        WritePC: "_on_write_pc",
+        LoadMem: "_on_load",
+        StoreMem: "_on_store",
+        Ecall: "_on_ecall",
+        Ebreak: "_on_ebreak",
+    }
+
+    def _on_write_register(self, primitive: WriteRegister) -> None:
+        self.hart.regs.write(primitive.index, self._eval(primitive.value))
+
+    def _on_read_pc(self, primitive: ReadPC) -> Val:
+        return Val(self.hart.pc, 32)
+
+    def _on_write_pc(self, primitive: WritePC) -> None:
+        self._next_pc = self._eval(primitive.value)
+
+    def _on_load(self, primitive: LoadMem) -> Val:
+        address = self._eval(primitive.addr)
+        return Val(self.memory.read(address, primitive.width), primitive.width)
+
+    def _on_store(self, primitive: StoreMem) -> None:
+        address = self._eval(primitive.addr)
+        self.memory.write(address, self._eval(primitive.value), primitive.width)
+
+    def _on_ecall(self, primitive: Ecall) -> None:
+        self.platform.ecall(self)
+
+    def _on_ebreak(self, primitive: Ebreak) -> None:
+        self.hart.halt(HaltReason.EBREAK)

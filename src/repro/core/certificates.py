@@ -44,7 +44,11 @@ equals a from-entry replay, and replays from the entry otherwise:
    (:class:`repro.concrete.interpreter.ConcreteInterpreter`, run with
    the defaults of ``repro run``) reaches from the entry under the
    child's inputs at the same instruction: pc, all 32 registers, every
-   memory page and stdout.
+   memory page and stdout.  One such machine serves a whole replay:
+   for each child it is reset to a fresh image, zero registers, the
+   entry pc, instret 0 and empty stdout, and keeps only its word memo
+   and superblock map, which its run start revalidates against the
+   fresh image's code bytes.
 
 The resumed suffix runs on what remains of the executor's step budget,
 so it runs out of fuel at the instruction a from-entry replay does; a
@@ -402,6 +406,8 @@ class _TreeReplay(_EntryReplay):
         for parent, divergence in self.last_child:
             self.wanted.setdefault(parent, set()).add(divergence)
         self.copies: dict = {}
+        #: Check (2)'s concrete machine, built at the first resume.
+        self.machine: Optional[ConcreteInterpreter] = None
 
     def replay(self, position: int, cert: PathCertificate) -> list[str]:
         executor, interp = self.executor, self.interp
@@ -514,10 +520,13 @@ class _TreeReplay(_EntryReplay):
 
     def _concrete_agrees(self, copy: _Copy, env, regs, memory, stdout) -> bool:
         """Check (2): a concrete run from the entry under the child's
-        inputs reaches exactly the re-concretized state."""
+        inputs reaches exactly the re-concretized state.  One machine
+        serves the whole replay, reset to the image for each child."""
         interp = self.interp
-        machine = ConcreteInterpreter(interp.isa)
-        machine.load_image(interp.image)
+        machine = self.machine
+        if machine is None:
+            machine = self.machine = ConcreteInterpreter(interp.isa)
+        machine.reset(interp.image)
         for sym_input in interp.inputs.values():
             machine.memory.write_byte(sym_input.address, env[sym_input.variable])
         for index, variable in self.executor.register_inputs.items():

@@ -28,23 +28,13 @@ from ..smt import terms as T
 from ..smt.evalbv import evaluate
 from ..spec.expr import Expr, Val, eval_expr
 from ..spec.isa import ISA
+from ..spec.dsl import PrimitiveDispatch
 from ..spec.staged import StagedStepper
-from ..spec import fields
 from ..spec.primitives import (
-    DecodeAndReadBType,
-    DecodeAndReadIType,
-    DecodeAndReadR4Type,
-    DecodeAndReadRType,
-    DecodeAndReadSType,
-    DecodeAndReadShamt,
-    DecodeJType,
-    DecodeUType,
     Ebreak,
     Ecall,
-    Fence,
     LoadMem,
     ReadPC,
-    ReadRegister,
     StoreMem,
     WritePC,
     WriteRegister,
@@ -59,7 +49,7 @@ __all__ = ["SymbolicInterpreter"]
 _WORD = 0xFFFFFFFF
 
 
-class SymbolicInterpreter(StagedStepper):
+class SymbolicInterpreter(StagedStepper, PrimitiveDispatch):
     """One concolic execution of an RV32 program.
 
     The interpreter is reset per run via :meth:`reset`; symbolic input
@@ -563,89 +553,53 @@ class SymbolicInterpreter(StagedStepper):
             self.trace.add_branch(value.condition_term(), self.hart.pc, taken)
         return taken
 
-    def handle(self, primitive):
-        word = self._current_word
-        if isinstance(primitive, DecodeAndReadRType):
-            return (
-                self._reg_leaf(fields.rs1(word)),
-                self._reg_leaf(fields.rs2(word)),
-                fields.rd(word),
-            )
-        if isinstance(primitive, DecodeAndReadR4Type):
-            return (
-                self._reg_leaf(fields.rs1(word)),
-                self._reg_leaf(fields.rs2(word)),
-                self._reg_leaf(fields.rs3(word)),
-                fields.rd(word),
-            )
-        if isinstance(primitive, DecodeAndReadIType):
-            return (
-                Val(fields.imm_i(word), 32),
-                self._reg_leaf(fields.rs1(word)),
-                fields.rd(word),
-            )
-        if isinstance(primitive, DecodeAndReadShamt):
-            return (
-                Val(fields.shamt(word), 32),
-                self._reg_leaf(fields.rs1(word)),
-                fields.rd(word),
-            )
-        if isinstance(primitive, DecodeAndReadSType):
-            return (
-                Val(fields.imm_s(word), 32),
-                self._reg_leaf(fields.rs1(word)),
-                self._reg_leaf(fields.rs2(word)),
-            )
-        if isinstance(primitive, DecodeAndReadBType):
-            return (
-                Val(fields.imm_b(word), 32),
-                self._reg_leaf(fields.rs1(word)),
-                self._reg_leaf(fields.rs2(word)),
-            )
-        if isinstance(primitive, DecodeUType):
-            return Val(fields.imm_u(word), 32), fields.rd(word)
-        if isinstance(primitive, DecodeJType):
-            return Val(fields.imm_j(word), 32), fields.rd(word)
-        if isinstance(primitive, ReadRegister):
-            return self._reg_leaf(primitive.index)
-        if isinstance(primitive, WriteRegister):
+    # Operand decoding, ReadRegister and Fence: see PrimitiveDispatch.
+    PRIMITIVE_METHODS = {
+        WriteRegister: "_on_write_register",
+        ReadPC: "_on_read_pc",
+        WritePC: "_on_write_pc",
+        LoadMem: "_on_load",
+        StoreMem: "_on_store",
+        Ecall: "_on_ecall",
+        Ebreak: "_on_ebreak",
+    }
+
+    def _on_write_register(self, primitive: WriteRegister) -> None:
+        self._effect_instret = self.hart.instret
+        self.hart.regs.write(primitive.index, self._eval(primitive.value))
+
+    def _on_read_pc(self, primitive: ReadPC) -> Val:
+        return Val(SymValue(self.hart.pc, 32), 32)
+
+    def _on_write_pc(self, primitive: WritePC) -> None:
+        self._effect_instret = self.hart.instret
+        target = self._eval(primitive.value)
+        if target.term is not None:
+            # Indirect jump through symbolic data: concretize like a
+            # memory address (pin under the PIN policy).
+            pinned = T.eq(target.term, T.bv(target.concrete, 32))
+            self.trace.add_assumption(pinned, self.hart.pc)
+        self._next_pc = target.concrete
+
+    def _on_load(self, primitive: LoadMem) -> Val:
+        address = self._eval(primitive.addr)
+        if address.term is not None:
             self._effect_instret = self.hart.instret
-            self.hart.regs.write(primitive.index, self._eval(primitive.value))
-            return None
-        if isinstance(primitive, ReadPC):
-            return Val(SymValue(self.hart.pc, 32), 32)
-        if isinstance(primitive, WritePC):
-            self._effect_instret = self.hart.instret
-            target = self._eval(primitive.value)
-            if target.term is not None:
-                # Indirect jump through symbolic data: concretize like a
-                # memory address (pin under the PIN policy).
-                pinned = T.eq(target.term, T.bv(target.concrete, 32))
-                self.trace.add_assumption(pinned, self.hart.pc)
-            self._next_pc = target.concrete
-            return None
-        if isinstance(primitive, LoadMem):
-            address = self._eval(primitive.addr)
-            if address.term is not None:
-                self._effect_instret = self.hart.instret
-            concrete_addr = concretize_address(
-                address, self.concretization, self.trace, self.hart.pc
-            )
-            return Val(self._load(concrete_addr, primitive.width), primitive.width)
-        if isinstance(primitive, StoreMem):
-            self._effect_instret = self.hart.instret
-            address = self._eval(primitive.addr)
-            concrete_addr = concretize_address(
-                address, self.concretization, self.trace, self.hart.pc
-            )
-            self._store(concrete_addr, self._eval(primitive.value), primitive.width)
-            return None
-        if isinstance(primitive, Ecall):
-            self._ecall()
-            return None
-        if isinstance(primitive, Ebreak):
-            self.hart.halt(HaltReason.EBREAK)
-            return None
-        if isinstance(primitive, Fence):
-            return None
-        raise NotImplementedError(f"unhandled primitive {primitive!r}")
+        concrete_addr = concretize_address(
+            address, self.concretization, self.trace, self.hart.pc
+        )
+        return Val(self._load(concrete_addr, primitive.width), primitive.width)
+
+    def _on_store(self, primitive: StoreMem) -> None:
+        self._effect_instret = self.hart.instret
+        address = self._eval(primitive.addr)
+        concrete_addr = concretize_address(
+            address, self.concretization, self.trace, self.hart.pc
+        )
+        self._store(concrete_addr, self._eval(primitive.value), primitive.width)
+
+    def _on_ecall(self, primitive: Ecall) -> None:
+        self._ecall()
+
+    def _on_ebreak(self, primitive: Ebreak) -> None:
+        self.hart.halt(HaltReason.EBREAK)

@@ -23,10 +23,32 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Protocol
 
-from .expr import Expr
-from .primitives import Primitive, RunIf, RunIfElse
+from . import fields
+from .expr import Expr, Val
+from .primitives import (
+    DecodeAndReadBType,
+    DecodeAndReadIType,
+    DecodeAndReadR4Type,
+    DecodeAndReadRType,
+    DecodeAndReadSType,
+    DecodeAndReadShamt,
+    DecodeJType,
+    DecodeUType,
+    Fence,
+    Primitive,
+    ReadRegister,
+    RunIf,
+    RunIfElse,
+)
 
-__all__ = ["Handler", "execute_semantics", "write_register", "write_pc", "block"]
+__all__ = [
+    "Handler",
+    "PrimitiveDispatch",
+    "execute_semantics",
+    "write_register",
+    "write_pc",
+    "block",
+]
 
 SemanticsGenerator = Generator[Primitive, Any, None]
 
@@ -42,6 +64,127 @@ class Handler(Protocol):
         """Decide a ``RunIf``/``RunIfElse`` condition.  Symbolic
         interpreters record a branch point here before answering with
         the concrete (concolic) verdict."""
+
+
+class _PrimitiveTable(dict):
+    """Primitive class -> the function interpreting it.  A class missing
+    from the table (a subclass of a spec primitive) resolves through its
+    MRO on first sight and is then in the table too."""
+
+    def __missing__(self, kind: type) -> Callable:
+        for base in kind.__mro__[1:]:
+            if base in self:
+                method = self[kind] = self[base]
+                return method
+        raise NotImplementedError(f"unhandled primitive {kind.__qualname__}")
+
+
+class PrimitiveDispatch:
+    """Mixin: a :class:`Handler` whose ``handle`` is one table lookup.
+
+    ``handle`` calls the method its class maps the primitive's exact
+    class to, so a primitive costs one dict lookup wherever it sits in
+    the spec's vocabulary.  A class lists its entries in
+    ``PRIMITIVE_METHODS`` (primitive class -> method name); each class
+    gets its own table, merged along its MRO and resolved on that class
+    when the class is created, so an override of a named method is what
+    its ``handle`` calls.
+
+    Operand decoding, ``ReadRegister`` and ``Fence`` mean the same in
+    every interpreter and are answered here: a register operand is the
+    subclass's ``_reg_leaf(index)``, an immediate a ``Val`` leaf of a
+    field of ``_current_word``, the word being executed.
+    """
+
+    PRIMITIVE_METHODS: dict = {
+        DecodeAndReadRType: "_on_decode_r",
+        DecodeAndReadR4Type: "_on_decode_r4",
+        DecodeAndReadIType: "_on_decode_i",
+        DecodeAndReadShamt: "_on_decode_shamt",
+        DecodeAndReadSType: "_on_decode_s",
+        DecodeAndReadBType: "_on_decode_b",
+        DecodeUType: "_on_decode_u",
+        DecodeJType: "_on_decode_j",
+        ReadRegister: "_on_read_register",
+        Fence: "_on_fence",
+    }
+
+    _primitive_table: _PrimitiveTable
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names: dict = {}
+        for base in reversed(cls.__mro__):
+            names.update(vars(base).get("PRIMITIVE_METHODS", {}))
+        cls._primitive_table = _PrimitiveTable(
+            (kind, getattr(cls, name)) for kind, name in names.items()
+        )
+
+    def handle(self, primitive: Primitive) -> Any:
+        return self._primitive_table[primitive.__class__](self, primitive)
+
+    def _on_decode_r(self, primitive):
+        word = self._current_word
+        return (
+            self._reg_leaf(fields.rs1(word)),
+            self._reg_leaf(fields.rs2(word)),
+            fields.rd(word),
+        )
+
+    def _on_decode_r4(self, primitive):
+        word = self._current_word
+        return (
+            self._reg_leaf(fields.rs1(word)),
+            self._reg_leaf(fields.rs2(word)),
+            self._reg_leaf(fields.rs3(word)),
+            fields.rd(word),
+        )
+
+    def _on_decode_i(self, primitive):
+        word = self._current_word
+        return (
+            Val(fields.imm_i(word), 32),
+            self._reg_leaf(fields.rs1(word)),
+            fields.rd(word),
+        )
+
+    def _on_decode_shamt(self, primitive):
+        word = self._current_word
+        return (
+            Val(fields.shamt(word), 32),
+            self._reg_leaf(fields.rs1(word)),
+            fields.rd(word),
+        )
+
+    def _on_decode_s(self, primitive):
+        word = self._current_word
+        return (
+            Val(fields.imm_s(word), 32),
+            self._reg_leaf(fields.rs1(word)),
+            self._reg_leaf(fields.rs2(word)),
+        )
+
+    def _on_decode_b(self, primitive):
+        word = self._current_word
+        return (
+            Val(fields.imm_b(word), 32),
+            self._reg_leaf(fields.rs1(word)),
+            self._reg_leaf(fields.rs2(word)),
+        )
+
+    def _on_decode_u(self, primitive):
+        word = self._current_word
+        return Val(fields.imm_u(word), 32), fields.rd(word)
+
+    def _on_decode_j(self, primitive):
+        word = self._current_word
+        return Val(fields.imm_j(word), 32), fields.rd(word)
+
+    def _on_read_register(self, primitive):
+        return self._reg_leaf(primitive.index)
+
+    def _on_fence(self, primitive):
+        return None
 
 
 def execute_semantics(generator: SemanticsGenerator, handler: Handler) -> None:

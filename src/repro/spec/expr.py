@@ -11,6 +11,15 @@ them to SMT terms.
 Expressions are width-annotated (registers are 32-bit, multiplication
 intermediates 64-bit, memory lanes 8/16-bit), mirroring the strongly
 typed embedding of LibRISCV in Haskell.
+
+Expressions are values: equal fields of the same class make equal,
+equally hashing expressions (``Imm(5, 32) != SlotRef(5, 32)``).  The
+classes are slotted dataclasses rather than ``frozen`` ones because a
+frozen dataclass builds each instance through ``object.__setattr__``,
+about four times the cost of a plain slotted one, and the unstaged
+reference interpreters build several per instruction (``Val`` leaves,
+``BinOp`` nodes).  Nothing mutates an expression after construction,
+so hashing one stays safe without the frozen guard.
 """
 
 from __future__ import annotations
@@ -104,7 +113,7 @@ class Expr:
     width: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Val(Expr):
     """A leaf holding an interpreter-domain value (register/memory read)."""
 
@@ -112,7 +121,7 @@ class Val(Expr):
     width: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Imm(Expr):
     """An immediate constant of the given width."""
 
@@ -120,7 +129,7 @@ class Imm(Expr):
     width: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SlotRef(Expr):
     """An abstract operand leaf used by staged plans (:mod:`.staged`).
 
@@ -136,7 +145,7 @@ class SlotRef(Expr):
     width: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BinOp(Expr):
     """Binary operation; ``op`` is one of BINARY_OPS or COMPARISON_OPS."""
 
@@ -146,7 +155,7 @@ class BinOp(Expr):
     width: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class UnOp(Expr):
     """Unary operation: ``not`` (bitwise) or ``neg`` (two's complement)."""
 
@@ -155,7 +164,7 @@ class UnOp(Expr):
     width: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Ext(Expr):
     """Zero/sign extension of ``arg`` by ``amount`` additional bits."""
 
@@ -165,7 +174,7 @@ class Ext(Expr):
     width: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Extract(Expr):
     """Bit slice [high:low] of ``arg`` (inclusive bounds, LSB = 0)."""
 
@@ -175,7 +184,7 @@ class Extract(Expr):
     width: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Ite(Expr):
     """Value-level if-then-else on a width-1 condition."""
 

@@ -11,6 +11,15 @@ exactly like LibRISCV's ``Operations`` functor).
 Operand values travelling through the primitives are specification
 expressions (:mod:`repro.spec.expr`), keeping the semantics fully
 abstract over the value representation.
+
+The primitives are values: equal fields make equal, equally hashing
+primitives, except that ``RunIf`` and ``RunIfElse`` hash by identity
+(their blocks are thunks).  They are slotted dataclasses rather than
+``frozen`` ones because a frozen dataclass builds each instance through
+``object.__setattr__``, about four times the cost of a plain slotted
+one, and the unstaged interpreters build several per instruction.
+Nothing mutates a primitive after construction, so hashing one stays
+safe without the frozen guard.
 """
 
 from __future__ import annotations
@@ -55,22 +64,22 @@ class Primitive:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DecodeAndReadRType(Primitive):
     """Yields ``(rs1_val, rs2_val, rd_index)`` for an R-type instruction."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DecodeAndReadR4Type(Primitive):
     """Yields ``(rs1_val, rs2_val, rs3_val, rd_index)`` (R4-type)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DecodeAndReadIType(Primitive):
     """Yields ``(imm_expr, rs1_val, rd_index)``; imm is sign-extended."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DecodeAndReadShamt(Primitive):
     """Yields ``(shamt_expr, rs1_val, rd_index)`` for immediate shifts.
 
@@ -79,22 +88,22 @@ class DecodeAndReadShamt(Primitive):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DecodeAndReadSType(Primitive):
     """Yields ``(imm_expr, rs1_val, rs2_val)`` for stores."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DecodeAndReadBType(Primitive):
     """Yields ``(imm_expr, rs1_val, rs2_val)`` for conditional branches."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DecodeUType(Primitive):
     """Yields ``(imm_expr, rd_index)``; imm already shifted left by 12."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DecodeJType(Primitive):
     """Yields ``(imm_expr, rd_index)`` for JAL."""
 
@@ -104,14 +113,14 @@ class DecodeJType(Primitive):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReadRegister(Primitive):
     """Yields the value of register ``index`` as an expression leaf."""
 
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WriteRegister(Primitive):
     """Writes ``value`` to register ``index`` (x0 writes are discarded)."""
 
@@ -119,19 +128,19 @@ class WriteRegister(Primitive):
     value: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReadPC(Primitive):
     """Yields the current program counter as an expression leaf."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WritePC(Primitive):
     """Sets the next program counter (overrides the implicit pc+4)."""
 
     value: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LoadMem(Primitive):
     """Yields the raw ``width``-bit value at ``addr`` (no extension)."""
 
@@ -139,7 +148,7 @@ class LoadMem(Primitive):
     addr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StoreMem(Primitive):
     """Stores the low ``width`` bits of ``value`` at ``addr``."""
 
@@ -153,7 +162,7 @@ class StoreMem(Primitive):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RunIf(Primitive):
     """Run ``block`` iff ``cond`` holds (the paper's ``runIfElse`` without
     an else branch).  ``block`` is a thunk returning a sub-generator."""
@@ -161,12 +170,12 @@ class RunIf(Primitive):
     cond: Expr
     block: Callable
 
-    # dataclass with a callable field: compare by identity
+    # A callable field: hash by identity.
     def __hash__(self) -> int:  # pragma: no cover - trivial
         return id(self)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RunIfElse(Primitive):
     """Run ``then_block`` if ``cond`` holds, otherwise ``else_block``."""
 
@@ -178,16 +187,16 @@ class RunIfElse(Primitive):
         return id(self)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Ecall(Primitive):
     """Environment call — interpretation is delegated to the platform."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Ebreak(Primitive):
     """Breakpoint — the evaluation harness treats it as assertion failure."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Fence(Primitive):
     """Memory ordering fence — a no-op for all interpreters in this repo."""

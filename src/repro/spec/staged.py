@@ -184,7 +184,8 @@ class StagedStepper:
     EXEC_CACHE_CAPACITY = 1 << 17
 
     def set_staging(self, staging: bool) -> None:
-        """Toggle staged execution (clears this interpreter's memo)."""
+        """Toggle staged execution.  Clears this interpreter's word memo,
+        whose entries hold plans only while staging is on."""
         self.staging = staging
         self._exec_cache.clear()
         self._sb_map = None
@@ -388,25 +389,17 @@ class StagedStepper:
             return
         pc = hart.pc
         sb_map = self._sb_map
-        word = self.memory.read_word(hart.pc)
-        if self.staging:
-            entry = self._exec_cache.get(word)
-            if entry is None:
-                entry = self._lookup(word, hart.pc)
-            self._current_word = word
-            self._next_pc = (hart.pc + 4) & 0xFFFFFFFF
-            plan = entry[0]
-            if plan is not None:
-                plan.run(self)
-            else:
-                execute_semantics(entry[1](), self)
+        word = self.memory.read_word(pc)
+        entry = self._exec_cache.get(word)
+        if entry is None:
+            entry = self._lookup(word, pc)
+        self._current_word = word
+        self._next_pc = (pc + 4) & 0xFFFFFFFF
+        plan = entry[0]
+        if plan is not None:
+            plan.run(self)
         else:
-            # Ablation path (--no-staging): per-step decode through the
-            # shared decode cache, then interpret the specification.
-            decoded = self._decode_or_halt(word, hart.pc)
-            self._current_word = word
-            self._next_pc = (hart.pc + 4) & 0xFFFFFFFF
-            execute_semantics(self.isa.semantics_for(decoded.name)(), self)
+            execute_semantics(entry[1](), self)
         hart.instret += 1
         if not hart.halted:
             target = self._next_pc
@@ -440,11 +433,15 @@ class StagedStepper:
             raise
 
     def _lookup(self, word: int, pc: int) -> tuple:
-        """Decode ``word`` and memoize its execution strategy."""
+        """Decode ``word`` and memoize its execution strategy: its
+        compiled plan, or ``None`` with staging off (``--no-staging``)
+        or where the semantics cannot be staged, and its semantics."""
         decoded = self._decode_or_halt(word, pc)
-        plan = self.isa.compiled_plan(
-            word, decoded.name, self.domain, self._domain_key
-        )
+        plan = None
+        if self.staging:
+            plan = self.isa.compiled_plan(
+                word, decoded.name, self.domain, self._domain_key
+            )
         entry = (plan, self.isa.semantics_for(decoded.name))
         if len(self._exec_cache) >= self.EXEC_CACHE_CAPACITY:
             self._exec_cache.clear()
@@ -687,6 +684,11 @@ _CONDITIONS = {
 }
 
 
+#: Operators with a unit the emitter folds away (see ``Emitter._peel``):
+#: 0 on either side, on the right only for ``sub``; all-ones for ``and``.
+_IDENTITY_OPS = frozenset({"add", "sub", "or", "xor", "and"})
+
+
 def _below(amount: Expr, width: int) -> bool:
     """True when a shift amount is an immediate, or masked by one,
     below ``width``."""
@@ -729,7 +731,11 @@ class Emitter:
     concrete values.  In the int domain that expression is the value.
     In the sym domain it stands behind one ``sN.term is None`` test per
     slot the tree reads, builds one value, and the domain calls above
-    stay the path of a value that carries a term.  Register reads and
+    stay the path of a value that carries a term.  An identity
+    operation (``x + 0``, ``x - 0``, ``x | 0``, ``x ^ 0``,
+    ``x & all-ones``) is written as its operand, and a term-free value
+    that is an operand slot passes that slot's value on unchanged
+    (``addi rd, rs, 0``, a zero load or store offset).  Register reads and
     term-free register writes index ``host.hart.regs.values`` (x0 reads
     as the constant 0), term-free PC reads and writes use ``hart.pc``
     and ``host._next_pc``, and a term-free branch condition is a plain
@@ -890,8 +896,32 @@ class Emitter:
             reads.extend(found)
         return reads
 
+    def _is_const(self, expr: Expr, value: int, mask: int) -> bool:
+        """True when ``expr`` is the constant ``value`` (under ``mask``)."""
+        kind = type(expr)
+        if kind is Imm:
+            return expr.value & mask == value
+        return kind is SlotRef and self._slots.get(expr.slot) == value
+
+    def _peel(self, expr: Expr) -> Expr:
+        """``expr`` without identity operations: ``x + 0``, ``x - 0``,
+        ``x | 0``, ``x ^ 0`` and ``x & all-ones`` are ``x``, since an
+        operand's value is always within its width."""
+        while type(expr) is BinOp and expr.op in _IDENTITY_OPS:
+            op = expr.op
+            mask = (1 << expr.width) - 1
+            unit = mask if op == "and" else 0
+            if self._is_const(expr.rhs, unit, mask):
+                expr = expr.lhs
+            elif op != "sub" and self._is_const(expr.lhs, unit, mask):
+                expr = expr.rhs
+            else:
+                break
+        return expr
+
     def _int(self, expr: Expr) -> str:
         """Integer source of ``expr``'s (concrete) value."""
+        expr = self._peel(expr)
         kind = type(expr)
         if kind is SlotRef:
             held = self._slots.get(expr.slot)
@@ -980,8 +1010,9 @@ class Emitter:
             return source
         if constant is not None:
             return self._const(constant, expr.width)
-        if type(expr) is SlotRef and expr.slot not in self._slots:
-            return f"s{expr.slot:d}"  # the operand's own value
+        operand = self._peel(expr)
+        if type(operand) is SlotRef and operand.slot not in self._slots:
+            return f"s{operand.slot:d}"  # the operand's own value
         return f"{self._term_free()}({source}, {expr.width:d})"
 
     def _value(self, expr: Expr) -> str:

@@ -10,11 +10,13 @@ derivation — counted, never trusted.
 import dataclasses
 import json
 import multiprocessing
+import sys
 
 import pytest
 
 from repro.arch.hart import HaltReason
 from repro.asm import assemble
+from repro.concrete.interpreter import ConcreteInterpreter
 from repro.core import BinSymExecutor, ExplorationResult, Explorer, FaultPlan
 from repro.core import certificates
 from repro.core.certificates import (
@@ -106,6 +108,44 @@ done:
 """
 
 
+#: Three symbolic bytes; each iteration echoes its byte to stdout,
+#: stores the byte's class to an output buffer, and only a big byte
+#: writes s3.  So at a divergence point the machine holds stdout, output
+#: bytes and registers that an earlier path's state would not match.
+ECHO_SOURCE = """\
+_start:
+    li a0, 0x20000
+    li a1, 3
+    li a7, 1337
+    ecall
+    li s0, 0x20000
+    li s1, 0x20003
+    li s2, 0x20100
+loop:
+    li a0, 1
+    mv a1, s0
+    li a2, 1
+    li a7, 64
+    ecall
+    lbu t0, 0(s0)
+    li t1, 64
+    bltu t0, t1, small
+    mv s3, s0
+    li t2, 0x42
+    j next
+small:
+    li t2, 0x53
+next:
+    sb t2, 0(s2)
+    addi s0, s0, 1
+    addi s2, s2, 1
+    bltu s0, s1, loop
+    li a0, 0
+    li a7, 93
+    ecall
+"""
+
+
 def make_executor():
     return BinSymExecutor(rv32im(), assemble(SOURCE))
 
@@ -175,6 +215,27 @@ def from_entry(result, executor):
 def resumed_child(result):
     """The index of the last path with a parent link."""
     return max(p.index for p in result.paths if p.parent is not None)
+
+
+def fresh_machine_agrees(replay, copy, env, regs, memory, stdout):
+    """Check (2) on a concrete machine of its own: the verdict the
+    replay's one reset machine must give for the same child."""
+    interp = replay.interp
+    machine = ConcreteInterpreter(interp.isa)
+    machine.load_image(interp.image)
+    for sym_input in interp.inputs.values():
+        machine.memory.write_byte(sym_input.address, env[sym_input.variable])
+    for index, variable in replay.executor.register_inputs.items():
+        machine.write_register_int(index, env[variable])
+    hart = machine.run(copy.instret)
+    return (
+        hart.halt_reason == HaltReason.OUT_OF_FUEL
+        and hart.instret == copy.instret
+        and hart.pc == copy.pc
+        and all(hart.regs.read(i) == regs[i].concrete for i in range(32))
+        and machine.platform.stdout == stdout
+        and machine.memory.same_bytes(memory)
+    )
 
 
 class TestCertifyMode:
@@ -421,10 +482,12 @@ class TestTreeReplay:
 
         monkeypatch.setattr(SymbolicInterpreter, "_store", lossy_store)
         verdicts = []
+        fresh = []
         agrees = certificates._TreeReplay._concrete_agrees
 
         def spy(self, *args):
             verdicts.append(agrees(self, *args))
+            fresh.append(fresh_machine_agrees(self, *args))
             return verdicts[-1]
 
         monkeypatch.setattr(certificates._TreeReplay, "_concrete_agrees", spy)
@@ -434,6 +497,70 @@ class TestTreeReplay:
         assert result.certificate_errors == [m for p in entry for m in p]
         assert False in verdicts
         assert result.certificate_resumed < result.num_paths - 1
+        # The replay's one machine judges each child as a new one would.
+        assert verdicts == fresh
+
+    @pytest.mark.parametrize("program", ["bubble-sort", "echo"])
+    def test_check_two_machine_starts_each_child_clean(self, program, monkeypatch):
+        """Check (2) runs every child on one machine, reset in between;
+        nothing of the previous child's memory, registers or stdout may
+        reach the next check.  ECHO_SOURCE's paths leave all three
+        behind at their divergence points."""
+        pairs = []
+        agrees = certificates._TreeReplay._concrete_agrees
+
+        def spy(self, *args):
+            pairs.append((agrees(self, *args), fresh_machine_agrees(self, *args)))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(certificates._TreeReplay, "_concrete_agrees", spy)
+        if program == "echo":
+            executor = BinSymExecutor(rv32im(), assemble(ECHO_SOURCE))
+            result = Explorer(
+                executor, solver_config=SolverConfig(certify=True)
+            ).explore()
+            assert result.num_paths == 8
+            assert all(len(path.stdout) == 3 for path in result.paths)
+        else:
+            _, result = certify_workload("bubble-sort", 4)
+        assert len(pairs) == result.num_paths - 1
+        assert [shared for shared, _ in pairs] == [fresh for _, fresh in pairs]
+        assert result.certificate_resumed == result.num_paths - 1
+        assert result.certified_paths == result.num_paths
+
+    def test_reference_mode_runs_no_emitted_symbolic_code(self, monkeypatch):
+        """The checker certifies the staged plans and superblocks that
+        exploration ran, so none of their symbolic code may run while it
+        replays; check (2)'s concrete machine runs emitted int code, as
+        ``repro run`` does."""
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code.co_filename)
+
+        verify = certificates.verify_result
+        memo_holds_plans = []
+
+        def profiled(result, executor):
+            # Exploration left staged plans in the word memo, which
+            # reference mode must not run.
+            memo = executor.interpreter._exec_cache.values()
+            memo_holds_plans.append(any(plan is not None for plan, _ in memo))
+            sys.setprofile(profile)
+            try:
+                return verify(result, executor)
+            finally:
+                sys.setprofile(None)
+
+        monkeypatch.setattr(certificates, "verify_result", profiled)
+        _, result = certify_workload("bubble-sort", 4)
+        assert result.certified_paths == result.num_paths
+        assert memo_holds_plans == [True]
+        symbolic = [n for n in called if n.startswith(("<plan sym", "<superblock sym"))]
+        concrete = [n for n in called if n.startswith(("<plan int", "<superblock int"))]
+        assert symbolic == []
+        assert concrete
 
     @pytest.mark.parametrize(
         "mutation",

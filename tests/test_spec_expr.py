@@ -3,14 +3,21 @@
 import pytest
 
 from repro.concrete.interpreter import IntDomain
+from repro.spec import expr as E
+from repro.spec import primitives as P
 from repro.spec.expr import (
     Add,
     And,
     AShr,
+    BinOp,
     EqInt,
+    Expr,
+    Ext,
     Extract,
     Imm,
     Ite,
+    SlotRef,
+    UnOp,
     LShr,
     Mul,
     Neg,
@@ -154,3 +161,91 @@ class TestEvaluation:
     def test_bad_expression_rejected(self):
         with pytest.raises(TypeError):
             eval_expr("not an expr", IntDomain())
+
+
+def _samples():
+    """Two equal but distinct instances' field values per value class:
+    every ``Expr`` class and every primitive but ``RunIf``/``RunIfElse``.
+    Each call builds new objects, so nested expressions are equal, not
+    identical."""
+    leaf, other = Imm(3, 32), SlotRef(1, 32)
+    return {
+        Val: (7, 32),
+        Imm: (5, 32),
+        SlotRef: (5, 32),
+        BinOp: ("add", leaf, other, 32),
+        UnOp: ("not", leaf, 32),
+        Ext: ("sext", Imm(1, 8), 24, 32),
+        Extract: (leaf, 7, 0, 8),
+        Ite: (BinOp("eq", leaf, other, 1), leaf, other, 32),
+        P.DecodeAndReadRType: (),
+        P.DecodeAndReadR4Type: (),
+        P.DecodeAndReadIType: (),
+        P.DecodeAndReadShamt: (),
+        P.DecodeAndReadSType: (),
+        P.DecodeAndReadBType: (),
+        P.DecodeUType: (),
+        P.DecodeJType: (),
+        P.ReadRegister: (5,),
+        P.WriteRegister: (5, leaf),
+        P.ReadPC: (),
+        P.WritePC: (leaf,),
+        P.LoadMem: (8, leaf),
+        P.StoreMem: (8, leaf, other),
+        P.Ecall: (),
+        P.Ebreak: (),
+        P.Fence: (),
+    }
+
+
+class TestValueSemantics:
+    """Expressions and primitives are values: field-wise equality and
+    hashing, classes kept apart, and identity hashes only for the two
+    primitives that carry thunks."""
+
+    def test_samples_cover_every_value_class(self):
+        # From the modules' exports: ``__subclasses__`` may still list
+        # the class a slotted dataclass replaced.
+        classes = {
+            value
+            for module in (E, P)
+            for value in map(module.__dict__.get, module.__all__)
+            if isinstance(value, type) and value not in (Expr, P.Primitive)
+            and issubclass(value, (Expr, P.Primitive))
+        }
+        assert set(_samples()) == classes - {P.RunIf, P.RunIfElse}
+
+    @pytest.mark.parametrize("cls", list(_samples()), ids=lambda cls: cls.__name__)
+    def test_equal_fields_equal_values(self, cls):
+        first, second = cls(*_samples()[cls]), cls(*_samples()[cls])
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+        assert not hasattr(first, "__dict__")  # slotted
+
+    @pytest.mark.parametrize(
+        "cls",
+        [cls for cls, fields in _samples().items() if fields],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_a_different_field_makes_a_different_value(self, cls):
+        fields = _samples()[cls]
+        changed = (Imm(4, 32) if isinstance(fields[0], Expr) else 6, *fields[1:])
+        assert cls(*fields) != cls(*changed)
+
+    def test_equal_fields_of_different_classes_differ(self):
+        assert Imm(5, 32) != SlotRef(5, 32)
+        assert Val(5, 32) != Imm(5, 32)
+        assert P.DecodeUType() != P.DecodeJType()
+        assert P.ReadRegister(5) != P.ReadPC()
+
+    @pytest.mark.parametrize("cls", [P.RunIf, P.RunIfElse], ids=lambda c: c.__name__)
+    def test_run_if_hashes_by_identity(self, cls):
+        def block():
+            yield P.Fence()
+
+        cond = EqInt(imm(1), imm(1))
+        blocks = (block,) * (len(cls.__dataclass_fields__) - 1)
+        first, second = cls(cond, *blocks), cls(cond, *blocks)
+        assert hash(first) == id(first)
+        assert hash(second) == id(second) != hash(first)

@@ -20,7 +20,11 @@ from repro.core.interpreter import SymbolicInterpreter
 from repro.core.symvalue import SymValue
 from repro.eval.workloads import TABLE1_WORKLOADS, WORKLOADS
 from repro.smt import terms as T
+from repro.concrete.dift import DiftInterpreter
 from repro.spec import rv32im, rv32im_zbb, rv32im_zimadd
+from repro.spec.dsl import execute_semantics
+from repro.spec.expr import imm
+from repro.spec.primitives import Primitive, WriteRegister
 from repro.spec.staged import bind_plan, record_plan
 
 _TEXT = 0x0000_1000
@@ -440,6 +444,33 @@ _start:
             yield Mystery()
 
         assert record_plan(semantics, 0) is None
+
+    @pytest.mark.parametrize("kind", ["concrete", "symbolic", "dift"])
+    def test_handle_resolves_a_subclass_through_its_mro(self, isa, kind):
+        """``handle`` dispatches on the primitive's exact class through
+        one table; a subclass of a spec primitive is handled as its
+        base, and a primitive no interpreter knows is an error."""
+
+        class Tagged(WriteRegister):
+            pass
+
+        class Mystery(Primitive):
+            pass
+
+        def semantics(primitive):
+            yield primitive
+
+        if kind == "concrete":
+            interp = ConcreteInterpreter(isa, staging=False)
+        elif kind == "symbolic":
+            interp = SymbolicInterpreter(isa, assemble("_start:\n    ecall\n"))
+        else:
+            interp = DiftInterpreter(isa)
+        execute_semantics(semantics(Tagged(5, imm(42))), interp)
+        value = interp.hart.regs.read(5)
+        assert getattr(value, "concrete", getattr(value, "value", value)) == 42
+        with pytest.raises(NotImplementedError, match="Mystery"):
+            execute_semantics(semantics(Mystery()), interp)
 
     def test_bind_plan_roundtrip_concrete(self, isa):
         # addi x5, x0, 42
