@@ -52,9 +52,34 @@ equals a from-entry replay, and replays from the entry otherwise:
 
 The resumed suffix runs on what remains of the executor's step budget,
 so it runs out of fuel at the instruction a from-entry replay does; a
-copy at or past the budget is never resumed.  Live copies together hold
-at most the snapshot pool's byte budget; a copy over it is not taken,
-and the children naming it replay from the entry.
+copy at or past the budget is never resumed.  Live copies in one
+process together hold at most the snapshot pool's byte budget; a copy
+over it is not taken, and the children naming it replay from the entry.
+
+**Shards.**  The replay runs on every CPU the process may use
+(``os.sched_getaffinity``).  The tree is cut into subtrees balanced by
+the instructions the certificates claim, and each subtree goes to one
+shard, which owns its paths.  A shard replays its paths in path order
+as above, together with the ancestors of its subtrees that another
+shard owns.  These *helpers* only provide the copies its children
+resume from: their verdicts, resumes and instructions are discarded.
+The parent forks shards 1 and up (the pool's ``fork`` context, daemon
+processes), replays shard 0 itself, and merges the verdicts in path
+order.  Each child sends the messages of the paths it owns, in order,
+and its resume and instruction counts over a one-way pipe, then leaves
+through ``os._exit``.  Every path replays under the same links and
+copies as in one process, so the verdicts, their messages and the
+counters are the same.  The copy budget holds per process, as the
+snapshot pool's does per pool worker: where it binds, a shard that
+holds fewer copies may resume more children than one process would.
+A program whose paths discover different inputs may also resume a
+different number of children, since a copy taken before an input was
+known is not resumed.  A shard whose process dies, or whose reply is
+missing or malformed, is replayed by the parent and counted in
+``worker_deaths``.  If the parent's own replay raises, it stops and
+reaps every child before the error propagates.  The replay stays in one
+process where ``fork`` is unavailable, or where a shard would claim
+fewer than :data:`MIN_SHARD_INSTRUCTIONS`.
 
 Links are hints, never evidence: a missing, out-of-range or wrong link
 costs a from-entry replay, never a verdict.  The copies, the
@@ -74,6 +99,10 @@ live there.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from typing import Optional
 
@@ -95,7 +124,19 @@ __all__ = [
     "verify_result",
     "reference_mode",
     "stdout_digest",
+    "MIN_SHARD_INSTRUCTIONS",
 ]
+
+#: Claimed instructions each shard must get before the replay forks.
+#: The replay takes 4-6 us per claimed instruction on the three
+#: perfbench programs, so this is 30-50 ms of work, about ten times the
+#: 3.3 ms (median of 30) that forking a shard, reading its reply and
+#: joining it cost on a 2-core x86-64 container with Python 3.11.
+MIN_SHARD_INSTRUCTIONS = 8_000
+
+#: Subtrees cut per shard, so that the heaviest-first assignment can
+#: balance them; more cuts mean more helper replays.
+_PIECES_PER_SHARD = 4
 
 
 def stdout_digest(data: bytes) -> str:
@@ -386,9 +427,11 @@ class _TreeReplay(_EntryReplay):
     budget (``snapshot_pool.max_bytes``, which the memory governor
     lowers under ``--memory-budget``): a copy that would exceed it is
     not taken, and the children naming it replay from the entry.
+    Copies are taken only for the children among ``members``, the
+    positions this replay runs.
     """
 
-    def __init__(self, executor, certificates):
+    def __init__(self, executor, certificates, members):
         super().__init__(executor)
         self.interp = executor.interpreter
         self.budget = executor.snapshot_pool.max_bytes
@@ -397,8 +440,8 @@ class _TreeReplay(_EntryReplay):
         #: (parent, divergence) -> position of the last child linked
         #: there: the copy is dropped once that child has replayed.
         self.last_child: dict = {}
-        for position, cert in enumerate(certificates):
-            link = _link(cert, position)
+        for position in members:
+            link = _link(certificates[position], position)
             if link is not None:
                 self.last_child[link] = position
         #: Parent position -> divergence points its children name.
@@ -551,20 +594,183 @@ def _link(cert: PathCertificate, position: int) -> Optional[tuple]:
     return None
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
+
+
+def _shard_count(certificates) -> int:
+    """One shard per usable CPU, as long as each claims at least
+    :data:`MIN_SHARD_INSTRUCTIONS`; one where ``fork`` is unavailable."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    claimed = sum(cert.instret for cert in certificates)
+    return max(1, min(_usable_cpus(), claimed // MIN_SHARD_INSTRUCTIONS))
+
+
+def _partition(certificates, tree: bool, count: int) -> list[tuple[list, list]]:
+    """Split the positions into at most ``count`` shards, each a pair
+    ``(members, owned)`` of sorted positions.  Every position is owned
+    by exactly one shard; a shard's members are the positions it owns
+    and all their ancestors (none unless ``tree``).
+
+    Walking up from the leaves, a subtree is cut off as a piece once its
+    uncut part claims ``1 / (count * _PIECES_PER_SHARD)`` of all claimed
+    instructions, and each root closes a piece.  Heaviest piece first,
+    each piece goes to the shard whose claimed work, helpers included,
+    ends lowest.  Ties go to the lower position and shard, so the split
+    depends on the certificates alone.  The shard claiming the most
+    comes first: the parent replays it while the others fork.
+    """
+    parents: list = [None] * len(certificates)
+    if tree:
+        for position, cert in enumerate(certificates):
+            link = _link(cert, position)
+            if link is not None:
+                parents[position] = link[0]
+    claimed = [cert.instret for cert in certificates]
+    piece = sum(claimed) / (count * _PIECES_PER_SHARD)
+    # A parent precedes its children, so reversed order visits every
+    # child before its parent; ``rest`` ends as each piece's claim.
+    rest = list(claimed)
+    cut = [True] * len(certificates)
+    for position in reversed(range(len(certificates))):
+        parent = parents[position]
+        if parent is not None and rest[position] < piece:
+            rest[parent] += rest[position]
+            cut[position] = False
+    pieces: dict = {}
+    top = list(range(len(certificates)))
+    for position, parent in enumerate(parents):
+        if not cut[position]:
+            top[position] = top[parent]
+        pieces.setdefault(top[position], []).append(position)
+    members: list = [set() for _ in range(count)]
+    owned: list = [[] for _ in range(count)]
+    load = [0] * count
+    for root in sorted(pieces, key=lambda position: (-rest[position], position)):
+        need = set(pieces[root])
+        ancestor = parents[root]
+        while ancestor is not None:
+            need.add(ancestor)
+            ancestor = parents[ancestor]
+        grow = [sum(claimed[p] for p in need - members[s]) for s in range(count)]
+        shard = min(range(count), key=lambda s: (load[s] + grow[s], s))
+        load[shard] += grow[shard]
+        members[shard] |= need
+        owned[shard].extend(pieces[root])
+    heaviest = sorted(range(count), key=lambda s: (-load[s], s))
+    return [(sorted(members[s]), sorted(owned[s])) for s in heaviest if owned[s]]
+
+
+def _replay_shard(executor, certificates, tree: bool, members, owned) -> tuple:
+    """Replay ``members`` in path order.  Returns the messages of each
+    ``owned`` position, in order, and the resumes and instructions of
+    those positions: a helper's replay only leaves its copies behind."""
+    replay = (
+        _TreeReplay(executor, certificates, members) if tree else _EntryReplay(executor)
+    )
+    owns = set(owned)
+    messages = []
+    for position in members:
+        resumed, instructions = replay.resumed, replay.instructions
+        problems = replay.replay(position, certificates[position])
+        if position in owns:
+            messages.append(problems)
+        else:
+            replay.resumed, replay.instructions = resumed, instructions
+    return messages, replay.resumed, replay.instructions
+
+
+def _shard_main(send, *shard) -> None:
+    """A forked shard: replay, send the outcome home.  multiprocessing
+    then leaves through ``os._exit``.  Ctrl-C is the parent's to
+    handle, and it stops its shards."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    send.send(_replay_shard(*shard))
+    send.close()
+
+
+def _receive(receive, owned) -> Optional[tuple]:
+    """A shard's reply, or None if it is missing or malformed."""
+    try:
+        messages, resumed, instructions = receive.recv()
+    except (EOFError, OSError, pickle.UnpicklingError, TypeError, ValueError):
+        return None
+    if (
+        isinstance(messages, list)
+        and len(messages) == len(owned)
+        and all(
+            isinstance(problems, list) and all(isinstance(m, str) for m in problems)
+            for problems in messages
+        )
+        and _is_count(resumed)
+        and _is_count(instructions)
+    ):
+        return messages, resumed, instructions
+    return None
+
+
+def _replay_shards(executor, certificates, tree: bool, shards, result) -> list:
+    """Every shard's :func:`_replay_shard` outcome.  Shard 0 replays
+    here and the others in forked children; a lost one replays here
+    too, counted in ``result.worker_deaths``."""
+    if len(shards) < 2:
+        return [_replay_shard(executor, certificates, tree, *shard) for shard in shards]
+    context = multiprocessing.get_context("fork")
+    children: list = []
+    outcomes: list = [None] * len(shards)
+    try:
+        for shard in shards[1:]:
+            receive, send = context.Pipe(duplex=False)
+            process = context.Process(
+                target=_shard_main,
+                args=(send, executor, certificates, tree, *shard),
+                daemon=True,
+            )
+            children.append((process, receive))
+            try:
+                process.start()
+            finally:
+                send.close()  # so the reply pipe ends when the child does
+        outcomes[0] = _replay_shard(executor, certificates, tree, *shards[0])
+        for index, (process, receive) in enumerate(children, 1):
+            outcomes[index] = _receive(receive, shards[index][1])
+            process.join()
+            if process.exitcode:
+                outcomes[index] = None
+    finally:
+        for process, receive in children:
+            if process.pid is not None and process.exitcode is None:
+                process.kill()
+                process.join()
+            receive.close()
+    for index, outcome in enumerate(outcomes):
+        if outcome is None:
+            result.worker_deaths += 1
+            outcomes[index] = _replay_shard(
+                executor, certificates, tree, *shards[index]
+            )
+    return outcomes
+
+
 def verify_result(result, executor) -> list[str]:
     """Replay-verify every recorded path of an exploration result.
 
     Builds one certificate per path, replays each under the reference
     evaluator (as a tree for :class:`BinSymExecutor` under the default
     PIN concretization, see the module docstring; otherwise from the
-    entry), and folds the outcome into the result's accounting:
-    ``certified_paths`` / ``certificate_failures`` counters,
-    ``certificate_resumed`` / ``certificate_instructions``, the
-    ``certificates`` list, and ``certificate_errors`` carrying one
-    message per mismatching field.  Returns the error list.
+    entry) on as many shards as it pays to fork, and folds the outcome
+    into the result's accounting: ``certified_paths`` /
+    ``certificate_failures`` counters, ``certificate_resumed`` /
+    ``certificate_instructions``, the ``certificates`` list, and
+    ``certificate_errors`` carrying one message per mismatching field,
+    in path order.  Returns the error list.
     """
     certificates = [certificate_for(path) for path in result.paths]
-    failures: list[str] = []
     # Under FREE concretization a symbolic address is not pinned in the
     # trace, so a child satisfying its parent's prefix may still load
     # through different addresses (other terms, same bytes): check (1)
@@ -573,17 +779,22 @@ def verify_result(result, executor) -> list[str]:
         type(executor) is BinSymExecutor
         and executor.interpreter.concretization is ConcretizationPolicy.PIN
     )
-    replay = _TreeReplay(executor, certificates) if tree else _EntryReplay(executor)
+    shards = _partition(certificates, tree, _shard_count(certificates))
     with reference_mode(executor):
-        for position, cert in enumerate(certificates):
-            problems = replay.replay(position, cert)
-            if problems:
-                failures.extend(problems)
-                result.certificate_failures += 1
-            else:
-                result.certified_paths += 1
-    result.certificate_resumed += replay.resumed
-    result.certificate_instructions += replay.instructions
+        outcomes = _replay_shards(executor, certificates, tree, shards, result)
+    verdicts: list = [None] * len(certificates)
+    for (_, owned), (messages, resumed, instructions) in zip(shards, outcomes):
+        for position, problems in zip(owned, messages):
+            verdicts[position] = problems
+        result.certificate_resumed += resumed
+        result.certificate_instructions += instructions
+    failures: list[str] = []
+    for problems in verdicts:
+        if problems:
+            failures.extend(problems)
+            result.certificate_failures += 1
+        else:
+            result.certified_paths += 1
     result.certificates = certificates
     result.certificate_errors.extend(failures)
     return failures

@@ -10,7 +10,14 @@ derivation — counted, never trusted.
 import dataclasses
 import json
 import multiprocessing
+import os
+import random
+import signal
+import subprocess
 import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +27,7 @@ from repro.concrete.interpreter import ConcreteInterpreter
 from repro.core import BinSymExecutor, ExplorationResult, Explorer, FaultPlan
 from repro.core import certificates
 from repro.core.certificates import (
+    PathCertificate,
     certificate_from_state,
     certificate_to_state,
     reference_mode,
@@ -146,8 +154,24 @@ next:
 """
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def make_executor():
     return BinSymExecutor(rv32im(), assemble(SOURCE))
+
+
+@pytest.fixture()
+def one_shard(monkeypatch):
+    """Keep every replay in this process, where a spy or a profile hook
+    sees all of it."""
+    monkeypatch.setattr(certificates, "_usable_cpus", lambda: 1)
+
+
+def force_shards(monkeypatch, count):
+    """Split every replay into ``count`` shards, however little it claims."""
+    monkeypatch.setattr(certificates, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(certificates, "MIN_SHARD_INSTRUCTIONS", 1)
 
 
 def explore(
@@ -467,6 +491,7 @@ class TestTreeReplay:
         assert result.certificate_failures == 0
         assert result.certificate_resumed == result.num_paths - 1
 
+    @pytest.mark.usefixtures("one_shard")
     def test_live_fault_verdicts_match(self, monkeypatch):
         """A concolic-invariant fault in the shared interpreter: the
         shadow term of the byte at the input buffer's start is dropped
@@ -499,7 +524,15 @@ class TestTreeReplay:
         assert result.certificate_resumed < result.num_paths - 1
         # The replay's one machine judges each child as a new one would.
         assert verdicts == fresh
+        # Forked shards merge the same failing verdicts and counters.
+        for count in (2, 3, 4):
+            with monkeypatch.context() as patch:
+                force_shards(patch, count)
+                sharded = reverify(result, executor)
+            assert counters(sharded) == counters(result), count
+            assert sharded.worker_deaths == 0
 
+    @pytest.mark.usefixtures("one_shard")
     @pytest.mark.parametrize("program", ["bubble-sort", "echo"])
     def test_check_two_machine_starts_each_child_clean(self, program, monkeypatch):
         """Check (2) runs every child on one machine, reset in between;
@@ -528,6 +561,7 @@ class TestTreeReplay:
         assert result.certificate_resumed == result.num_paths - 1
         assert result.certified_paths == result.num_paths
 
+    @pytest.mark.usefixtures("one_shard")
     def test_reference_mode_runs_no_emitted_symbolic_code(self, monkeypatch):
         """The checker certifies the staged plans and superblocks that
         exploration ran, so none of their symbolic code may run while it
@@ -641,6 +675,7 @@ class TestTreeReplay:
         # the longer paths' claims fail.
         assert (fresh.certificate_failures > 0) == (verify_steps < 40)
 
+    @pytest.mark.usefixtures("one_shard")
     def test_copies_stay_within_the_pool_budget(self, monkeypatch):
         """Live copies hold at most the snapshot-pool budget; a copy over
         it is not taken and its children replay from the entry, with the
@@ -684,6 +719,7 @@ class TestTreeReplay:
         executor.finish(assignment)
         assert run.snapshots and seen == sorted(run.snapshots)
 
+    @pytest.mark.usefixtures("one_shard")
     def test_copies_are_dropped_after_their_last_child(self, monkeypatch):
         replays = []
         tree = certificates._TreeReplay.__init__
@@ -715,6 +751,267 @@ class TestTreeReplay:
         assert result.certified_paths == result.num_paths == 6
         assert result.certificate_resumed == 0
         assert result.certificate_instructions == result.total_instructions
+
+
+def counters(result):
+    """What a replay reports: its messages in order and four counters."""
+    return (
+        result.certificate_errors,
+        result.certified_paths,
+        result.certificate_failures,
+        result.certificate_resumed,
+        result.certificate_instructions,
+    )
+
+
+def random_certificates(rng, count):
+    """Certificates of a random tree, with extra roots and bad links."""
+    certs = []
+    for position in range(count):
+        parent = rng.randrange(position) if position and rng.random() < 0.9 else None
+        if rng.random() < 0.05:
+            parent = position + rng.randrange(3)  # not an earlier path
+        certs.append(
+            PathCertificate(
+                index=position,
+                inputs=(),
+                halt_reason="exit",
+                exit_code=0,
+                instret=rng.randrange(500),
+                trace_length=8,
+                stdout_digest="",
+                final_pc=0,
+                parent=parent,
+                divergence=rng.randrange(8) if parent is not None else None,
+            )
+        )
+    return certs
+
+
+def ancestors(certs, position):
+    """The positions a path's usable links lead up through."""
+    chain = []
+    link = certificates._link(certs[position], position)
+    while link is not None:
+        chain.append(link[0])
+        link = certificates._link(certs[link[0]], link[0])
+    return chain
+
+
+class TestShardedReplay:
+    """verify_result splits the tree over forked shard processes; the
+    merged verdicts, messages and counters equal one process's."""
+
+    @pytest.mark.usefixtures("one_shard")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("workload", sorted(GATE_SCALES))
+    def test_shards_equal_one_process(self, workload, jobs, monkeypatch):
+        executor, result = certify_workload(workload, GATE_SCALES[workload], jobs)
+        assert result.certificate_resumed == result.num_paths - 1
+        for count in (2, 3, 4):
+            with monkeypatch.context() as patch:
+                force_shards(patch, count)
+                shards = certificates._partition(result.certificates, True, count)
+                assert len(shards) == count
+                sharded = reverify(result, executor)
+            assert counters(sharded) == counters(result), count
+            assert sharded.worker_deaths == 0
+            assert multiprocessing.active_children() == []
+
+    def test_each_shard_runs_no_emitted_symbolic_code(self):
+        """Every shard's member list, helpers included, replayed in this
+        process under the profile hook of
+        ``test_reference_mode_runs_no_emitted_symbolic_code``."""
+        executor, result = certify_workload("bubble-sort", 4)
+        executor.execute(InputAssignment())
+        memo = executor.interpreter._exec_cache.values()
+        assert any(plan is not None for plan, _ in memo)
+        certs = result.certificates
+        shards = certificates._partition(certs, True, 3)
+        assert len(shards) == 3
+        assert any(len(members) > len(owned) for members, owned in shards)
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code.co_filename)
+
+        outcomes = []
+        with reference_mode(executor):
+            sys.setprofile(profile)
+            try:
+                for shard in shards:
+                    outcomes.append(
+                        certificates._replay_shard(executor, certs, True, *shard)
+                    )
+            finally:
+                sys.setprofile(None)
+        assert all(not problems for messages, _, _ in outcomes for problems in messages)
+        assert sum(resumed for _, resumed, _ in outcomes) == result.num_paths - 1
+        symbolic = [n for n in called if n.startswith(("<plan sym", "<superblock sym"))]
+        concrete = [n for n in called if n.startswith(("<plan int", "<superblock int"))]
+        assert symbolic == []
+        assert concrete
+
+    def test_each_shard_drops_its_copies(self, monkeypatch):
+        """A shard copies states only for the children it replays, so
+        every copy is dropped by the time it finishes."""
+        replays = []
+        tree = certificates._TreeReplay.__init__
+
+        def keep(self, *args):
+            tree(self, *args)
+            replays.append(self)
+
+        monkeypatch.setattr(certificates._TreeReplay, "__init__", keep)
+        executor, result = certify_workload("bubble-sort", 4)
+        replays.clear()
+        certs = result.certificates
+        shards = certificates._partition(certs, True, 3)
+        with reference_mode(executor):
+            for shard in shards:
+                certificates._replay_shard(executor, certs, True, *shard)
+        assert len(replays) == len(shards) == 3
+        assert all(replay.copies == {} and replay.held == 0 for replay in replays)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_partition_owns_each_path_once(self, seed):
+        rng = random.Random(seed)
+        certs = random_certificates(rng, rng.randrange(1, 200))
+        for tree in (True, False):
+            for count in range(1, 6):
+                shards = certificates._partition(certs, tree, count)
+                assert 1 <= len(shards) <= count
+                owned = sorted(p for _, shard_owned in shards for p in shard_owned)
+                assert owned == list(range(len(certs)))
+                for members, shard_owned in shards:
+                    assert members == sorted(set(members))
+                    assert shard_owned == sorted(shard_owned)
+                    needed = set(shard_owned)
+                    if tree:
+                        for position in shard_owned:
+                            needed.update(ancestors(certs, position))
+                    # Members are the owned paths and their ancestors.
+                    assert set(members) == needed
+
+    def test_partition_ignores_the_hash_seed(self):
+        script = textwrap.dedent(
+            """
+            import random, sys
+            sys.path.insert(0, sys.argv[1])
+            from test_certificates import random_certificates
+            from repro.core import certificates
+            certs = random_certificates(random.Random(7), 300)
+            print(certificates._partition(certs, True, 3))
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+        )
+        outputs = set()
+        for hash_seed in ("0", "1", "12345"):
+            env["PYTHONHASHSEED"] = hash_seed
+            outputs.add(
+                subprocess.run(
+                    [sys.executable, "-c", script, str(Path(__file__).parent)],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                ).stdout
+            )
+        assert len(outputs) == 1
+        (output,) = outputs
+        assert output.startswith("[([")
+
+    @pytest.mark.usefixtures("one_shard")
+    @pytest.mark.parametrize("fault", ["exit", "sigkill", "malformed", "short"])
+    def test_lost_shard_replays_here(self, fault, monkeypatch):
+        """A shard that dies or answers nonsense is replayed by the
+        parent and counted as a worker death; the verdicts stay."""
+        executor, result = certify_workload("bubble-sort", 4)
+        parent = os.getpid()
+        replay_shard = certificates._replay_shard
+
+        def faulty(*shard):
+            if os.getpid() == parent:
+                return replay_shard(*shard)
+            if fault == "exit":
+                os._exit(3)
+            if fault == "sigkill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            messages, resumed, instructions = replay_shard(*shard)
+            if fault == "malformed":
+                return ["not", "a", "reply"], resumed, instructions
+            return messages[1:], resumed, instructions
+
+        monkeypatch.setattr(certificates, "_replay_shard", faulty)
+        force_shards(monkeypatch, 2)
+        sharded = reverify(result, executor)
+        assert counters(sharded) == counters(result)
+        assert sharded.worker_deaths == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_parent_error_stops_every_shard(self, error, monkeypatch):
+        """The parent's own shard raises while the others still run:
+        each child is stopped and reaped before the error propagates,
+        and reference mode is left."""
+        executor, result = certify_workload("bubble-sort", 4)
+        parent = os.getpid()
+
+        def failing(*shard):
+            if os.getpid() == parent:
+                raise error("the parent's shard failed")
+            time.sleep(60)
+
+        monkeypatch.setattr(certificates, "_replay_shard", failing)
+        force_shards(monkeypatch, 3)
+        start = time.monotonic()
+        with pytest.raises(error):
+            reverify(result, executor)
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+        assert executor.interpreter.staging and executor.superblocks_enabled
+
+    def test_cli_output_printed_once(self, tmp_path):
+        """Shards leave through ``os._exit``: output the parent buffered
+        before forking is not printed again by a child."""
+        source = tmp_path / "branches.s"
+        source.write_text(SOURCE)
+        script = textwrap.dedent(
+            """
+            import multiprocessing, sys
+            from repro import cli
+            from repro.core import certificates
+            certificates._usable_cpus = lambda: 2
+            certificates.MIN_SHARD_INSTRUCTIONS = 1
+            print("buffered before the fork")
+            code = cli.main(["explore", sys.argv[1], "--certify"])
+            print("children alive:", len(multiprocessing.active_children()))
+            sys.exit(code)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(source)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert lines.count("buffered before the fork") == 1
+        certified = [line for line in lines if line.startswith("certified results:")]
+        assert len(certified) == 1
+        assert certified[0].startswith("certified results: 4 paths replayed (0 failed")
+        assert "worker deaths" not in run.stdout
+        assert lines[-1] == "children alive: 0"
 
 
 class TestCertificateState:

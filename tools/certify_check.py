@@ -32,7 +32,10 @@ Usage::
 child's, and asserts the tree replay rejects every perturbed claim; it
 also gives a pristine child wrong ``parent``/``divergence`` links and
 asserts they cost a from-entry replay, never a verdict — proving the
-gate can actually fail and that links are only hints.
+gate can actually fail and that links are only hints.  It then splits
+the replay into two shards, which a tree this small never gets on its
+own, and asserts a perturbed claim on a child the forked shard owns is
+rejected too.
 """
 
 from __future__ import annotations
@@ -265,10 +268,60 @@ def self_test() -> int:
             f"self-test: wrong {field_name} link certified from the entry "
             f"({forged.certificate_resumed}/{children} children resumed)"
         )
+    cpus, minimum = certificates._usable_cpus, certificates.MIN_SHARD_INSTRUCTIONS
+    certificates._usable_cpus = lambda: 2
+    certificates.MIN_SHARD_INSTRUCTIONS = 1
+    try:
+        if _sharded_self_test(result, executor, tampered):
+            return 1
+    finally:
+        certificates._usable_cpus = cpus
+        certificates.MIN_SHARD_INSTRUCTIONS = minimum
     print(
         "self-test passed: the tree replay rejects every tampered claim, "
-        "and a wrong link only costs a from-entry replay"
+        "in one process or two, and a wrong link only costs a from-entry "
+        "replay"
     )
+    return 0
+
+
+def _sharded_self_test(result, executor, tampered) -> int:
+    """Two shards: a pristine replay counts as one process's, and a
+    tampered claim on a resumed child the forked shard owns is rejected.
+    Returns 1 on a failure."""
+    children = result.num_paths - 1
+    shards = certificates._partition(result.certificates, True, 2)
+    forked = [p for p in shards[-1][1] if result.paths[p].parent is not None]
+    if len(shards) != 2 or not forked:
+        print(f"self-test FAILED: no resumed child in a forked shard ({shards})")
+        return 1
+    target = forked[-1]
+    pristine = _reverify(result, executor, {})
+    if (
+        pristine.certified_paths != result.num_paths
+        or pristine.certificate_resumed != children
+        or pristine.certificate_instructions != result.certificate_instructions
+        or pristine.worker_deaths
+    ):
+        print("self-test FAILED: two shards did not replay as one process")
+        return 1
+    for field_name, mutation in tampered:
+        forged = _reverify(result, executor, {target: mutation})
+        if (
+            forged.certificate_failures != 1
+            or forged.certificate_resumed != children
+            or forged.worker_deaths
+            or not forged.certificate_errors[0].startswith(f"path {target}: ")
+        ):
+            print(
+                f"self-test FAILED: tampered {field_name} on path {target}, "
+                f"owned by the forked shard, was accepted"
+            )
+            return 1
+        print(
+            f"self-test: tampered {field_name} on path {target} (forked "
+            f"shard) rejected ({forged.certificate_errors[0]})"
+        )
     return 0
 
 
