@@ -179,37 +179,36 @@ def _cmd_explore(args) -> int:
         for message in result.certificate_errors:
             print(f"  CERTIFICATE FAILURE: {message}")
     if args.stats:
-        print("query statistics:")
-        print(f"  queries answered     : {result.num_queries} solved, "
-              f"{result.cache_hits} from cache, "
-              f"{result.fast_path_answers} fast-path, "
-              f"{result.pruned_queries} pruned, "
-              f"{result.unknown_queries} unknown")
-        print(f"  SAT-core solve() calls: {result.sat_solves}")
-        for key in sorted(result.solver_stats):
-            print(f"  {key:21s}: {result.solver_stats[key]}")
-        if result.snapshot_stats:
-            print("snapshot statistics:")
-            print(f"  instructions executed: "
-                  f"{result.executed_instructions} of "
-                  f"{result.total_instructions} "
-                  f"({result.saved_instructions} skipped by "
-                  f"{result.resumed_runs} resumed runs)")
-            for key in sorted(result.snapshot_stats):
-                print(f"  {key:21s}: {result.snapshot_stats[key]}")
-        if result.superblock_stats:
-            print("superblock statistics:")
-            print(f"  block instructions   : "
-                  f"{result.superblock_instructions} of "
-                  f"{result.total_instructions} "
-                  f"({result.superblock_hits} block dispatches)")
-            for key in sorted(result.superblock_stats):
-                print(f"  {key:21s}: {result.superblock_stats[key]}")
-        if result.governor_stats or result.degradations:
-            print("memory governor statistics:")
-            print(f"  degradation rungs    : {result.degradations}")
-            for key in sorted(result.governor_stats):
-                print(f"  {key:21s}: {result.governor_stats[key]}")
+        sections = (
+            ("query", result.solver_stats, (
+                f"queries answered     : {result.num_queries} solved, "
+                f"{result.cache_hits} from cache, "
+                f"{result.fast_path_answers} fast-path, "
+                f"{result.pruned_queries} pruned, "
+                f"{result.unknown_queries} unknown",
+                f"SAT-core solve() calls: {result.sat_solves}",
+            )),
+            ("snapshot", result.snapshot_stats, (
+                f"instructions executed: {result.executed_instructions} of "
+                f"{result.total_instructions} ({result.saved_instructions} "
+                f"skipped by {result.resumed_runs} resumed runs)",
+            )),
+            ("superblock", result.superblock_stats, (
+                f"block instructions   : {result.superblock_instructions} of "
+                f"{result.total_instructions} ({result.superblock_hits} "
+                f"block dispatches)",
+            )),
+            ("memory governor", result.governor_stats, (
+                f"degradation rungs    : {result.degradations}",
+            )),
+        )
+        for name, stats, headlines in sections:
+            if stats:
+                print(f"{name} statistics:")
+                for line in headlines:
+                    print(f"  {line}")
+                for key in sorted(stats):
+                    print(f"  {key:21s}: {stats[key]}")
         if result.hung_workers or result.deadline_expired:
             print("anytime statistics:")
             print(f"  hung workers killed  : {result.hung_workers}")

@@ -2,11 +2,12 @@
 
 The exploration driver (in process or pooled) periodically serializes
 its *complete* recoverable state — every recorded path, the pending
-frontier, the set of already-issued flip-query digests, and the exact
-query-attribution counters — to ``checkpoint.json`` inside a campaign
-directory.  Writes go through a temp file + ``os.replace``, so a crash
-at any instant leaves either the previous checkpoint or the new one,
-never a torn file.
+frontier, the set of already-issued flip-query digests, the exact
+query-attribution counters and the summed counter record of every
+process, periodic saves included — to ``checkpoint.json`` inside a
+campaign directory.  Writes go through a temp file + ``os.replace``,
+so a crash at any instant leaves either the previous checkpoint or the
+new one, never a torn file.
 
 The journal carries its own **integrity digest**: the state object is
 canonically serialized and a ``blake2b`` digest of those bytes is
@@ -25,11 +26,14 @@ uninterrupted run's path set without duplicates.  This only works
 because :func:`repro.core.scheduler.term_digest` is restart-stable
 (independent of the interpreter's randomized hash seed).
 
-Two deliberate non-goals keep the journal small and sound:
+Three deliberate non-goals keep the journal small and sound:
 
 * **Snapshot handles are dropped** on save — they are process-local
   pool indices; restored items re-execute from the entry point, the
   same fallback the PR 5 eviction contract already guarantees.
+* **Gauges are dropped** too (:data:`GAUGES`): a snapshot pool's or a
+  query cache's size belongs to the process that held it, so a resumed
+  campaign reports only the sizes of its own processes.
 * The **write point** is after a path is recorded *and* its children
   pushed, so the journal never names a path whose children could be
   lost: execution between the last checkpoint and a crash is repeated
@@ -47,11 +51,18 @@ from typing import Optional
 
 from .scheduler import WorkItem, deserialize_assignment, serialize_assignment
 
-__all__ = ["CheckpointManager", "CheckpointState", "CHECKPOINT_FILENAME"]
+__all__ = ["CheckpointManager", "CheckpointState", "CHECKPOINT_FILENAME", "GAUGES"]
 
 CHECKPOINT_FILENAME = "checkpoint.json"
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
+
+#: Point-in-time sizes in a process's counter record, not counts: the
+#: result sums them over the processes that ran, but the journal leaves
+#: them out, so a restore never adds a dead process's pool or cache size.
+GAUGES = frozenset(
+    ("snap_pool_entries", "snap_pool_bytes", "cache_entries", "cache_unsat_sets")
+)
 
 
 def _state_digest(state: dict) -> str:
@@ -77,7 +88,6 @@ _COUNTER_FIELDS = (
     "incomplete_paths",
     "worker_deaths",
     "hung_workers",
-    "degradations",
     "total_instructions",
     "executed_instructions",
     "solver_time",
@@ -96,10 +106,9 @@ class CheckpointState:
     digests: set = field(default_factory=set)
     covered: set = field(default_factory=set)
     counters: dict = field(default_factory=dict)
-    solver_stats: dict = field(default_factory=dict)
-    snapshot_stats: dict = field(default_factory=dict)
-    superblock_stats: dict = field(default_factory=dict)
-    governor_stats: dict = field(default_factory=dict)
+    #: Every process's counter record summed (``ExplorationResult.stats``),
+    #: gauges left out.
+    stats: dict = field(default_factory=dict)
 
     def restore_result(self, result) -> None:
         """Seed an ``ExplorationResult`` with the persisted campaign."""
@@ -132,15 +141,7 @@ class CheckpointState:
         for name in _COUNTER_FIELDS:
             setattr(result, name, self.counters.get(name, 0))
         result.covered_branches |= self.covered
-        result.merge_solver_stats(self.solver_stats)
-        result.merge_snapshot_stats(self.snapshot_stats)
-        result.merge_superblock_stats(self.superblock_stats)
-        # Governor counters are restored directly (not via
-        # merge_governor_stats): the ``degradations`` total already came
-        # back through _COUNTER_FIELDS above, and merging would re-add
-        # the persisted ``gov_rungs_applied`` on top of it.
-        for key, value in self.governor_stats.items():
-            result.governor_stats[key] = result.governor_stats.get(key, 0) + value
+        result.merge_counters(self.stats)
 
     def frontier_items(self) -> list:
         """Pending :class:`WorkItem`s (snapshot-free, per module doc)."""
@@ -158,10 +159,10 @@ class CheckpointState:
 class CheckpointManager:
     """Owns one campaign directory's journal: save / load / cadence.
 
-    ``interval`` is in *recorded paths*: ``maybe_save`` persists once
-    every ``interval`` newly recorded paths (1 = after every run).  The
-    strategy name and seed are stored in the journal and validated on
-    load — resuming a DFS campaign as BFS would silently explore a
+    ``interval`` is in *recorded paths*: :meth:`due` says a save is due
+    once every ``interval`` newly recorded paths (1 = after every run).
+    The strategy name and seed are stored in the journal and validated
+    on load — resuming a DFS campaign as BFS would silently explore a
     different tree, so it is an error instead.
     """
 
@@ -243,10 +244,7 @@ class CheckpointManager:
             digests=set(raw["digests"]),
             covered=set(raw["covered"]),
             counters=raw["counters"],
-            solver_stats=raw["solver_stats"],
-            snapshot_stats=raw["snapshot_stats"],
-            superblock_stats=raw["superblock_stats"],
-            governor_stats=raw.get("governor_stats", {}),
+            stats=raw["stats"],
         )
         self._saved_paths = len(state.paths)
         return state
@@ -255,32 +253,20 @@ class CheckpointManager:
     # Save
     # ------------------------------------------------------------------
 
-    def maybe_save(self, result, pending, digests, **stats_now) -> bool:
-        """Persist if ``interval`` paths were recorded since the last save."""
-        if result.num_paths - self._saved_paths < self.interval:
-            return False
-        self.save(result, pending, digests, complete=False, **stats_now)
-        return True
+    def due(self, num_paths: int) -> bool:
+        """Whether ``interval`` paths were recorded since the last save."""
+        return num_paths - self._saved_paths >= self.interval
 
-    def save(
-        self,
-        result,
-        pending,
-        digests,
-        complete: bool,
-        solver_stats: Optional[dict] = None,
-        snapshot_stats: Optional[dict] = None,
-        superblock_stats: Optional[dict] = None,
-        governor_stats: Optional[dict] = None,
-    ) -> None:
+    def save(self, result, pending, digests, stats: dict, complete: bool) -> None:
         """Atomically write the journal (temp file + ``os.replace``).
 
         ``pending`` is every not-yet-completed item: the frontier
         snapshot plus, for a pool, every item a worker holds —
         anything not persisted here *and* not recorded as a path would
-        be lost to a crash.  The ``*_stats`` dicts are the *current
-        cumulative* flat counters (resume base + live), since the live
-        solver's counters are only merged into the result at run end.
+        be lost to a crash.  ``stats`` is the campaign's counter record
+        so far (restored base + every live process's), since the live
+        records are merged into the result only at run end; its
+        :data:`GAUGES` are left out.
         """
         state = {
             "version": _FORMAT_VERSION,
@@ -314,10 +300,9 @@ class CheckpointManager:
             "counters": {
                 name: getattr(result, name) for name in _COUNTER_FIELDS
             },
-            "solver_stats": solver_stats or {},
-            "snapshot_stats": snapshot_stats or {},
-            "superblock_stats": superblock_stats or {},
-            "governor_stats": governor_stats or {},
+            "stats": {
+                key: value for key, value in stats.items() if key not in GAUGES
+            },
         }
         # Digest over the canonical serialization, then the wrapper —
         # load() recomputes the digest from the parsed state, so any

@@ -234,10 +234,6 @@ class ExplorationResult:
     #: Worker seats the heartbeat watchdog declared hung and killed
     #: (each also counts as a worker death once the kill lands).
     hung_workers: int = 0
-    #: Memory-governor ladder rungs applied under RSS pressure, summed
-    #: over every process.  Non-zero means the run traded speed (cache
-    #: capacity, snapshot reuse) for memory — never paths.
-    degradations: int = 0
     #: The global ``--deadline`` fired: the frontier was drained into
     #: ``incomplete_paths`` and the run checkpointed for ``--resume``.
     #: Not persisted — a resumed run gets a fresh deadline.
@@ -330,26 +326,36 @@ class ExplorationResult:
         self.solver_time += stats.solver_time
         self.covered_branches |= stats.covered_pcs
 
-    def merge_solver_stats(self, stats: dict) -> None:
-        """Key-wise sum of one solver's flat counter dict."""
-        for key, value in stats.items():
-            self.solver_stats[key] = self.solver_stats.get(key, 0) + value
+    def merge_counters(self, record: dict) -> None:
+        """Key-wise sum of one counter record (:meth:`Worker.counters`,
+        or a journal's), each key into its layer's dict by prefix:
+        ``snap_``, ``sb_`` and ``gov_``, the rest into ``solver_stats``."""
+        layers = {
+            "snap": self.snapshot_stats,
+            "sb": self.superblock_stats,
+            "gov": self.governor_stats,
+        }
+        for key, value in record.items():
+            stats = layers.get(key.partition("_")[0], self.solver_stats)
+            stats[key] = stats.get(key, 0) + value
 
-    def merge_snapshot_stats(self, stats: dict) -> None:
-        """Key-wise sum of one executor's flat snapshot counter dict."""
-        for key, value in stats.items():
-            self.snapshot_stats[key] = self.snapshot_stats.get(key, 0) + value
+    @property
+    def stats(self) -> dict:
+        """The four layer dicts as one flat record (their keys are
+        disjoint): what :meth:`merge_counters` summed."""
+        return {
+            **self.solver_stats,
+            **self.snapshot_stats,
+            **self.superblock_stats,
+            **self.governor_stats,
+        }
 
-    def merge_superblock_stats(self, stats: dict) -> None:
-        """Key-wise sum of one executor's flat superblock counter dict."""
-        for key, value in stats.items():
-            self.superblock_stats[key] = self.superblock_stats.get(key, 0) + value
-
-    def merge_governor_stats(self, stats: dict) -> None:
-        """Key-wise sum of one process's flat governor counter dict."""
-        for key, value in stats.items():
-            self.governor_stats[key] = self.governor_stats.get(key, 0) + value
-        self.degradations += stats.get("gov_rungs_applied", 0)
+    @property
+    def degradations(self) -> int:
+        """Memory-governor ladder rungs applied under RSS pressure,
+        summed over every process.  Non-zero means the run traded speed
+        (cache capacity, snapshot reuse) for memory — never paths."""
+        return self.governor_stats.get("gov_rungs_applied", 0)
 
     @property
     def superblock_hits(self) -> int:
@@ -546,9 +552,14 @@ class _Campaign:
     :class:`repro.core.parallel.Broker`.  Its ``explore(campaign)``
     calls :meth:`record` and :meth:`fresh` for every run it completes
     and :meth:`after_run` once that run's children are queued; it also
-    offers ``pending()`` (every unfinished item), ``counters()`` (the
-    cumulative solver, snapshot, superblock and governor counter dicts
-    of each process) and ``peak`` (the largest frontier it saw).
+    offers ``pending()`` (every unfinished item), ``records()`` (the
+    latest cumulative counter record of each process, see
+    :meth:`Worker.counters`) and ``peak`` (the largest frontier it saw).
+
+    The result holds the restored journal's counters until the run
+    ends, and then every process's record on top, through
+    :meth:`ExplorationResult.merge_counters`; a periodic save sums the
+    same records onto the same base with the same merge.
     """
 
     def __init__(self, config: ExploreConfig, result: ExplorationResult, manager):
@@ -599,15 +610,13 @@ class _Campaign:
 
     def after_run(self, driver) -> None:
         """Checkpoint, and honour a ``stop=`` fault, after each run."""
-        result = self.result
-        if self.manager is not None:
-            self.manager.maybe_save(
-                result,
-                driver.pending(),
-                self.seen,
-                solver_stats=_summed(
-                    result.solver_stats, (stats[0] for stats in driver.counters())
-                ),
+        result, manager = self.result, self.manager
+        if manager is not None and manager.due(result.num_paths):
+            current = ExplorationResult()
+            for record in (result.stats, *driver.records()):
+                current.merge_counters(record)
+            manager.save(
+                result, driver.pending(), self.seen, current.stats, complete=False
             )
         faults = self.config.faults
         if faults is not None and faults.interrupt_after is not None:
@@ -628,23 +637,15 @@ class _Campaign:
         pending = list(driver.pending())
         result.truncated = bool(pending)
         result.frontier_peak = max(driver.peak, result.frontier_peak)
-        for solver_stats, snapshot_stats, superblock_stats, governor_stats in (
-            driver.counters()
-        ):
-            result.merge_solver_stats(solver_stats)
-            result.merge_snapshot_stats(snapshot_stats)
-            result.merge_superblock_stats(superblock_stats)
-            result.merge_governor_stats(governor_stats)
+        for record in driver.records():
+            result.merge_counters(record)
         if self.manager is not None:
             self.manager.save(
                 result,
                 pending,
                 self.seen,
+                result.stats,
                 complete=not pending and not result.interrupted,
-                solver_stats=result.solver_stats,
-                snapshot_stats=result.snapshot_stats,
-                superblock_stats=result.superblock_stats,
-                governor_stats=result.governor_stats,
             )
         if result.deadline_expired:
             # Anytime accounting: every unfinished item is one explicitly
@@ -850,31 +851,20 @@ class Worker:
         )
         return path, children, stats
 
-    def counters(self) -> list:
-        """This process's cumulative (solver, snapshot, superblock,
-        governor) counter dicts, as the one entry of a list."""
+    def counters(self) -> dict:
+        """This process's cumulative counter record, one flat dict: the
+        solver's ``pipeline_statistics`` plus the ``snap_*``, ``sb_*``
+        and ``gov_*`` counters of the layers that run here."""
         executor = self.executor
-        snapshot_stats = getattr(executor, "snapshot_statistics", None)
-        superblock_stats = getattr(executor, "superblock_statistics", None)
-        return [
-            (
-                self.solver.pipeline_statistics,
-                dict(snapshot_stats)
-                if snapshot_stats is not None and self.snapshots
-                else {},
-                dict(superblock_stats)
-                if superblock_stats is not None
-                and getattr(executor, "superblocks_enabled", False)
-                else {},
-                self.governor.statistics if self.governor is not None else {},
-            )
-        ]
+        record = dict(self.solver.pipeline_statistics)
+        if self.snapshots:
+            record.update(getattr(executor, "snapshot_statistics", {}))
+        if getattr(executor, "superblocks_enabled", False):
+            record.update(getattr(executor, "superblock_statistics", {}))
+        if self.governor is not None:
+            record.update(self.governor.statistics)
+        return record
 
-
-def _summed(base: dict, live_dicts) -> dict:
-    """Key-wise ``base + sum(live_dicts)`` without mutating either."""
-    total = dict(base)
-    for live in live_dicts:
-        for key, value in live.items():
-            total[key] = total.get(key, 0) + value
-    return total
+    def records(self) -> list:
+        """The latest record of every process this driver ran: this one."""
+        return [self.counters()]

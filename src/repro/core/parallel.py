@@ -163,14 +163,15 @@ def _worker_main(broker, worker_uid, control, reply_conn, running):
     steal only ever gives up an item the parent has been told about.
 
     Each run appends one reply ``(id, path, children, run_stats,
-    counters)`` to the *batch*: ``path`` is the run step's path tuple
+    record)`` to the *batch*: ``path`` is the run step's path tuple
     with a serialized assignment, ``children`` lists ``(child_id,
     assignment, bound, digest, snapshot_handle, novelty)``, and
-    ``counters`` are :meth:`Worker.counters`' *cumulative* dicts as of
-    that run (the parent keeps the latest per uid and sums them at the
-    end).  A failed run appends ``(id, None, traceback_text, None,
-    None)``.  The batch, a list of replies in run order, goes home as
-    one message:
+    ``record`` is :meth:`Worker.counters`' flat *cumulative* counter
+    record as of that run, plus ``snap_cross_worker_items`` when
+    snapshots run (the parent keeps the latest per uid and sums them
+    at the end).  A failed run appends ``(id, None, traceback_text,
+    None, None)``.  The batch, a list of replies in run order, goes
+    home as one message:
 
     * before the worker starts a child of a run in it (child ids at or
       above ``next_id`` as of the last send);
@@ -340,9 +341,9 @@ def _worker_main(broker, worker_uid, control, reply_conn, running):
                 for child in children:
                     child.id = next_id
                     next_id += 1
-                counters = worker.counters()[0]
-                if counters[1]:
-                    counters[1]["snap_cross_worker_items"] = cross_worker_items
+                record = worker.counters()
+                if worker.snapshots:
+                    record["snap_cross_worker_items"] = cross_worker_items
                 if faults is not None:
                     delay = faults.hiccup_delay(worker_uid, ordinal)
                     if delay:
@@ -353,7 +354,7 @@ def _worker_main(broker, worker_uid, control, reply_conn, running):
                     for c in children
                 ]
                 path = path[:4] + (serialize_assignment(path[4]),) + path[5:]
-                batch.append((item.id, path, child_payloads, stats, counters))
+                batch.append((item.id, path, child_payloads, stats, record))
             except Exception:
                 children = []
                 batch.append((item.id, None, traceback.format_exc(), None, None))
@@ -451,7 +452,7 @@ class Broker:
 
     A driver of the explorer's campaign shell: :meth:`explore` runs the
     broker loop, :meth:`pending` lists the global frontier plus every
-    mirror, and :meth:`counters` the latest cumulative counter dicts of
+    mirror, and :meth:`records` the latest cumulative counter record of
     every worker incarnation.  Path *indices* reflect completion order,
     so cross-mode comparisons should use
     ``ExplorationResult.path_set()``.  The parent never executes the
@@ -465,9 +466,9 @@ class Broker:
         #: and stolen items on their way to an idle seat.
         self.frontier = frontier
         self.slots: list = []
-        #: Latest cumulative (solver, snapshot, superblock, governor)
-        #: counter dicts per worker incarnation uid (see _worker_main).
-        #: Keyed by uid, so a respawned seat never overwrites its dead
+        #: Latest cumulative counter record (one flat dict, see
+        #: :meth:`Worker.counters`) per worker incarnation uid.  Keyed by
+        #: uid, so a respawned seat never overwrites its dead
         #: predecessor's final totals.
         self.worker_stats: dict = {}
         self.peak = 0
@@ -498,7 +499,7 @@ class Broker:
             for entry in slot.mirror.values():
                 yield self._item_of(entry)
 
-    def counters(self) -> list:
+    def records(self) -> list:
         return list(self.worker_stats.values())
 
     # ------------------------------------------------------------------
@@ -702,10 +703,10 @@ class Broker:
         turn.  Children whose flip query the campaign already queued are
         dropped the same way.
         """
-        item_id, path, children, stats, counters = reply
+        item_id, path, children, stats, record = reply
         if path is None:
             raise RuntimeError(f"exploration worker failed:\n{children}")
-        self.worker_stats[slot.uid] = counters
+        self.worker_stats[slot.uid] = record
         entry = slot.mirror.pop(item_id, None)
         if entry is None:
             if children:

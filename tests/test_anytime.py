@@ -334,9 +334,14 @@ class TestAnytimeCheckpointCounters:
             ).explore()
             assert result.degradations >= 1
             state = CheckpointManager(tmp, strategy="dfs", seed=0).load()
-            assert state.counters["degradations"] == result.degradations
             assert state.counters["hung_workers"] == 0
-            assert (
-                state.governor_stats["gov_rungs_applied"]
-                == result.degradations
-            )
+            assert state.stats["gov_rungs_applied"] == result.degradations
+            assert state.stats["gov_samples"] == result.governor_stats["gov_samples"]
+            restored = Explorer(
+                build_executor(),
+                use_cache=True,
+                checkpoint_dir=tmp,
+                resume=True,
+                memory_budget_mb=0,
+            ).explore()
+            assert restored.degradations == result.degradations

@@ -43,6 +43,7 @@ from repro.eval.workloads import WORKLOADS
 from repro.smt import terms as T
 from repro.smt.solver import Result, Solver, SolverConfig
 from repro.spec import rv32im
+from tests.test_faults import flip_counter_digit
 
 SOURCE = """\
 _start:
@@ -1154,10 +1155,7 @@ class TestCheckpointIntegrity:
         self.run_checkpointed(tmp_path)
         journal = tmp_path / "checkpoint.json"
         data = bytearray(journal.read_bytes())
-        # Flip one content byte inside the state object (a digit of a
-        # counter or digest — never the JSON structure).
-        victim = data.rindex(b"1")
-        data[victim] = ord("2")
+        flip_counter_digit(data)
         journal.write_bytes(bytes(data))
         manager = CheckpointManager(str(tmp_path), strategy="dfs", seed=0)
         with pytest.raises(ValueError, match="integrity check"):

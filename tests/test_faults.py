@@ -17,7 +17,8 @@ import pytest
 
 from repro.asm import assemble
 from repro.core import BinSymExecutor, Explorer, FaultPlan
-from repro.core.checkpoint import CHECKPOINT_FILENAME, CheckpointManager
+from repro.core.checkpoint import CHECKPOINT_FILENAME, GAUGES, CheckpointManager
+from repro.core.parallel import Broker
 from repro.eval.workloads import WORKLOADS
 from repro.smt import terms as T
 from repro.smt.solver import SolverConfig
@@ -221,6 +222,18 @@ class TestInterrupt:
         assert result.num_paths >= 2
 
 
+def flip_counter_digit(data: bytearray) -> None:
+    """Change the leading digit of the journal's ``total_instructions``.
+
+    An integer, so the parsed state changes with the byte; the last
+    digit of a float such as ``solver_time`` may parse back to the same
+    value, and then the digest rightly still matches.
+    """
+    key = b'"total_instructions": '
+    at = data.index(key) + len(key)
+    data[at] = ord("2") if data[at] == ord("1") else ord("1")
+
+
 def assert_journal_resumable(directory, paths, pending, jobs):
     """A cut campaign left a journal holding its paths and pending items,
     and a pooled resume rejects a copy of it with one byte flipped."""
@@ -229,8 +242,7 @@ def assert_journal_resumable(directory, paths, pending, jobs):
     assert (len(state.paths), len(state.frontier)) == (paths, pending)
     with open(os.path.join(directory, CHECKPOINT_FILENAME), "rb") as handle:
         data = bytearray(handle.read())
-    # One digit of a counter or digest, never the JSON structure.
-    data[data.rindex(b"1")] = ord("2")
+    flip_counter_digit(data)
     with tempfile.TemporaryDirectory() as damaged:
         with open(os.path.join(damaged, CHECKPOINT_FILENAME), "wb") as handle:
             handle.write(data)
@@ -372,6 +384,117 @@ class TestCheckpoint:
                 resume=True,
             ).explore()
         assert resumed.path_set() == baseline.path_set()
+
+
+class CrashingExecutor(BinSymExecutor):
+    """Raises on its ``crash_at``-th run, so the campaign dies without
+    its final save and the journal stays at its last periodic one."""
+
+    def __init__(self, isa, image, crash_at):
+        super().__init__(isa, image)
+        self.crash_at = crash_at
+        self.runs = 0
+
+    def execute(self, *args, **kwargs):
+        self.runs += 1
+        if self.runs == self.crash_at:
+            raise RuntimeError("injected crash")
+        return super().execute(*args, **kwargs)
+
+
+class TestCrashResumeCounters:
+    """Every counter survives a crash: the journal's periodic saves carry
+    each process's counter record, and a resume adds its own on top."""
+
+    @pytest.fixture
+    def sort5(self):
+        spec = WORKLOADS["insertion-sort"]
+        return rv32im(), spec.image(spec.fig6_scale)
+
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_crash_then_resume_keeps_every_counter(self, sort5, jobs, monkeypatch):
+        """The resumed result holds the journal's record plus the resumed
+        processes' own: the executor's counters in process, the records
+        the broker received in a pool."""
+        isa, image = sort5
+        live: list = []
+        records = Broker.records
+
+        def spy(broker):
+            live[:] = records(broker)
+            return live
+
+        monkeypatch.setattr(Broker, "records", spy)
+        baseline = Explorer(BinSymExecutor(isa, image)).explore()
+        with tempfile.TemporaryDirectory() as tmp:
+            # A budget of 0 MB makes every process walk all three rungs
+            # of its governor's ladder within its first 12 runs.
+            with pytest.raises(RuntimeError):
+                Explorer(
+                    CrashingExecutor(isa, image, crash_at=40),
+                    jobs=jobs,
+                    checkpoint_dir=tmp,
+                    memory_budget_mb=0,
+                ).explore()
+            journal = CheckpointManager(tmp, strategy="dfs", seed=0).load().stats
+            executor = BinSymExecutor(isa, image)
+            resumed = Explorer(
+                executor,
+                jobs=jobs,
+                checkpoint_dir=tmp,
+                resume=True,
+                memory_budget_mb=0,
+            ).explore()
+        assert resumed.path_set() == baseline.path_set()
+        assert journal["gov_rungs_applied"] >= 3
+        assert journal["snap_resumed_runs"] > 0 and journal["sb_hits"] > 0
+        keys = ("gov_rungs_applied", "snap_resumed_runs", "sb_hits")
+        if jobs == 1:
+            assert resumed.degradations == 6  # three rungs in each process
+            own = dict(
+                executor.snapshot_statistics,
+                **executor.superblock_statistics,
+                gov_rungs_applied=3,
+            )
+        else:
+            own = {key: sum(record[key] for record in live) for key in keys}
+        for key in keys:
+            assert resumed.stats[key] == journal[key] + own[key]
+
+    @needs_fork
+    def test_gauges_are_not_carried_across_a_restore(self, sort5):
+        """A pooled cut leaves snapshots held in the workers' pools and
+        entries in their caches.  Those sizes die with the processes: the
+        journal leaves them out, and the resumed campaign reports its own
+        alone."""
+        isa, image = sort5
+        with tempfile.TemporaryDirectory() as tmp:
+            cut = Explorer(
+                BinSymExecutor(isa, image),
+                jobs=2,
+                use_cache=True,
+                checkpoint_dir=tmp,
+                faults=FaultPlan(interrupt_after=40),
+            ).explore()
+            assert cut.snapshot_stats["snap_pool_entries"] > 0
+            journal = CheckpointManager(tmp, strategy="dfs", seed=0).load().stats
+            assert journal == {
+                key: value
+                for key, value in cut.stats.items()
+                if key not in GAUGES
+            }
+            explorer = Explorer(
+                BinSymExecutor(isa, image),
+                use_cache=True,
+                checkpoint_dir=tmp,
+                resume=True,
+            )
+            resumed = explorer.explore()
+        assert resumed.snapshot_stats["snap_pool_entries"] == 0
+        assert resumed.snapshot_stats["snap_pool_bytes"] == 0
+        cache = explorer.solver.cache.statistics
+        assert resumed.solver_stats["cache_entries"] == cache["entries"]
+        assert resumed.solver_stats["cache_unsat_sets"] == cache["unsat_sets"]
 
 
 CHAOS_MATRIX = [

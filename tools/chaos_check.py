@@ -77,8 +77,10 @@ strategy of every exploration a gate runs.
 ``--self-test`` drops a path from a clean result in memory and asserts
 the invariant check trips, as it must when a bubble-sort path is lost
 or recorded twice, perturbs a corruption-gate result and asserts that
-check trips too, and resumes a deadline cut without its journal and
-asserts the journal check trips — proving the gates can actually fail.
+check trips too, resumes a deadline cut without its journal and
+asserts the journal check trips, and trips it again with a cut whose
+counter record the journal does not hold — proving the gates can
+actually fail.
 """
 
 from __future__ import annotations
@@ -96,6 +98,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.core import Explorer, FaultPlan  # noqa: E402
 from repro.core.checkpoint import (  # noqa: E402
     CHECKPOINT_FILENAME,
+    GAUGES,
     CheckpointManager,
 )
 from repro.eval.engines import make_engine  # noqa: E402
@@ -354,10 +357,11 @@ def run_hang_gate(seeds: int, jobs: int) -> int:
 
 
 def check_journal(workload, ckpt, cut, jobs, scale, resume=True) -> list[str]:
-    """The cut left a journal holding its recorded paths and pending
-    items, and a resume reads it: from a copy with one byte flipped it
-    must fail the journal's integrity check.  ``resume=False`` stands in
-    for a resume that ignores the journal (the self-test)."""
+    """The cut left a journal holding its recorded paths, pending items
+    and counter record (gauges left out), and a resume reads it: from a
+    copy with one byte flipped it must fail the journal's integrity
+    check.  ``resume=False`` stands in for a resume that ignores the
+    journal (the self-test)."""
     state = CheckpointManager(ckpt, strategy=STRATEGY, seed=0).load()
     if state is None:
         return [f"{workload}: the cut run left no journal"]
@@ -369,8 +373,23 @@ def check_journal(workload, ckpt, cut, jobs, scale, resume=True) -> list[str]:
             f"pending item(s), the cut recorded {cut.num_paths} and "
             f"counted {cut.incomplete_paths} incomplete"
         )
+    record = {key: value for key, value in cut.stats.items() if key not in GAUGES}
+    if state.stats != record:
+        differing = sorted(
+            key
+            for key in state.stats.keys() | record.keys()
+            if state.stats.get(key) != record.get(key)
+        )
+        errors.append(
+            f"{workload}: journal counter map differs from the cut's record "
+            f"on {differing}"
+        )
     data = bytearray((Path(ckpt) / CHECKPOINT_FILENAME).read_bytes())
-    data[data.rindex(b"1")] = ord("2")  # a digit, never JSON structure
+    # The leading digit of an integer counter, so the parsed state
+    # changes (a float's last digit may parse back to the same value).
+    key = b'"total_instructions": '
+    at = data.index(key) + len(key)
+    data[at] = ord("2") if data[at] == ord("1") else ord("1")
     with tempfile.TemporaryDirectory() as damaged:
         (Path(damaged) / CHECKPOINT_FILENAME).write_bytes(bytes(data))
         try:
@@ -767,6 +786,17 @@ def self_test() -> int:
         print("self-test FAILED: a resume that ignores the journal passed")
         return 1
     print(f"self-test passed: deadline gate trips on an unread journal ({errors[0]})")
+    # ... and on a journal whose counter map is not the cut's record.
+    with tempfile.TemporaryDirectory() as ckpt:
+        cut = build_explorer(
+            "clif-parser", scale=scale, deadline=0.0, checkpoint_dir=ckpt
+        ).explore()
+        cut.solver_stats["sat_core_solves"] += 1
+        errors = check_journal("clif-parser", ckpt, cut, 1, scale)
+    if not errors:
+        print("self-test FAILED: a journal with a stale counter map passed")
+        return 1
+    print(f"self-test passed: deadline gate trips on a stale counter map ({errors[0]})")
     return 0
 
 
