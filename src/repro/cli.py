@@ -126,7 +126,6 @@ def _cmd_explore(args) -> int:
         propagation_budget=args.propagation_budget,
         wall_budget=args.wall_budget,
         certify=args.certify,
-        proof_log=args.proof_log,
         **cache_knobs,
     )
     faults = None
@@ -361,11 +360,6 @@ def main(argv=None) -> int:
                                 "under the unstaged reference evaluator; "
                                 "failures are counted and downgraded, "
                                 "never trusted")
-    p_explore.add_argument("--no-proof-log", dest="proof_log",
-                           action="store_false", default=True,
-                           help="disable DRAT clause logging in the CDCL "
-                                "core (ablation; --certify then falls "
-                                "back to re-derivation where possible)")
     p_explore.add_argument("--inject-faults", metavar="SPEC", default=None,
                            help="deterministic chaos schedule, e.g. "
                                 "'kill=30,unknown=20,evict=50,hiccup=10,"

@@ -27,7 +27,7 @@ from .explorer import ExplorationResult, ExploreConfig, Explorer, PathInfo
 from .faults import FaultPlan
 from .governor import MemoryGovernor, build_exploration_governor
 from .interpreter import SymbolicInterpreter
-from .scheduler import Frontier, RunStats, WorkItem
+from .scheduler import Frontier, WorkItem
 from .store import ArtifactStore
 from .state import (
     BranchRecord,
@@ -46,7 +46,6 @@ __all__ = [
     "PathInfo",
     "Frontier",
     "WorkItem",
-    "RunStats",
     "CheckpointManager",
     "CheckpointState",
     "FaultPlan",

@@ -2,10 +2,11 @@
 
 The exploration driver (in process or pooled) periodically serializes
 its *complete* recoverable state — every recorded path, the pending
-frontier, the set of already-issued flip-query digests, the exact
-query-attribution counters and the summed counter record of every
-process, periodic saves included — to ``checkpoint.json`` inside a
-campaign directory.  Writes go through a temp file + ``os.replace``,
+frontier, the set of already-issued flip-query digests, the
+campaign's own counters and the counter record of every recorded run
+(the flip attribution and every layer's counters, as
+``ExplorationResult.stats`` sums them) — to ``checkpoint.json`` inside
+a campaign directory.  Writes go through a temp file + ``os.replace``,
 so a crash at any instant leaves either the previous checkpoint or the
 new one, never a torn file.
 
@@ -55,7 +56,9 @@ __all__ = ["CheckpointManager", "CheckpointState", "CHECKPOINT_FILENAME", "GAUGE
 
 CHECKPOINT_FILENAME = "checkpoint.json"
 
-_FORMAT_VERSION = 3
+#: Since version 4 the flip attribution is in ``stats`` (``flip_*``
+#: keys), not in ``counters``; a journal of another version is refused.
+_FORMAT_VERSION = 4
 
 #: Point-in-time sizes in a process's counter record, not counts: the
 #: result sums them over the processes that ran, but the journal leaves
@@ -76,21 +79,15 @@ def _state_digest(state: dict) -> str:
     body = json.dumps(state, sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(body.encode("utf-8"), digest_size=16).hexdigest()
 
-#: ExplorationResult counter attributes persisted verbatim.
+#: ExplorationResult fields the campaign itself counts, persisted
+#: verbatim; the flip attribution travels in the ``stats`` map.
 _COUNTER_FIELDS = (
-    "sat_checks",
-    "unsat_checks",
-    "cache_hits",
-    "fast_path_answers",
-    "sat_solves",
     "pruned_queries",
-    "unknown_queries",
     "incomplete_paths",
     "worker_deaths",
     "hung_workers",
     "total_instructions",
     "executed_instructions",
-    "solver_time",
 )
 
 
@@ -106,8 +103,8 @@ class CheckpointState:
     digests: set = field(default_factory=set)
     covered: set = field(default_factory=set)
     counters: dict = field(default_factory=dict)
-    #: Every process's counter record summed (``ExplorationResult.stats``),
-    #: gauges left out.
+    #: The campaign's counter record (``ExplorationResult.stats``, flip
+    #: attribution included), gauges left out.
     stats: dict = field(default_factory=dict)
 
     def restore_result(self, result) -> None:
@@ -257,16 +254,15 @@ class CheckpointManager:
         """Whether ``interval`` paths were recorded since the last save."""
         return num_paths - self._saved_paths >= self.interval
 
-    def save(self, result, pending, digests, stats: dict, complete: bool) -> None:
+    def save(self, result, pending, digests, complete: bool) -> None:
         """Atomically write the journal (temp file + ``os.replace``).
 
         ``pending`` is every not-yet-completed item: the frontier
         snapshot plus, for a pool, every item a worker holds —
         anything not persisted here *and* not recorded as a path would
-        be lost to a crash.  ``stats`` is the campaign's counter record
-        so far (restored base + every live process's), since the live
-        records are merged into the result only at run end; its
-        :data:`GAUGES` are left out.
+        be lost to a crash.  The counter map is ``result.stats``, which
+        the campaign brings up to date before each save, with its
+        :data:`GAUGES` left out.
         """
         state = {
             "version": _FORMAT_VERSION,
@@ -301,7 +297,7 @@ class CheckpointManager:
                 name: getattr(result, name) for name in _COUNTER_FIELDS
             },
             "stats": {
-                key: value for key, value in stats.items() if key not in GAUGES
+                key: value for key, value in result.stats.items() if key not in GAUGES
             },
         }
         # Digest over the canonical serialization, then the wrapper —

@@ -33,7 +33,7 @@ from ..arch.hart import HaltReason
 from ..smt.solver import CachingSolver, Solver, SolverConfig
 from ..spec.superblock import BRANCH_HOT_HITS
 from .faults import FaultPlan
-from .scheduler import Frontier, RunStats, WorkItem, expand_run
+from .scheduler import FLIP_COUNTERS, Frontier, WorkItem, expand_run
 from .state import InputAssignment
 
 __all__ = [
@@ -137,7 +137,6 @@ def make_solver(config: ExploreConfig):
         wall_budget=solver_config.wall_budget,
         core_budget=solver_config.core_budget,
         certify=solver_config.certify,
-        proof_log=solver_config.proof_log,
     )
 
 
@@ -200,16 +199,16 @@ class ExplorationResult:
 
     Query accounting is exact in both execution modes: ``sat_checks``
     and ``unsat_checks`` count queries the SAT core actually solved
-    (summed over all workers in parallel mode), ``sat_solves`` the raw
-    CDCL invocations behind them, while ``cache_hits`` and
-    ``fast_path_answers`` count queries the query cache and the
+    (summed over all workers in parallel mode), while ``cache_hits``
+    and ``fast_path_answers`` count queries the query cache and the
     solver's no-search answers settled.  ``pruned_queries`` counts the
     children flip dedup dropped as repeats (:meth:`_Campaign.fresh`);
     each such repeat's query was answered first and is also counted
     where it was answered.  ``solver_stats`` carries the flat solver
     counter dict (:attr:`repro.smt.solver.Solver.pipeline_statistics`,
-    extended by ``CachingSolver`` with cache and query counters),
-    key-wise summed across workers.
+    extended by ``CachingSolver`` with cache and query counters).  Every
+    counter sums the deltas of exactly the runs this exploration (and a
+    restored journal) recorded, on every worker (:meth:`merge_counters`).
     """
 
     paths: list[PathInfo] = field(default_factory=list)
@@ -217,7 +216,6 @@ class ExplorationResult:
     unsat_checks: int = 0
     cache_hits: int = 0
     fast_path_answers: int = 0
-    sat_solves: int = 0
     pruned_queries: int = 0
     #: Flip queries the solver abandoned (work budget exhausted or
     #: injected give-up).  Together with ``incomplete_paths`` this
@@ -297,6 +295,11 @@ class ExplorationResult:
         return self.sat_checks + self.unsat_checks
 
     @property
+    def sat_solves(self) -> int:
+        """CDCL ``solve()`` calls behind the solved queries."""
+        return self.solver_stats.get("sat_core_solves", 0)
+
+    @property
     def assertion_failures(self) -> list[PathInfo]:
         return [p for p in self.paths if p.is_assertion_failure]
 
@@ -315,35 +318,30 @@ class ExplorationResult:
             for p in self.paths
         }
 
-    def merge_run_stats(self, stats: RunStats) -> None:
-        """Fold one run's solver accounting into the totals."""
-        self.sat_checks += stats.sat_checks
-        self.unsat_checks += stats.unsat_checks
-        self.cache_hits += stats.cache_hits
-        self.fast_path_answers += stats.fast_path_answers
-        self.sat_solves += stats.sat_solves
-        self.unknown_queries += stats.unknown_queries
-        self.solver_time += stats.solver_time
-        self.covered_branches |= stats.covered_pcs
-
     def merge_counters(self, record: dict) -> None:
-        """Key-wise sum of one counter record (:meth:`Worker.counters`,
-        or a journal's), each key into its layer's dict by prefix:
-        ``snap_``, ``sb_`` and ``gov_``, the rest into ``solver_stats``."""
+        """Key-wise sum of a counter delta (:meth:`Worker.handover`, or a
+        journal's record), each key by prefix: ``flip_`` onto the field it
+        names, ``snap_``, ``sb_`` and ``gov_`` into their layer's dict,
+        the rest into ``solver_stats``."""
         layers = {
             "snap": self.snapshot_stats,
             "sb": self.superblock_stats,
             "gov": self.governor_stats,
         }
         for key, value in record.items():
-            stats = layers.get(key.partition("_")[0], self.solver_stats)
+            layer, _, name = key.partition("_")
+            if layer == "flip":
+                setattr(self, name, getattr(self, name) + value)
+                continue
+            stats = layers.get(layer, self.solver_stats)
             stats[key] = stats.get(key, 0) + value
 
     @property
     def stats(self) -> dict:
-        """The four layer dicts as one flat record (their keys are
-        disjoint): what :meth:`merge_counters` summed."""
+        """What :meth:`merge_counters` summed as one flat record: the
+        ``flip_`` fields and the four layer dicts (the keys are disjoint)."""
         return {
+            **{key: getattr(self, key[5:]) for key in FLIP_COUNTERS},
             **self.solver_stats,
             **self.snapshot_stats,
             **self.superblock_stats,
@@ -552,14 +550,15 @@ class _Campaign:
     :class:`repro.core.parallel.Broker`.  Its ``explore(campaign)``
     calls :meth:`record` and :meth:`fresh` for every run it completes
     and :meth:`after_run` once that run's children are queued; it also
-    offers ``pending()`` (every unfinished item), ``records()`` (the
-    latest cumulative counter record of each process, see
-    :meth:`Worker.counters`) and ``peak`` (the largest frontier it saw).
+    offers ``pending()`` (every unfinished item), ``handover()`` (the
+    counters that moved since its last handover, see
+    :meth:`Worker.handover`) and ``peak`` (the largest frontier it saw).
 
-    The result holds the restored journal's counters until the run
-    ends, and then every process's record on top, through
-    :meth:`ExplorationResult.merge_counters`; a periodic save sums the
-    same records onto the same base with the same merge.
+    Every counter reaches the result as a delta through
+    :meth:`ExplorationResult.merge_counters`, onto the restored
+    journal's: the broker merges the counters of each reply it records,
+    and the in-process worker hands its own over before each journal
+    save and when the run ends.  A save writes the result's record.
     """
 
     def __init__(self, config: ExploreConfig, result: ExplorationResult, manager):
@@ -575,12 +574,10 @@ class _Campaign:
         if self.deadline_at is not None and time.monotonic() >= self.deadline_at:
             raise _DeadlineExpired
 
-    def record(
-        self, path: tuple, stats: RunStats, parent: Optional[int], bound: int
-    ) -> int:
-        """Record one run's path (see :meth:`Worker.run`) and fold in
-        its solver accounting; returns the path's index.  ``parent`` and
-        ``bound`` are those of the item the run explored."""
+    def record(self, path: tuple, covered, parent: Optional[int], bound: int) -> int:
+        """Record one run's path (see :meth:`Worker.run`) and the
+        flippable branch PCs it covered; returns the path's index.
+        ``parent`` and ``bound`` are those of the item the run explored."""
         result = self.result
         index = len(result.paths)
         divergence = bound - 1 if parent is not None else None
@@ -588,7 +585,7 @@ class _Campaign:
         result.total_instructions += info.instret
         result.executed_instructions += info.instret - path[-1]
         result.paths.append(info)
-        result.merge_run_stats(stats)
+        result.covered_branches.update(covered)
         return index
 
     def fresh(self, digest: int) -> bool:
@@ -612,12 +609,8 @@ class _Campaign:
         """Checkpoint, and honour a ``stop=`` fault, after each run."""
         result, manager = self.result, self.manager
         if manager is not None and manager.due(result.num_paths):
-            current = ExplorationResult()
-            for record in (result.stats, *driver.records()):
-                current.merge_counters(record)
-            manager.save(
-                result, driver.pending(), self.seen, current.stats, complete=False
-            )
+            result.merge_counters(driver.handover())
+            manager.save(result, driver.pending(), self.seen, complete=False)
         faults = self.config.faults
         if faults is not None and faults.interrupt_after is not None:
             if result.num_paths >= faults.interrupt_after:
@@ -637,14 +630,12 @@ class _Campaign:
         pending = list(driver.pending())
         result.truncated = bool(pending)
         result.frontier_peak = max(driver.peak, result.frontier_peak)
-        for record in driver.records():
-            result.merge_counters(record)
+        result.merge_counters(driver.handover())
         if self.manager is not None:
             self.manager.save(
                 result,
                 pending,
                 self.seen,
-                result.stats,
                 complete=not pending and not result.interrupted,
             )
         if result.deadline_expired:
@@ -676,7 +667,9 @@ class Worker:
     names and then gives back the run's own capture holds, so the pool
     keeps only snapshots that pending items name.  An item that will not
     run here gives its hold back through :meth:`release`, and so does
-    every item still queued when :meth:`explore` stops early.
+    every item still queued when :meth:`explore` stops early.  Its
+    counters reach the campaign as deltas (:meth:`handover`): in process
+    before each journal save and at the end, from a pool after each run.
     """
 
     def __init__(
@@ -725,6 +718,13 @@ class Worker:
         self.memhog_leaks: list = []  # memhog= ballast, freed with the worker
         #: Runs started; the ordinal that keys this worker's faults.
         self.runs = 0
+        #: Counters the run step keeps itself: the flip attribution, and
+        #: a pool worker's ``snap_cross_worker_items``.
+        self.counts = dict.fromkeys(FLIP_COUNTERS, 0)
+        #: The record at the last :meth:`handover`, and whether it is the
+        #: first.
+        self._base = self.counters()
+        self._every = True
 
     @property
     def peak(self) -> int:
@@ -741,8 +741,8 @@ class Worker:
             while frontier and result.num_paths < campaign.config.max_paths:
                 campaign.check_deadline()
                 item = frontier.pop()
-                path, children, stats = self.run(item)
-                index = campaign.record(path, stats, item.parent, item.bound)
+                path, children, covered = self.run(item)
+                index = campaign.record(path, covered, item.parent, item.bound)
                 for child in children:
                     if campaign.fresh(child.digest):
                         child.parent = index
@@ -771,10 +771,11 @@ class Worker:
             self.pool.release(item.snapshot)
 
     def run(self, item: WorkItem) -> tuple:
-        """Run one item: ``(path, children, stats)``.
+        """Run one item: ``(path, children, covered)``.
 
         ``path`` holds the :class:`PathInfo` fields after ``index``,
-        then the run's ``resumed_instret``; the children carry the
+        then the run's ``resumed_instret``; ``covered`` is the set of
+        flippable branch PCs the run executed.  The children carry the
         run's coverage novelty and each holds the snapshot it names.
         The item's own hold and the run's capture holds are given back,
         also when the run raises.
@@ -782,7 +783,7 @@ class Worker:
         pool = self.pool
         first = pool.next_handle if pool is not None else 0
         try:
-            path, children, stats = self._run(item)
+            path, children, covered = self._run(item)
             if pool is not None:
                 for child in children:
                     if child.snapshot is not None:
@@ -793,7 +794,7 @@ class Worker:
                 # theirs: a snapshot no child names leaves the pool here.
                 pool.release_from(first)
             self.release(item)
-        return path, children, stats
+        return path, children, covered
 
     def _run(self, item: WorkItem) -> tuple:
         """:meth:`run` without the snapshot holds."""
@@ -815,22 +816,24 @@ class Worker:
             run = executor.execute(item.assignment)
         if self.governor is not None:
             self.governor.maybe_step()
-        stats = RunStats()
+        pc_hits: dict = {}
         children = expand_run(
             run,
             item.bound,
             self.solver,
             executor.input_variables(),
-            stats,
+            self.counts,
+            pc_hits,
             snapshots=run.snapshots if self.snapshots else None,
         )
-        novelty = len(stats.covered_pcs - self.covered)
-        self.covered |= stats.covered_pcs
+        covered = set(pc_hits)
+        novelty = len(covered - self.covered)
+        self.covered |= covered
         for child in children:
             child.novelty = novelty
-        if self.note_hot is not None and stats.pc_hits:
+        if self.note_hot is not None and pc_hits:
             newly_hot = []
-            for pc, count in stats.pc_hits.items():
+            for pc, count in pc_hits.items():
                 total = self.hot_counts.get(pc, 0) + count
                 self.hot_counts[pc] = total
                 if total >= BRANCH_HOT_HITS and pc not in self.hot_sent:
@@ -849,14 +852,16 @@ class Worker:
             run.trace.digest(len(run.trace)) if self.certify else None,
             run.resumed_instret,
         )
-        return path, children, stats
+        return path, children, covered
 
     def counters(self) -> dict:
-        """This process's cumulative counter record, one flat dict: the
-        solver's ``pipeline_statistics`` plus the ``snap_*``, ``sb_*``
-        and ``gov_*`` counters of the layers that run here."""
+        """This process's cumulative counter record, one flat dict:
+        :attr:`counts`, the solver's ``pipeline_statistics`` and the
+        ``snap_*``, ``sb_*`` and ``gov_*`` counters of the layers that
+        run here."""
         executor = self.executor
-        record = dict(self.solver.pipeline_statistics)
+        record = dict(self.counts)
+        record.update(self.solver.pipeline_statistics)
         if self.snapshots:
             record.update(getattr(executor, "snapshot_statistics", {}))
         if getattr(executor, "superblocks_enabled", False):
@@ -865,6 +870,17 @@ class Worker:
             record.update(self.governor.statistics)
         return record
 
-    def records(self) -> list:
-        """The latest record of every process this driver ran: this one."""
-        return [self.counters()]
+    def handover(self) -> dict:
+        """The counters that moved since the previous handover, or since
+        this worker was built: a solver or executor that served an
+        earlier exploration adds nothing of it.  The first carries every
+        key, also at 0, so the result lists each counter kept here."""
+        record = self.counters()
+        base, self._base = self._base, record
+        every, self._every = self._every, False
+        moved = {}
+        for key, value in record.items():
+            delta = value - base.get(key, 0)
+            if delta or every:
+                moved[key] = delta
+        return moved

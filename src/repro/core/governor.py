@@ -14,9 +14,8 @@ owns its own governor) registers three rungs, most-reversible first:
    to it.  Sound by the PR 5 eviction contract: a missing snapshot
    falls back to full re-execution of the identical path.
 2. **tighten the memo caches** — halve the
-   :class:`repro.smt.solver.QueryCache` capacities (memo entries,
-   UNSAT-subsumption window, model-reuse pool) and the staged-plan /
-   superblock caches.  Sound because all of these are pure memos: an
+   :class:`repro.smt.solver.QueryCache` capacities (memo entries and
+   UNSAT-subsumption window) and the staged-plan / superblock caches.  Sound because all of these are pure memos: an
    evicted entry is re-derived, never re-answered differently.
 3. **disable snapshot capture** — stop admitting new snapshots
    entirely (and drop the pool).  The most drastic rung: exploration

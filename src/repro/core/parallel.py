@@ -18,12 +18,13 @@ told about (a child of an unsent run), when it runs dry, before it
 answers a steal, when the broker asks for the children it holds back,
 and otherwise once its oldest unsent run is older than
 :data:`MAX_BATCH_AGE`, so a run longer than that still goes out alone.
-Each reply keeps its run's own cumulative counters, and the broker
-absorbs a batch one reply at a time, so the journal, a cut result,
-``--max-paths`` and the final totals are exactly those of the runs
-absorbed so far.
+Each reply carries the counters its run moved since the worker's
+previous reply, and the broker absorbs a batch one reply at a time,
+merging a reply's counters only when it records the run, so the
+journal, a cut result, ``--max-paths`` and the final totals are exactly
+those of the runs recorded so far.
 
-The parent is a broker.  It records paths, sums statistics and keeps a
+The parent is a broker.  It records paths, sums counters and keeps a
 per-seat *mirror* of every worker's frontier, built from the child lists
 the replies carry.  It moves work only when a seat runs dry: a global
 item (the root, a requeued or a restored one) if there is one, otherwise
@@ -48,9 +49,9 @@ item is in the mirror.  It gets ``failures += 1`` and is abandoned as an
 ``incomplete_paths`` count after :data:`MAX_ITEM_FAILURES` deaths, never
 silently lost.  The seat respawns under a fresh incarnation uid with a
 small backoff, so a stale ``(uid, handle)`` snapshot reference never
-aliases the new worker's pool and the dead incarnation's final stats
-are kept.  Checkpoint saves and deadline drains read the global
-frontier plus every mirror.
+aliases the new worker's pool; the counters of the runs it recorded
+stay in the result.  Checkpoint saves and deadline drains read the
+global frontier plus every mirror.
 
 Workers are forked so they inherit the executor (ISA, image,
 interpreter) without pickling: interned terms cannot round-trip through
@@ -76,6 +77,7 @@ import time
 import traceback
 from multiprocessing import connection as mp_connection
 
+from .checkpoint import GAUGES
 from .explorer import ExploreConfig, Worker, make_solver
 from .faults import KILL_EXIT_CODE
 from .scheduler import WorkItem, deserialize_assignment, serialize_assignment
@@ -162,16 +164,16 @@ def _worker_main(broker, worker_uid, control, reply_conn, running):
     The drain comes before the last run's children are pushed, so a
     steal only ever gives up an item the parent has been told about.
 
-    Each run appends one reply ``(id, path, children, run_stats,
-    record)`` to the *batch*: ``path`` is the run step's path tuple
+    Each run appends one reply ``(id, path, children, covered,
+    counters)`` to the *batch*: ``path`` is the run step's path tuple
     with a serialized assignment, ``children`` lists ``(child_id,
-    assignment, bound, digest, snapshot_handle, novelty)``, and
-    ``record`` is :meth:`Worker.counters`' flat *cumulative* counter
-    record as of that run, plus ``snap_cross_worker_items`` when
-    snapshots run (the parent keeps the latest per uid and sums them
-    at the end).  A failed run appends ``(id, None, traceback_text,
-    None, None)``.  The batch, a list of replies in run order, goes
-    home as one message:
+    assignment, bound, digest, snapshot_handle, novelty)``, ``covered``
+    is the run's set of flippable branch PCs, and ``counters`` is
+    :meth:`Worker.handover`: the keys of the worker's counter record,
+    ``snap_cross_worker_items`` included when snapshots run, that moved
+    since the previous reply, every key in the incarnation's first.  A
+    failed run appends ``(id, None, traceback_text, None, None)``.  The
+    batch, a list of replies in run order, goes home as one message:
 
     * before the worker starts a child of a run in it (child ids at or
       above ``next_id`` as of the last send);
@@ -216,6 +218,8 @@ def _worker_main(broker, worker_uid, control, reply_conn, running):
     faults = config.faults
     worker = Worker(executor, config, make_solver(config), worker_uid)
     frontier = worker.frontier
+    if worker.snapshots:
+        worker.counts["snap_cross_worker_items"] = 0
     send_lock = threading.Lock()
     hb_stop = threading.Event()
     control_ready = select.poll()
@@ -241,7 +245,6 @@ def _worker_main(broker, worker_uid, control, reply_conn, running):
     note_entry = getattr(executor, "note_entry_run", None)
     if note_entry is not None:
         note_entry()
-    cross_worker_items = 0
     dropped: set = set()
     next_id = 0
     children: list = []  # the last run's, pushed after the control drain
@@ -272,7 +275,7 @@ def _worker_main(broker, worker_uid, control, reply_conn, running):
 
     def handle(message) -> bool:
         """Apply one control message; False means shut down."""
-        nonlocal cross_worker_items, flush_wanted
+        nonlocal flush_wanted
         if message is None:
             return False
         kind = message[0]
@@ -280,7 +283,7 @@ def _worker_main(broker, worker_uid, control, reply_conn, running):
             _, item_id, assignment, bound, snapshot_ref, novelty = message
             own = snapshot_ref is not None and snapshot_ref[0] == worker_uid
             if snapshot_ref is not None and not own:
-                cross_worker_items += 1
+                worker.counts["snap_cross_worker_items"] += 1
             item = WorkItem(
                 deserialize_assignment(assignment),
                 bound,
@@ -336,14 +339,10 @@ def _worker_main(broker, worker_uid, control, reply_conn, running):
                     time.sleep(60)
             children = []
             try:
-                path, children, stats = worker.run(item)
-                stats.pc_hits = {}  # hotness stays local; do not ship it
+                path, children, covered = worker.run(item)
                 for child in children:
                     child.id = next_id
                     next_id += 1
-                record = worker.counters()
-                if worker.snapshots:
-                    record["snap_cross_worker_items"] = cross_worker_items
                 if faults is not None:
                     delay = faults.hiccup_delay(worker_uid, ordinal)
                     if delay:
@@ -354,7 +353,7 @@ def _worker_main(broker, worker_uid, control, reply_conn, running):
                     for c in children
                 ]
                 path = path[:4] + (serialize_assignment(path[4]),) + path[5:]
-                batch.append((item.id, path, child_payloads, stats, record))
+                batch.append((item.id, path, child_payloads, covered, worker.handover()))
             except Exception:
                 children = []
                 batch.append((item.id, None, traceback.format_exc(), None, None))
@@ -451,11 +450,10 @@ class Broker:
     """The pool's parent: hands work to forked workers and supervises them.
 
     A driver of the explorer's campaign shell: :meth:`explore` runs the
-    broker loop, :meth:`pending` lists the global frontier plus every
-    mirror, and :meth:`records` the latest cumulative counter record of
-    every worker incarnation.  Path *indices* reflect completion order,
-    so cross-mode comparisons should use
-    ``ExplorationResult.path_set()``.  The parent never executes the
+    broker loop and merges the counters of every reply it records, and
+    :meth:`pending` lists the global frontier plus every mirror.  Path
+    *indices* reflect completion order, so cross-mode comparisons should
+    use ``ExplorationResult.path_set()``.  The parent never executes the
     SUT, so its executor stays a pristine replay vehicle for certify.
     """
 
@@ -466,11 +464,6 @@ class Broker:
         #: and stolen items on their way to an idle seat.
         self.frontier = frontier
         self.slots: list = []
-        #: Latest cumulative counter record (one flat dict, see
-        #: :meth:`Worker.counters`) per worker incarnation uid.  Keyed by
-        #: uid, so a respawned seat never overwrites its dead
-        #: predecessor's final totals.
-        self.worker_stats: dict = {}
         self.peak = 0
         #: ``(name, width) -> variable`` for every input variable seen, so
         #: rebuilding each recorded path's or mirrored item's assignment
@@ -499,8 +492,9 @@ class Broker:
             for entry in slot.mirror.values():
                 yield self._item_of(entry)
 
-    def records(self) -> list:
-        return list(self.worker_stats.values())
+    def handover(self) -> dict:
+        """Nothing: every recorded reply's counters are merged already."""
+        return {}
 
     # ------------------------------------------------------------------
     # Worker lifecycle
@@ -700,23 +694,25 @@ class Broker:
         A reply for an item the mirror no longer holds belongs to a
         dropped duplicate the worker ran before the drop reached it: the
         run and its children are discarded, and the children dropped in
-        turn.  Children whose flip query the campaign already queued are
-        dropped the same way.
+        turn.  Of its counters only the :data:`GAUGES` are merged, since
+        they are sizes, not the discarded run's work.  Children whose
+        flip query the campaign already queued are dropped the same way.
         """
-        item_id, path, children, stats, record = reply
+        item_id, path, children, covered, counters = reply
         if path is None:
             raise RuntimeError(f"exploration worker failed:\n{children}")
-        self.worker_stats[slot.uid] = record
         entry = slot.mirror.pop(item_id, None)
         if entry is None:
+            campaign.result.merge_counters({k: counters[k] for k in GAUGES & counters.keys()})
             if children:
                 slot.post(("drop", [child[0] for child in children]))
             return False
+        campaign.result.merge_counters(counters)
         index = campaign.record(
             path[:4]
             + (deserialize_assignment(path[4], self.variables),)
             + path[5:],
-            stats,
+            covered,
             parent=entry[6],
             bound=entry[1],
         )

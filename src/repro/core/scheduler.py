@@ -12,10 +12,8 @@ worker of the :mod:`repro.core.parallel` pool) operates on
   with push/pop/steal/peak-size accounting,
 * :func:`expand_run` — the branch-flip step of the paper's offline
   executor (Sect. III-B): pose one solver query per flippable branch
-  beyond the bound, collect satisfiable flips as new work items,
-* :class:`RunStats` — exact per-run solver accounting, merged into the
-  exploration result identically whether the run happened inline or on
-  a worker process.
+  beyond the bound, collect satisfiable flips as new work items, and
+  count each query's attribution into the run step's counter record.
 
 Assignments cross process boundaries by *name*: interned terms hash by
 identity, so a pickled term would no longer match its interner entry on
@@ -27,7 +25,7 @@ and plain (name, width, value) tuples.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..smt import terms as T
@@ -38,7 +36,7 @@ from .strategy import Strategy, make_strategy
 __all__ = [
     "WorkItem",
     "Frontier",
-    "RunStats",
+    "FLIP_COUNTERS",
     "expand_run",
     "query_digest",
     "serialize_assignment",
@@ -144,36 +142,18 @@ class Frontier:
         return len(self._strategy) > 0
 
 
-@dataclass
-class RunStats:
-    """Solver-side accounting for one concolic run's expansion.
-
-    Per-query attribution is three-way and exact: a flip query counts
-    towards ``sat_checks``/``unsat_checks`` only when the CDCL core
-    actually ran for it, towards ``cache_hits`` when the query cache
-    answered without a solve, and towards ``fast_path_answers`` when
-    the solver decided it with neither (e.g. only constant conjuncts).
-    ``sat_solves`` additionally counts the raw CDCL invocations those
-    solved queries needed.  A child the campaign then drops as a repeat
-    (``pruned_queries``) keeps its query's count here.
-    """
-
-    sat_checks: int = 0
-    unsat_checks: int = 0
-    cache_hits: int = 0
-    fast_path_answers: int = 0
-    sat_solves: int = 0
-    #: Flip queries the solver gave up on (work budget exhausted; see
-    #: ``SolverConfig.conflict_budget``).  The branch is *not*
-    #: flipped, so every path missing from a budgeted run is accounted
-    #: for by this counter — the sound-degradation contract.
-    unknown_queries: int = 0
-    solver_time: float = 0.0
-    #: PCs of flippable branches seen in the run (for branch coverage).
-    covered_pcs: set = field(default_factory=set)
-    #: Per-PC flippable-branch execution counts (hotness feedback for
-    #: the superblock layer; see repro.spec.superblock).
-    pc_hits: dict = field(default_factory=dict)
+#: Flip attribution keys of the run step's counter record, each summed
+#: into the ``ExplorationResult`` field named after its ``flip_`` prefix;
+#: the prefix keeps them apart from the query cache's own ``cache_hits``
+#: and ``unknown_queries``.
+FLIP_COUNTERS = (
+    "flip_sat_checks",
+    "flip_unsat_checks",
+    "flip_cache_hits",
+    "flip_fast_path_answers",
+    "flip_unknown_queries",
+    "flip_solver_time",
+)
 
 
 def expand_run(
@@ -181,7 +161,8 @@ def expand_run(
     bound: int,
     solver: Solver,
     variables,
-    stats: RunStats,
+    counts: dict,
+    pc_hits: dict,
     snapshots: Optional[dict] = None,
 ) -> list[WorkItem]:
     """Generate flipped-branch children of a completed run.
@@ -191,10 +172,14 @@ def expand_run(
     depth-first concolic schedule.  ``bound`` prevents re-flipping
     decisions an ancestor already enumerated.
 
-    ``stats`` receives exact accounting: every answered query counts as
-    sat/unsat only when the CDCL core actually ran — cache hits and
-    fast-path answers are tracked separately — and ``solver_time``
-    covers model extraction, not just the satisfiability check.
+    ``counts`` (every :data:`FLIP_COUNTERS` key) receives exact
+    attribution: a query counts as sat/unsat only when the CDCL core ran
+    for it, as a cache hit when the query cache answered without a
+    solve, as fast-path when the solver decided it with neither (e.g.
+    only constant conjuncts), and as unknown when the solver gave up (the
+    branch is not flipped).  Solver time includes model extraction.
+    ``pc_hits`` counts the run's executions of each flippable branch PC
+    (branch coverage, and hotness for :mod:`repro.spec.superblock`).
 
     Each child carries the restart-stable digest of the query that
     produced it: one :func:`extend_query_digest` step from its prefix's
@@ -213,11 +198,9 @@ def expand_run(
     trace = run.trace
     conditions = trace.conditions()
     cache = getattr(solver, "cache", None)
-    pc_hits = stats.pc_hits
     for index, record in enumerate(trace.records):
         if not record.flippable:
             continue
-        stats.covered_pcs.add(record.pc)
         pc_hits[record.pc] = pc_hits.get(record.pc, 0) + 1
         if index < bound:
             continue
@@ -236,23 +219,18 @@ def expand_run(
                     snapshot=snapshots.get(index) if snapshots is not None else None,
                 )
             )
-        stats.solver_time += time.perf_counter() - check_start
-        delta_solves = solver.num_solves - solves_before
+        counts["flip_solver_time"] += time.perf_counter() - check_start
         if verdict is Result.UNKNOWN:
-            # Budget exhausted: the branch is not flipped and the
-            # query is attributed here, never to sat/unsat counts.
-            stats.unknown_queries += 1
-            stats.sat_solves += delta_solves
-        elif delta_solves:
-            stats.sat_solves += delta_solves
+            counts["flip_unknown_queries"] += 1
+        elif solver.num_solves != solves_before:
             if verdict is Result.SAT:
-                stats.sat_checks += 1
+                counts["flip_sat_checks"] += 1
             else:
-                stats.unsat_checks += 1
+                counts["flip_unsat_checks"] += 1
         elif cache is not None and cache.hits > hits_before:
-            stats.cache_hits += 1
+            counts["flip_cache_hits"] += 1
         else:
-            stats.fast_path_answers += 1
+            counts["flip_fast_path_answers"] += 1
     return children
 
 

@@ -452,7 +452,7 @@ class ArtifactStore:
         if not core <= key:
             return False
         if self.certify:
-            checker = Solver(certify=True, proof_log=True)
+            checker = Solver(certify=True)
             if checker.check(sorted(core, key=term_digest)) is not Result.UNSAT:
                 return False
         return True

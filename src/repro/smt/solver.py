@@ -68,15 +68,14 @@ class SolverConfig:
     may spend shrinking an UNSAT core.  Fork inheritance keeps serial
     and parallel budget behaviour identical.
 
-    The *evidence* knobs control the certification layer:
-    ``proof_log`` (``--no-proof-log``) keeps the CDCL core's DRAT-style
-    clause log (learned additions + deletions) so UNSAT answers carry a
-    checkable derivation, and ``certify`` (``--certify``) turns on the
-    checks themselves — every UNSAT core is validated by the
-    independent RUP checker in :mod:`repro.smt.drat` and every SAT
+    ``certify`` (``--certify``) controls the certification layer: the
+    CDCL core keeps its DRAT-style clause log (learned additions +
+    deletions), every UNSAT core is validated against it by the
+    independent RUP checker in :mod:`repro.smt.drat`, and every SAT
     model is evaluated against the original conjuncts before anything
     is cached or reported.  A failed check is never trusted: the answer
-    is downgraded to UNKNOWN and the failure counted.
+    is downgraded to UNKNOWN and the failure counted.  Without
+    ``certify`` no clause log is kept.
     """
 
     unsat_cores: bool = True
@@ -86,7 +85,6 @@ class SolverConfig:
     wall_budget: "float | None" = None
     core_budget: int = 8
     certify: bool = False
-    proof_log: bool = True
 
 
 class Result(enum.Enum):
@@ -167,14 +165,13 @@ class Solver:
         wall_budget: Optional[float] = None,
         core_budget: int = 8,
         certify: bool = False,
-        proof_log: bool = False,
     ) -> None:
         self._sat = SatSolver(
             trail_reuse=trail_reuse,
             conflict_budget=conflict_budget,
             propagation_budget=propagation_budget,
             wall_budget=wall_budget,
-            proof_log=proof_log,
+            proof_log=certify,
         )
         self._core_budget = core_budget
         self._blaster = BitBlaster(self._sat)
@@ -194,13 +191,13 @@ class Solver:
         self.num_solves = 0
         #: ``check`` calls answered UNKNOWN (work budget exhausted).
         self.num_unknowns = 0
-        #: Certification mode (``--certify``): every UNSAT answer is
-        #: checked against the CDCL core's DRAT-style proof by the
-        #: independent RUP checker in :mod:`repro.smt.drat`, and every
-        #: SAT model is evaluated against the query terms with the
-        #: reference evaluator before it is reported.  An answer whose
-        #: evidence fails to check is *downgraded to UNKNOWN* — counted,
-        #: never trusted.
+        #: Certification mode (``--certify``): the CDCL core logs its
+        #: clauses, every UNSAT answer is checked against that DRAT-style
+        #: proof by the independent RUP checker in :mod:`repro.smt.drat`,
+        #: and every SAT model is evaluated against the query terms with
+        #: the reference evaluator before it is reported.  An answer
+        #: whose evidence fails to check is *downgraded to UNKNOWN* —
+        #: counted, never trusted.
         self._certify = certify
         self._checker: Optional[drat.ProofChecker] = None
         self.certified_sat = 0
@@ -357,16 +354,12 @@ class Solver:
         last check are verified); the answer is then certified either
         by the verified empty clause (no surviving assumptions) or by
         propagating the core literals to a conflict over the verified
-        clause database.  With proof logging disabled the answer passes
-        through unverified.
+        clause database.
         """
-        proof = self._sat.proof
-        if proof is None:
-            return True
         if self._checker is None:
             self._checker = drat.ProofChecker()
         try:
-            self._checker.feed(proof)
+            self._checker.feed(self._sat.proof)
             if core_lits:
                 self._checker.check_core(core_lits)
             else:

@@ -40,8 +40,8 @@ The stitching rules keep the concolic semantics bit-exact:
   self-modifying code deoptimizes instead of executing stale blocks.
 
 Hotness is fed by the exploration run step (:class:`repro.core.explorer.Worker`)
-from the scheduler's per-PC flippable-branch hit counts
-(:class:`repro.core.scheduler.RunStats`):
+from the per-PC flippable-branch hit counts
+:func:`repro.core.scheduler.expand_run` takes of each run:
 once a branch PC crosses :data:`BRANCH_HOT_HITS` cumulative executions,
 the interpreters promote its successors to block entry points; run
 entry PCs are promoted after :data:`ENTRY_HOT_RUNS` runs.  Compiled

@@ -175,14 +175,12 @@ def force_shards(monkeypatch, count):
     monkeypatch.setattr(certificates, "MIN_SHARD_INSTRUCTIONS", 1)
 
 
-def explore(
-    certify=False, proof_log=True, jobs=1, faults=None, workload=None, scale=3
-):
+def explore(certify=False, jobs=1, faults=None, workload=None, scale=3):
     if workload is not None:
         executor = make_engine("binsym", rv32im(), WORKLOADS[workload].image(scale))
     else:
         executor = make_executor()
-    solver_config = SolverConfig(certify=certify, proof_log=proof_log)
+    solver_config = SolverConfig(certify=certify)
     return Explorer(
         executor,
         jobs=jobs,
@@ -294,6 +292,7 @@ class TestCertifyMode:
         plain = explore(certify=False)
         certified = explore(certify=True)
         assert certified.path_set() == plain.path_set()
+        assert certified.num_queries == plain.num_queries
 
     def test_parallel_all_paths_certified(self):
         serial = explore(certify=True, workload="bubble-sort")
@@ -302,17 +301,6 @@ class TestCertifyMode:
         for result in (serial, pooled):
             assert result.certified_paths == result.num_paths
             assert result.certificate_failures == 0
-
-    def test_no_proof_log_path_set_unchanged(self):
-        logged = explore(proof_log=True)
-        unlogged = explore(proof_log=False)
-        assert unlogged.path_set() == logged.path_set()
-        assert unlogged.num_queries == logged.num_queries
-
-    def test_no_proof_log_parallel_path_set_unchanged(self):
-        logged = explore(proof_log=True, jobs=2, workload="bubble-sort")
-        unlogged = explore(proof_log=False, jobs=2, workload="bubble-sort")
-        assert unlogged.path_set() == logged.path_set()
 
     def test_condition_digests_recorded_only_when_certifying(self):
         certified = explore(certify=True)

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.core import BinSymExecutor, Explorer
 from repro.eval.engines import ENGINE_ORDER, explore_with, make_engine
 from repro.eval.fig6 import render_fig6, run_fig6
 from repro.eval.report import csv_lines, format_table, log_bar_chart
 from repro.eval.table1 import main as table1_main, render_table1, run_table1
 from repro.eval.workloads import WORKLOADS, build
+from repro.smt import CachingSolver, Solver
 from repro.spec import rv32im
 
 
@@ -143,6 +145,25 @@ class TestExplorationStatistics:
         assert result.solver_time > 0
         assert len(result.covered_branches) == 1  # one compare-exchange site
         assert "in solver" in result.summary()
+
+    def test_reused_executor_reports_each_exploration_alone(self):
+        """An executor's own counters cover every exploration it served;
+        each result reports only its own exploration's runs."""
+        executor = BinSymExecutor(rv32im(), build("bubble-sort", 4))
+        first = Explorer(executor).explore()
+        second = Explorer(executor).explore()
+        assert second.snapshot_stats == first.snapshot_stats
+        assert second.resumed_runs == second.num_paths - 1
+
+    @pytest.mark.parametrize("solver_class", [Solver, CachingSolver])
+    def test_shared_solver_reports_each_exploration_alone(self, solver_class):
+        """A solver shared across explorations keeps lifetime counters;
+        each result counts only the solves its own queries made."""
+        image = build("bubble-sort", 4)
+        solver = solver_class()
+        for engine in ("binsym", "binsec"):
+            result = explore_with(engine, image, solver=solver)
+            assert result.solver_stats["sat_core_solves"] == result.num_queries
 
 
 class TestRunAllReport:

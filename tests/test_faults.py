@@ -414,17 +414,19 @@ class TestCrashResumeCounters:
     @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
     def test_crash_then_resume_keeps_every_counter(self, sort5, jobs, monkeypatch):
         """The resumed result holds the journal's record plus the resumed
-        processes' own: the executor's counters in process, the records
-        the broker received in a pool."""
+        processes' own: the executor's counters in process, the counters
+        of the replies the broker recorded in a pool."""
         isa, image = sort5
         live: list = []
-        records = Broker.records
+        absorb = Broker._absorb
 
-        def spy(broker):
-            live[:] = records(broker)
-            return live
+        def spy(broker, slot, reply, campaign):
+            recorded = absorb(broker, slot, reply, campaign)
+            if recorded:
+                live.append(reply[4])
+            return recorded
 
-        monkeypatch.setattr(Broker, "records", spy)
+        monkeypatch.setattr(Broker, "_absorb", spy)
         baseline = Explorer(BinSymExecutor(isa, image)).explore()
         with tempfile.TemporaryDirectory() as tmp:
             # A budget of 0 MB makes every process walk all three rungs
@@ -437,6 +439,7 @@ class TestCrashResumeCounters:
                     memory_budget_mb=0,
                 ).explore()
             journal = CheckpointManager(tmp, strategy="dfs", seed=0).load().stats
+            live.clear()
             executor = BinSymExecutor(isa, image)
             resumed = Explorer(
                 executor,
@@ -457,7 +460,10 @@ class TestCrashResumeCounters:
                 gov_rungs_applied=3,
             )
         else:
-            own = {key: sum(record[key] for record in live) for key in keys}
+            own = {
+                key: sum(counters.get(key, 0) for counters in live)
+                for key in keys
+            }
         for key in keys:
             assert resumed.stats[key] == journal[key] + own[key]
 

@@ -314,17 +314,14 @@ class TestFlipDedup:
             assert result.num_paths > 0, name
             assert result.pruned_queries == 0, (engine, name)
 
-    def test_diverged_duplicate_on_another_worker_is_dropped(self):
-        """Inputs with x >= 10 run as if x were 0, so the root's x-flip
-        child re-runs the root's path and re-derives the root's y-flip
-        query.  The y >= 5 paths are slow, so the root's worker is still
-        running them when the idle seat steals the x-flip child: the
-        duplicate query is solved on the thief, and the broker must drop
-        its child before a y >= 5 path is recorded a second time.  A
-        serial run solves the duplicate too and drops its child the
-        same way, so both attribute the same queries."""
+    @staticmethod
+    def _explore_diverging(jobs, slow_z=0.0):
+        """THREE_BRANCHES on an executor that runs inputs with x >= 10 as
+        if x were 0, sleeps 0.5 s on the y >= 5 paths and ``slow_z``
+        seconds more on the z >= 3 one."""
         x = T.bv_var("in_00030000", 8)
         y = T.bv_var("in_00030001", 8)
+        z = T.bv_var("in_00030002", 8)
         isa = rv32im()
 
         class DivergingExecutor(BinSymExecutor):
@@ -334,26 +331,53 @@ class TestFlipDedup:
                     values[x] = 0
                 if values.get(y, 0) >= 5:
                     time.sleep(0.5)
+                    if values.get(z, 0) >= 3:
+                        time.sleep(slow_z)
                 return super().execute(InputAssignment(values))
 
-        def explore(jobs):
-            executor = DivergingExecutor(isa, assemble(THREE_BRANCHES, isa=isa))
-            return Explorer(executor, jobs=jobs, snapshots=False).explore()
+        executor = DivergingExecutor(isa, assemble(THREE_BRANCHES, isa=isa))
+        return Explorer(executor, jobs=jobs, snapshots=False).explore()
 
-        def attributed(result):
-            return (
-                result.num_queries
-                + result.cache_hits
-                + result.fast_path_answers
-                + result.pruned_queries
-            )
+    @staticmethod
+    def _attributed(result):
+        return (
+            result.num_queries
+            + result.cache_hits
+            + result.fast_path_answers
+            + result.pruned_queries
+        )
 
-        serial, pooled = explore(1), explore(2)
+    def test_diverged_duplicate_on_another_worker_is_dropped(self):
+        """Inputs with x >= 10 run as if x were 0, so the root's x-flip
+        child re-runs the root's path and re-derives the root's y-flip
+        query.  The y >= 5 paths are slow, so the root's worker is still
+        running them when the idle seat steals the x-flip child: the
+        duplicate query is solved on the thief, and the broker must drop
+        its child before a y >= 5 path is recorded a second time.  A
+        serial run solves the duplicate too and drops its child the
+        same way, so both attribute the same queries."""
+        serial, pooled = self._explore_diverging(1), self._explore_diverging(2)
         # Exits 0, 1 and 3, plus the diverged x-flip child's exit 0.
         assert serial.num_paths == pooled.num_paths == 4
         assert pooled.path_set() == serial.path_set()
         assert serial.pruned_queries == pooled.pruned_queries == 1
-        assert attributed(pooled) == attributed(serial)
+        assert self._attributed(pooled) == self._attributed(serial)
+
+    def test_discarded_duplicate_run_adds_no_counters(self):
+        """With the z >= 3 path 1 s slower, the thief has run the dropped
+        child before the drop reached it, and that discarded run's reply
+        reaches the broker before the last recorded run's.  Its solver
+        work is not the exploration's: the pooled counters must cover
+        the recorded runs only, exactly like the serial run's."""
+        serial = self._explore_diverging(1, slow_z=1.0)
+        pooled = self._explore_diverging(2, slow_z=1.0)
+        assert serial.num_paths == pooled.num_paths == 4
+        assert pooled.path_set() == serial.path_set()
+        assert self._attributed(pooled) == self._attributed(serial)
+        assert (
+            pooled.solver_stats["sat_core_solves"]
+            == serial.solver_stats["sat_core_solves"]
+        )
 
 
 class TestFallbacks:
