@@ -81,6 +81,30 @@ reaps every child before the error propagates.  The replay stays in one
 process where ``fork`` is unavailable, or where a shard would claim
 fewer than :data:`MIN_SHARD_INSTRUCTIONS`.
 
+**The stream.**  The replay need not wait for the campaign to end.
+Once the recorded paths claim :data:`MIN_SHARD_INSTRUCTIONS` and more
+CPUs are usable than the processes that explore (one serial, ``jobs``
+pooled), the campaign forks one replay process (:class:`ReplayStream`).
+It inherits the certificates recorded so far.  After that the parent
+sends it each new path's certificate with the divergence points
+(``bound - 1``) of the children the campaign kept for that path, over a
+pipe the parent writes without blocking.  The process replays the
+paths in path order as above, under :class:`reference_mode` entered in
+it alone, and copies at each path's kept divergence points; on a
+complete campaign those are the points its recorded children name.
+When the campaign ends (complete, cut by ``--deadline`` or
+``--max-paths``, or interrupted), :func:`verify_result` asks the
+process for the first position it has not started and splits only the
+backlog from there, as above.  The process keeps the heaviest share.
+It needs no helpers before the backlog, since it holds the copies of
+the paths it replayed, and it drops every copy no path of its share
+names, those of kept children a cut never recorded included.  The
+parent replays the next share with helpers, forks the others, and
+merges the verdicts in path order.  A replay process that dies, or
+whose answer is missing or malformed, is replayed by the parent and
+counted once in ``worker_deaths``; an error in the parent stops and
+reaps it.  Without a stream, the end step is the sharded replay above.
+
 Links are hints, never evidence: a missing, out-of-range or wrong link
 costs a from-entry replay, never a verdict.  The copies, the
 re-concretization and both checks share no code with the snapshot layer
@@ -102,6 +126,7 @@ import hashlib
 import multiprocessing
 import os
 import pickle
+import select
 import signal
 from dataclasses import dataclass
 from typing import Optional
@@ -122,6 +147,7 @@ __all__ = [
     "certificate_from_state",
     "replay_mismatches",
     "verify_result",
+    "ReplayStream",
     "reference_mode",
     "stdout_digest",
     "MIN_SHARD_INSTRUCTIONS",
@@ -156,9 +182,8 @@ class PathCertificate:
     off, or a path restored from a pre-certify checkpoint) — replay
     then checks the observable fields only.  ``parent`` and
     ``divergence`` link the path to the path whose run produced it and
-    the branch record it flipped (``None`` for the root and for paths
-    restored from a journal); they only steer the replay, never its
-    verdict.
+    the branch record it flipped (``None`` for the root; a journal keeps
+    both); they only steer the replay, never its verdict.
     """
 
     index: int
@@ -364,6 +389,12 @@ class _EntryReplay:
         self.instructions += run.instret
         return _mismatches(cert, run)
 
+    def add(self, position: int, cert: PathCertificate, divergences) -> None:
+        """A streamed path: nothing to plan without copies."""
+
+    def retain(self, certificates, members) -> None:
+        """Nothing to drop without copies."""
+
 
 #: Estimated bytes per copied shadow entry, trace record, register or
 #: stdout shadow term (the dict slot or list slot plus its share of the
@@ -428,7 +459,9 @@ class _TreeReplay(_EntryReplay):
     lowers under ``--memory-budget``): a copy that would exceed it is
     not taken, and the children naming it replay from the entry.
     Copies are taken only for the children among ``members``, the
-    positions this replay runs.
+    positions this replay runs.  A streamed replay starts with no
+    members and learns each path's link and its kept children's
+    divergence points as the path arrives (:meth:`add`).
     """
 
     def __init__(self, executor, certificates, members):
@@ -437,6 +470,14 @@ class _TreeReplay(_EntryReplay):
         self.budget = executor.snapshot_pool.max_bytes
         #: Bytes held by live copies.
         self.held = 0
+        self.copies: dict = {}
+        #: Check (2)'s concrete machine, built at the first resume.
+        self.machine: Optional[ConcreteInterpreter] = None
+        self.retain(certificates, members)
+
+    def retain(self, certificates, members) -> None:
+        """Plan for the children among ``members`` only, and drop every
+        copy none of them names."""
         #: (parent, divergence) -> position of the last child linked
         #: there: the copy is dropped once that child has replayed.
         self.last_child: dict = {}
@@ -448,9 +489,17 @@ class _TreeReplay(_EntryReplay):
         self.wanted: dict = {}
         for parent, divergence in self.last_child:
             self.wanted.setdefault(parent, set()).add(divergence)
-        self.copies: dict = {}
-        #: Check (2)'s concrete machine, built at the first resume.
-        self.machine: Optional[ConcreteInterpreter] = None
+        for link in [link for link in self.copies if link not in self.last_child]:
+            self._drop(link)
+
+    def add(self, position: int, cert: PathCertificate, divergences) -> None:
+        """A streamed path: its link, and the divergence points of the
+        children the campaign kept for it, which it copies at."""
+        link = _link(cert, position)
+        if link is not None:
+            self.last_child[link] = position
+        if divergences:
+            self.wanted[position] = set(divergences)
 
     def replay(self, position: int, cert: PathCertificate) -> list[str]:
         executor, interp = self.executor, self.interp
@@ -611,19 +660,24 @@ def _shard_count(certificates) -> int:
     return max(1, min(_usable_cpus(), claimed // MIN_SHARD_INSTRUCTIONS))
 
 
-def _partition(certificates, tree: bool, count: int) -> list[tuple[list, list]]:
-    """Split the positions into at most ``count`` shards, each a pair
-    ``(members, owned)`` of sorted positions.  Every position is owned
-    by exactly one shard; a shard's members are the positions it owns
-    and all their ancestors (none unless ``tree``).
+def _partition(
+    certificates, tree: bool, count: int, start: int = 0
+) -> list[tuple[list, list]]:
+    """Split the positions from ``start`` on into at most ``count``
+    shards, each a pair ``(members, owned)`` of sorted positions.  Every
+    such position is owned by exactly one shard; a shard's members are
+    the positions it owns and all their ancestors (none unless
+    ``tree``), those before ``start`` included.
 
     Walking up from the leaves, a subtree is cut off as a piece once its
     uncut part claims ``1 / (count * _PIECES_PER_SHARD)`` of all claimed
-    instructions, and each root closes a piece.  Heaviest piece first,
-    each piece goes to the shard whose claimed work, helpers included,
-    ends lowest.  Ties go to the lower position and shard, so the split
-    depends on the certificates alone.  The shard claiming the most
-    comes first: the parent replays it while the others fork.
+    instructions from ``start`` on, and each root, or child of a path
+    before ``start``, closes a piece.  Heaviest piece first, each piece
+    goes to the shard whose claimed work, helpers from ``start`` on
+    included, ends lowest.  Ties go to the lower position and shard, so
+    the split depends on the certificates alone.  The shard claiming the
+    most comes first: the replay stream's process keeps it, or else the
+    parent replays it while the others fork.
     """
     parents: list = [None] * len(certificates)
     if tree:
@@ -631,22 +685,22 @@ def _partition(certificates, tree: bool, count: int) -> list[tuple[list, list]]:
             link = _link(cert, position)
             if link is not None:
                 parents[position] = link[0]
-    claimed = [cert.instret for cert in certificates]
+    claimed = [cert.instret if p >= start else 0 for p, cert in enumerate(certificates)]
     piece = sum(claimed) / (count * _PIECES_PER_SHARD)
     # A parent precedes its children, so reversed order visits every
     # child before its parent; ``rest`` ends as each piece's claim.
     rest = list(claimed)
     cut = [True] * len(certificates)
-    for position in reversed(range(len(certificates))):
+    for position in reversed(range(start, len(certificates))):
         parent = parents[position]
-        if parent is not None and rest[position] < piece:
+        if parent is not None and parent >= start and rest[position] < piece:
             rest[parent] += rest[position]
             cut[position] = False
     pieces: dict = {}
     top = list(range(len(certificates)))
-    for position, parent in enumerate(parents):
+    for position in range(start, len(certificates)):
         if not cut[position]:
-            top[position] = top[parent]
+            top[position] = top[parents[position]]
         pieces.setdefault(top[position], []).append(position)
     members: list = [set() for _ in range(count)]
     owned: list = [[] for _ in range(count)]
@@ -673,8 +727,13 @@ def _replay_shard(executor, certificates, tree: bool, members, owned) -> tuple:
     replay = (
         _TreeReplay(executor, certificates, members) if tree else _EntryReplay(executor)
     )
+    return _replay_members(replay, certificates, members, owned, [])
+
+
+def _replay_members(replay, certificates, members, owned, messages: list) -> tuple:
+    """:func:`_replay_shard` on a replay that may have run before:
+    ``messages`` and its counts so far are those of positions it owned."""
     owns = set(owned)
-    messages = []
     for position in members:
         resumed, instructions = replay.resumed, replay.instructions
         problems = replay.replay(position, certificates[position])
@@ -757,7 +816,245 @@ def _replay_shards(executor, certificates, tree: bool, shards, result) -> list:
     return outcomes
 
 
-def verify_result(result, executor) -> list[str]:
+def _frame(message) -> bytes:
+    """One message on the stream pipe: its pickle's length, then it."""
+    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    return len(data).to_bytes(4, "big") + data
+
+
+class _Inbox:
+    """The replay process's end of the stream pipe."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+        self.buffer = bytearray()
+        self.waiting = select.poll()
+        self.waiting.register(fd, select.POLLIN)
+
+    def read(self, block: bool) -> list:
+        """Every message the pipe holds whole; with ``block``, at least
+        one.  ``EOFError`` once every writer has closed it."""
+        messages: list = []
+        buffer = self.buffer
+        while True:
+            while len(buffer) >= 4:
+                end = 4 + int.from_bytes(buffer[:4], "big")
+                if len(buffer) < end:
+                    break
+                messages.append(pickle.loads(buffer[4:end]))
+                del buffer[:end]
+            if (messages or not block) and not self.waiting.poll(0):
+                return messages
+            chunk = os.read(self.fd, 1 << 16)
+            if not chunk:
+                if messages:
+                    return messages
+                raise EOFError("the stream pipe closed")
+            buffer += chunk
+
+
+def _stream_main(inbox_fd, outbox_fd, reply, executor, certificates, kept, tree):
+    """The replay process of a :class:`ReplayStream`.
+
+    Replays the inherited certificates and each one the parent streams
+    after them in path order, copying at the divergence points of each
+    path's kept children, until the parent ends the stream (``None``).
+    It answers the first position it has not started, then replays the
+    share ``(members, owned)`` of the backlog the parent hands it, after
+    dropping every copy no member names, and sends the outcome of every
+    position it owns, as a shard does.  multiprocessing then leaves
+    through ``os._exit``; Ctrl-C is the parent's to handle."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    os.close(outbox_fd)
+    inbox = _Inbox(inbox_fd)
+    with reference_mode(executor):
+        replay = (
+            _TreeReplay(executor, certificates, ()) if tree else _EntryReplay(executor)
+        )
+        for position, divergences in enumerate(kept):
+            replay.add(position, certificates[position], divergences)
+        messages: list = []
+        ended = False
+        while not ended:
+            position = len(messages)
+            for path in inbox.read(block=position == len(certificates)):
+                if path is None:
+                    ended = True
+                    continue
+                cert, divergences = path
+                replay.add(len(certificates), cert, divergences)
+                certificates.append(cert)
+            if not ended:
+                messages.append(replay.replay(position, certificates[position]))
+        reply.send(len(messages))
+        ((members, owned),) = inbox.read(block=True)
+        replay.retain(certificates, members)
+        reply.send(_replay_members(replay, certificates, members, owned, messages))
+    reply.close()
+
+
+class ReplayStream:
+    """Certify replay beside the campaign, on a CPU it leaves free.
+
+    The campaign (:class:`repro.core.explorer._Campaign`) hands over
+    each path it records with the divergence points of the children it
+    kept for it (:meth:`add`).  Once the recorded paths claim
+    :data:`MIN_SHARD_INSTRUCTIONS` and more CPUs are usable than the
+    ``processes`` that explore, the stream forks one replay process
+    (:func:`_stream_main`), which inherits the certificates so far.
+    Each later path's certificate follows on a pipe the parent writes
+    without blocking, so a replay process that falls behind never
+    stalls the campaign.  :func:`verify_result` ends the stream.
+    """
+
+    def __init__(self, result, executor, processes: int):
+        self.result = result
+        self.executor = executor
+        #: Whether a usable CPU is left beside the exploring processes.
+        self.spare = (
+            "fork" in multiprocessing.get_all_start_methods()
+            and _usable_cpus() > processes
+        )
+        #: Until the fork: per recorded path, the divergence points of
+        #: its kept children, and the instructions the paths claim.
+        self.kept: list = []
+        self.claimed = 0
+        #: From the fork on: one certificate per recorded path.
+        self.certificates: list = []
+        self.process = None
+        #: The replay process's positions: the prefix it replayed and its
+        #: share of the backlog (:meth:`keep`).
+        self.owned: list = []
+        self._outbox = bytearray()
+        self._fd: Optional[int] = None
+        self._reply = None
+
+    def restore(self, pending) -> None:
+        """Take over a journal's paths: a path's kept children are its
+        restored children and the restored ``pending`` items it queued."""
+        paths = self.result.paths
+        self.kept = [[] for _ in paths]
+        children = [(path.parent, path.divergence) for path in paths]
+        children += [(item.parent, item.bound - 1) for item in pending]
+        for parent, divergence in children:
+            if parent is not None and 0 <= parent < len(paths):
+                self.kept[parent].append(divergence)
+        self.claimed = sum(path.instret for path in paths)
+
+    def add(self, index: int, divergences: list) -> None:
+        """Path ``index`` is recorded, and the children the campaign kept
+        for it, which name ``divergences``, are queued."""
+        path = self.result.paths[index]
+        if self.process is not None:
+            cert = certificate_for(path)
+            self.certificates.append(cert)
+            self._send((cert, divergences))
+        elif self.spare:
+            self.kept.append(divergences)
+            self.claimed += path.instret
+            if self.claimed >= MIN_SHARD_INSTRUCTIONS:
+                self._start()
+
+    def _start(self) -> None:
+        self.certificates = [certificate_for(path) for path in self.result.paths]
+        context = multiprocessing.get_context("fork")
+        inbox, self._fd = os.pipe()
+        self._reply, send = context.Pipe(duplex=False)
+        self.process = context.Process(
+            target=_stream_main,
+            args=(
+                inbox,
+                self._fd,
+                send,
+                self.executor,
+                self.certificates,
+                self.kept,
+                _tree(self.executor),
+            ),
+            daemon=True,
+        )
+        try:
+            self.process.start()
+        finally:
+            os.close(inbox)
+            send.close()  # so the reply pipe ends when the process does
+        os.set_blocking(self._fd, False)
+        self.kept = []
+
+    def _send(self, message) -> None:
+        """Queue ``message`` and write what the pipe takes."""
+        self._outbox += _frame(message)
+        if self._fd is None:
+            return
+        try:
+            while self._outbox:
+                del self._outbox[: os.write(self._fd, self._outbox)]
+        except BlockingIOError:
+            pass  # the pipe is full: the rest goes with a later message
+        except OSError:  # the replay process is gone; the end shows it
+            os.close(self._fd)
+            self._fd = None
+
+    def stop(self) -> Optional[int]:
+        """End the stream: the first position the replay process has not
+        started, or None if it is lost, which stops it."""
+        if self._fd is not None:
+            os.set_blocking(self._fd, True)
+        self._send(None)
+        try:
+            position = self._reply.recv()
+        except (EOFError, OSError, pickle.UnpicklingError, TypeError, ValueError):
+            position = None
+        if _is_count(position) and position <= len(self.certificates):
+            return position
+        self.close()
+        return None
+
+    def keep(self, start: int, members, owned) -> list:
+        """Hand the replay process its share of the backlog from
+        ``start``; returns every position it owns."""
+        self._send(([p for p in members if p >= start], owned))
+        if self._fd is not None:
+            os.close(self._fd)  # shards forked from here do not inherit it
+            self._fd = None
+        self.owned = list(range(start)) + owned
+        return self.owned
+
+    def outcome(self) -> Optional[tuple]:
+        """The replay process's outcome for the positions it owns, or
+        None if it is missing or malformed."""
+        outcome = _receive(self._reply, self.owned)
+        self.process.join()
+        return outcome if self.process.exitcode == 0 else None
+
+    def close(self) -> None:
+        """Stop the replay process if it still runs; close the pipes."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+        process = self.process
+        if process is not None and process.pid is not None:
+            if process.exitcode is None:
+                process.kill()
+            process.join()
+        if self._reply is not None:
+            self._reply.close()
+            self._reply = None
+
+
+def _tree(executor) -> bool:
+    """Whether ``executor``'s paths replay as a tree.  Under FREE
+    concretization a symbolic address is not pinned in the trace, so a
+    child satisfying its parent's prefix may still load through
+    different addresses (other terms, same bytes): check (1) would not
+    show the resume exact."""
+    return (
+        type(executor) is BinSymExecutor
+        and executor.interpreter.concretization is ConcretizationPolicy.PIN
+    )
+
+
+def verify_result(result, executor, stream: Optional[ReplayStream] = None) -> list[str]:
     """Replay-verify every recorded path of an exploration result.
 
     Builds one certificate per path, replays each under the reference
@@ -769,19 +1066,38 @@ def verify_result(result, executor) -> list[str]:
     ``certificate_instructions``, the ``certificates`` list, and
     ``certificate_errors`` carrying one message per mismatching field,
     in path order.  Returns the error list.
+
+    With a ``stream`` whose replay process runs, that process has
+    replayed the paths up to the position it reports: only the backlog
+    after it is split, the process keeps the first share, and the others
+    replay as above.  A lost replay process is replayed here, counted in
+    ``worker_deaths``.
     """
-    certificates = [certificate_for(path) for path in result.paths]
-    # Under FREE concretization a symbolic address is not pinned in the
-    # trace, so a child satisfying its parent's prefix may still load
-    # through different addresses (other terms, same bytes): check (1)
-    # would not show the resume exact.
-    tree = (
-        type(executor) is BinSymExecutor
-        and executor.interpreter.concretization is ConcretizationPolicy.PIN
-    )
-    shards = _partition(certificates, tree, _shard_count(certificates))
+    tree = _tree(executor)
+    start = None
+    if stream is not None and stream.process is not None:
+        certificates = stream.certificates
+        start = stream.stop()
+        if start is None:  # lost before the end: every path replays here
+            result.worker_deaths += 1
+    else:
+        certificates = [certificate_for(path) for path in result.paths]
+    first = start or 0
+    shards = _partition(certificates, tree, _shard_count(certificates[first:]), first)
+    streamed = None
+    if start is not None:
+        members, owned = shards.pop(0) if shards else ([], [])
+        owned = stream.keep(start, members, owned)
+        streamed = (sorted(set(range(start)).union(members)), owned)
     with reference_mode(executor):
         outcomes = _replay_shards(executor, certificates, tree, shards, result)
+        if streamed is not None:
+            outcome = stream.outcome()
+            if outcome is None:
+                result.worker_deaths += 1
+                outcome = _replay_shard(executor, certificates, tree, *streamed)
+            shards.append(streamed)
+            outcomes.append(outcome)
     verdicts: list = [None] * len(certificates)
     for (_, owned), (messages, resumed, instructions) in zip(shards, outcomes):
         for position, problems in zip(owned, messages):

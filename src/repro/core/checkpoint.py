@@ -10,6 +10,13 @@ a campaign directory.  Writes go through a temp file + ``os.replace``,
 so a crash at any instant leaves either the previous checkpoint or the
 new one, never a torn file.
 
+Format 5 keeps the exploration tree: each path record carries the
+``parent`` and ``divergence`` links certify replay walks
+(:mod:`repro.core.certificates`), and each pending item the ``parent``
+its path will link to.  A resumed ``--certify`` campaign therefore
+replays restored paths, and the children of restored items, from their
+parent's reference state, as the uninterrupted campaign does.
+
 The journal carries its own **integrity digest**: the state object is
 canonically serialized and a ``blake2b`` digest of those bytes is
 stored alongside it.  ``load()`` recomputes the digest before trusting
@@ -56,9 +63,10 @@ __all__ = ["CheckpointManager", "CheckpointState", "CHECKPOINT_FILENAME", "GAUGE
 
 CHECKPOINT_FILENAME = "checkpoint.json"
 
-#: Since version 4 the flip attribution is in ``stats`` (``flip_*``
-#: keys), not in ``counters``; a journal of another version is refused.
-_FORMAT_VERSION = 4
+#: Since version 5 a path record keeps its ``parent`` and ``divergence``
+#: links and a pending item its ``parent`` (since version 4 the flip
+#: attribution is in ``stats``); a journal of another version is refused.
+_FORMAT_VERSION = 5
 
 #: Point-in-time sizes in a process's counter record, not counts: the
 #: result sums them over the processes that ran, but the journal leaves
@@ -121,6 +129,8 @@ class CheckpointState:
                 stdout,
                 pc,
                 condition_digest,
+                parent,
+                divergence,
             ) = payload
             result.paths.append(
                 PathInfo(
@@ -133,6 +143,8 @@ class CheckpointState:
                     stdout=base64.b64decode(stdout),
                     final_pc=pc,
                     condition_digest=condition_digest,
+                    parent=parent,
+                    divergence=divergence,
                 )
             )
         for name in _COUNTER_FIELDS:
@@ -148,8 +160,9 @@ class CheckpointState:
                 bound,
                 novelty=novelty,
                 digest=digest,
+                parent=parent,
             )
-            for assignment, bound, novelty, digest in self.frontier
+            for assignment, bound, novelty, digest, parent in self.frontier
         ]
 
 
@@ -279,6 +292,8 @@ class CheckpointManager:
                     base64.b64encode(info.stdout).decode("ascii"),
                     info.final_pc,
                     info.condition_digest,
+                    info.parent,
+                    info.divergence,
                 )
                 for info in result.paths
             ],
@@ -288,6 +303,7 @@ class CheckpointManager:
                     item.bound,
                     item.novelty,
                     item.digest,
+                    item.parent,
                 )
                 for item in pending
             ],

@@ -500,41 +500,53 @@ class Explorer:
                 interval=config.checkpoint_interval,
             )
             restored = manager.load() if config.resume else None
-        campaign = _Campaign(config, result, manager)
+        stream = None
+        if config.certify:
+            from .certificates import ReplayStream
+
+            stream = ReplayStream(result, self.executor, result.workers)
+        campaign = _Campaign(config, result, manager, stream)
         if restored is not None:
             restored.restore_result(result)
             campaign.seen = restored.digests
-            for item in restored.frontier_items():
+            items = restored.frontier_items()
+            for item in items:
                 frontier.push(item)
+            if stream is not None:
+                stream.restore(items)
         else:
             frontier.push(WorkItem(InputAssignment(), 0))
-        if restored is None or not restored.complete:
-            if pooled:
-                from .parallel import Broker
+        try:
+            if restored is None or not restored.complete:
+                if pooled:
+                    from .parallel import Broker
 
-                campaign.run(Broker(self, frontier))
-            else:
-                campaign.run(
-                    Worker(
-                        self.executor,
-                        config,
-                        self.solver,
-                        "serial",
-                        frontier=frontier,
-                        covered=result.covered_branches,
+                    campaign.run(Broker(self, frontier))
+                else:
+                    campaign.run(
+                        Worker(
+                            self.executor,
+                            config,
+                            self.solver,
+                            "serial",
+                            frontier=frontier,
+                            covered=result.covered_branches,
+                        )
                     )
-                )
-        if config.certify:
-            from .certificates import certificate_to_state, verify_result
+            if config.certify:
+                from .certificates import certificate_to_state, verify_result
 
-            verify_result(result, self.executor)
-            # Only certificates that just passed replay are persisted:
-            # the store holds evidence, not claims.  Content-addressed,
-            # so re-running the same campaign rewrites nothing.
-            store = getattr(getattr(self.solver, "cache", None), "store", None)
-            if store is not None and not result.certificate_failures:
-                for cert in result.certificates:
-                    store.save_certificate(certificate_to_state(cert))
+                verify_result(result, self.executor, stream)
+                # Only certificates that just passed replay are persisted:
+                # the store holds evidence, not claims.  Content-addressed,
+                # so re-running the same campaign rewrites nothing.
+                store = getattr(getattr(self.solver, "cache", None), "store", None)
+                if store is not None and not result.certificate_failures:
+                    for cert in result.certificates:
+                        store.save_certificate(certificate_to_state(cert))
+        finally:
+            if stream is not None:
+                stream.close()
         result.wall_time = time.perf_counter() - start
         return result
 
@@ -561,10 +573,15 @@ class _Campaign:
     save and when the run ends.  A save writes the result's record.
     """
 
-    def __init__(self, config: ExploreConfig, result: ExplorationResult, manager):
+    def __init__(
+        self, config: ExploreConfig, result: ExplorationResult, manager, stream=None
+    ):
         self.config = config
         self.result = result
         self.manager = manager
+        #: Certify replay beside the campaign
+        #: (:class:`repro.core.certificates.ReplayStream`), if certifying.
+        self.stream = stream
         #: Restart-stable digests of the flip queries whose children
         #: were queued; a resumed campaign starts from the journal's.
         self.seen: set = set()
@@ -604,6 +621,13 @@ class _Campaign:
             return False
         self.seen.add(digest)
         return True
+
+    def certify(self, index: int, divergences: list) -> None:
+        """Path ``index`` is recorded and the children kept for it are
+        queued; ``divergences`` lists each one's ``bound - 1``.  Hands
+        both to the replay stream, if certifying."""
+        if self.stream is not None:
+            self.stream.add(index, divergences)
 
     def after_run(self, driver) -> None:
         """Checkpoint, and honour a ``stop=`` fault, after each run."""
@@ -743,12 +767,15 @@ class Worker:
                 item = frontier.pop()
                 path, children, covered = self.run(item)
                 index = campaign.record(path, covered, item.parent, item.bound)
+                kept = []
                 for child in children:
                     if campaign.fresh(child.digest):
                         child.parent = index
                         frontier.push(child)
+                        kept.append(child.bound - 1)
                     else:
                         self.release(child)
+                campaign.certify(index, kept)
                 campaign.after_run(self)
         finally:
             for item in frontier.items():
@@ -757,11 +784,11 @@ class Worker:
     def pending(self) -> list:
         return self.frontier.items()
 
-    def hold(self, item: WorkItem) -> None:
-        """Take a hold on the snapshot ``item`` names (a pool task that
-        came back to the worker that captured its snapshot)."""
-        if self.pool is not None and item.snapshot is not None:
-            self.pool.hold(item.snapshot)
+    def hold(self, handle: int) -> bool:
+        """Take a hold on snapshot ``handle`` for a pool task that came
+        back to the worker that captured it; False if the snapshot has
+        left the pool, or snapshots are off."""
+        return self.pool is not None and self.pool.hold(handle)
 
     def release(self, item: WorkItem) -> None:
         """Give back ``item``'s hold on the snapshot it names: the item

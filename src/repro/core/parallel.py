@@ -195,15 +195,18 @@ def _worker_main(broker, worker_uid, control, reply_conn, running):
     in the broker's mirror: a death is charged to exactly the item that
     was running, never to one the broker happened to hear of last.
 
-    Snapshot handles are process-local: a task's ``(origin_uid, handle)``
-    reference is honoured only by the incarnation that captured it, and
-    any other item re-executes from the entry point, which discovers the
-    identical path (counted in ``snap_cross_worker_items``).  The loop
-    keeps the pool's holds with the run step's (see
+    Snapshot handles are process-local.  A task that names a snapshot
+    ``(origin_uid, handle)`` is a stolen or requeued item, and it resumes
+    only on the incarnation that captured the snapshot, and only while
+    that pool still holds it for another item: the task then takes a
+    hold of its own.  Any other such task re-executes from the entry
+    point, which discovers the identical path, and counts in
+    ``snap_cross_worker_items``; so does a stolen item that comes back
+    to its seat after its snapshot was freed, since the steal gave its
+    hold back.  The loop keeps the pool's holds with the run step's (see
     :class:`~repro.core.explorer.Worker`): an item ``take`` skips as
     dropped, and one that answers a steal, gives its snapshot hold back,
-    and a task naming this incarnation's own handle takes one, so the
-    pool keeps only snapshots that items in this frontier name.
+    so the pool keeps only snapshots that items in this frontier name.
 
     The config's faults drive deterministic chaos, keyed by the number
     of runs this incarnation started: *kill* exits before the run,
@@ -281,17 +284,14 @@ def _worker_main(broker, worker_uid, control, reply_conn, running):
         kind = message[0]
         if kind == "task":
             _, item_id, assignment, bound, snapshot_ref, novelty = message
-            own = snapshot_ref is not None and snapshot_ref[0] == worker_uid
-            if snapshot_ref is not None and not own:
-                worker.counts["snap_cross_worker_items"] += 1
             item = WorkItem(
-                deserialize_assignment(assignment),
-                bound,
-                novelty=novelty,
-                snapshot=snapshot_ref[1] if own else None,
-                id=item_id,
+                deserialize_assignment(assignment), bound, novelty=novelty, id=item_id
             )
-            worker.hold(item)
+            if snapshot_ref is not None:
+                if snapshot_ref[0] == worker_uid and worker.hold(snapshot_ref[1]):
+                    item.snapshot = snapshot_ref[1]
+                else:
+                    worker.counts["snap_cross_worker_items"] += 1
             frontier.push(item)
         elif kind == "steal":
             flush()
@@ -717,6 +717,7 @@ class Broker:
             bound=entry[1],
         )
         duplicates = []
+        kept = []
         for child_id, assignment, bound, digest, snapshot, novelty in children:
             if not campaign.fresh(digest):
                 duplicates.append(child_id)
@@ -725,8 +726,10 @@ class Broker:
             slot.mirror[child_id] = (
                 assignment, bound, digest, snapshot_ref, novelty, 0, index
             )
+            kept.append(bound - 1)
         if duplicates:
             slot.post(("drop", duplicates))
+        campaign.certify(index, kept)
         return True
 
     def explore(self, campaign) -> None:

@@ -80,8 +80,8 @@ class WorkItem:
     #: the broker can steal or drop it (``None`` outside the pool).
     id: Optional[int] = None
     #: Index of the recorded path whose run produced this item (``None``
-    #: for the root and for items restored from a journal).  With
-    #: ``bound - 1`` it is the certificate link of the item's path.
+    #: for the root; a journal keeps it).  With ``bound - 1`` it is the
+    #: certificate link of the item's path.
     parent: Optional[int] = None
 
 

@@ -189,11 +189,14 @@ class SnapshotPool:
         self.captured += 1
         return handle
 
-    def hold(self, handle: int) -> None:
-        """One more holder of ``handle``; nothing if it left the pool."""
+    def hold(self, handle: int) -> bool:
+        """One more holder of ``handle``; False, and nothing else, if it
+        left the pool."""
         holds = self._holds
-        if handle in holds:
-            holds[handle] += 1
+        if handle not in holds:
+            return False
+        holds[handle] += 1
+        return True
 
     def release(self, handle: int) -> None:
         """Give back one hold of ``handle``; the last frees the snapshot.

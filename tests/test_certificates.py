@@ -165,14 +165,30 @@ def make_executor():
 @pytest.fixture()
 def one_shard(monkeypatch):
     """Keep every replay in this process, where a spy or a profile hook
-    sees all of it."""
+    sees all of it: no shard forks, and no replay stream starts, since no
+    CPU is left beside the one that explores."""
     monkeypatch.setattr(certificates, "_usable_cpus", lambda: 1)
 
 
 def force_shards(monkeypatch, count):
-    """Split every replay into ``count`` shards, however little it claims."""
+    """Split every replay into ``count`` shards, however little it claims.
+    A campaign exploring with fewer than ``count`` processes also starts
+    its replay stream after its first path."""
     monkeypatch.setattr(certificates, "_usable_cpus", lambda: count)
     monkeypatch.setattr(certificates, "MIN_SHARD_INSTRUCTIONS", 1)
+
+
+def spy_streams(monkeypatch) -> list:
+    """Every replay stream that forks its replay process, in order."""
+    started: list = []
+    start = certificates.ReplayStream._start
+
+    def spy(self):
+        start(self)
+        started.append(self)
+
+    monkeypatch.setattr(certificates.ReplayStream, "_start", spy)
+    return started
 
 
 def explore(certify=False, jobs=1, faults=None, workload=None, scale=3):
@@ -227,6 +243,27 @@ def reverify(result, executor, monkeypatch=None, forge=None):
     fresh = ExplorationResult(paths=list(result.paths))
     verify_result(fresh, executor)
     return fresh
+
+
+def mark_replay_process(monkeypatch) -> list:
+    """A list that is empty except inside a stream's replay process: a
+    spy tells that process from the parent and from forked shards."""
+    marks: list = []
+    stream_main = certificates._stream_main
+
+    def marked(*args):
+        marks.append(os.getpid())
+        return stream_main(*args)
+
+    monkeypatch.setattr(certificates, "_stream_main", marked)
+    return marks
+
+
+def one_process(result, executor):
+    """``result``'s paths certified again, in this process alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certificates, "_usable_cpus", lambda: 1)
+        return reverify(result, executor)
 
 
 def from_entry(result, executor):
@@ -339,6 +376,47 @@ class TestCompletedJournalResume:
         assert resumed.path_set() == first.path_set()
         assert resumed.certified_paths == resumed.num_paths == 6
         assert resumed.certificate_failures == 0
+
+
+class TestJournaledTreeLinks:
+    """The journal keeps each path's tree links and each pending item's
+    parent, so a resumed certify campaign replays as a tree."""
+
+    def explore_journal(self, directory, **options):
+        image = WORKLOADS["bubble-sort"].image(5)
+        return Explorer(
+            make_engine("binsym", rv32im(), image),
+            solver_config=SolverConfig(certify=True),
+            checkpoint_dir=str(directory),
+            **options,
+        ).explore()
+
+    def test_resumed_campaign_replays_the_tree(self, tmp_path):
+        clean = self.explore_journal(tmp_path / "clean")
+        assert (clean.certificate_resumed, clean.certificate_instructions) == (119, 5950)
+        cut = self.explore_journal(
+            tmp_path / "cut", faults=FaultPlan(interrupt_after=60)
+        )
+        assert cut.interrupted and cut.num_paths == 60
+        resumed = self.explore_journal(tmp_path / "cut", resume=True)
+        assert resumed.path_set() == clean.path_set()
+        assert [p.index for p in resumed.paths if p.parent is None] == [0]
+        assert resumed.certified_paths == 120
+        assert resumed.certificate_resumed == 119
+        assert resumed.certificate_instructions == 5950
+
+    def test_version_4_journal_refused(self, tmp_path):
+        from repro.core import checkpoint
+
+        self.explore_journal(tmp_path)
+        journal = tmp_path / "checkpoint.json"
+        raw = json.loads(journal.read_text())
+        raw["state"]["version"] = 4
+        raw["digest"] = checkpoint._state_digest(raw["state"])
+        journal.write_text(json.dumps(raw))
+        manager = CheckpointManager(str(tmp_path), strategy="dfs", seed=0)
+        with pytest.raises(ValueError, match="unsupported version 4"):
+            manager.load()
 
 
 class TestCertificateTampering:
@@ -565,14 +643,14 @@ class TestTreeReplay:
         verify = certificates.verify_result
         memo_holds_plans = []
 
-        def profiled(result, executor):
+        def profiled(result, executor, *stream):
             # Exploration left staged plans in the word memo, which
             # reference mode must not run.
             memo = executor.interpreter._exec_cache.values()
             memo_holds_plans.append(any(plan is not None for plan, _ in memo))
             sys.setprofile(profile)
             try:
-                return verify(result, executor)
+                return verify(result, executor, *stream)
             finally:
                 sys.setprofile(None)
 
@@ -965,8 +1043,9 @@ class TestShardedReplay:
         assert executor.interpreter.staging and executor.superblocks_enabled
 
     def test_cli_output_printed_once(self, tmp_path):
-        """Shards leave through ``os._exit``: output the parent buffered
-        before forking is not printed again by a child."""
+        """Shards and the replay stream's process leave through
+        ``os._exit``: output the parent buffered before forking is not
+        printed again by a child."""
         source = tmp_path / "branches.s"
         source.write_text(SOURCE)
         script = textwrap.dedent(
@@ -976,8 +1055,15 @@ class TestShardedReplay:
             from repro.core import certificates
             certificates._usable_cpus = lambda: 2
             certificates.MIN_SHARD_INSTRUCTIONS = 1
+            streams = []
+            start = certificates.ReplayStream._start
+            def spy(self):
+                start(self)
+                streams.append(self)
+            certificates.ReplayStream._start = spy
             print("buffered before the fork")
             code = cli.main(["explore", sys.argv[1], "--certify"])
+            print("streams started:", len(streams))
             print("children alive:", len(multiprocessing.active_children()))
             sys.exit(code)
             """
@@ -1000,7 +1086,234 @@ class TestShardedReplay:
         assert len(certified) == 1
         assert certified[0].startswith("certified results: 4 paths replayed (0 failed")
         assert "worker deaths" not in run.stdout
-        assert lines[-1] == "children alive: 0"
+        assert lines[-2:] == ["streams started: 1", "children alive: 0"]
+
+
+class TestReplayStream:
+    """Certify replay beside the campaign: with a CPU left beside the
+    processes that explore, one forked replay process replays each path
+    soon after it is recorded, and only the backlog left when the
+    campaign ends is split.  The merged verdicts, messages and counters
+    equal one process's."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("workload", sorted(GATE_SCALES))
+    def test_stream_equals_one_process(self, workload, jobs, monkeypatch):
+        started = spy_streams(monkeypatch)
+        force_shards(monkeypatch, 4)
+        executor, result = certify_workload(workload, GATE_SCALES[workload], jobs)
+        assert len(started) == 1
+        assert multiprocessing.active_children() == []
+        assert result.worker_deaths == 0
+        assert counters(result) == counters(one_process(result, executor))
+        entry = from_entry(result, executor)
+        assert result.certificate_errors == [m for p in entry for m in p]
+        assert result.certified_paths == sum(not p for p in entry) == result.num_paths
+        assert result.certificate_resumed == result.num_paths - 1
+
+    def test_tampered_claims_are_rejected(self, monkeypatch):
+        """A claim tampered on an early path, which the replay process
+        owns unless the campaign outran it, and on the last path."""
+        honest = certificates.certificate_for
+        last = 23  # bubble-sort at scale 4 has 24 paths
+
+        def forged(path):
+            cert = honest(path)
+            if path.index == 1:
+                return dataclasses.replace(cert, instret=cert.instret + 1)
+            if path.index == last:
+                return dataclasses.replace(cert, exit_code=(cert.exit_code or 0) ^ 1)
+            return cert
+
+        monkeypatch.setattr(certificates, "certificate_for", forged)
+        started = spy_streams(monkeypatch)
+        force_shards(monkeypatch, 4)
+        executor, result = certify_workload("bubble-sort", 4)
+        assert len(started) == 1 and result.num_paths == last + 1
+        entry = from_entry(result, executor)
+        assert result.certificate_failures == 2
+        assert result.certificate_errors == [m for p in entry for m in p]
+        assert result.certificate_errors[0].startswith("path 1: instret")
+        assert counters(result) == counters(one_process(result, executor))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "fault", ["exit", "sigkill", "exit-at-end", "malformed", "short"]
+    )
+    def test_lost_replay_process_replays_here(self, fault, monkeypatch):
+        """A replay process that dies while the campaign runs or at the
+        end, or answers nonsense, is replayed by the parent and counted
+        once as a worker death; the verdicts stay."""
+        streaming = mark_replay_process(monkeypatch)
+        replay = certificates._TreeReplay.replay
+        replay_members = certificates._replay_members
+
+        def dying(self, position, cert):
+            if streaming:
+                if fault == "exit":
+                    os._exit(3)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return replay(self, position, cert)
+
+        def answering(*args):
+            outcome = replay_members(*args)
+            if not streaming:
+                return outcome
+            if fault == "exit-at-end":
+                os._exit(3)
+            messages, resumed, instructions = outcome
+            if fault == "malformed":
+                return ["not", "a", "reply"], resumed, instructions
+            return messages[1:], resumed, instructions
+
+        if fault in ("exit", "sigkill"):
+            monkeypatch.setattr(certificates._TreeReplay, "replay", dying)
+        else:
+            monkeypatch.setattr(certificates, "_replay_members", answering)
+        started = spy_streams(monkeypatch)
+        force_shards(monkeypatch, 4)
+        executor, result = certify_workload("bubble-sort", 4)
+        assert len(started) == 1
+        assert result.worker_deaths == 1
+        assert counters(result) == counters(one_process(result, executor))
+        assert result.certified_paths == result.num_paths
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "where, error",
+        [
+            ("campaign", RuntimeError),
+            ("end", RuntimeError),
+            ("end", KeyboardInterrupt),
+        ],
+    )
+    def test_parent_error_stops_the_replay_process(self, where, error, monkeypatch):
+        """The campaign, or the parent's share of the backlog, raises
+        while the replay process runs: it is stopped and reaped before
+        the error propagates, and the executor leaves reference mode."""
+        parent = os.getpid()
+        streaming = mark_replay_process(monkeypatch)
+        replay = certificates._TreeReplay.replay
+        replay_shard = certificates._replay_shard
+
+        def slow(self, position, cert):
+            if streaming:
+                time.sleep(0.05)  # so the campaign leaves a backlog
+            return replay(self, position, cert)
+
+        def failing(*shard):
+            if os.getpid() == parent:
+                raise error("the parent's share failed")
+            return replay_shard(*shard)
+
+        class CrashingExecutor(BinSymExecutor):
+            runs = 0
+
+            def execute(self, *args, **kwargs):
+                self.runs += 1
+                if self.runs == 8:
+                    raise error("the campaign failed")
+                return super().execute(*args, **kwargs)
+
+        monkeypatch.setattr(certificates._TreeReplay, "replay", slow)
+        monkeypatch.setattr(certificates, "_replay_shard", failing)
+        started = spy_streams(monkeypatch)
+        force_shards(monkeypatch, 4)
+        image = WORKLOADS["bubble-sort"].image(4)
+        kind = CrashingExecutor if where == "campaign" else BinSymExecutor
+        executor = kind(rv32im(), image)
+        begin = time.monotonic()
+        with pytest.raises(error):
+            Explorer(executor, solver_config=SolverConfig(certify=True)).explore()
+        assert time.monotonic() - begin < 30
+        assert len(started) == 1
+        assert started[0].process.exitcode is not None
+        assert multiprocessing.active_children() == []
+        assert executor.interpreter.staging and executor.superblocks_enabled
+
+    def test_deadline_cut_certifies_exactly_its_recorded_paths(self, monkeypatch):
+        started = spy_streams(monkeypatch)
+        force_shards(monkeypatch, 4)
+        executor = make_engine("binsym", rv32im(), WORKLOADS["bubble-sort"].image(6))
+        result = Explorer(
+            executor, solver_config=SolverConfig(certify=True), deadline=0.2
+        ).explore()
+        assert result.deadline_expired and result.incomplete_paths
+        assert 0 < result.num_paths < 720
+        assert len(started) == 1
+        assert len(result.certificates) == result.num_paths
+        assert result.certified_paths == result.num_paths
+        assert result.worker_deaths == 0
+        assert counters(result) == counters(one_process(result, executor))
+        assert multiprocessing.active_children() == []
+
+    def test_replay_process_drops_every_copy(self, tmp_path, monkeypatch):
+        """A cut leaves children the campaign kept but never recorded, so
+        the replay process holds copies no recorded path names.  Keeping
+        its share drops them and every copy no member of the share names;
+        its share then drops the rest."""
+        streaming = mark_replay_process(monkeypatch)
+        notes = tmp_path / "copies"
+        retain = certificates._TreeReplay.retain
+        replay_members = certificates._replay_members
+
+        def note(*values):
+            if streaming:
+                with open(notes, "a") as handle:
+                    handle.write(" ".join(map(str, values)) + "\n")
+
+        def noted_retain(self, certs, members):
+            before = len(self.copies)
+            retain(self, certs, members)
+            note("retain", before, len(self.copies))
+
+        def noted_members(replay, *args):
+            outcome = replay_members(replay, *args)
+            note("end", len(replay.copies), replay.held)
+            return outcome
+
+        monkeypatch.setattr(certificates._TreeReplay, "retain", noted_retain)
+        monkeypatch.setattr(certificates, "_replay_members", noted_members)
+        started = spy_streams(monkeypatch)
+        force_shards(monkeypatch, 4)
+        executor = make_engine("binsym", rv32im(), WORKLOADS["bubble-sort"].image(4))
+        result = Explorer(
+            executor, solver_config=SolverConfig(certify=True), max_paths=15
+        ).explore()
+        assert result.truncated and result.num_paths == 15
+        assert len(started) == 1
+        assert result.certified_paths == 15 and result.worker_deaths == 0
+        # Retained at the start (nothing to drop), at the end, then done.
+        *_, retained, end = [line.split() for line in notes.read_text().splitlines()]
+        assert retained[0] == "retain" and int(retained[1]) > int(retained[2])
+        assert end == ["end", "0", "0"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("engine", ["symex-vp", "binsym-free"])
+    def test_other_engines_stream_from_entry(self, engine, monkeypatch):
+        started = spy_streams(monkeypatch)
+        force_shards(monkeypatch, 4)
+        image = WORKLOADS["bubble-sort"].image(4)
+        if engine == "binsym-free":
+            executor = BinSymExecutor(
+                rv32im(), image, concretization=ConcretizationPolicy.FREE
+            )
+        else:
+            executor = make_engine(engine, rv32im(), image)
+        result = Explorer(executor, solver_config=SolverConfig(certify=True)).explore()
+        assert len(started) == 1
+        assert result.certified_paths == result.num_paths == 24
+        assert result.certificate_resumed == 0 and result.worker_deaths == 0
+        assert result.certificate_instructions == result.total_instructions
+        assert multiprocessing.active_children() == []
+
+    def test_no_stream_without_a_spare_cpu(self, monkeypatch):
+        """A pool that explores on every usable CPU starts no stream."""
+        started = spy_streams(monkeypatch)
+        force_shards(monkeypatch, 2)
+        _, result = certify_workload("bubble-sort", 4, jobs=2)
+        assert started == []
+        assert result.certified_paths == result.num_paths
 
 
 class TestCertificateState:

@@ -803,6 +803,53 @@ class TestSnapshotHolds:
         assert len(executor.snapshot_pool) == 0
         assert strays == []
 
+    def test_a_stolen_item_back_at_its_victim_is_a_cross_worker_item(
+        self, monkeypatch
+    ):
+        """The broker may hand a stolen item straight back to the seat it
+        was stolen from.  Each of bubble-sort's root children names a
+        snapshot of its own, so the steal gave the last hold back and the
+        task re-executes from the entry: a cross-worker item, not a
+        fallback run and a pool miss."""
+        strays: list = []
+        _check_holds(monkeypatch, strays)
+        spec = WORKLOADS["bubble-sort"]
+        executor = _GatedExecutor(rv32im(), spec.image(spec.fig6_scale))
+        seat = _ThreadedSeat(monkeypatch, executor)
+        try:
+            seat.post(*_ROOT_TASK)
+            # The first reply carries every counter key.
+            ((_, path, children, _, counters),) = seat.receive()
+            assert path is not None, children
+            handles = [child[4] for child in children]
+            assert len(set(handles) - {None}) == len(children) > 2
+            _, assignment, bound, _, handle, novelty = children[0]
+            seat.post("steal")
+            seat.post("task", -2, assignment, bound, (0, handle), novelty)
+            executor.gate.set()
+            pending = {child[0] for child in children} | {-2}
+            stolen = None
+            while pending:
+                message = seat.receive()
+                if not isinstance(message, list):
+                    stolen = message[1]
+                    pending.remove(stolen)
+                    continue
+                for item_id, path, grandchildren, _, moved in message:
+                    assert path is not None, grandchildren
+                    pending.remove(item_id)
+                    pending.update(child[0] for child in grandchildren)
+                    for key, value in moved.items():
+                        counters[key] = counters.get(key, 0) + value
+        finally:
+            seat.stop()
+        assert stolen == children[0][0]
+        assert counters["snap_cross_worker_items"] == 1
+        assert counters["snap_fallback_runs"] == 0
+        assert counters["snap_pool_misses"] == 0
+        assert len(executor.snapshot_pool) == 0
+        assert strays == []
+
 
 @needs_fork
 class TestQueryDigest:

@@ -23,6 +23,13 @@ the gate asserts the full evidence contract:
   keeps no clause log (the CDCL core logs only under ``--certify``),
   so this also shows that logging is pure evidence.
 
+Two more rows per workload force the replay stream, which the Fig. 6
+CI scales never start on their own: four usable CPUs and a one-
+instruction start threshold, serial and on a 2-worker pool
+(``stream serial``, ``stream jobs=2``).  There the paths replay in a
+forked process while the campaign explores, and the rows also require
+that the stream started and lost no process.
+
 Usage::
 
     python tools/certify_check.py [--jobs N] [--self-test]
@@ -34,13 +41,21 @@ asserts they cost a from-entry replay, never a verdict — proving the
 gate can actually fail and that links are only hints.  It then splits
 the replay into two shards, which a tree this small never gets on its
 own, and asserts a perturbed claim on a child the forked shard owns is
-rejected too.
+rejected too.  Last it forces the replay stream: with one CPU left
+when the campaign ends, the replay process keeps the whole backlog, so
+it owns every path, and a claim tampered on a resumed child must be
+rejected there; then the replay process is killed once as it starts,
+and the parent must replay its paths, reject the same claim and count
+one worker death.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import os
+import signal
 import sys
 import time
 from pathlib import Path
@@ -127,31 +142,73 @@ def check_certified(workload: str, baseline, certified, label: str) -> list[str]
     return errors
 
 
+@contextlib.contextmanager
+def forced_stream(cpus: int = 4, after_start=None):
+    """Start the replay stream after a campaign's first path, with
+    ``cpus`` usable CPUs; yields the list of streams that started.
+    ``after_start(stream)`` runs in the parent right after each fork."""
+    saved = (
+        certificates._usable_cpus,
+        certificates.MIN_SHARD_INSTRUCTIONS,
+        certificates.ReplayStream._start,
+    )
+    started: list = []
+    start = saved[2]
+
+    def spy(stream):
+        start(stream)
+        started.append(stream)
+        if after_start is not None:
+            after_start(stream)
+
+    certificates._usable_cpus = lambda: cpus
+    certificates.MIN_SHARD_INSTRUCTIONS = 1
+    certificates.ReplayStream._start = spy
+    try:
+        yield started
+    finally:
+        (
+            certificates._usable_cpus,
+            certificates.MIN_SHARD_INSTRUCTIONS,
+            certificates.ReplayStream._start,
+        ) = saved
+
+
 def run_gate(jobs: int) -> int:
     failures: list[str] = []
     for workload in WORKLOAD_SCALES:
         start = time.perf_counter()
         baseline = build_explorer(workload).explore()
-        for config, use_cache in CONFIGURATIONS.items():
-            for mode, n_jobs in (("serial", 1), (f"jobs={jobs}", jobs)):
-                label = f"{config} {mode}"
+        rows = [
+            (f"{config} {mode}", use_cache, n_jobs, False)
+            for config, use_cache in CONFIGURATIONS.items()
+            for mode, n_jobs in (("serial", 1), (f"jobs={jobs}", jobs))
+        ]
+        rows += [("stream serial", False, 1, True), ("stream jobs=2", False, 2, True)]
+        for label, use_cache, n_jobs, stream in rows:
+            with forced_stream() if stream else contextlib.nullcontext() as started:
                 certified = build_explorer(
                     workload, jobs=n_jobs, certify=True, use_cache=use_cache
                 ).explore()
-                errors = check_certified(workload, baseline, certified, label)
-                failures.extend(errors)
-                stats = certified.solver_stats
-                status = "FAIL" if errors else "ok"
-                print(
-                    f"  {status:4s} {workload:16s} {label:15s} "
-                    f"paths={certified.certified_paths}/{certified.num_paths} "
-                    f"resumed={certified.certificate_resumed}"
-                    f"/{certified.resumed_runs} "
-                    f"solved={certified.num_queries} "
-                    f"sat={stats.get('certified_sat', 0)} "
-                    f"unsat={stats.get('certified_unsat', 0)} "
-                    f"failures={stats.get('certify_failures', 0)}"
+            errors = check_certified(workload, baseline, certified, label)
+            if stream and (len(started) != 1 or certified.worker_deaths):
+                errors.append(
+                    f"{workload} [{label}]: {len(started)} replay streams "
+                    f"started, {certified.worker_deaths} worker deaths"
                 )
+            failures.extend(errors)
+            stats = certified.solver_stats
+            status = "FAIL" if errors else "ok"
+            print(
+                f"  {status:4s} {workload:16s} {label:15s} "
+                f"paths={certified.certified_paths}/{certified.num_paths} "
+                f"resumed={certified.certificate_resumed}"
+                f"/{certified.resumed_runs} "
+                f"solved={certified.num_queries} "
+                f"sat={stats.get('certified_sat', 0)} "
+                f"unsat={stats.get('certified_unsat', 0)} "
+                f"failures={stats.get('certify_failures', 0)}"
+            )
         print(
             f"{workload}: {baseline.num_paths} paths, "
             f"{time.perf_counter() - start:.1f}s"
@@ -266,11 +323,76 @@ def self_test() -> int:
     finally:
         certificates._usable_cpus = cpus
         certificates.MIN_SHARD_INSTRUCTIONS = minimum
+    if _stream_self_test(result, child, tampered[0]):
+        return 1
     print(
         "self-test passed: the tree replay rejects every tampered claim, "
-        "in one process or two, and a wrong link only costs a from-entry "
-        "replay"
+        "in one process or two, beside the campaign or after it, and a "
+        "wrong link only costs a from-entry replay"
     )
+    return 0
+
+
+def _stream_self_test(result, child: int, tamper) -> int:
+    """The forced replay stream rejects a claim tampered on resumed
+    ``child``: first in the replay process, which owns every path when
+    one CPU is left at the end, then in the parent, with the replay
+    process killed as it starts.  The campaign pauses after each path
+    it hands over, so the replay process replays the tampered path while
+    the campaign runs, not only in the backlog.  Returns 1 on a
+    failure."""
+    field_name, mutation = tamper
+    children = result.num_paths - 1
+
+    def keep_everything(stream):
+        certificates._usable_cpus = lambda: 1  # the backlog is one share
+
+    def kill(stream):
+        os.kill(stream.process.pid, signal.SIGKILL)
+
+    honest = certificates.certificate_for
+    add = certificates.ReplayStream.add
+
+    def forged(path):
+        cert = honest(path)
+        return mutation(cert) if path.index == child else cert
+
+    def paced(stream, index, divergences):
+        add(stream, index, divergences)
+        time.sleep(0.05)  # so the replay process keeps up with the campaign
+
+    for where, after_start, deaths in (
+        ("in the replay process", keep_everything, 0),
+        ("in the parent after the replay process was killed", kill, 1),
+    ):
+        certificates.certificate_for = forged
+        certificates.ReplayStream.add = paced
+        try:
+            with forced_stream(cpus=2, after_start=after_start) as started:
+                streamed = build_explorer("clif-parser", certify=True).explore()
+        finally:
+            certificates.certificate_for = honest
+            certificates.ReplayStream.add = add
+        owned = started[0].owned if started else []
+        if (
+            len(started) != 1
+            or (not deaths and owned != list(range(streamed.num_paths)))
+            or streamed.certificate_failures != 1
+            or not streamed.certificate_errors[0].startswith(f"path {child}: ")
+            or streamed.certificate_resumed != children
+            or streamed.worker_deaths != deaths
+        ):
+            print(
+                f"self-test FAILED: tampered {field_name} on path {child} "
+                f"was not rejected {where} ({len(started)} streams, "
+                f"{streamed.certificate_failures} failures, "
+                f"{streamed.worker_deaths} worker deaths)"
+            )
+            return 1
+        print(
+            f"self-test: tampered {field_name} on path {child} rejected "
+            f"{where} ({streamed.certificate_errors[0]})"
+        )
     return 0
 
 
