@@ -1236,7 +1236,7 @@ class TestReplayStream:
         force_shards(monkeypatch, 4)
         executor = make_engine("binsym", rv32im(), WORKLOADS["bubble-sort"].image(6))
         result = Explorer(
-            executor, solver_config=SolverConfig(certify=True), deadline=0.2
+            executor, solver_config=SolverConfig(certify=True), deadline=0.1
         ).explore()
         assert result.deadline_expired and result.incomplete_paths
         assert 0 < result.num_paths < 720
@@ -1249,9 +1249,10 @@ class TestReplayStream:
 
     def test_replay_process_drops_every_copy(self, tmp_path, monkeypatch):
         """A cut leaves children the campaign kept but never recorded, so
-        the replay process holds copies no recorded path names.  Keeping
-        its share drops them and every copy no member of the share names;
-        its share then drops the rest."""
+        the replay process, which the campaign's pauses let keep up,
+        holds copies no recorded path names.  Keeping its share drops
+        them and every copy no member of the share names; its share then
+        drops the rest."""
         streaming = mark_replay_process(monkeypatch)
         notes = tmp_path / "copies"
         retain = certificates._TreeReplay.retain
@@ -1272,8 +1273,15 @@ class TestReplayStream:
             note("end", len(replay.copies), replay.held)
             return outcome
 
+        add = certificates.ReplayStream.add
+
+        def paced(stream, index, divergences):
+            add(stream, index, divergences)
+            time.sleep(0.01)  # so the replay process keeps up
+
         monkeypatch.setattr(certificates._TreeReplay, "retain", noted_retain)
         monkeypatch.setattr(certificates, "_replay_members", noted_members)
+        monkeypatch.setattr(certificates.ReplayStream, "add", paced)
         started = spy_streams(monkeypatch)
         force_shards(monkeypatch, 4)
         executor = make_engine("binsym", rv32im(), WORKLOADS["bubble-sort"].image(4))
