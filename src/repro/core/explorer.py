@@ -96,7 +96,8 @@ class ExploreConfig:
     @property
     def certify(self) -> bool:
         """Certify mode: record per-path condition digests and replay
-        every path under the reference evaluator after exploring."""
+        every path under the reference evaluator, beside the campaign
+        where a CPU is free and after it otherwise."""
         return self.solver_config is not None and self.solver_config.certify
 
 
