@@ -81,21 +81,23 @@ reaps every child before the error propagates.  The replay stays in one
 process where ``fork`` is unavailable, or where a shard would claim
 fewer than :data:`MIN_SHARD_INSTRUCTIONS`.
 
-**The stream.**  The replay need not wait for the campaign to end.
-Once the recorded paths claim :data:`MIN_SHARD_INSTRUCTIONS` and more
-CPUs are usable than the processes that explore (one serial, ``jobs``
-pooled), the campaign forks one replay process (:class:`ReplayStream`).
-It inherits the certificates recorded so far.  After that the parent
-sends it each new path's certificate with the divergence points
-(``bound - 1``) of the children the campaign kept for that path, over a
-pipe the parent writes without blocking.  The process replays the
-paths in path order as above, under :class:`reference_mode` entered in
-it alone, and copies at each path's kept divergence points; on a
-complete campaign those are the points its recorded children name.
-When the campaign ends (complete, cut by ``--deadline`` or
-``--max-paths``, or interrupted), :func:`verify_result` asks the
-process for the first position it has not started and splits only the
-backlog from there, as above.  The process keeps the heaviest share.
+**The stream.**  The replay need not wait for a serial campaign to
+end.  Once the recorded paths claim :data:`MIN_SHARD_INSTRUCTIONS` and a
+second CPU is usable, the campaign forks one replay process
+(:class:`ReplayStream`).  It inherits the certificates recorded so far.
+After that the parent sends it each new path's certificate with the
+divergence points (``bound - 1``) of the children the campaign kept for
+that path and the snapshot pool's byte budget, over a pipe the parent
+writes without blocking.  The process replays the paths in path order
+as above, under :class:`reference_mode` entered in it alone, and copies
+at each path's kept divergence points; on a complete campaign those are
+the points its recorded children name.  Its copies hold at most the
+lowest budget it was sent, so a pool the memory governor shrinks
+shrinks them too.  When the campaign ends (complete, cut by
+``--deadline`` or ``--max-paths``, or interrupted), :func:`verify_result`
+hands over any recorded path the campaign did not, asks the process
+for the first position it has not started and splits only the backlog
+from there, as above.  The process keeps the heaviest share.
 It needs no helpers before the backlog, since it holds the copies of
 the paths it replayed, and it drops every copy no path of its share
 names, those of kept children a cut never recorded included.  The
@@ -103,7 +105,10 @@ parent replays the next share with helpers, forks the others, and
 merges the verdicts in path order.  A replay process that dies, or
 whose answer is missing or malformed, is replayed by the parent and
 counted once in ``worker_deaths``; an error in the parent stops and
-reaps it.  Without a stream, the end step is the sharded replay above.
+reaps it.  A pool's campaign starts no stream: its broker would build
+and send every certificate between replies, a cost not yet measured on
+a host with a CPU beside the pool.  Without a stream, the end step is
+the sharded replay above.
 
 Links are hints, never evidence: a missing, out-of-range or wrong link
 costs a from-entry replay, never a verdict.  The copies, the
@@ -392,6 +397,9 @@ class _EntryReplay:
     def add(self, position: int, cert: PathCertificate, divergences) -> None:
         """A streamed path: nothing to plan without copies."""
 
+    def limit(self, budget) -> None:
+        """Nothing to bound without copies."""
+
     def retain(self, certificates, members) -> None:
         """Nothing to drop without copies."""
 
@@ -461,7 +469,8 @@ class _TreeReplay(_EntryReplay):
     Copies are taken only for the children among ``members``, the
     positions this replay runs.  A streamed replay starts with no
     members and learns each path's link and its kept children's
-    divergence points as the path arrives (:meth:`add`).
+    divergence points as the path arrives (:meth:`add`), and the budget
+    as the governor lowers it (:meth:`limit`).
     """
 
     def __init__(self, executor, certificates, members):
@@ -500,6 +509,16 @@ class _TreeReplay(_EntryReplay):
             self.last_child[link] = position
         if divergences:
             self.wanted[position] = set(divergences)
+
+    def limit(self, budget: int) -> None:
+        """Lower the copy budget to ``budget``, dropping the oldest
+        copies until the rest fit."""
+        if budget < self.budget:
+            self.budget = budget
+            for link in list(self.copies):
+                if self.held <= budget:
+                    break
+                self._drop(link)
 
     def replay(self, position: int, cert: PathCertificate) -> list[str]:
         executor, interp = self.executor, self.interp
@@ -858,7 +877,8 @@ def _stream_main(inbox_fd, outbox_fd, reply, executor, certificates, kept, tree)
 
     Replays the inherited certificates and each one the parent streams
     after them in path order, copying at the divergence points of each
-    path's kept children, until the parent ends the stream (``None``).
+    path's kept children within the lowest pool budget streamed with
+    them, until the parent ends the stream (``None``).
     It answers the first position it has not started, then replays the
     share ``(members, owned)`` of the backlog the parent hands it, after
     dropping every copy no member names, and sends the outcome of every
@@ -881,7 +901,8 @@ def _stream_main(inbox_fd, outbox_fd, reply, executor, certificates, kept, tree)
                 if path is None:
                     ended = True
                     continue
-                cert, divergences = path
+                cert, divergences, budget = path
+                replay.limit(budget)
                 replay.add(len(certificates), cert, divergences)
                 certificates.append(cert)
             if not ended:
@@ -894,26 +915,28 @@ def _stream_main(inbox_fd, outbox_fd, reply, executor, certificates, kept, tree)
 
 
 class ReplayStream:
-    """Certify replay beside the campaign, on a CPU it leaves free.
+    """Certify replay beside a serial campaign, on a CPU it leaves free.
 
     The campaign (:class:`repro.core.explorer._Campaign`) hands over
     each path it records with the divergence points of the children it
     kept for it (:meth:`add`).  Once the recorded paths claim
-    :data:`MIN_SHARD_INSTRUCTIONS` and more CPUs are usable than the
-    ``processes`` that explore, the stream forks one replay process
-    (:func:`_stream_main`), which inherits the certificates so far.
-    Each later path's certificate follows on a pipe the parent writes
-    without blocking, so a replay process that falls behind never
-    stalls the campaign.  :func:`verify_result` ends the stream.
+    :data:`MIN_SHARD_INSTRUCTIONS` and a second CPU is usable, the
+    stream forks one replay process (:func:`_stream_main`), which
+    inherits the certificates so far.  Each later path's certificate
+    follows, with the snapshot pool's byte budget at the time, on a
+    pipe the parent writes without blocking, so a replay process that
+    falls behind never stalls the campaign.  :func:`verify_result` ends
+    the stream.
     """
 
-    def __init__(self, result, executor, processes: int):
+    def __init__(self, result, executor):
         self.result = result
         self.executor = executor
-        #: Whether a usable CPU is left beside the exploring processes.
+        #: The pool whose budget bounds the replay process's copies.
+        self.pool = getattr(executor, "snapshot_pool", None)
+        #: Whether a usable CPU is left beside the exploring process.
         self.spare = (
-            "fork" in multiprocessing.get_all_start_methods()
-            and _usable_cpus() > processes
+            "fork" in multiprocessing.get_all_start_methods() and _usable_cpus() > 1
         )
         #: Until the fork: per recorded path, the divergence points of
         #: its kept children, and the instructions the paths claim.
@@ -948,7 +971,8 @@ class ReplayStream:
         if self.process is not None:
             cert = certificate_for(path)
             self.certificates.append(cert)
-            self._send((cert, divergences))
+            budget = self.pool.max_bytes if self.pool is not None else None
+            self._send((cert, divergences, budget))
         elif self.spare:
             self.kept.append(divergences)
             self.claimed += path.instret
@@ -982,10 +1006,11 @@ class ReplayStream:
         self.kept = []
 
     def _send(self, message) -> None:
-        """Queue ``message`` and write what the pipe takes."""
-        self._outbox += _frame(message)
+        """Queue ``message`` and write what the pipe takes; nothing once
+        the replay process is gone."""
         if self._fd is None:
             return
+        self._outbox += _frame(message)
         try:
             while self._outbox:
                 del self._outbox[: os.write(self._fd, self._outbox)]
@@ -997,7 +1022,11 @@ class ReplayStream:
 
     def stop(self) -> Optional[int]:
         """End the stream: the first position the replay process has not
-        started, or None if it is lost, which stops it."""
+        started, or None if it is lost, which stops it.  A path recorded
+        but not handed over (a Ctrl-C between the two) goes first, with
+        no kept children, since none of them is recorded."""
+        for index in range(len(self.certificates), len(self.result.paths)):
+            self.add(index, [])
         if self._fd is not None:
             os.set_blocking(self._fd, True)
         self._send(None)

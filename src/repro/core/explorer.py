@@ -96,8 +96,8 @@ class ExploreConfig:
     @property
     def certify(self) -> bool:
         """Certify mode: record per-path condition digests and replay
-        every path under the reference evaluator, beside the campaign
-        where a CPU is free and after it otherwise."""
+        every path under the reference evaluator, beside a serial
+        campaign where a CPU is free and after the campaign otherwise."""
         return self.solver_config is not None and self.solver_config.certify
 
 
@@ -502,10 +502,10 @@ class Explorer:
             )
             restored = manager.load() if config.resume else None
         stream = None
-        if config.certify:
+        if config.certify and not pooled:
             from .certificates import ReplayStream
 
-            stream = ReplayStream(result, self.executor, result.workers)
+            stream = ReplayStream(result, self.executor)
         campaign = _Campaign(config, result, manager, stream)
         if restored is not None:
             restored.restore_result(result)
@@ -562,7 +562,8 @@ class _Campaign:
     A driver is the in-process :class:`Worker` or the pool's
     :class:`repro.core.parallel.Broker`.  Its ``explore(campaign)``
     calls :meth:`record` and :meth:`fresh` for every run it completes
-    and :meth:`after_run` once that run's children are queued; it also
+    and :meth:`after_run` once that run's children are queued (the
+    in-process worker calls :meth:`certify` just before); it also
     offers ``pending()`` (every unfinished item), ``handover()`` (the
     counters that moved since its last handover, see
     :meth:`Worker.handover`) and ``peak`` (the largest frontier it saw).
@@ -580,7 +581,7 @@ class _Campaign:
         self.config = config
         self.result = result
         self.manager = manager
-        #: Certify replay beside the campaign
+        #: Certify replay beside a serial campaign
         #: (:class:`repro.core.certificates.ReplayStream`), if certifying.
         self.stream = stream
         #: Restart-stable digests of the flip queries whose children
@@ -626,7 +627,7 @@ class _Campaign:
     def certify(self, index: int, divergences: list) -> None:
         """Path ``index`` is recorded and the children kept for it are
         queued; ``divergences`` lists each one's ``bound - 1``.  Hands
-        both to the replay stream, if certifying."""
+        both to the replay stream of a serial certify campaign."""
         if self.stream is not None:
             self.stream.add(index, divergences)
 

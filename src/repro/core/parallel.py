@@ -717,7 +717,6 @@ class Broker:
             bound=entry[1],
         )
         duplicates = []
-        kept = []
         for child_id, assignment, bound, digest, snapshot, novelty in children:
             if not campaign.fresh(digest):
                 duplicates.append(child_id)
@@ -726,10 +725,8 @@ class Broker:
             slot.mirror[child_id] = (
                 assignment, bound, digest, snapshot_ref, novelty, 0, index
             )
-            kept.append(bound - 1)
         if duplicates:
             slot.post(("drop", duplicates))
-        campaign.certify(index, kept)
         return True
 
     def explore(self, campaign) -> None:

@@ -25,7 +25,7 @@ from repro.arch.hart import HaltReason
 from repro.asm import assemble
 from repro.concrete.interpreter import ConcreteInterpreter
 from repro.core import BinSymExecutor, ExplorationResult, Explorer, FaultPlan
-from repro.core import certificates
+from repro.core import certificates, explorer
 from repro.core.certificates import (
     PathCertificate,
     certificate_from_state,
@@ -172,8 +172,8 @@ def one_shard(monkeypatch):
 
 def force_shards(monkeypatch, count):
     """Split every replay into ``count`` shards, however little it claims.
-    A campaign exploring with fewer than ``count`` processes also starts
-    its replay stream after its first path."""
+    With ``count`` above one, a serial campaign also starts its replay
+    stream after its first path."""
     monkeypatch.setattr(certificates, "_usable_cpus", lambda: count)
     monkeypatch.setattr(certificates, "MIN_SHARD_INSTRUCTIONS", 1)
 
@@ -382,28 +382,39 @@ class TestJournaledTreeLinks:
     """The journal keeps each path's tree links and each pending item's
     parent, so a resumed certify campaign replays as a tree."""
 
-    def explore_journal(self, directory, **options):
-        image = WORKLOADS["bubble-sort"].image(5)
+    def explore_journal(self, directory, executor=None, **options):
+        if executor is None:
+            executor = make_engine("binsym", rv32im(), WORKLOADS["bubble-sort"].image(5))
         return Explorer(
-            make_engine("binsym", rv32im(), image),
+            executor,
             solver_config=SolverConfig(certify=True),
             checkpoint_dir=str(directory),
             **options,
         ).explore()
 
-    def test_resumed_campaign_replays_the_tree(self, tmp_path):
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_resumed_campaign_replays_the_tree(self, tmp_path, monkeypatch, cpus):
+        """With a CPU to spare, the resumed campaign's replay stream takes
+        over the restored paths, each with its restored children and
+        pending items as the children it kept."""
         clean = self.explore_journal(tmp_path / "clean")
         assert (clean.certificate_resumed, clean.certificate_instructions) == (119, 5950)
         cut = self.explore_journal(
             tmp_path / "cut", faults=FaultPlan(interrupt_after=60)
         )
         assert cut.interrupted and cut.num_paths == 60
-        resumed = self.explore_journal(tmp_path / "cut", resume=True)
+        started = spy_streams(monkeypatch)
+        force_shards(monkeypatch, cpus)
+        executor = make_engine("binsym", rv32im(), WORKLOADS["bubble-sort"].image(5))
+        resumed = self.explore_journal(tmp_path / "cut", executor, resume=True)
+        assert len(started) == (cpus > 1) and resumed.worker_deaths == 0
         assert resumed.path_set() == clean.path_set()
         assert [p.index for p in resumed.paths if p.parent is None] == [0]
         assert resumed.certified_paths == 120
         assert resumed.certificate_resumed == 119
         assert resumed.certificate_instructions == 5950
+        assert counters(resumed) == counters(one_process(resumed, executor))
+        assert multiprocessing.active_children() == []
 
     def test_version_4_journal_refused(self, tmp_path):
         from repro.core import checkpoint
@@ -1090,11 +1101,11 @@ class TestShardedReplay:
 
 
 class TestReplayStream:
-    """Certify replay beside the campaign: with a CPU left beside the
-    processes that explore, one forked replay process replays each path
-    soon after it is recorded, and only the backlog left when the
-    campaign ends is split.  The merged verdicts, messages and counters
-    equal one process's."""
+    """Certify replay beside a serial campaign: with a CPU left beside
+    it, one forked replay process replays each path soon after it is
+    recorded, and only the backlog left when the campaign ends is split.
+    The merged verdicts, messages and counters equal one process's.  A
+    pool starts no stream, even with CPUs to spare."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("workload", sorted(GATE_SCALES))
@@ -1102,7 +1113,7 @@ class TestReplayStream:
         started = spy_streams(monkeypatch)
         force_shards(monkeypatch, 4)
         executor, result = certify_workload(workload, GATE_SCALES[workload], jobs)
-        assert len(started) == 1
+        assert len(started) == (jobs == 1)
         assert multiprocessing.active_children() == []
         assert result.worker_deaths == 0
         assert counters(result) == counters(one_process(result, executor))
@@ -1316,12 +1327,82 @@ class TestReplayStream:
         assert multiprocessing.active_children() == []
 
     def test_no_stream_without_a_spare_cpu(self, monkeypatch):
-        """A pool that explores on every usable CPU starts no stream."""
+        """A serial campaign on the one usable CPU starts no stream."""
         started = spy_streams(monkeypatch)
-        force_shards(monkeypatch, 2)
-        _, result = certify_workload("bubble-sort", 4, jobs=2)
+        force_shards(monkeypatch, 1)
+        _, result = certify_workload("bubble-sort", 4)
         assert started == []
         assert result.certified_paths == result.num_paths
+
+    def test_path_recorded_before_an_interrupt_is_certified(self, monkeypatch):
+        """A Ctrl-C between recording a path and handing it over: the end
+        step hands it over, so every recorded path gets a verdict."""
+        fresh = explorer._Campaign.fresh
+
+        def interrupting(campaign, digest):
+            if campaign.result.num_paths >= 10:
+                raise KeyboardInterrupt
+            return fresh(campaign, digest)
+
+        monkeypatch.setattr(explorer._Campaign, "fresh", interrupting)
+        started = spy_streams(monkeypatch)
+        force_shards(monkeypatch, 4)
+        executor, result = certify_workload("bubble-sort", 4)
+        assert result.interrupted and 10 <= result.num_paths < 24
+        assert len(started) == 1 and result.worker_deaths == 0
+        assert len(started[0].certificates) == result.num_paths
+        assert result.certified_paths == result.num_paths
+        assert counters(result) == counters(one_process(result, executor))
+        assert multiprocessing.active_children() == []
+
+    def test_replay_process_follows_the_governed_budget(self, tmp_path, monkeypatch):
+        """Under ``memory_budget_mb=0`` the governor halves the snapshot
+        pool's budget after the stream has started; the replay process
+        ends on the halved budget, as the parent's share does."""
+        streaming = mark_replay_process(monkeypatch)
+        notes = tmp_path / "budget"
+        replay_members = certificates._replay_members
+
+        def noted_members(replay, *args):
+            outcome = replay_members(replay, *args)
+            if streaming:
+                notes.write_text(str(replay.budget))
+            return outcome
+
+        monkeypatch.setattr(certificates, "_replay_members", noted_members)
+        started = spy_streams(monkeypatch)
+        force_shards(monkeypatch, 4)
+        executor = make_engine("binsym", rv32im(), WORKLOADS["bubble-sort"].image(4))
+        forked = executor.snapshot_pool.max_bytes
+        result = Explorer(
+            executor, solver_config=SolverConfig(certify=True), memory_budget_mb=0
+        ).explore()
+        assert len(started) == 1 and result.worker_deaths == 0
+        assert result.degradations and executor.snapshot_pool.max_bytes < forked
+        assert int(notes.read_text()) == executor.snapshot_pool.max_bytes
+        assert result.certified_paths == result.num_paths
+        assert counters(result) == counters(one_process(result, executor))
+        assert multiprocessing.active_children() == []
+
+    def test_lowered_budget_drops_the_replay_process_copies(self, monkeypatch):
+        """A pool budget lowered to nothing just after the fork reaches
+        the replay process with the next path: it drops its copies and
+        takes none, so no child resumes, as in one process."""
+        started = spy_streams(monkeypatch)
+        start = certificates.ReplayStream._start
+
+        def start_then_shrink(stream):
+            start(stream)
+            stream.executor.snapshot_pool.set_budget(0)
+
+        monkeypatch.setattr(certificates.ReplayStream, "_start", start_then_shrink)
+        force_shards(monkeypatch, 4)
+        executor, result = certify_workload("bubble-sort", 4)
+        assert len(started) == 1 and result.worker_deaths == 0
+        assert result.certified_paths == result.num_paths
+        assert result.certificate_resumed == 0
+        assert counters(result) == counters(one_process(result, executor))
+        assert multiprocessing.active_children() == []
 
 
 class TestCertificateState:
