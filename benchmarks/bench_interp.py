@@ -163,10 +163,9 @@ def test_staging_ablation_contract(benchmark, isa, name):
 
     def explore(staging, jobs):
         return Explorer(
-            BinSymExecutor(isa, image),
+            BinSymExecutor(isa, image, staging=staging),
             jobs=jobs,
             use_cache=True,
-            staging=staging,
         ).explore()
 
     def run():
@@ -278,10 +277,9 @@ def test_superblock_ablation_contract(benchmark, isa, name):
 
     def explore(superblocks, jobs):
         return Explorer(
-            BinSymExecutor(isa, image),
+            BinSymExecutor(isa, image, superblocks=superblocks),
             jobs=jobs,
             use_cache=True,
-            superblocks=superblocks,
         ).explore()
 
     def run():

@@ -69,7 +69,7 @@ class VpExecutor(BinSymExecutor):
     def __init__(self, isa, image, **kwargs):
         super().__init__(isa, image, **kwargs)
         # Swap in the virtual-prototype interpreter, keeping the
-        # executor configuration (symbolic regions etc.) intact.
+        # executor configuration (symbolic regions, staging etc.) intact.
         # Superblocks stay off: the VP issues one fetch transaction and
         # one time quantum per retired instruction, so step() must not
         # batch instructions.
@@ -77,11 +77,12 @@ class VpExecutor(BinSymExecutor):
             isa,
             image,
             concretization=self.interpreter.concretization,
+            staging=self.interpreter.staging,
             superblocks=False,
         )
 
     def set_superblocks(self, superblocks: bool) -> None:
         """Ignore enables: the per-instruction fetch/quantum contract
-        above is structural, not an ablation default the explorer's
-        ``superblocks=True`` may override."""
+        above is structural, not an ablation default a caller may
+        override."""
         self.interpreter.set_superblocks(False)

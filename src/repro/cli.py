@@ -108,9 +108,16 @@ def _cmd_explore(args) -> int:
     isa = _ISA_FACTORIES[args.isa]()
     image = _load_program(args.input, isa)
     symbolic_memory = [_parse_symbolic(s) for s in args.symbolic or ()]
-    # Staging (--no-staging) is applied by the Explorer below, which
-    # owns the ablation for serial and parallel runs alike.
-    engine = make_engine(args.engine, isa, image, max_steps=args.max_steps)
+    # The staging and superblock ablations are the engine's settings; a
+    # pool forks after they are made, so every worker inherits them.
+    engine = make_engine(
+        args.engine,
+        isa,
+        image,
+        max_steps=args.max_steps,
+        staging=args.staging,
+        superblocks=args.superblocks,
+    )
     if symbolic_memory:
         # Configure harness-driven symbolic input on top of any
         # make_symbolic calls the program itself performs.
@@ -142,8 +149,6 @@ def _cmd_explore(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
         solver_config=solver_config,
-        staging=args.staging,
-        superblocks=args.superblocks,
         snapshots=args.snapshots,
         checkpoint_dir=checkpoint_dir,
         checkpoint_interval=args.checkpoint_interval,

@@ -56,59 +56,57 @@ copy at or past the budget is never resumed.  Live copies in one
 process together hold at most the snapshot pool's byte budget; a copy
 over it is not taken, and the children naming it replay from the entry.
 
-**Shards.**  The replay runs on every CPU the process may use
+**Replay processes.**  The replay runs on every CPU the process may use
 (``os.sched_getaffinity``).  The tree is cut into subtrees balanced by
 the instructions the certificates claim, and each subtree goes to one
-shard, which owns its paths.  A shard replays its paths in path order
+*share*, which owns its paths.  A share replays its paths in path order
 as above, together with the ancestors of its subtrees that another
-shard owns.  These *helpers* only provide the copies its children
+share owns.  These *helpers* only provide the copies its children
 resume from: their verdicts, resumes and instructions are discarded.
-The parent forks shards 1 and up (the pool's ``fork`` context, daemon
-processes), replays shard 0 itself, and merges the verdicts in path
-order.  Each child sends the messages of the paths it owns, in order,
-and its resume and instruction counts over a one-way pipe, then leaves
-through ``os._exit``.  Every path replays under the same links and
-copies as in one process, so the verdicts, their messages and the
-counters are the same.  The copy budget holds per process, as the
-snapshot pool's does per pool worker: where it binds, a shard that
-holds fewer copies may resume more children than one process would.
-A program whose paths discover different inputs may also resume a
-different number of children, since a copy taken before an input was
-known is not resumed.  A shard whose process dies, or whose reply is
-missing or malformed, is replayed by the parent and counted in
-``worker_deaths``.  If the parent's own replay raises, it stops and
-reaps every child before the error propagates.  The replay stays in one
-process where ``fork`` is unavailable, or where a shard would claim
-fewer than :data:`MIN_SHARD_INSTRUCTIONS`.
+Every path replays under the same links and copies as in one process,
+so the verdicts, their messages and the counters are the same.  The
+copy budget holds per process, as the snapshot pool's does per pool
+worker: where it binds, a process that holds fewer copies may resume
+more children than one process would.  A program whose paths discover
+different inputs may also resume a different number of children, since
+a copy taken before an input was known is not resumed.
 
-**The stream.**  The replay need not wait for a serial campaign to
-end.  Once the recorded paths claim :data:`MIN_SHARD_INSTRUCTIONS` and a
-second CPU is usable, the campaign forks one replay process
-(:class:`ReplayStream`).  It inherits the certificates recorded so far.
-After that the parent sends it each new path's certificate with the
+A serial campaign forks one replay process (:class:`ReplayStream`) once
+its recorded paths claim :data:`MIN_SHARD_INSTRUCTIONS` and a second
+CPU is usable.  It inherits the certificates recorded so far; after
+that the parent sends it each new path's certificate with the
 divergence points (``bound - 1``) of the children the campaign kept for
-that path and the snapshot pool's byte budget, over a pipe the parent
-writes without blocking.  The process replays the paths in path order
-as above, under :class:`reference_mode` entered in it alone, and copies
-at each path's kept divergence points; on a complete campaign those are
-the points its recorded children name.  Its copies hold at most the
-lowest budget it was sent, so a pool the memory governor shrinks
-shrinks them too.  When the campaign ends (complete, cut by
-``--deadline`` or ``--max-paths``, or interrupted), :func:`verify_result`
-hands over any recorded path the campaign did not, asks the process
-for the first position it has not started and splits only the backlog
-from there, as above.  The process keeps the heaviest share.
-It needs no helpers before the backlog, since it holds the copies of
-the paths it replayed, and it drops every copy no path of its share
-names, those of kept children a cut never recorded included.  The
-parent replays the next share with helpers, forks the others, and
-merges the verdicts in path order.  A replay process that dies, or
-whose answer is missing or malformed, is replayed by the parent and
-counted once in ``worker_deaths``; an error in the parent stops and
-reaps it.  A pool's campaign starts no stream: its broker would build
-and send every certificate between replies, a cost not yet measured on
-a host with a CPU beside the pool.  Without a stream, the end step is
-the sharded replay above.
+that path and the snapshot pool's byte budget, over an inbox pipe the
+parent writes without blocking.  It replays the paths in path order
+under :class:`reference_mode` entered in it alone, copying at each
+path's kept divergence points (on a complete campaign, the points its
+recorded children name) within the lowest budget it was sent, so a
+pool the memory governor shrinks shrinks them too.  When the campaign
+ends (complete, cut by ``--deadline`` or ``--max-paths``, or
+interrupted), :func:`verify_result` hands over any recorded path the
+campaign did not, asks the process for the first position it has not
+started, and splits only the backlog from there.  The stream's process
+keeps the heaviest share; it needs no helpers before the backlog, and
+drops every copy no path of its share names, those of kept children a
+cut never recorded included.  The parent replays the next share (the
+first, without a stream) and forks one replay process per other share,
+each started the same way but without an inbox.  A pool's campaign
+starts no stream: its broker would build and send every certificate
+between replies, a cost not yet measured on a host with a CPU beside
+the pool.
+
+Every replay process (the pool's ``fork`` context, a daemon) sends the
+messages of the paths it owns, in order, and its resume and
+instruction counts over a one-way pipe, then leaves through
+``os._exit``; the parent merges the verdicts in path order.  A process
+only buys speed.  One that dies, whose answer is missing or malformed,
+or that cannot start because a pipe or the fork fails, is counted once
+in ``worker_deaths`` and its share replays in the parent; a stream that
+cannot start stays off for the rest of the campaign.  One ``finally``
+reaps every process, so an error in the parent stops them before it
+propagates.  The replay stays in one process where ``fork`` is
+unavailable, or where a share would claim fewer than
+:data:`MIN_SHARD_INSTRUCTIONS`.
 
 Links are hints, never evidence: a missing, out-of-range or wrong link
 costs a from-entry replay, never a verdict.  The copies, the
@@ -763,78 +761,6 @@ def _replay_members(replay, certificates, members, owned, messages: list) -> tup
     return messages, replay.resumed, replay.instructions
 
 
-def _shard_main(send, *shard) -> None:
-    """A forked shard: replay, send the outcome home.  multiprocessing
-    then leaves through ``os._exit``.  Ctrl-C is the parent's to
-    handle, and it stops its shards."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    send.send(_replay_shard(*shard))
-    send.close()
-
-
-def _receive(receive, owned) -> Optional[tuple]:
-    """A shard's reply, or None if it is missing or malformed."""
-    try:
-        messages, resumed, instructions = receive.recv()
-    except (EOFError, OSError, pickle.UnpicklingError, TypeError, ValueError):
-        return None
-    if (
-        isinstance(messages, list)
-        and len(messages) == len(owned)
-        and all(
-            isinstance(problems, list) and all(isinstance(m, str) for m in problems)
-            for problems in messages
-        )
-        and _is_count(resumed)
-        and _is_count(instructions)
-    ):
-        return messages, resumed, instructions
-    return None
-
-
-def _replay_shards(executor, certificates, tree: bool, shards, result) -> list:
-    """Every shard's :func:`_replay_shard` outcome.  Shard 0 replays
-    here and the others in forked children; a lost one replays here
-    too, counted in ``result.worker_deaths``."""
-    if len(shards) < 2:
-        return [_replay_shard(executor, certificates, tree, *shard) for shard in shards]
-    context = multiprocessing.get_context("fork")
-    children: list = []
-    outcomes: list = [None] * len(shards)
-    try:
-        for shard in shards[1:]:
-            receive, send = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_shard_main,
-                args=(send, executor, certificates, tree, *shard),
-                daemon=True,
-            )
-            children.append((process, receive))
-            try:
-                process.start()
-            finally:
-                send.close()  # so the reply pipe ends when the child does
-        outcomes[0] = _replay_shard(executor, certificates, tree, *shards[0])
-        for index, (process, receive) in enumerate(children, 1):
-            outcomes[index] = _receive(receive, shards[index][1])
-            process.join()
-            if process.exitcode:
-                outcomes[index] = None
-    finally:
-        for process, receive in children:
-            if process.pid is not None and process.exitcode is None:
-                process.kill()
-                process.join()
-            receive.close()
-    for index, outcome in enumerate(outcomes):
-        if outcome is None:
-            result.worker_deaths += 1
-            outcomes[index] = _replay_shard(
-                executor, certificates, tree, *shards[index]
-            )
-    return outcomes
-
-
 def _frame(message) -> bytes:
     """One message on the stream pipe: its pickle's length, then it."""
     data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
@@ -872,21 +798,20 @@ class _Inbox:
             buffer += chunk
 
 
-def _stream_main(inbox_fd, outbox_fd, reply, executor, certificates, kept, tree):
-    """The replay process of a :class:`ReplayStream`.
+def _stream_main(inbox, reply, executor, certificates, kept, tree) -> tuple:
+    """The replay of a :class:`ReplayStream`'s process.
 
     Replays the inherited certificates and each one the parent streams
     after them in path order, copying at the divergence points of each
-    path's kept children within the lowest pool budget streamed with
+    path's ``kept`` children within the lowest pool budget streamed with
     them, until the parent ends the stream (``None``).
     It answers the first position it has not started, then replays the
     share ``(members, owned)`` of the backlog the parent hands it, after
-    dropping every copy no member names, and sends the outcome of every
-    position it owns, as a shard does.  multiprocessing then leaves
-    through ``os._exit``; Ctrl-C is the parent's to handle."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    os.close(outbox_fd)
-    inbox = _Inbox(inbox_fd)
+    dropping every copy no member names.  Returns the outcome of every
+    position it owns, as :func:`_replay_shard` does for a share."""
+    read, write = inbox
+    os.close(write)  # the parent's end: the pipe closes when the parent's does
+    inbox = _Inbox(read)
     with reference_mode(executor):
         replay = (
             _TreeReplay(executor, certificates, ()) if tree else _EntryReplay(executor)
@@ -910,26 +835,123 @@ def _stream_main(inbox_fd, outbox_fd, reply, executor, certificates, kept, tree)
         reply.send(len(messages))
         ((members, owned),) = inbox.read(block=True)
         replay.retain(certificates, members)
-        reply.send(_replay_members(replay, certificates, members, owned, messages))
+        return _replay_members(replay, certificates, members, owned, messages)
+
+
+def _replay_main(reply, inbox, executor, certificates, tree, work) -> None:
+    """A forked replay process: replay ``work`` and send the outcome
+    home.  ``work`` is a share ``(members, owned)`` (:func:`_replay_shard`),
+    or, with an ``inbox``, a stream's kept divergence points
+    (:func:`_stream_main`).  multiprocessing then leaves through
+    ``os._exit``.  Ctrl-C is the parent's to handle, and it stops its
+    replay processes."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if inbox is None:
+        outcome = _replay_shard(executor, certificates, tree, *work)
+    else:
+        outcome = _stream_main(inbox, reply, executor, certificates, work, tree)
+    reply.send(outcome)
     reply.close()
 
 
-class ReplayStream:
-    """Certify replay beside a serial campaign, on a CPU it leaves free.
+class _ReplayProcess:
+    """A forked replay process and its one-way reply pipe (see the module
+    doc).  ``members`` and ``owned`` are its share: the positions it
+    replays and those whose verdicts it answers."""
 
-    The campaign (:class:`repro.core.explorer._Campaign`) hands over
-    each path it records with the divergence points of the children it
-    kept for it (:meth:`add`).  Once the recorded paths claim
-    :data:`MIN_SHARD_INSTRUCTIONS` and a second CPU is usable, the
-    stream forks one replay process (:func:`_stream_main`), which
-    inherits the certificates so far.  Each later path's certificate
-    follows, with the snapshot pool's byte budget at the time, on a
-    pipe the parent writes without blocking, so a replay process that
-    falls behind never stalls the campaign.  :func:`verify_result` ends
-    the stream.
-    """
+    def __init__(self, members=(), owned=()):
+        self.members, self.owned = members, owned
+        self.process = None
+        self._reply = None
+        #: The parent's end of a stream's inbox.
+        self._fd: Optional[int] = None
+
+    def start(self, executor, certificates, tree: bool, work, stream=False) -> bool:
+        """Fork the process on ``work`` (:func:`_replay_main`), with an
+        inbox if it is a ``stream``'s.  False if a pipe or the fork
+        fails: no process runs then, and nothing is left open."""
+        context = multiprocessing.get_context("fork")
+        read = send = inbox = None
+        try:
+            if stream:
+                read, self._fd = os.pipe()
+                inbox = (read, self._fd)
+            self._reply, send = context.Pipe(duplex=False)
+            self.process = context.Process(
+                target=_replay_main,
+                args=(send, inbox, executor, certificates, tree, work),
+                daemon=True,
+            )
+            self.process.start()
+        except OSError:
+            self.close()
+            self.process = None
+            return False
+        finally:
+            if read is not None:
+                os.close(read)
+            if send is not None:
+                send.close()  # so the reply pipe ends when the process does
+        if stream:
+            os.set_blocking(self._fd, False)
+        return True
+
+    def _answer(self):
+        """The next reply, or None if the pipe ended or it is garbled."""
+        try:
+            return self._reply.recv()
+        except (EOFError, OSError, pickle.UnpicklingError, TypeError, ValueError):
+            return None
+
+    def outcome(self) -> Optional[tuple]:
+        """The outcome for the positions the process owns, or None if it
+        never started, died, or its reply is missing or malformed."""
+        if self.process is None:
+            return None
+        reply = self._answer()
+        self.process.join()
+        if self.process.exitcode or not isinstance(reply, tuple) or len(reply) != 3:
+            return None
+        messages, resumed, instructions = reply
+        if (
+            isinstance(messages, list)
+            and len(messages) == len(self.owned)
+            and all(
+                isinstance(problems, list) and all(isinstance(m, str) for m in problems)
+                for problems in messages
+            )
+            and _is_count(resumed)
+            and _is_count(instructions)
+        ):
+            return reply
+        return None
+
+    def close(self) -> None:
+        """Stop the process if it still runs; close the pipes."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+        process = self.process
+        if process is not None and process.pid is not None:
+            if process.exitcode is None:
+                process.kill()
+            process.join()
+        if self._reply is not None:
+            self._reply.close()
+            self._reply = None
+
+
+class ReplayStream(_ReplayProcess):
+    """Certify replay beside a serial campaign, on a CPU it leaves free
+    (see the module doc).  The campaign
+    (:class:`repro.core.explorer._Campaign`) hands over each path it
+    records with the divergence points of the children it kept for it
+    (:meth:`add`), and :func:`verify_result` ends the stream.  The inbox
+    is written without blocking, so a replay process that falls behind
+    never stalls the campaign."""
 
     def __init__(self, result, executor):
+        super().__init__()
         self.result = result
         self.executor = executor
         #: The pool whose budget bounds the replay process's copies.
@@ -944,13 +966,7 @@ class ReplayStream:
         self.claimed = 0
         #: From the fork on: one certificate per recorded path.
         self.certificates: list = []
-        self.process = None
-        #: The replay process's positions: the prefix it replayed and its
-        #: share of the backlog (:meth:`keep`).
-        self.owned: list = []
         self._outbox = bytearray()
-        self._fd: Optional[int] = None
-        self._reply = None
 
     def restore(self, pending) -> None:
         """Take over a journal's paths: a path's kept children are its
@@ -980,30 +996,15 @@ class ReplayStream:
                 self._start()
 
     def _start(self) -> None:
+        """Fork the replay process, once: a failed start counts as a lost
+        process, and the campaign goes on without a stream."""
         self.certificates = [certificate_for(path) for path in self.result.paths]
-        context = multiprocessing.get_context("fork")
-        inbox, self._fd = os.pipe()
-        self._reply, send = context.Pipe(duplex=False)
-        self.process = context.Process(
-            target=_stream_main,
-            args=(
-                inbox,
-                self._fd,
-                send,
-                self.executor,
-                self.certificates,
-                self.kept,
-                _tree(self.executor),
-            ),
-            daemon=True,
-        )
-        try:
-            self.process.start()
-        finally:
-            os.close(inbox)
-            send.close()  # so the reply pipe ends when the process does
-        os.set_blocking(self._fd, False)
-        self.kept = []
+        kept, self.kept = self.kept, []
+        if not self.start(
+            self.executor, self.certificates, _tree(self.executor), kept, stream=True
+        ):
+            self.spare = False
+            self.result.worker_deaths += 1
 
     def _send(self, message) -> None:
         """Queue ``message`` and write what the pipe takes; nothing once
@@ -1030,45 +1031,22 @@ class ReplayStream:
         if self._fd is not None:
             os.set_blocking(self._fd, True)
         self._send(None)
-        try:
-            position = self._reply.recv()
-        except (EOFError, OSError, pickle.UnpicklingError, TypeError, ValueError):
-            position = None
+        position = self._answer()
         if _is_count(position) and position <= len(self.certificates):
             return position
         self.close()
         return None
 
-    def keep(self, start: int, members, owned) -> list:
-        """Hand the replay process its share of the backlog from
-        ``start``; returns every position it owns."""
+    def keep(self, start: int, members, owned) -> None:
+        """Hand the replay process its share ``(members, owned)`` of the
+        backlog from ``start``; it owns the positions before ``start``
+        too, and replays them again if it is lost."""
         self._send(([p for p in members if p >= start], owned))
         if self._fd is not None:
-            os.close(self._fd)  # shards forked from here do not inherit it
+            os.close(self._fd)  # processes forked from here do not inherit it
             self._fd = None
+        self.members = sorted(set(range(start)).union(members))
         self.owned = list(range(start)) + owned
-        return self.owned
-
-    def outcome(self) -> Optional[tuple]:
-        """The replay process's outcome for the positions it owns, or
-        None if it is missing or malformed."""
-        outcome = _receive(self._reply, self.owned)
-        self.process.join()
-        return outcome if self.process.exitcode == 0 else None
-
-    def close(self) -> None:
-        """Stop the replay process if it still runs; close the pipes."""
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-        process = self.process
-        if process is not None and process.pid is not None:
-            if process.exitcode is None:
-                process.kill()
-            process.join()
-        if self._reply is not None:
-            self._reply.close()
-            self._reply = None
 
 
 def _tree(executor) -> bool:
@@ -1089,8 +1067,8 @@ def verify_result(result, executor, stream: Optional[ReplayStream] = None) -> li
     Builds one certificate per path, replays each under the reference
     evaluator (as a tree for :class:`BinSymExecutor` under the default
     PIN concretization, see the module docstring; otherwise from the
-    entry) on as many shards as it pays to fork, and folds the outcome
-    into the result's accounting: ``certified_paths`` /
+    entry) in as many replay processes as it pays to fork, and folds the
+    outcome into the result's accounting: ``certified_paths`` /
     ``certificate_failures`` counters, ``certificate_resumed`` /
     ``certificate_instructions``, the ``certificates`` list, and
     ``certificate_errors`` carrying one message per mismatching field,
@@ -1098,37 +1076,50 @@ def verify_result(result, executor, stream: Optional[ReplayStream] = None) -> li
 
     With a ``stream`` whose replay process runs, that process has
     replayed the paths up to the position it reports: only the backlog
-    after it is split, the process keeps the first share, and the others
-    replay as above.  A lost replay process is replayed here, counted in
-    ``worker_deaths``.
+    after it is split, and the process keeps the first share.  The
+    parent replays the next share and forks the others.  A lost replay
+    process's share is replayed here, counted in ``worker_deaths``.
     """
     tree = _tree(executor)
-    start = None
+    processes: list = []
+    start = 0
     if stream is not None and stream.process is not None:
         certificates = stream.certificates
         start = stream.stop()
         if start is None:  # lost before the end: every path replays here
             result.worker_deaths += 1
+            start = 0
+        else:
+            processes.append(stream)
     else:
         certificates = [certificate_for(path) for path in result.paths]
-    first = start or 0
-    shards = _partition(certificates, tree, _shard_count(certificates[first:]), first)
-    streamed = None
-    if start is not None:
-        members, owned = shards.pop(0) if shards else ([], [])
-        owned = stream.keep(start, members, owned)
-        streamed = (sorted(set(range(start)).union(members)), owned)
+    shares = _partition(certificates, tree, _shard_count(certificates[start:]), start)
+    if processes:
+        stream.keep(start, *(shares.pop(0) if shares else ([], [])))
+    outcomes: list = []
     with reference_mode(executor):
-        outcomes = _replay_shards(executor, certificates, tree, shards, result)
-        if streamed is not None:
-            outcome = stream.outcome()
-            if outcome is None:
-                result.worker_deaths += 1
-                outcome = _replay_shard(executor, certificates, tree, *streamed)
-            shards.append(streamed)
-            outcomes.append(outcome)
+        try:
+            for members, owned in shares[1:]:
+                process = _ReplayProcess(members, owned)
+                process.start(executor, certificates, tree, (members, owned))
+                processes.append(process)
+            if shares:  # the parent's own share
+                members, owned = shares[0]
+                shard = _replay_shard(executor, certificates, tree, members, owned)
+                outcomes.append((owned, shard))
+            for process in processes:
+                outcome = process.outcome()
+                if outcome is None:
+                    result.worker_deaths += 1
+                    outcome = _replay_shard(
+                        executor, certificates, tree, process.members, process.owned
+                    )
+                outcomes.append((process.owned, outcome))
+        finally:
+            for process in processes:
+                process.close()
     verdicts: list = [None] * len(certificates)
-    for (_, owned), (messages, resumed, instructions) in zip(shards, outcomes):
+    for owned, (messages, resumed, instructions) in outcomes:
         for position, problems in zip(owned, messages):
             verdicts[position] = problems
         result.certificate_resumed += resumed

@@ -51,13 +51,13 @@ Three deliberate non-goals keep the journal small and sound:
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .scheduler import WorkItem, deserialize_assignment, serialize_assignment
+from .store import state_digest
 
 __all__ = ["CheckpointManager", "CheckpointState", "CHECKPOINT_FILENAME", "GAUGES"]
 
@@ -75,17 +75,6 @@ GAUGES = frozenset(
     ("snap_pool_entries", "snap_pool_bytes", "cache_entries", "cache_unsat_sets")
 )
 
-
-def _state_digest(state: dict) -> str:
-    """Digest of the canonical serialization of the journal state.
-
-    The state is re-serialized with sorted keys and fixed separators on
-    both the write and the verify side, so the digest is independent of
-    incidental formatting and survives a JSON round-trip (tuples come
-    back as lists, which serialize identically).
-    """
-    body = json.dumps(state, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(body.encode("utf-8"), digest_size=16).hexdigest()
 
 #: ExplorationResult fields the campaign itself counts, persisted
 #: verbatim; the flip attribution travels in the ``stats`` map.
@@ -226,7 +215,7 @@ class CheckpointManager:
                 f"digest or state) — it was not written by this version, or "
                 f"was damaged; delete it to start a fresh campaign"
             )
-        if _state_digest(state_raw) != digest:
+        if state_digest(state_raw) != digest:
             raise ValueError(
                 f"checkpoint {self.path} failed its integrity check "
                 f"(content digest mismatch) — the journal is truncated or "
@@ -319,7 +308,7 @@ class CheckpointManager:
         # Digest over the canonical serialization, then the wrapper —
         # load() recomputes the digest from the parsed state, so any
         # bit flip in either part is caught.
-        journal = {"digest": _state_digest(state), "state": state}
+        journal = {"digest": state_digest(state), "state": state}
         temp_path = self.path + ".tmp"
         with open(temp_path, "w", encoding="utf-8") as handle:
             json.dump(journal, handle)

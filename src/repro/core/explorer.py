@@ -68,9 +68,6 @@ class ExploreConfig:
     use_cache: bool = False
     #: Solver-layer knobs (cores, trail reuse, budgets, certification).
     solver_config: Optional[SolverConfig] = None
-    #: Staging and superblock ablations; ``None`` keeps the executor's.
-    staging: Optional[bool] = None
-    superblocks: Optional[bool] = None
     #: Snapshot-resumed runs; only engines that support them take part.
     snapshots: bool = True
     #: Crash-safe journal directory, its save cadence in recorded paths,
@@ -472,12 +469,6 @@ class Explorer:
         self._solver_provided = solver is not None
         #: The solver an in-process run uses; pool workers build their own.
         self.solver = solver if solver is not None else make_solver(config)
-        # The ablations are applied once, before any run and before a
-        # pool forks, so every worker inherits them.
-        if config.staging is not None and hasattr(executor, "set_staging"):
-            executor.set_staging(config.staging)
-        if config.superblocks is not None and hasattr(executor, "set_superblocks"):
-            executor.set_superblocks(config.superblocks)
 
     def explore(self) -> ExplorationResult:
         """Run the full exploration; returns all discovered paths."""

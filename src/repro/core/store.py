@@ -66,7 +66,13 @@ _KEY_HEX = 32  # blake2b digest_size=16 as hex
 
 
 def state_digest(state: dict) -> str:
-    """Digest of a file's state block (checkpoint.py's canonical form)."""
+    """Digest of a state block: a store file's or the checkpoint journal's.
+
+    The state is re-serialized with sorted keys and fixed separators on
+    both the write and the verify side, so the digest is independent of
+    incidental formatting and survives a JSON round-trip (tuples come
+    back as lists, which serialize identically).
+    """
     encoded = json.dumps(state, sort_keys=True, separators=(",", ":"))
     return hashlib.blake2b(encoded.encode("utf-8"), digest_size=16).hexdigest()
 

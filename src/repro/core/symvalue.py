@@ -65,10 +65,6 @@ class SymValue:
         return f"SymValue({self.concrete:#x}/{self.width}{tag})"
 
 
-def _concrete(value: int, width: int) -> SymValue:
-    return SymValue(value, width)
-
-
 _INT_BINOPS = {
     "add": bvops.bv_add,
     "sub": bvops.bv_sub,

@@ -46,11 +46,12 @@ def make_engine(
     Keys: ``binsym``, ``binsec``, ``symex-vp``, ``angr`` (fixed lifter)
     and ``angr-buggy`` (the five historical lifter bugs seeded).
 
-    ``staging`` toggles staged semantics execution and ``superblocks``
-    superblock trace compilation for the specification-derived engine
-    (``binsym``); the IR-based baselines have their own translation
-    caches and ignore both (the VP engine keeps superblocks off by
-    construction — its bus models a per-instruction fetch quantum).
+    ``staging`` toggles staged semantics execution for the
+    specification-derived engines (``binsym`` and ``symex-vp``), and
+    ``superblocks`` superblock trace compilation for ``binsym``; the
+    IR-based baselines have their own translation caches and ignore
+    both.  The VP engine keeps superblocks off by construction: its bus
+    models a per-instruction fetch quantum.
     """
     common = dict(symbolic_registers=symbolic_registers, max_steps=max_steps)
     if key == "binsym":
@@ -60,7 +61,7 @@ def make_engine(
     if key == "binsec":
         return DbaEngine(isa, image, **common)
     if key == "symex-vp":
-        return VpExecutor(isa, image, **common)
+        return VpExecutor(isa, image, staging=staging, **common)
     if key == "angr":
         return VexEngine(isa, image, **common)
     if key == "angr-buggy":

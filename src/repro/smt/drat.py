@@ -85,9 +85,6 @@ class _Propagator:
         for lit in canon:
             self._occurs[lit].discard(clause_id)
 
-    def has_empty_clause(self) -> bool:
-        return any(not lits for lits in self._clauses.values())
-
     def __len__(self) -> int:
         return len(self._clauses)
 

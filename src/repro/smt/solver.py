@@ -466,8 +466,7 @@ class QueryCache:
     exploration worker therefore owns one ``QueryCache``.
 
     Entries carry blake2b *integrity digests* taken at store time and
-    re-checked on hit (every ``verify_period``-th verification
-    opportunity; the default of 1 checks every hit).  A hit whose
+    re-checked on every hit.  A hit whose
     content no longer matches its digest is **quarantined**: the entry
     is dropped, the lookup falls through to the remaining tiers (or a
     fresh solve), and the event is counted in ``quarantines`` — a
@@ -478,12 +477,7 @@ class QueryCache:
     the detection path works.
     """
 
-    def __init__(
-        self,
-        max_unsat_sets: int = 512,
-        max_entries: int = 100_000,
-        verify_period: int = 1,
-    ):
+    def __init__(self, max_unsat_sets: int = 512, max_entries: int = 100_000):
         self._results: dict[frozenset, Result] = {}
         self._models: dict[frozenset, Model] = {}
         # UNSAT sets live behind an inverted index: id -> set (FIFO by
@@ -500,8 +494,6 @@ class QueryCache:
         #: Integrity digests: per memo key and per UNSAT-set id.
         self._digests: dict[frozenset, bytes] = {}
         self._unsat_digests: dict[int, bytes] = {}
-        self._verify_period = max(0, verify_period)
-        self._verify_tick = 0
         self._corruptor = None
         self._store_seq = 0
         #: Optional persistent tier (:class:`repro.core.store.ArtifactStore`);
@@ -588,13 +580,6 @@ class QueryCache:
             hasher.update(b"%d;" % digest)
         return hasher.digest()
 
-    def _should_verify(self) -> bool:
-        """Sampling gate: verify every ``verify_period``-th opportunity."""
-        if self._verify_period <= 0:
-            return False
-        self._verify_tick += 1
-        return self._verify_tick % self._verify_period == 0
-
     def _corrupt(self, kind: str) -> bool:
         """Fault seam: should the entry just stored be poisoned?"""
         if self._corruptor is None:
@@ -615,7 +600,7 @@ class QueryCache:
     def _verify_entry(self, key: frozenset, cached: Result) -> bool:
         """Digest-check a memo hit; quarantine and report False on rot."""
         digest = self._digests.get(key)
-        if digest is None or not self._should_verify():
+        if digest is None:
             return True
         self.integrity_checks += 1
         if cached is Result.SAT:
@@ -638,7 +623,7 @@ class QueryCache:
     def _verify_unsat_set(self, set_id: int) -> bool:
         """Digest-check one subsumption candidate; quarantine on rot."""
         digest = self._unsat_digests.get(set_id)
-        if digest is None or not self._should_verify():
+        if digest is None:
             return True
         self.integrity_checks += 1
         if self._set_digest(self._unsat_sets[set_id]) == digest:

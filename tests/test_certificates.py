@@ -8,6 +8,7 @@ derivation — counted, never trusted.
 """
 
 import dataclasses
+import errno
 import json
 import multiprocessing
 import os
@@ -259,6 +260,19 @@ def mark_replay_process(monkeypatch) -> list:
     return marks
 
 
+def fail_forks(monkeypatch) -> list:
+    """Make every fork of a replay process fail, as ``fork`` does when
+    the process limit is reached; returns the list of attempts."""
+    attempts: list = []
+
+    def failing(process):
+        attempts.append(process)
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", failing)
+    return attempts
+
+
 def one_process(result, executor):
     """``result``'s paths certified again, in this process alone."""
     with pytest.MonkeyPatch.context() as patch:
@@ -417,13 +431,13 @@ class TestJournaledTreeLinks:
         assert multiprocessing.active_children() == []
 
     def test_version_4_journal_refused(self, tmp_path):
-        from repro.core import checkpoint
+        from repro.core import store
 
         self.explore_journal(tmp_path)
         journal = tmp_path / "checkpoint.json"
         raw = json.loads(journal.read_text())
         raw["state"]["version"] = 4
-        raw["digest"] = checkpoint._state_digest(raw["state"])
+        raw["digest"] = store.state_digest(raw["state"])
         journal.write_text(json.dumps(raw))
         manager = CheckpointManager(str(tmp_path), strategy="dfs", seed=0)
         with pytest.raises(ValueError, match="unsupported version 4"):
@@ -1031,6 +1045,20 @@ class TestShardedReplay:
         assert sharded.worker_deaths == 1
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.usefixtures("one_shard")
+    def test_share_that_cannot_start_replays_here(self, monkeypatch):
+        """A forked share whose fork fails replays in the parent, counted
+        once as a worker death: a replay process only buys speed."""
+        executor, result = certify_workload("bubble-sort", 4)
+        attempts = fail_forks(monkeypatch)
+        force_shards(monkeypatch, 2)
+        sharded = reverify(result, executor)
+        assert len(attempts) == 1
+        assert sharded.worker_deaths == 1
+        assert sharded.certified_paths == sharded.num_paths
+        assert counters(sharded) == counters(one_process(result, executor))
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
     def test_parent_error_stops_every_shard(self, error, monkeypatch):
         """The parent's own shard raises while the others still run:
@@ -1188,6 +1216,71 @@ class TestReplayStream:
         assert result.worker_deaths == 1
         assert counters(result) == counters(one_process(result, executor))
         assert result.certified_paths == result.num_paths
+        assert multiprocessing.active_children() == []
+
+    def test_stream_that_cannot_start_stays_off(self, monkeypatch):
+        """The replay process cannot be forked: the stream tries once and
+        stays off, the campaign finishes, and the end step's forked share
+        replays in the parent.  Each failed start is one worker death."""
+        attempts = fail_forks(monkeypatch)
+        started = spy_streams(monkeypatch)
+        force_shards(monkeypatch, 2)
+        executor, result = certify_workload("bubble-sort", 4)
+        assert len(started) == 1 and started[0].process is None
+        # The stream's start and the end step's one forked share.
+        assert len(attempts) == 2
+        assert result.worker_deaths == 2
+        assert result.certified_paths == result.num_paths == 24
+        assert counters(result) == counters(one_process(result, executor))
+        assert multiprocessing.active_children() == []
+
+    def test_lost_share_beside_the_stream_replays_here(self, tmp_path, monkeypatch):
+        """The backlog splits four ways: the replay process, the parent
+        and two forked shares.  One forked share exits; the parent
+        replays it, counted once, and the others' verdicts stand."""
+        parent = os.getpid()
+        streaming = mark_replay_process(monkeypatch)
+        ended = tmp_path / "ended"
+        forked = tmp_path / "forked"
+        replay = certificates._TreeReplay.replay
+        replay_shard = certificates._replay_shard
+        stop = certificates.ReplayStream.stop
+
+        def held(self, position, cert):
+            # The replay process starts its first path only once the
+            # campaign has ended, so nearly every path is backlog.
+            deadline = time.monotonic() + 30
+            while streaming and not ended.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return replay(self, position, cert)
+
+        def ending(stream):
+            ended.touch()
+            return stop(stream)
+
+        def exiting(*share):
+            if os.getpid() != parent:
+                with open(forked, "a") as handle:
+                    handle.write("share\n")
+                try:
+                    os.close(os.open(tmp_path / "lost", os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass
+                else:
+                    os._exit(3)  # the first forked share is lost
+            return replay_shard(*share)
+
+        monkeypatch.setattr(certificates._TreeReplay, "replay", held)
+        monkeypatch.setattr(certificates.ReplayStream, "stop", ending)
+        monkeypatch.setattr(certificates, "_replay_shard", exiting)
+        started = spy_streams(monkeypatch)
+        force_shards(monkeypatch, 4)
+        executor, result = certify_workload("bubble-sort", 4)
+        assert len(started) == 1
+        assert forked.read_text() == "share\n" * 2
+        assert result.worker_deaths == 1
+        assert result.certified_paths == result.num_paths
+        assert counters(result) == counters(one_process(result, executor))
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(

@@ -184,6 +184,29 @@ done:
         assert main(["explore", "--no-staging", str(program_file)]) == 1
         assert "2 paths" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("engine", ["binsym", "symex-vp"])
+    def test_ablations_configure_the_engine(self, engine, program_file, monkeypatch):
+        """``--no-staging`` and ``--no-superblocks`` are engine settings:
+        the VP engine, which swaps in its own interpreter, runs unstaged
+        too, and no memoized instruction carries a compiled plan."""
+        import repro.cli as cli
+
+        engines = []
+        real = cli.Explorer
+
+        def recording(executor, **options):
+            engines.append(executor)
+            return real(executor, **options)
+
+        monkeypatch.setattr(cli, "Explorer", recording)
+        argv = ["explore", "--engine", engine, "--no-staging", "--no-superblocks"]
+        assert main(argv + [str(program_file)]) == 1
+        (executor,) = engines
+        memo = executor.interpreter._exec_cache.values()
+        assert executor.interpreter.staging is False
+        assert memo and all(plan is None for plan, _ in memo)
+        assert not executor.superblocks_enabled
+
     def test_unsat_cores_toggle(self, tmp_path, program_file, capsys):
         assert main(
             ["explore", "--store", str(tmp_path / "store"),

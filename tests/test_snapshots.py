@@ -881,11 +881,10 @@ class TestPlumbing:
         image = assemble(_WRIF_LOOP, isa=isa)
         outcomes = []
         for staging, superblocks in ((True, True), (True, False), (False, False)):
-            engine = BinSymExecutor(isa, image)
-            result = Explorer(
-                engine, use_cache=True, snapshots=True, staging=staging,
-                superblocks=superblocks,
-            ).explore()
+            engine = BinSymExecutor(
+                isa, image, staging=staging, superblocks=superblocks
+            )
+            result = Explorer(engine, use_cache=True, snapshots=True).explore()
             stats = result.snapshot_stats
             outcomes.append((
                 result.path_set(),

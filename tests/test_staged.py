@@ -328,26 +328,14 @@ class TestExplorationDifferential:
         reference = None
         for staging in (True, False):
             for jobs in (1, 2):
-                engine = BinSymExecutor(isa_obj, image)
-                result = Explorer(
-                    engine, jobs=jobs, use_cache=True, staging=staging
-                ).explore()
+                engine = BinSymExecutor(isa_obj, image, staging=staging)
+                result = Explorer(engine, jobs=jobs, use_cache=True).explore()
                 if reference is None:
                     reference = result
                 else:
                     assert result.path_set() == reference.path_set()
                     assert result.num_queries == reference.num_queries
                     assert result.sat_solves == reference.sat_solves
-
-    def test_explorer_staging_flag_reaches_executor(self):
-        isa_obj = rv32im()
-        image = WORKLOADS["uri-parser"].image(2)
-        engine = BinSymExecutor(isa_obj, image)
-        assert engine.interpreter.staging is True
-        Explorer(engine, staging=False)
-        assert engine.interpreter.staging is False
-        Explorer(engine, staging=True)
-        assert engine.interpreter.staging is True
 
 
 class TestMaddExtension:

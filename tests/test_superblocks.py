@@ -57,10 +57,8 @@ _BARRIER = sb._BARRIER
 
 
 def _explore(image, superblocks, engine_cls=BinSymExecutor, **kwargs):
-    engine = engine_cls(rv32im(), image)
-    return Explorer(
-        engine, use_cache=True, superblocks=superblocks, **kwargs
-    ).explore()
+    engine = engine_cls(rv32im(), image, superblocks=superblocks)
+    return Explorer(engine, use_cache=True, **kwargs).explore()
 
 
 def _attribution(result):

@@ -28,7 +28,10 @@ CI scales never start on their own: a serial run with four usable CPUs
 and a one-instruction start threshold (``stream serial``; a pool starts
 no stream).  There the paths replay in a forked process while the
 campaign explores, and the row also requires that the stream started
-and lost no process.
+and lost no process.  On clif-parser a last row forces the stream and
+makes every fork fail (``stream no-fork``): a replay process only buys
+speed, so the run must still certify every path, count each failed
+start as one worker death, and leave no process behind.
 
 Usage::
 
@@ -54,6 +57,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
+import multiprocessing
 import os
 import signal
 import sys
@@ -174,27 +179,56 @@ def forced_stream(cpus: int = 4, after_start=None):
         ) = saved
 
 
+@contextlib.contextmanager
+def failing_forks():
+    """Make every fork of a replay process fail as ``fork`` does at the
+    process limit; yields the list of attempts."""
+    fork_process = multiprocessing.get_context("fork").Process
+    attempts: list = []
+
+    def failing(process):
+        attempts.append(process)
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    fork_process.start = failing
+    try:
+        yield attempts
+    finally:
+        del fork_process.start
+
+
 def run_gate(jobs: int) -> int:
     failures: list[str] = []
     for workload in WORKLOAD_SCALES:
         start = time.perf_counter()
         baseline = build_explorer(workload).explore()
         rows = [
-            (f"{config} {mode}", use_cache, n_jobs, False)
+            (f"{config} {mode}", use_cache, n_jobs, False, False)
             for config, use_cache in CONFIGURATIONS.items()
             for mode, n_jobs in (("serial", 1), (f"jobs={jobs}", jobs))
         ]
-        rows.append(("stream serial", False, 1, True))
-        for label, use_cache, n_jobs, stream in rows:
-            with forced_stream() if stream else contextlib.nullcontext() as started:
+        rows.append(("stream serial", False, 1, True, False))
+        if workload == "clif-parser":
+            rows.append(("stream no-fork", False, 1, True, True))
+        for label, use_cache, n_jobs, stream, no_fork in rows:
+            with contextlib.ExitStack() as stack:
+                started = stack.enter_context(forced_stream()) if stream else []
+                attempts = stack.enter_context(failing_forks()) if no_fork else []
                 certified = build_explorer(
                     workload, jobs=n_jobs, certify=True, use_cache=use_cache
                 ).explore()
             errors = check_certified(workload, baseline, certified, label)
-            if stream and (len(started) != 1 or certified.worker_deaths):
+            if stream and (
+                len(started) != 1
+                or certified.worker_deaths != len(attempts)
+                or (no_fork and (not attempts or started[0].process is not None))
+                or multiprocessing.active_children()
+            ):
                 errors.append(
                     f"{workload} [{label}]: {len(started)} replay streams "
-                    f"started, {certified.worker_deaths} worker deaths"
+                    f"started, {len(attempts)} failed starts, "
+                    f"{certified.worker_deaths} worker deaths, "
+                    f"{len(multiprocessing.active_children())} processes left"
                 )
             failures.extend(errors)
             stats = certified.solver_stats
@@ -207,7 +241,8 @@ def run_gate(jobs: int) -> int:
                 f"solved={certified.num_queries} "
                 f"sat={stats.get('certified_sat', 0)} "
                 f"unsat={stats.get('certified_unsat', 0)} "
-                f"failures={stats.get('certify_failures', 0)}"
+                f"failures={stats.get('certify_failures', 0)} "
+                f"deaths={certified.worker_deaths}"
             )
         print(
             f"{workload}: {baseline.num_paths} paths, "
