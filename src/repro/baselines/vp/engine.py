@@ -65,21 +65,13 @@ class VpExecutor(BinSymExecutor):
     """Executor adapter running the VP interpreter."""
 
     name = "symex-vp-like"
+    interpreter_class = VpInterpreter
 
     def __init__(self, isa, image, **kwargs):
-        super().__init__(isa, image, **kwargs)
-        # Swap in the virtual-prototype interpreter, keeping the
-        # executor configuration (symbolic regions, staging etc.) intact.
         # Superblocks stay off: the VP issues one fetch transaction and
         # one time quantum per retired instruction, so step() must not
         # batch instructions.
-        self.interpreter = VpInterpreter(
-            isa,
-            image,
-            concretization=self.interpreter.concretization,
-            staging=self.interpreter.staging,
-            superblocks=False,
-        )
+        super().__init__(isa, image, **{**kwargs, "superblocks": False})
 
     def set_superblocks(self, superblocks: bool) -> None:
         """Ignore enables: the per-instruction fetch/quantum contract

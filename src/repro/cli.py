@@ -330,11 +330,10 @@ def main(argv=None) -> int:
     p_explore.add_argument("--memory-budget", type=int, default=None,
                            metavar="MB",
                            help="per-process RSS budget in megabytes: "
-                                "under pressure the memory governor walks "
-                                "a degradation ladder (shrink snapshot "
-                                "pool, tighten caches, disable snapshot "
-                                "capture) — each rung counted, path set "
-                                "invariant")
+                                "a process over it drops its snapshot "
+                                "pool and captures no more, so later "
+                                "paths run from the entry — counted in "
+                                "degradations, path set invariant")
     p_explore.add_argument("--checkpoint", metavar="DIR", default=None,
                            help="write a crash-safe exploration journal to "
                                 "DIR (atomic-rename checkpoint.json)")

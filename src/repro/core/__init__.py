@@ -16,7 +16,8 @@ offline (concolic) exploration driver.
 * :mod:`repro.core.strategy` — DFS/BFS/random/coverage path selection
 * :mod:`repro.core.checkpoint` — crash-safe exploration journal
 * :mod:`repro.core.faults` — deterministic fault-injection schedules
-* :mod:`repro.core.governor` — memory-budget degradation ladder
+* :mod:`repro.core.governor` — memory budget: drops the snapshot pool
+  under RSS pressure
 * :mod:`repro.core.store` — crash-safe persistent cross-run artifact store
 """
 
@@ -25,7 +26,7 @@ from .concretize import ConcretizationPolicy
 from .executor import BinSymExecutor, RunResult
 from .explorer import ExplorationResult, ExploreConfig, Explorer, PathInfo
 from .faults import FaultPlan
-from .governor import MemoryGovernor, build_exploration_governor
+from .governor import MemoryGovernor
 from .interpreter import SymbolicInterpreter
 from .scheduler import Frontier, WorkItem
 from .store import ArtifactStore
@@ -51,7 +52,6 @@ __all__ = [
     "FaultPlan",
     "ArtifactStore",
     "MemoryGovernor",
-    "build_exploration_governor",
     "SymbolicInterpreter",
     "SymValue",
     "SymDomain",

@@ -76,13 +76,13 @@ its recorded paths claim :data:`MIN_SHARD_INSTRUCTIONS` and a second
 CPU is usable.  It inherits the certificates recorded so far; after
 that the parent sends it each new path's certificate with the
 divergence points (``bound - 1``) of the children the campaign kept for
-that path and the snapshot pool's byte budget, over an inbox pipe the
-parent writes without blocking.  It replays the paths in path order
-under :class:`reference_mode` entered in it alone, copying at each
-path's kept divergence points (on a complete campaign, the points its
-recorded children name) within the lowest budget it was sent, so a
-pool the memory governor shrinks shrinks them too.  When the campaign
-ends (complete, cut by ``--deadline`` or ``--max-paths``, or
+that path, over an inbox pipe the parent writes without blocking.  It
+replays the paths in path order under :class:`reference_mode` entered
+in it alone, copying at each path's kept divergence points (on a
+complete campaign, the points its recorded children name) within the
+snapshot pool's byte budget, as a one-process replay does (the memory
+governor may clear the pool, but never changes its budget).  When the
+campaign ends (complete, cut by ``--deadline`` or ``--max-paths``, or
 interrupted), :func:`verify_result` hands over any recorded path the
 campaign did not, asks the process for the first position it has not
 started, and splits only the backlog from there.  The stream's process
@@ -101,12 +101,13 @@ instruction counts over a one-way pipe, then leaves through
 ``os._exit``; the parent merges the verdicts in path order.  A process
 only buys speed.  One that dies, whose answer is missing or malformed,
 or that cannot start because a pipe or the fork fails, is counted once
-in ``worker_deaths`` and its share replays in the parent; a stream that
-cannot start stays off for the rest of the campaign.  One ``finally``
-reaps every process, so an error in the parent stops them before it
-propagates.  The replay stays in one process where ``fork`` is
-unavailable, or where a share would claim fewer than
-:data:`MIN_SHARD_INSTRUCTIONS`.
+in ``worker_deaths`` and its share replays in the parent.  A fork that
+failed would fail again: once one process cannot start, the stream's or
+a share's, the campaign forks no more, and every share left replays in
+the parent without another death.  One ``finally`` reaps every
+process, so an error in the parent stops them before it propagates.
+The replay stays in one process where ``fork`` is unavailable, or where
+a share would claim fewer than :data:`MIN_SHARD_INSTRUCTIONS`.
 
 Links are hints, never evidence: a missing, out-of-range or wrong link
 costs a from-entry replay, never a verdict.  The copies, the
@@ -395,9 +396,6 @@ class _EntryReplay:
     def add(self, position: int, cert: PathCertificate, divergences) -> None:
         """A streamed path: nothing to plan without copies."""
 
-    def limit(self, budget) -> None:
-        """Nothing to bound without copies."""
-
     def retain(self, certificates, members) -> None:
         """Nothing to drop without copies."""
 
@@ -461,14 +459,12 @@ class _TreeReplay(_EntryReplay):
     """Replays each child from its parent's copy (see the module doc).
 
     Live copies together hold at most the executor's snapshot-pool
-    budget (``snapshot_pool.max_bytes``, which the memory governor
-    lowers under ``--memory-budget``): a copy that would exceed it is
+    budget (``snapshot_pool.max_bytes``): a copy that would exceed it is
     not taken, and the children naming it replay from the entry.
     Copies are taken only for the children among ``members``, the
     positions this replay runs.  A streamed replay starts with no
     members and learns each path's link and its kept children's
-    divergence points as the path arrives (:meth:`add`), and the budget
-    as the governor lowers it (:meth:`limit`).
+    divergence points as the path arrives (:meth:`add`).
     """
 
     def __init__(self, executor, certificates, members):
@@ -507,16 +503,6 @@ class _TreeReplay(_EntryReplay):
             self.last_child[link] = position
         if divergences:
             self.wanted[position] = set(divergences)
-
-    def limit(self, budget: int) -> None:
-        """Lower the copy budget to ``budget``, dropping the oldest
-        copies until the rest fit."""
-        if budget < self.budget:
-            self.budget = budget
-            for link in list(self.copies):
-                if self.held <= budget:
-                    break
-                self._drop(link)
 
     def replay(self, position: int, cert: PathCertificate) -> list[str]:
         executor, interp = self.executor, self.interp
@@ -803,8 +789,8 @@ def _stream_main(inbox, reply, executor, certificates, kept, tree) -> tuple:
 
     Replays the inherited certificates and each one the parent streams
     after them in path order, copying at the divergence points of each
-    path's ``kept`` children within the lowest pool budget streamed with
-    them, until the parent ends the stream (``None``).
+    path's ``kept`` children, until the parent ends the stream
+    (``None``).
     It answers the first position it has not started, then replays the
     share ``(members, owned)`` of the backlog the parent hands it, after
     dropping every copy no member names.  Returns the outcome of every
@@ -826,8 +812,7 @@ def _stream_main(inbox, reply, executor, certificates, kept, tree) -> tuple:
                 if path is None:
                     ended = True
                     continue
-                cert, divergences, budget = path
-                replay.limit(budget)
+                cert, divergences = path
                 replay.add(len(certificates), cert, divergences)
                 certificates.append(cert)
             if not ended:
@@ -954,9 +939,8 @@ class ReplayStream(_ReplayProcess):
         super().__init__()
         self.result = result
         self.executor = executor
-        #: The pool whose budget bounds the replay process's copies.
-        self.pool = getattr(executor, "snapshot_pool", None)
-        #: Whether a usable CPU is left beside the exploring process.
+        #: Whether a replay process may be forked: a usable CPU is left
+        #: beside the exploring process, and no start has failed.
         self.spare = (
             "fork" in multiprocessing.get_all_start_methods() and _usable_cpus() > 1
         )
@@ -987,8 +971,7 @@ class ReplayStream(_ReplayProcess):
         if self.process is not None:
             cert = certificate_for(path)
             self.certificates.append(cert)
-            budget = self.pool.max_bytes if self.pool is not None else None
-            self._send((cert, divergences, budget))
+            self._send((cert, divergences))
         elif self.spare:
             self.kept.append(divergences)
             self.claimed += path.instret
@@ -997,7 +980,8 @@ class ReplayStream(_ReplayProcess):
 
     def _start(self) -> None:
         """Fork the replay process, once: a failed start counts as a lost
-        process, and the campaign goes on without a stream."""
+        process, and the campaign goes on without a stream and forks no
+        replay process at its end."""
         self.certificates = [certificate_for(path) for path in self.result.paths]
         kept, self.kept = self.kept, []
         if not self.start(
@@ -1078,7 +1062,9 @@ def verify_result(result, executor, stream: Optional[ReplayStream] = None) -> li
     replayed the paths up to the position it reports: only the backlog
     after it is split, and the process keeps the first share.  The
     parent replays the next share and forks the others.  A lost replay
-    process's share is replayed here, counted in ``worker_deaths``.
+    process's share is replayed here, counted in ``worker_deaths``;
+    after a failed start, the stream's or a share's, the shares not yet
+    forked are replayed here too, uncounted.
     """
     tree = _tree(executor)
     processes: list = []
@@ -1096,12 +1082,17 @@ def verify_result(result, executor, stream: Optional[ReplayStream] = None) -> li
     shares = _partition(certificates, tree, _shard_count(certificates[start:]), start)
     if processes:
         stream.keep(start, *(shares.pop(0) if shares else ([], [])))
+    forking = stream is None or stream.spare
     outcomes: list = []
     with reference_mode(executor):
         try:
             for members, owned in shares[1:]:
                 process = _ReplayProcess(members, owned)
-                process.start(executor, certificates, tree, (members, owned))
+                if forking and not process.start(
+                    executor, certificates, tree, (members, owned)
+                ):
+                    result.worker_deaths += 1
+                    forking = False
                 processes.append(process)
             if shares:  # the parent's own share
                 members, owned = shares[0]
@@ -1110,7 +1101,8 @@ def verify_result(result, executor, stream: Optional[ReplayStream] = None) -> li
             for process in processes:
                 outcome = process.outcome()
                 if outcome is None:
-                    result.worker_deaths += 1
+                    if process.process is not None:  # lost, not unstarted
+                        result.worker_deaths += 1
                     outcome = _replay_shard(
                         executor, certificates, tree, process.members, process.owned
                     )

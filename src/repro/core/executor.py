@@ -62,6 +62,9 @@ class BinSymExecutor:
 
     name = "binsym"
     supports_snapshots = True
+    #: The interpreter the constructor builds, with every argument it
+    #: takes; an engine that runs another interpreter overrides it.
+    interpreter_class = SymbolicInterpreter
 
     def __init__(
         self,
@@ -76,7 +79,7 @@ class BinSymExecutor:
         superblocks: bool = True,
         snapshot_pool: Optional[SnapshotPool] = None,
     ):
-        self.interpreter = SymbolicInterpreter(
+        self.interpreter = self.interpreter_class(
             isa,
             image,
             concretization=concretization,
@@ -241,29 +244,6 @@ class BinSymExecutor:
         stats["snap_saved_instructions"] = self.saved_instructions
         stats["snap_fallback_runs"] = self.fallback_runs
         return stats
-
-    def tighten_caches(self, factor: int = 2) -> None:
-        """Shrink the staged-plan and superblock memo caches (governor rung).
-
-        All of these are pure per-word memos: trimming costs a re-record
-        or re-stitch on the next miss, never a different answer.  The
-        staged caches get their (instance-shadowed) capacity halved and
-        are trimmed FIFO down to it; the superblock engine's step-info
-        and block caches are trimmed to half their current population
-        (their capacity caps are module constants, so the trim itself is
-        the pressure relief).  This executor's interpreter demotes its
-        resolutions to the trimmed blocks, so that nothing here keeps
-        them alive.
-        """
-        interp = self.interpreter
-        isa = interp.isa
-        isa.STAGED_CACHE_CAPACITY = max(256, isa.STAGED_CACHE_CAPACITY // factor)
-        for cache in (isa._plan_cache, isa._compiled_cache):
-            while len(cache) > isa.STAGED_CACHE_CAPACITY:
-                del cache[next(iter(cache))]
-        engine = isa._superblock_engine
-        if engine is not None:
-            interp.sb_forget(engine.trim(factor))
 
     def purge_snapshots(self) -> None:
         """Drop every pooled snapshot (fault injection: eviction storm).

@@ -33,6 +33,7 @@ from ..arch.hart import HaltReason
 from ..smt.solver import CachingSolver, Solver, SolverConfig
 from ..spec.superblock import BRANCH_HOT_HITS
 from .faults import FaultPlan
+from .governor import MemoryGovernor
 from .scheduler import FLIP_COUNTERS, Frontier, WorkItem, expand_run
 from .state import InputAssignment
 
@@ -80,9 +81,9 @@ class ExploreConfig:
     faults: Optional[FaultPlan] = None
     #: Anytime knobs: a global wall-clock deadline in seconds (the
     #: frontier drains into ``incomplete_paths`` when it fires, and the
-    #: journal stays resumable), a per-process RSS budget in MB driving
-    #: the degradation ladder, and the seconds of heartbeat silence
-    #: after which the pool's watchdog kills a seat.
+    #: journal stays resumable), a per-process RSS budget in MB over
+    #: which a process drops its snapshot pool, and the seconds of
+    #: heartbeat silence after which the pool's watchdog kills a seat.
     deadline: Optional[float] = None
     memory_budget_mb: Optional[int] = None
     hang_timeout: float = 5.0
@@ -278,7 +279,7 @@ class ExplorationResult:
     certificates: list = field(default_factory=list)
     #: Human-readable mismatch messages from the certify replay.
     certificate_errors: list = field(default_factory=list)
-    #: Flat memory-governor counters (samples, pressure events, per-rung
+    #: Flat memory-governor counters (samples, pressure events, rung
     #: applications), summed over every process; empty without
     #: ``--memory-budget``.
     governor_stats: dict = field(default_factory=dict)
@@ -348,9 +349,9 @@ class ExplorationResult:
 
     @property
     def degradations(self) -> int:
-        """Memory-governor ladder rungs applied under RSS pressure,
-        summed over every process.  Non-zero means the run traded speed
-        (cache capacity, snapshot reuse) for memory — never paths."""
+        """Processes whose memory governor dropped the snapshot pool
+        under RSS pressure.  Non-zero means the run traded speed
+        (snapshot reuse) for memory — never paths."""
         return self.governor_stats.get("gov_rungs_applied", 0)
 
     @property
@@ -668,15 +669,16 @@ class Worker:
     """One process's run step: execute or resume an item and expand it.
 
     Owns the frontier, the solver's fault hooks, the memory governor
-    (RSS is per-process, so every process walks its own degradation
-    ladder), the ``evict=``/``memhog=`` faults keyed by the run ordinal
-    under ``scope`` (``"serial"`` in process, the incarnation uid in a
-    pool), the covered branch set that scores coverage novelty, and
-    hot-PC promotion for the superblock layer.  :meth:`explore` is the
-    in-process loop; a pool worker drives :meth:`run` from
-    :func:`repro.core.parallel._worker_main`.  Every child :meth:`run`
-    returns carries its flip-query digest; dropping repeats is the
-    campaign's job (:meth:`_Campaign.fresh`), not the worker's.
+    (RSS is per-process, so every process drops its own snapshot pool
+    under pressure), the ``evict=``/``memhog=`` faults keyed by the run
+    ordinal under ``scope`` (``"serial"`` in process, the incarnation
+    uid in a pool), the covered branch set that scores coverage
+    novelty, and hot-PC promotion for the superblock layer.
+    :meth:`explore` is the in-process loop; a pool worker drives
+    :meth:`run` from :func:`repro.core.parallel._worker_main`.  Every
+    child :meth:`run` returns carries its flip-query digest; dropping
+    repeats is the campaign's job (:meth:`_Campaign.fresh`), not the
+    worker's.
 
     It also keeps the snapshot pool's holds
     (:class:`repro.core.snapshots.SnapshotPool`): :meth:`run` gives back
@@ -713,16 +715,11 @@ class Worker:
         )
         self.certify = config.certify
         self.covered = set(covered)
-        # The governor's bottom rung flips ``capture_state`` off, and
-        # every run re-reads it, so degradation takes effect at once.
-        self.capture_state = {"snapshots": config.snapshots}
+        #: Whether runs capture snapshots: off once the governor fires.
+        self.capturing = config.snapshots
         self.governor = None
         if config.memory_budget_mb is not None:
-            from .governor import build_exploration_governor
-
-            self.governor = build_exploration_governor(
-                config.memory_budget_mb, executor, solver, self.capture_state
-            )
+            self.governor = MemoryGovernor(config.memory_budget_mb * 1024 * 1024)
         self.purge = getattr(executor, "purge_snapshots", None)
         # Superblock hotness feedback: per-PC flippable-branch executions
         # accumulate across runs; a PC crossing the threshold is reported
@@ -820,7 +817,7 @@ class Worker:
         """:meth:`run` without the snapshot holds."""
         executor, faults, ordinal = self.executor, self.faults, self.runs
         self.runs += 1
-        capturing = self.capture_state["snapshots"]
+        capturing = self.capturing
         if faults is not None:
             if self.purge is not None and capturing:
                 if faults.should_evict(self.scope, ordinal):
@@ -834,8 +831,12 @@ class Worker:
             )
         else:
             run = executor.execute(item.assignment)
-        if self.governor is not None:
-            self.governor.maybe_step()
+        if self.governor is not None and self.governor.maybe_step():
+            # Memory pressure: drop the pool and capture no more, so
+            # every later run executes from the entry.
+            self.capturing = False
+            if self.pool is not None:
+                self.pool.clear()
         pc_hits: dict = {}
         children = expand_run(
             run,

@@ -31,9 +31,10 @@ on.  Four fault classes map onto the robustness machinery they probe:
   declared hung, killed, and its item requeued.  Pool-only: an
   in-process run has no supervisor, so it ignores hang schedules;
 * **memory hogs** (``memhog=<rate>``) — a worker leaks a large
-  allocation before a run, exercising the RSS governor's degradation
-  ladder (:mod:`repro.core.governor`): capacity rungs fire, but the
-  eviction → recompute contracts keep the path set invariant;
+  allocation before a run, exercising the RSS governor
+  (:mod:`repro.core.governor`): the worker drops its snapshot pool, and
+  the eviction → full-re-execution contract keeps the path set
+  invariant;
 * **torn store writes** (``torn=<rate>``) — a persistent-store file
   (:mod:`repro.core.store`) is truncated right after its atomic
   rename, simulating a barrier-less power cut; the *next* run's
@@ -200,7 +201,7 @@ class FaultPlan:
 
         The leak is retained for the worker's lifetime, so repeated
         fires ratchet RSS upward — the deterministic pressure source
-        the :mod:`repro.core.governor` ladder is tested against.
+        the :mod:`repro.core.governor` is tested against.
         """
         if not self._chance(self.memhog_rate, "memhog", scope, ordinal):
             return 0

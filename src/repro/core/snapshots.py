@@ -269,17 +269,6 @@ class SnapshotPool:
         self.evictions += 1
         self._return_pages(snapshot)
 
-    def set_budget(self, max_bytes: int) -> None:
-        """Shrink (or grow) the byte budget, evicting down to it.
-
-        Memory-governor rung: eviction is the pool's ordinary, sound
-        degradation — later resume attempts miss and fall back to full
-        re-execution, discovering the identical path.
-        """
-        self.max_bytes = max(0, max_bytes)
-        while self._snapshots and self.resident_bytes > self.max_bytes:
-            self._evict_oldest()
-
     def clear(self) -> None:
         for snapshot in self._snapshots.values():
             self._return_pages(snapshot)

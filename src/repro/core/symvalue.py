@@ -39,10 +39,6 @@ class SymValue:
         self.width = width
         self.term = term
 
-    @property
-    def is_concrete(self) -> bool:
-        return self.term is None
-
     def term_or_const(self) -> T.Term:
         """The shadow term, lifting pure constants on demand."""
         if self.term is None:

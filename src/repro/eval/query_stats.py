@@ -198,10 +198,10 @@ def measure_pipeline(
         "incomplete_paths": result.incomplete_paths,
         "workers": result.workers,
         # Anytime layer (PR 9; all zero on a healthy unbudgeted run):
-        # worker seats the heartbeat watchdog killed, memory-governor
-        # degradation rungs applied, and whether a --deadline cut the
-        # exploration short (its drained frontier is already counted in
-        # incomplete_paths above).
+        # worker seats the heartbeat watchdog killed, processes whose
+        # memory governor dropped the snapshot pool, and whether a
+        # --deadline cut the exploration short (its drained frontier is
+        # already counted in incomplete_paths above).
         "hung_workers": result.hung_workers,
         "degradations": result.degradations,
         "deadline_expired": int(result.deadline_expired),

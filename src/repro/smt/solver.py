@@ -511,25 +511,6 @@ class QueryCache:
     def __len__(self) -> int:
         return len(self._results)
 
-    def tighten(self, factor: int = 2) -> None:
-        """Shrink every capacity by ``factor`` (memory-governor rung).
-
-        Sound by the same argument as ordinary eviction: the cache is a
-        pure memo, so a dropped entry costs a re-solve, never an answer.
-        Floors keep the cache functional under repeated tightening —
-        the governor may call this on every pressure sample.
-        """
-        self._max_entries = max(64, self._max_entries // factor)
-        self._max_unsat_sets = max(16, self._max_unsat_sets // factor)
-        while len(self._results) > self._max_entries:
-            oldest = next(iter(self._results))
-            del self._results[oldest]
-            self._models.pop(oldest, None)
-            self._digests.pop(oldest, None)
-            self.evictions += 1
-        while len(self._unsat_sets) > self._max_unsat_sets:
-            self._drop_unsat_set(next(iter(self._unsat_sets)))
-
     # -- integrity ------------------------------------------------------
 
     def set_corruptor(self, hook) -> None:

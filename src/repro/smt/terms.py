@@ -122,11 +122,6 @@ class Term:
         """Whether this term is a (bitvector or boolean) literal."""
         return self.op == "const"
 
-    @property
-    def is_var(self) -> bool:
-        """Whether this term is an uninterpreted variable."""
-        return self.op == "var"
-
     def const_value(self) -> int:
         """Return the integer payload of a constant term."""
         if self.op != "const":

@@ -290,17 +290,6 @@ class StagedStepper:
         self._sb_dirty = False
         self._sb_epoch = memory.code_epoch
 
-    def sb_forget(self, blocks) -> None:
-        """Demote this interpreter's resolutions to ``blocks`` to
-        pending (the blocks were dropped from the engine's cache)."""
-        sb_map = self._sb_map
-        if sb_map is None or not blocks:
-            return
-        dropped = set(blocks)
-        for pc, entry in sb_map.items():
-            if entry in dropped:
-                sb_map[pc] = _SB_PENDING
-
     def _sb_resolve(self, pc: int):
         """Resolve the map entry at ``pc`` to a validated block."""
         block, built = self._sb_engine.acquire(

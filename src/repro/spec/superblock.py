@@ -168,7 +168,7 @@ class Superblock:
 
     __slots__ = (
         "entry_pc", "execute", "source", "words", "length", "exit_pc",
-        "pages", "side_exits", "__weakref__",
+        "pages", "side_exits",
     )
 
     def __init__(
@@ -428,26 +428,12 @@ class SuperblockEngine:
         self._by_entry[(domain_key, entry_pc)] = block
         return block, True
 
-    def _evict(self, key: tuple) -> Superblock:
+    def _evict(self, key: tuple) -> None:
         """Drop the block cached under ``key`` from both block maps."""
         block = self._blocks.pop(key)
         entry = key[:2]
         if self._by_entry.get(entry) is block:
             del self._by_entry[entry]
-        return block
-
-    def trim(self, factor: int) -> list:
-        """Cut the block cache and the word-classification memo to
-        ``1/factor`` of their size, least recently used first (the
-        memory governor's cache rung).  Returns the dropped blocks, so
-        interpreters can let go of their resolutions to them too."""
-        info = self._step_info
-        keep = len(info) // factor
-        while len(info) > keep:
-            del info[next(iter(info))]
-        blocks = self._blocks
-        keep = len(blocks) // factor
-        return [self._evict(next(iter(blocks))) for _ in range(len(blocks) - keep)]
 
     def _emit(
         self, entry_pc: int, words: tuple, exit_pc: int, domain, domain_key

@@ -12,20 +12,25 @@ uninterrupted run's exact path set.
 
 import tempfile
 import time
+from collections import Counter
 
 import pytest
 
-from repro.core import Explorer, FaultPlan, MemoryGovernor
+from repro.core import BinSymExecutor, Explorer, FaultPlan, MemoryGovernor
+from repro.core.explorer import ExploreConfig, Worker
 from repro.core.faults import MEMHOG_BYTES
-from repro.core.governor import build_exploration_governor
 from repro.core.parallel import (
     DEFAULT_HANG_TIMEOUT,
     HEARTBEAT_INTERVAL,
     _backoff_delay,
 )
+from repro.core.scheduler import WorkItem
+from repro.core.state import InputAssignment
+from repro.eval.workloads import WORKLOADS
 from repro.smt.solver import SolverConfig
 from repro.smt.sat import SatSolver
 from repro.smt.solver import CachingSolver, Result, Solver
+from repro.spec import rv32im
 from tests.test_faults import (
     assert_journal_resumable,
     assert_subset_or_accounted,
@@ -211,68 +216,67 @@ class TestWatchdog:
 
 
 class TestMemoryGovernor:
-    def test_ladder_walks_one_rung_per_pressure_sample(self):
-        fired = []
+    def test_rung_fires_once_on_the_first_pressure_sample(self):
         governor = MemoryGovernor(
             budget_bytes=100, check_interval=1, sampler=lambda: 200
         )
-        governor.add_rung("first", lambda: fired.append("first"))
-        governor.add_rung("second", lambda: fired.append("second"))
         assert governor.maybe_step()
-        assert fired == ["first"]
-        assert governor.maybe_step()
-        assert fired == ["first", "second"]
-        assert governor.exhausted
-        # Pressure past the last rung is still counted, never re-fired.
+        # Pressure after the rung fired is still counted, never re-fired.
         assert not governor.maybe_step()
-        assert fired == ["first", "second"]
-        stats = governor.statistics
-        assert stats["gov_samples"] == 3
-        assert stats["gov_pressure_events"] == 3
-        assert stats["gov_rungs_applied"] == 2
-        assert stats["gov_rung_first"] == 1
+        assert not governor.maybe_step()
+        assert governor.statistics == {
+            "gov_samples": 3,
+            "gov_pressure_events": 3,
+            "gov_rungs_applied": 1,
+            "gov_rung_snapshots_off": 1,
+        }
 
     def test_no_pressure_no_rungs(self):
         governor = MemoryGovernor(
             budget_bytes=100, check_interval=1, sampler=lambda: 50
         )
-        governor.add_rung("never", lambda: pytest.fail("rung fired"))
         for _ in range(8):
             assert not governor.maybe_step()
+        assert governor.statistics["gov_samples"] == 8
         assert governor.statistics["gov_rungs_applied"] == 0
 
     def test_check_interval_throttles_sampling(self):
         governor = MemoryGovernor(
             budget_bytes=100, check_interval=4, sampler=lambda: 200
         )
-        governor.add_rung("a", lambda: None)
-        governor.add_rung("b", lambda: None)
         fires = [governor.maybe_step() for _ in range(8)]
-        # Only every 4th tick samples; both samples saw pressure.
+        # Only every 4th tick samples; both samples saw pressure, and
+        # the first fired the rung.
         assert governor.statistics["gov_samples"] == 2
-        assert fires.count(True) == 2
+        assert governor.statistics["gov_pressure_events"] == 2
+        assert fires == [False, False, False, True, False, False, False, False]
 
-    def test_standard_ladder_wiring(self):
-        """The builder's three rungs: snapshot budget halves, caches
-        tighten, capture flips off — in that order."""
+    def test_rung_clears_the_pool_and_stops_capture(self):
+        """Under a zero budget the fourth run samples RSS over it: the
+        worker clears its snapshot pool and captures no more."""
         executor = build_executor()
-        solver = CachingSolver(solver_config=SolverConfig())
-        capture = {"snapshots": True}
-        governor = build_exploration_governor(
-            1, executor, solver, capture, sampler=lambda: 2**40
+        pool = executor.snapshot_pool
+        worker = Worker(
+            executor, ExploreConfig(memory_budget_mb=0), Solver(), "serial"
         )
-        governor.check_interval = 1
-        pool_budget = executor.snapshot_pool.max_bytes
-        cache_entries = solver.cache._max_entries
-        governor.maybe_step()
-        assert executor.snapshot_pool.max_bytes == pool_budget // 2
-        assert capture["snapshots"]
-        governor.maybe_step()
-        assert solver.cache._max_entries == max(64, cache_entries // 2)
-        assert capture["snapshots"]
-        governor.maybe_step()
-        assert not capture["snapshots"]
-        assert len(executor.snapshot_pool) == 0
+        frontier = worker.frontier
+        frontier.push(WorkItem(InputAssignment(), 0))
+
+        def run_next():
+            _path, children, _covered = worker.run(frontier.pop())
+            for child in children:
+                frontier.push(child)
+
+        for _ in range(3):
+            run_next()
+        assert worker.capturing and len(pool)
+        run_next()
+        assert not worker.capturing and len(pool) == 0
+        captured = pool.captured
+        while frontier:
+            run_next()
+        assert pool.captured == captured and len(pool) == 0
+        assert worker.governor.statistics["gov_rungs_applied"] == 1
 
     def test_tiny_budget_degrades_but_keeps_path_set(self):
         baseline = Explorer(build_executor(), use_cache=True).explore()
@@ -299,6 +303,41 @@ class TestMemoryGovernor:
         ).explore()
         assert result.path_set() == baseline.path_set()
         assert result.degradations == 0
+
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    @pytest.mark.parametrize("strategy", ["dfs", "bfs"])
+    @pytest.mark.parametrize("workload", ["bubble-sort", "insertion-sort"])
+    def test_one_rung_keeps_the_path_multiset(self, workload, strategy, jobs):
+        """A zero budget drops each process's snapshot pool at its fourth
+        run: the paths are the unbudgeted run's, each as often, and no
+        process applies more than the one rung.  A serial run captures
+        nothing after the rung, so its pool ends empty."""
+
+        def explore(**budget):
+            executor = BinSymExecutor(rv32im(), WORKLOADS[workload].image(4))
+            result = Explorer(
+                executor, jobs=jobs, strategy=strategy, **budget
+            ).explore()
+            return executor, result
+
+        def multiset(result):
+            return Counter(
+                (p.halt_reason, p.exit_code, p.trace_length, p.stdout, p.final_pc)
+                for p in result.paths
+            )
+
+        _, baseline = explore()
+        executor, squeezed = explore(memory_budget_mb=0)
+        assert multiset(squeezed) == multiset(baseline)
+        assert squeezed.unknown_queries == squeezed.incomplete_paths == 0
+        rungs = squeezed.governor_stats["gov_rung_snapshots_off"]
+        assert squeezed.degradations == rungs
+        if jobs == 1:
+            assert rungs == 1
+            assert len(executor.snapshot_pool) == 0
+            assert squeezed.snapshot_stats["snap_pool_entries"] == 0
+        else:
+            assert rungs <= squeezed.workers
 
 
 class TestMemhog:

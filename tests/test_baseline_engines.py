@@ -11,8 +11,9 @@ import pytest
 
 from repro.asm import assemble
 from repro.baselines import DbaEngine, VexEngine, VpExecutor
+from repro.baselines.vp import VpInterpreter
 from repro.baselines.vp.bus import SimulationKernel, TlmBus, MemoryTarget, Transaction
-from repro.core import BinSymExecutor, Explorer
+from repro.core import BinSymExecutor, Explorer, SymbolicInterpreter
 from repro.spec import rv32im
 
 ENGINE_FACTORIES = {
@@ -219,6 +220,25 @@ class TestVirtualPrototype:
         )
         with pytest.raises(RuntimeError):
             bus.transport(Transaction(0x5000, 32, is_write=False))
+
+    def test_vp_executor_builds_one_interpreter_from_every_argument(
+        self, monkeypatch
+    ):
+        """The executor builds only the VP interpreter, handing it every
+        constructor argument, with superblocks pinned off."""
+        built = []
+        init = SymbolicInterpreter.__init__
+
+        def counted(interp, *args, **kwargs):
+            built.append(type(interp))
+            init(interp, *args, **kwargs)
+
+        monkeypatch.setattr(SymbolicInterpreter, "__init__", counted)
+        image = assemble(PROGRAMS["signed-ranges"])
+        executor = VpExecutor(rv32im(), image, force_terms=True, superblocks=True)
+        assert built == [VpInterpreter]
+        assert executor.interpreter.domain.force_terms
+        assert not executor.superblocks_enabled
 
     def test_vp_matches_binsym_timing_free_results(self):
         isa = rv32im()

@@ -1220,18 +1220,41 @@ class TestReplayStream:
 
     def test_stream_that_cannot_start_stays_off(self, monkeypatch):
         """The replay process cannot be forked: the stream tries once and
-        stays off, the campaign finishes, and the end step's forked share
-        replays in the parent.  Each failed start is one worker death."""
+        stays off, the campaign finishes, and the end step forks nothing
+        more: its other share replays in the parent.  The failed start
+        is one worker death."""
         attempts = fail_forks(monkeypatch)
         started = spy_streams(monkeypatch)
         force_shards(monkeypatch, 2)
         executor, result = certify_workload("bubble-sort", 4)
         assert len(started) == 1 and started[0].process is None
-        # The stream's start and the end step's one forked share.
-        assert len(attempts) == 2
-        assert result.worker_deaths == 2
+        assert len(attempts) == 1
+        assert result.worker_deaths == 1
         assert result.certified_paths == result.num_paths == 24
         assert counters(result) == counters(one_process(result, executor))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("streaming", [True, False])
+    def test_no_fork_after_a_failed_start(self, streaming, monkeypatch):
+        """Four usable CPUs and every fork failing: the first start
+        fails, the stream's in a campaign or the first share's when a
+        result is certified again, and no other process is tried.  All
+        shares replay in the parent, for one worker death."""
+        if streaming:
+            attempts = fail_forks(monkeypatch)
+            started = spy_streams(monkeypatch)
+            force_shards(monkeypatch, 4)
+            executor, checked = certify_workload("bubble-sort", 4)
+            assert len(started) == 1 and started[0].process is None
+        else:
+            executor, result = certify_workload("bubble-sort", 4)
+            attempts = fail_forks(monkeypatch)
+            force_shards(monkeypatch, 4)
+            checked = reverify(result, executor)
+        assert len(attempts) == 1
+        assert checked.worker_deaths == 1
+        assert checked.certified_paths == checked.num_paths == 24
+        assert counters(checked) == counters(one_process(checked, executor))
         assert multiprocessing.active_children() == []
 
     def test_lost_share_beside_the_stream_replays_here(self, tmp_path, monkeypatch):
@@ -1448,52 +1471,22 @@ class TestReplayStream:
         assert counters(result) == counters(one_process(result, executor))
         assert multiprocessing.active_children() == []
 
-    def test_replay_process_follows_the_governed_budget(self, tmp_path, monkeypatch):
-        """Under ``memory_budget_mb=0`` the governor halves the snapshot
-        pool's budget after the stream has started; the replay process
-        ends on the halved budget, as the parent's share does."""
-        streaming = mark_replay_process(monkeypatch)
-        notes = tmp_path / "budget"
-        replay_members = certificates._replay_members
-
-        def noted_members(replay, *args):
-            outcome = replay_members(replay, *args)
-            if streaming:
-                notes.write_text(str(replay.budget))
-            return outcome
-
-        monkeypatch.setattr(certificates, "_replay_members", noted_members)
+    def test_stream_under_a_zero_memory_budget_certifies_every_path(
+        self, monkeypatch
+    ):
+        """Under ``memory_budget_mb=0`` the campaign drops its snapshot
+        pool at its fourth run while the stream replays beside it.  The
+        replay keeps the pool's budget, so every path certifies and the
+        counters are a one-process replay's."""
         started = spy_streams(monkeypatch)
         force_shards(monkeypatch, 4)
         executor = make_engine("binsym", rv32im(), WORKLOADS["bubble-sort"].image(4))
-        forked = executor.snapshot_pool.max_bytes
         result = Explorer(
             executor, solver_config=SolverConfig(certify=True), memory_budget_mb=0
         ).explore()
         assert len(started) == 1 and result.worker_deaths == 0
-        assert result.degradations and executor.snapshot_pool.max_bytes < forked
-        assert int(notes.read_text()) == executor.snapshot_pool.max_bytes
+        assert result.degradations == 1
         assert result.certified_paths == result.num_paths
-        assert counters(result) == counters(one_process(result, executor))
-        assert multiprocessing.active_children() == []
-
-    def test_lowered_budget_drops_the_replay_process_copies(self, monkeypatch):
-        """A pool budget lowered to nothing just after the fork reaches
-        the replay process with the next path: it drops its copies and
-        takes none, so no child resumes, as in one process."""
-        started = spy_streams(monkeypatch)
-        start = certificates.ReplayStream._start
-
-        def start_then_shrink(stream):
-            start(stream)
-            stream.executor.snapshot_pool.set_budget(0)
-
-        monkeypatch.setattr(certificates.ReplayStream, "_start", start_then_shrink)
-        force_shards(monkeypatch, 4)
-        executor, result = certify_workload("bubble-sort", 4)
-        assert len(started) == 1 and result.worker_deaths == 0
-        assert result.certified_paths == result.num_paths
-        assert result.certificate_resumed == 0
         assert counters(result) == counters(one_process(result, executor))
         assert multiprocessing.active_children() == []
 

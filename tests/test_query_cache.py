@@ -310,8 +310,8 @@ class TestCachedExploration:
 class TestCacheConsistencyFuzz:
     """Structural-consistency fuzz over random cache interleavings.
 
-    Every reachable interleaving of store_sat / store_unsat / lookup /
-    tighten — including the evictions they trigger at tiny caps — must
+    Every reachable interleaving of store_sat / store_unsat / lookup —
+    including the evictions they trigger at tiny caps — must
     leave the side tables exactly consistent with the primary maps:
 
     - ``_digests`` covers exactly the memoized keys;
@@ -398,8 +398,6 @@ class TestCacheConsistencyFuzz:
                     cache.store_unsat(key, core=core)
                 else:
                     cache.store_unsat(key)
-            elif op == 5 and rng.random() < 0.25:
-                cache.tighten()
             else:
                 cache.lookup(key, conditions)
             self.check_invariants(cache)

@@ -12,9 +12,7 @@ unit-test the classifier, the trace scanner, the successor prediction
 and the shared block cache underneath.
 """
 
-import gc
 import random
-import weakref
 
 import pytest
 
@@ -261,22 +259,6 @@ class TestBlockCache:
         cached = {id(block) for block in engine._blocks.values()}
         assert len(engine._by_entry) == 2
         assert {id(block) for block in engine._by_entry.values()} == cached
-
-    def test_cache_rung_frees_trimmed_blocks(self):
-        """The governor's cache rung frees every block it trims: neither
-        the engine's maps nor the executor's interpreter keeps one."""
-        executor = BinSymExecutor(rv32im(), WORKLOADS["base64-encode"].image(2))
-        Explorer(executor, use_cache=True).explore()
-        interp = executor.interpreter
-        engine = interp.isa.superblocks
-        blocks = list(engine._blocks.values())
-        assert blocks and any(entry in blocks for entry in interp._sb_map.values())
-        refs = [weakref.ref(block) for block in blocks]
-        del blocks
-        executor.tighten_caches(factor=1 << 20)
-        gc.collect()
-        assert not engine._blocks and not engine._by_entry
-        assert [ref for ref in refs if ref() is not None] == []
 
     def test_engine_shared_per_isa(self, isa):
         """Interpreters over one ISA bind the same lazy engine, so

@@ -30,8 +30,9 @@ no stream).  There the paths replay in a forked process while the
 campaign explores, and the row also requires that the stream started
 and lost no process.  On clif-parser a last row forces the stream and
 makes every fork fail (``stream no-fork``): a replay process only buys
-speed, so the run must still certify every path, count each failed
-start as one worker death, and leave no process behind.
+speed, so the run must still certify every path, try one start (a
+failed fork would fail again, so the end step forks no share), count
+it as one worker death, and leave no process behind.
 
 Usage::
 
@@ -221,7 +222,7 @@ def run_gate(jobs: int) -> int:
             if stream and (
                 len(started) != 1
                 or certified.worker_deaths != len(attempts)
-                or (no_fork and (not attempts or started[0].process is not None))
+                or (no_fork and (len(attempts) != 1 or started[0].process is not None))
                 or multiprocessing.active_children()
             ):
                 errors.append(

@@ -62,6 +62,16 @@ counted, never a wrong answer); ``iofail=`` must disable the tier
 fail-soft; and a full store wipe mid-campaign must degrade to cold-run
 behaviour, never an error.
 
+``--memory-gate`` runs the *memory-budget* gate: every workload is
+explored with ``memory_budget_mb=0``, serial and pooled, so each process
+drops its snapshot pool at its fourth run.  The rung must give memory
+back without changing what is explored:
+
+* the paths are **identical** to the clean run's, each as often, with
+  no unknown query and no incomplete path, and
+* a serial run of at least four paths applies exactly one rung, a
+  pooled run at most one per process, and some pooled run applies one.
+
 Schedules are deterministic (``blake2b(seed, kind, site)``), so a
 failure here reproduces locally with the printed seed.
 
@@ -69,6 +79,7 @@ Usage::
 
     python tools/chaos_check.py [--seeds N] [--jobs N] [--corrupt]
     python tools/chaos_check.py [--hang | --deadline-gate | --store]
+    python tools/chaos_check.py --memory-gate [--jobs N]
     python tools/chaos_check.py --self-test
 
 ``--strategy {dfs,bfs,random,coverage}`` (default dfs) sets the search
@@ -79,7 +90,8 @@ the invariant check trips, as it must when a bubble-sort path is lost
 or recorded twice, perturbs a corruption-gate result and asserts that
 check trips too, resumes a deadline cut without its journal and
 asserts the journal check trips, and trips it again with a cut whose
-counter record the journal does not hold — proving the gates can
+counter record the journal does not hold, and drops a path from a
+budgeted run and asserts the memory gate trips — proving the gates can
 actually fail.
 """
 
@@ -686,6 +698,76 @@ def run_store_gate(seeds: int, jobs: int) -> int:
     return 0
 
 
+def check_memory_invariant(workload, clean, squeezed, label: str) -> list[str]:
+    """The rung must not change what is explored: the clean paths, each
+    as often, nothing unknown or incomplete, and at most one rung per
+    process — exactly one in a serial run of at least four paths."""
+    errors = []
+    if path_counts(squeezed) != path_counts(clean):
+        errors.append(
+            f"{workload} [{label}]: budgeted run changed the paths "
+            f"({squeezed.num_paths} vs {clean.num_paths} paths)"
+        )
+    if squeezed.unknown_queries or squeezed.incomplete_paths:
+        errors.append(
+            f"{workload} [{label}]: {squeezed.unknown_queries} unknown "
+            f"queries, {squeezed.incomplete_paths} incomplete paths"
+        )
+    rungs = squeezed.degradations
+    if squeezed.workers == 1:
+        wrong = rungs != (1 if squeezed.num_paths >= 4 else 0)
+    else:
+        wrong = rungs > squeezed.workers
+    if wrong:
+        errors.append(
+            f"{workload} [{label}]: {rungs} rung(s) applied over "
+            f"{squeezed.workers} process(es) and {squeezed.num_paths} paths"
+        )
+    return errors
+
+
+def run_memory_gate(jobs: int) -> int:
+    """Memory-budget gate: a zero budget changes nothing but speed."""
+    failures: list[str] = []
+    pooled_rungs = 0
+    for workload in WORKLOAD_SCALES:
+        start = time.perf_counter()
+        clean = build_explorer(workload).explore()
+        for label, n_jobs in (("serial", 1), (f"jobs={jobs}", jobs)):
+            squeezed = build_explorer(
+                workload, jobs=n_jobs, memory_budget_mb=0
+            ).explore()
+            errors = check_memory_invariant(workload, clean, squeezed, label)
+            failures.extend(errors)
+            if n_jobs > 1:
+                pooled_rungs += squeezed.degradations
+            status = "FAIL" if errors else "ok"
+            print(
+                f"  {status:4s} {workload:16s} {label:8s} "
+                f"paths={squeezed.num_paths}/{clean.num_paths} "
+                f"rungs={squeezed.degradations} "
+                f"resumed={squeezed.resumed_runs}/{clean.resumed_runs}"
+            )
+        print(
+            f"{workload}: {clean.num_paths} clean paths, "
+            f"{time.perf_counter() - start:.1f}s"
+        )
+    if jobs > 1 and not pooled_rungs:
+        failures.append(
+            "no pooled run applied the rung — the gate proved nothing"
+        )
+    if failures:
+        print(f"\nmemory gate FAILED ({len(failures)} violation(s)):")
+        for failure in failures:
+            print(f"  - {failure}")
+        return 1
+    print(
+        "\nmemory gate passed: every process that dropped its snapshot "
+        "pool still found the clean paths"
+    )
+    return 0
+
+
 def run_gate(seeds: int, jobs: int) -> int:
     failures: list[str] = []
     for workload in WORKLOAD_SCALES:
@@ -797,6 +879,17 @@ def self_test() -> int:
         print("self-test FAILED: a journal with a stale counter map passed")
         return 1
     print(f"self-test passed: deadline gate trips on a stale counter map ({errors[0]})")
+    # The memory gate must trip on a budgeted run that dropped a path.
+    squeezed = build_explorer("bubble-sort", memory_budget_mb=0).explore()
+    if check_memory_invariant("bubble-sort", sort, squeezed, "self-test"):
+        print("self-test FAILED: the budgeted run itself does not pass")
+        return 1
+    dropped = replace(squeezed, paths=squeezed.paths[1:])
+    errors = check_memory_invariant("bubble-sort", sort, dropped, "self-test")
+    if not errors:
+        print("self-test FAILED: a path dropped under a memory budget passed")
+        return 1
+    print(f"self-test passed: memory gate trips on a dropped path ({errors[0]})")
     return 0
 
 
@@ -822,6 +915,11 @@ def main(argv=None) -> int:
                              "starts are bit-identical and cheaper, "
                              "torn/corrupt/iofail damage is "
                              "quarantined or degrades softly")
+    parser.add_argument("--memory-gate", action="store_true",
+                        help="run the memory-budget gate: under a zero "
+                             "budget every process drops its snapshot "
+                             "pool once, and the path multiset is the "
+                             "clean run's")
     parser.add_argument("--strategy", default="dfs",
                         choices=("dfs", "bfs", "random", "coverage"),
                         help="search strategy of every exploration "
@@ -842,6 +940,8 @@ def main(argv=None) -> int:
         return run_deadline_gate(args.jobs)
     if args.store:
         return run_store_gate(args.seeds, args.jobs)
+    if args.memory_gate:
+        return run_memory_gate(args.jobs)
     return run_gate(args.seeds, args.jobs)
 
 
